@@ -17,7 +17,7 @@ from .process import (
 )
 from .streams import DrawStreams, substream
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"
 
 __all__ = [
     "BandwidthSchedule",

@@ -40,31 +40,32 @@ def _parse_float_list(v: str) -> tuple:
     return tuple(float(x.strip()) for x in v.split(",") if x.strip())
 
 
+# config key -> (ExperimentConfig field, value parser)
 _KEY_PARSERS = {
-    "flavor": _parse_str,
-    "kernel.family": _parse_str,
-    "kernel.dimension": _parse_int,
-    "kernel.dof": _parse_float,
-    "bandwidth.form": _parse_str,
-    "bandwidth.C": _parse_float,
-    "bandwidth.delta": _parse_float,
-    "bandwidth.rate": _parse_float,
-    "bandwidth.table_path": _parse_str,
-    "run.steps": _parse_int,
-    "run.replications": _parse_int,
-    "run.master_seed": _parse_int,
-    "run.output_dir": _parse_str,
-    "run.checkpoints": _parse_int_list,
-    "diagnostics.t_grid": _parse_float_list,
-    "diagnostics.drift_times": _parse_int_list,
-    "diagnostics.tail_threshold_factor": _parse_float,
-    "data.path": _parse_str,
-    "posterior.quantiles": _parse_float_list,
-    "posterior.box_lo": _parse_float,
-    "posterior.box_hi": _parse_float,
-    "urn.window_sizes": _parse_int_list,
-    "urn.anchor": _parse_int,
-    "urn.fraction_horizon": _parse_int,
+    "flavor": ("flavor", _parse_str),
+    "kernel.family": ("kernel_family", _parse_str),
+    "kernel.dimension": ("kernel_dimension", _parse_int),
+    "kernel.dof": ("kernel_dof", _parse_float),
+    "bandwidth.form": ("bandwidth_form", _parse_str),
+    "bandwidth.C": ("bandwidth_c", _parse_float),
+    "bandwidth.delta": ("bandwidth_delta", _parse_float),
+    "bandwidth.rate": ("bandwidth_rate", _parse_float),
+    "bandwidth.table_path": ("bandwidth_table_path", _parse_str),
+    "run.steps": ("steps", _parse_int),
+    "run.replications": ("replications", _parse_int),
+    "run.master_seed": ("master_seed", _parse_int),
+    "run.output_dir": ("output_dir", _parse_str),
+    "run.checkpoints": ("checkpoints", _parse_int_list),
+    "diagnostics.t_grid": ("t_grid", _parse_float_list),
+    "diagnostics.drift_times": ("drift_times", _parse_int_list),
+    "diagnostics.tail_threshold_factor": ("tail_threshold_factor", _parse_float),
+    "data.path": ("data_path", _parse_str),
+    "posterior.quantiles": ("posterior_quantiles", _parse_float_list),
+    "posterior.box_lo": ("posterior_box_lo", _parse_float),
+    "posterior.box_hi": ("posterior_box_hi", _parse_float),
+    "urn.window_sizes": ("urn_window_sizes", _parse_int_list),
+    "urn.anchor": ("urn_anchor", _parse_int),
+    "urn.fraction_horizon": ("urn_fraction_horizon", _parse_int),
 }
 
 
@@ -132,45 +133,20 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - set(_KEY_PARSERS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        parsed = {}
+        fields = {}
         for key, value in raw.items():
+            name, parse = _KEY_PARSERS[key]
             try:
-                parsed[key] = _KEY_PARSERS[key](value.strip() if isinstance(value, str) else value)
+                fields[name] = parse(value.strip() if isinstance(value, str) else value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
-        rename = {
-            "kernel.family": "kernel_family",
-            "kernel.dimension": "kernel_dimension",
-            "kernel.dof": "kernel_dof",
-            "bandwidth.form": "bandwidth_form",
-            "bandwidth.C": "bandwidth_c",
-            "bandwidth.delta": "bandwidth_delta",
-            "bandwidth.rate": "bandwidth_rate",
-            "bandwidth.table_path": "bandwidth_table_path",
-            "run.steps": "steps",
-            "run.replications": "replications",
-            "run.master_seed": "master_seed",
-            "run.output_dir": "output_dir",
-            "run.checkpoints": "checkpoints",
-            "diagnostics.t_grid": "t_grid",
-            "diagnostics.drift_times": "drift_times",
-            "diagnostics.tail_threshold_factor": "tail_threshold_factor",
-            "data.path": "data_path",
-            "posterior.quantiles": "posterior_quantiles",
-            "posterior.box_lo": "posterior_box_lo",
-            "posterior.box_hi": "posterior_box_hi",
-            "urn.window_sizes": "urn_window_sizes",
-            "urn.anchor": "urn_anchor",
-            "urn.fraction_horizon": "urn_fraction_horizon",
-            "flavor": "flavor",
-        }
-        return cls(base_dir=base_dir, **{rename[k]: v for k, v in parsed.items()})
+        return cls(base_dir=base_dir, **fields)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         path = Path(path)
         raw = {}
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(path, "config file").splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -276,10 +252,17 @@ class ExperimentConfig:
 # --------------------------------------------------------------- file loaders
 
 
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_bandwidth_table(path) -> list[float]:
     """One positive real per line; comments and blanks skipped."""
     values = []
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path, "bandwidth table").splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -292,14 +275,18 @@ def load_bandwidth_table(path) -> list[float]:
 def load_data_points(path, dim: int = 1) -> np.ndarray:
     """Observed points, one per line, coordinates comma/whitespace separated."""
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(_read_text(path, "data file").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = stripped.replace(",", " ").split()
-        rows.append([float(p) for p in parts])
+        try:
+            rows.append([float(p) for p in stripped.replace(",", " ").split()])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise EmptyData(f"data file {path} contains no points")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigError(f"data file {path} has rows with different numbers of coordinates")
     arr = np.asarray(rows, dtype=float)
     if arr.shape[1] != dim:
         raise ConfigError(f"data file {path} has dimension {arr.shape[1]}, expected {dim}")

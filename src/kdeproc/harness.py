@@ -28,6 +28,7 @@ from .process import (
     predictive_mixture,
     simulate,
     sup_norm_path,
+    write_csv_banner,
     write_trajectory_csv,
 )
 from .streams import DrawStreams
@@ -35,7 +36,7 @@ from .urn import (
     betabinom_pmf_vector,
     descendant_fraction_path,
     descendant_tail_bound,
-    simulate_descendants,
+    replicated_descendant_counts,
     support_contrast_experiment,
 )
 
@@ -49,19 +50,27 @@ def cf_distance(mix_a: PredictiveMixture, mix_b: PredictiveMixture, t_grid) -> f
     return max(abs(mix_a.cf(t) - mix_b.cf(t)) for t in t_grid)
 
 
+def _load_data(config: ExperimentConfig) -> np.ndarray | None:
+    if config.data_path is None:
+        return None
+    return load_data_points(config.resolved_data_path(), config.kernel_dimension)
+
+
+def _sampler(config: ExperimentConfig, data: np.ndarray | None):
+    """replication -> trajectory, with the data and components built once."""
+    schedule = config.schedule()
+    kernel = config.kernel()
+
+    def sample(replication: int) -> Trajectory:
+        streams = DrawStreams.from_seed(config.master_seed, replication)
+        return simulate(config.flavor, schedule, kernel, config.steps, streams, data_prefix=data)
+
+    return sample
+
+
 def simulate_replication(config: ExperimentConfig, replication: int) -> Trajectory:
     """The trajectory of one replication; a pure function of (config, r)."""
-    data = None
-    if config.data_path is not None:
-        data = load_data_points(config.resolved_data_path(), config.kernel_dimension)
-    return simulate(
-        config.flavor,
-        config.schedule(),
-        config.kernel(),
-        config.steps,
-        DrawStreams.from_seed(config.master_seed, replication),
-        data_prefix=data,
-    )
+    return _sampler(config, _load_data(config))(replication)
 
 
 # ------------------------------------------------------------------ reports
@@ -71,9 +80,7 @@ def simulate_replication(config: ExperimentConfig, replication: int) -> Trajecto
 class DiagnosticsReport:
     """Aggregated diagnostics: every entry carries name/statistic/threshold/pass."""
 
-    config: dict
-    config_hash: str
-    version: str = _VERSION
+    header: dict
     drift_tests: list = field(default_factory=list)
     bound_checks: list = field(default_factory=list)
     cf_convergence: dict = field(default_factory=dict)
@@ -90,10 +97,7 @@ class DiagnosticsReport:
 
     def to_dict(self) -> dict:
         return {
-            "tool": "kdeproc",
-            "version": self.version,
-            "config_hash": self.config_hash,
-            "config": self.config,
+            **self.header,
             "drift_tests": self.drift_tests,
             "bound_checks": self.bound_checks,
             "cf_convergence": self.cf_convergence,
@@ -102,6 +106,16 @@ class DiagnosticsReport:
             "support_radius_mean": self.support_radius_mean,
             "notes": self.notes,
         }
+
+
+def _artifact_header(config: ExperimentConfig) -> dict:
+    """The provenance keys every JSON artifact starts from."""
+    return {
+        "tool": "kdeproc",
+        "version": _VERSION,
+        "config_hash": config.config_hash(),
+        "config": config.to_echo(),
+    }
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -152,18 +166,16 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
     finals = []
     files = []
     h = config.config_hash()
+    sample = _sampler(config, _load_data(config))
     for r in range(config.replications):
-        traj = simulate_replication(config, r)
+        traj = sample(r)
         name = f"trajectory_{r:05d}.csv"
         write_trajectory_csv(traj, out_dir / name, _VERSION, h)
         files.append(name)
         radii.append(float(sup_norm_path(traj)[-1]))
         finals.append([float(v) for v in traj.points[-1]])
     payload = {
-        "tool": "kdeproc",
-        "version": _VERSION,
-        "config_hash": h,
-        "config": config.to_echo(),
+        **_artifact_header(config),
         "trajectory_files": files,
         "support_radius_per_replication": radii,
         "support_radius_estimate": max(radii),
@@ -211,8 +223,9 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
     cf_bound_worst = -np.inf
     tail_violation = -np.inf
 
+    sample = _sampler(config, None)
     for r in range(reps):
-        traj = simulate_replication(config, r)
+        traj = sample(r)
         radii[r] = float(sup_norm_path(traj)[-1])
         u = dominating_path(traj)
         norms = np.linalg.norm(traj.points, axis=1)
@@ -240,7 +253,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
         )
         tail_violation = max(tail_violation, tail_report.max_violation)
 
-    report = DiagnosticsReport(config=config.to_echo(), config_hash=config.config_hash())
+    report = DiagnosticsReport(header=_artifact_header(config))
     can_drift = reps >= 100
     for n in drift_times:
         if can_drift:
@@ -283,13 +296,9 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
     }
     if can_drift:
         for size in config.urn_window_sizes:
-            counts = np.zeros(size + 1, dtype=np.int64)
-            for r in range(reps):
-                window_traj = simulate(
-                    flavor, schedule, kernel, 2 * size,
-                    DrawStreams.from_seed(config.master_seed, r),
-                )
-                counts[simulate_descendants(window_traj, size).counts[0]] += 1
+            counts = replicated_descendant_counts(
+                flavor, schedule, kernel, size, reps, config.master_seed
+            )
             chi = _chi_square_merged(counts, betabinom_pmf_vector(size) * reps)
             report.urn_tests.append(
                 {
@@ -318,11 +327,9 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
     rows = []
     chi_results = {}
     for n in config.urn_window_sizes:
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for r in range(reps):
-            streams = DrawStreams.from_seed(config.master_seed, r)
-            traj = simulate(config.flavor, schedule, kernel, 2 * n, streams)
-            counts[simulate_descendants(traj, n).counts[0]] += 1
+        counts = replicated_descendant_counts(
+            config.flavor, schedule, kernel, n, reps, config.master_seed
+        )
         pmf = betabinom_pmf_vector(n)
         tails_exact = np.cumsum(pmf[::-1])[::-1]
         for k in range(n + 1):
@@ -337,13 +344,7 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
                 }
             )
         chi_results[str(n)] = _chi_square_merged(counts, pmf * reps)
-    payload = {
-        "tool": "kdeproc",
-        "version": _VERSION,
-        "config_hash": config.config_hash(),
-        "config": config.to_echo(),
-        "chi_square": chi_results,
-    }
+    payload = {**_artifact_header(config), "chi_square": chi_results}
     if config.urn_anchor is not None:
         horizon = config.urn_fraction_horizon or config.steps
         finals = np.empty(reps)
@@ -359,7 +360,7 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
             "p_value": float(ks.pvalue),
         }
     with open(out_dir / "urn.csv", "w", newline="") as fh:
-        fh.write(f"# kdeproc {_VERSION} config={config.config_hash()}\n")
+        write_csv_banner(fh, _VERSION, config.config_hash())
         writer = csv.DictWriter(
             fh, fieldnames=["n", "k", "exact_pmf", "empirical_freq", "tail_exact", "tail_bound"]
         )
@@ -400,10 +401,7 @@ def run_contrast(config: ExperimentConfig, out_dir: Path) -> dict:
         config.master_seed,
     )
     payload = {
-        "tool": "kdeproc",
-        "version": _VERSION,
-        "config_hash": config.config_hash(),
-        "config": config.to_echo(),
+        **_artifact_header(config),
         "kde": vars(report.kde),
         "recursive": vars(report.recursive),
         "z_statistic": report.z_statistic,
@@ -416,7 +414,7 @@ def run_contrast(config: ExperimentConfig, out_dir: Path) -> dict:
 def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
     if config.data_path is None:
         raise ConfigError("posterior mode needs data.path")
-    data = load_data_points(config.resolved_data_path(), config.kernel_dimension)
+    data = _load_data(config)
     if config.steps < len(data):
         raise ConfigError(
             f"run.steps={config.steps} is shorter than the data ({len(data)} points)"
@@ -434,8 +432,9 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
     means = np.empty((config.replications, d))
     conv = np.empty(config.replications)
     quantiles = np.empty((config.replications, len(config.posterior_quantiles)))
+    sample = _sampler(config, data)
     for r in range(config.replications):
-        traj = simulate_replication(config, r)
+        traj = sample(r)
         mix = predictive_mixture(traj, schedule, kernel)
         mix_mean = mix.mean()
         means[r] = mix_mean
@@ -455,17 +454,14 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
 
     fieldnames = list(rows[0].keys())
     with open(out_dir / "posterior.csv", "w", newline="") as fh:
-        fh.write(f"# kdeproc {_VERSION} config={config.config_hash()}\n")
+        write_csv_banner(fh, _VERSION, config.config_hash())
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _csv_value(v) for k, v in row.items()})
 
     payload = {
-        "tool": "kdeproc",
-        "version": _VERSION,
-        "config_hash": config.config_hash(),
-        "config": config.to_echo(),
+        **_artifact_header(config),
         "data_points": len(data),
         "posterior_mean": [float(v) for v in means.mean(axis=0)],
         "posterior_mean_spread": [float(v) for v in means.std(axis=0, ddof=1)]
@@ -493,7 +489,7 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
         )
     schedule = config.schedule()
     kernel = config.kernel()
-    traj = simulate_replication(config, 0)
+    traj = _sampler(config, None)(0)
     ew1 = kernel.abs_moment(1.0)
     tight = mg.tightness_trace(traj, schedule, ew1)
     summary_traces = {}
@@ -502,7 +498,7 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
         trace = mg.cf_martingale_trace(traj, schedule, kernel, t)
         name = f"cf_trace_t{t:g}.csv"
         with open(out_dir / name, "w", newline="") as fh:
-            fh.write(f"# kdeproc {_VERSION} config={h}\n")
+            write_csv_banner(fh, _VERSION, h)
             writer = csv.writer(fh)
             writer.writerow(["step", "U", "J", "S", "phi_re", "phi_im", "S_re", "S_im"])
             for i in range(len(traj)):
@@ -524,13 +520,7 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
             "correction_sup": trace.correction_sup(),
             "martingale_modulus_sup": float(np.nanmax(np.abs(trace.martingale))),
         }
-    payload = {
-        "tool": "kdeproc",
-        "version": _VERSION,
-        "config_hash": h,
-        "config": config.to_echo(),
-        "traces": summary_traces,
-    }
+    payload = {**_artifact_header(config), "traces": summary_traces}
     _write_json(out_dir / "cf_trace_summary.json", payload)
     return payload
 

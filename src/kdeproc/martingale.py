@@ -419,38 +419,12 @@ def cf_martingale_trace(
     if not 1 <= n_max <= len(traj):
         raise ValueError(f"horizon must be in [1, {len(traj)}], got {n_max}")
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (traj.dim,))
-    flavor = traj.flavor
-    start_n = start_index(schedule, kernel, t_arr)
-    if start_n > n_max:
-        raise ZeroDenominator(
-            f"kernel CF stays below the conditioning floor until n={start_n}, "
-            f"beyond the horizon {n_max}"
-        )
+    start_n, correction = cf_corrections(schedule, kernel, t_arr, n_max, traj.flavor, rel_tol)
     phi = cf_path(traj, schedule, kernel, t_arr, upto=n_max)
     factors = np.full(n_max, np.nan, dtype=complex)
-    factors[start_n - 1 :] = factor_values(schedule, kernel, t_arr, start_n, n_max, flavor)
-    if np.any(factors[start_n - 1 :] == 0):
-        raise ZeroFactor("a growth factor vanished inside the traced range")
-
-    beyond = lemma_product_tail(schedule, kernel, t_arr, n_max + 1, rel_tol, flavor)
-    suffix = np.full(n_max, np.nan, dtype=complex)
-    running = beyond.value
-    for i in range(n_max - 1, start_n - 2, -1):
-        running = factors[i] * running
-        suffix[i] = running
-
-    correction = np.full(n_max, np.nan, dtype=complex)
-    if flavor == "kde":
-        h = schedule.values(n_max)
-        phi_h = kernel.cf_scaled(t_arr, h[start_n - 1 :])
-        if np.any(phi_h == 0):
-            raise ZeroDenominator("kernel CF vanishes inside the traced range")
-        correction[start_n - 1 :] = suffix[start_n - 1 :] / phi_h
-    else:
-        correction[start_n - 1 :] = suffix[start_n - 1 :]
-
+    factors[start_n - 1 :] = factor_values(schedule, kernel, t_arr, start_n, n_max, traj.flavor)
     return CFMartingaleTrace(
-        flavor=flavor,
+        flavor=traj.flavor,
         t=np.array(t_arr),
         phi=phi,
         factors=factors,
@@ -469,12 +443,21 @@ def cf_corrections(
     rel_tol: float = 1e-8,
 ) -> tuple[int, np.ndarray]:
     """(start_n, correction array for n = 1..n_max) -- the deterministic part
-    of the CF martingale, reusable across replications."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    of the CF martingale, reusable across replications.
+
+    Entries before ``start_n`` are NaN; a scalar t is broadcast to the kernel
+    dimension, as in :func:`cf_path`.
+    """
+    t_arr = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
     start_n = start_index(schedule, kernel, t_arr)
     if start_n > n_max:
-        raise ZeroDenominator(f"usable start {start_n} beyond horizon {n_max}")
+        raise ZeroDenominator(
+            f"kernel CF stays below the conditioning floor until n={start_n}, "
+            f"beyond the horizon {n_max}"
+        )
     factors = factor_values(schedule, kernel, t_arr, start_n, n_max, flavor)
+    if np.any(factors == 0):
+        raise ZeroFactor("a growth factor vanished inside the traced range")
     beyond = lemma_product_tail(schedule, kernel, t_arr, n_max + 1, rel_tol, flavor)
     suffix = np.empty(n_max - start_n + 1, dtype=complex)
     running = beyond.value
@@ -485,6 +468,8 @@ def cf_corrections(
     correction[start_n - 1 :] = suffix
     if flavor == "kde":
         phi_h = kernel.cf_scaled(t_arr, schedule.values(n_max)[start_n - 1 :])
+        if np.any(phi_h == 0):
+            raise ZeroDenominator("kernel CF vanishes inside the traced range")
         correction[start_n - 1 :] /= phi_h
     return start_n, correction
 

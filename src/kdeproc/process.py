@@ -14,6 +14,13 @@ Trajectories record ancestors, kernel draws and the bandwidth actually
 applied, so any point can be reconstructed independently by walking its
 ancestry, and the exact finite-mixture form of the predictive law is
 available at every time index.
+
+Every recursion along the ancestry goes through two primitives:
+:func:`chain_sum` (points in :func:`simulate`, the dominating chain sums) and
+:func:`chain_root` (descendant counts and fractions in ``urn``).
+:func:`reconstruct_from_genealogy` and :func:`reconstruct_all` walk the
+chains separately on purpose: they are the independent oracles the
+primitives are tested against.
 """
 
 from __future__ import annotations
@@ -298,7 +305,7 @@ def simulate(
         h_applied = np.zeros(0)
     increments = h_applied[:, None] * y
 
-    points = _accumulate(prefix, anc, increments, length)
+    points = chain_sum(prefix, anc - 1, increments)
 
     ancestors = np.zeros(length - 1, dtype=np.int64)
     draws = np.full((length - 1, d), np.nan)
@@ -318,25 +325,36 @@ def simulate(
     )
 
 
-def _accumulate(prefix: np.ndarray, anc: np.ndarray, increments: np.ndarray, length: int) -> np.ndarray:
-    s, d = prefix.shape
-    count = length - s
-    if d == 1:
-        # Hot path: plain-list indexing is several times faster than ndarray
-        # scalar indexing over tens of millions of steps.
-        buf = prefix[:, 0].tolist()
+def chain_sum(base: np.ndarray, parents: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """Forward sums along an ancestry: rows below s = len(base) are ``base``,
+    row s + i is ``out[parents[i]] + increments[i]``, with 0-based
+    0 <= parents[i] < s + i.  Shapes are (s,)/(m,) or (s, d)/(m, d).
+
+    One forward loop over plain lists per coordinate: several times faster
+    than ndarray scalar indexing, and every sum runs root to leaf.
+    """
+    s = base.shape[0]
+    rows = parents.tolist()
+    cols = base.reshape(s, -1).T.tolist()
+    for buf, inc in zip(cols, increments.reshape(len(rows), len(cols)).T.tolist()):
         append = buf.append
-        inc = increments[:, 0].tolist()
-        parents = (anc - 1).tolist()
-        for i in range(count):
-            append(buf[parents[i]] + inc[i])
-        return np.asarray(buf, dtype=float)[:, None]
-    points = np.empty((length, d))
-    points[:s] = prefix
-    parents = anc - 1
-    for i in range(count):
-        points[s + i] = points[parents[i]] + increments[i]
-    return points
+        for p, v in zip(rows, inc):
+            append(buf[p] + v)
+    # The copy turns the transposed columns back into C-ordered rows.
+    return np.array(cols).T.copy().reshape((-1,) + base.shape[1:])
+
+
+def chain_root(parents: np.ndarray, bound: int) -> np.ndarray:
+    """First row below ``bound`` on each row's ancestor chain (0-based).
+
+    Rows below ``bound`` are their own roots; row bound + i inherits the root
+    of ``parents[i]``, with 0 <= parents[i] < bound + i.
+    """
+    roots = list(range(bound))
+    append = roots.append
+    for p in parents.tolist():
+        append(roots[p])
+    return np.array(roots, dtype=np.int64)
 
 
 # -------------------------------------------------------------- derived views
@@ -436,17 +454,13 @@ def dominating_path(traj: Trajectory) -> np.ndarray:
     """
     if traj.seed_prefix_len > 1:
         raise MissingGenealogy("dominating path needs ancestry for every point")
-    n_pts = len(traj)
     norm_inc = traj.steps_h * np.linalg.norm(traj.kernel_draws, axis=1)
-    p = np.arange(1, n_pts + 1, dtype=np.int64)
-    acc = np.zeros(n_pts)
-    active = np.nonzero(p > 1)[0]
-    while active.size:
-        slots = p[active] - 2
-        acc[active] += norm_inc[slots]
-        p[active] = traj.ancestors[slots]
-        active = active[p[active] > 1]
-    return acc
+    return chain_sum(np.zeros(1), traj.ancestors - 1, norm_inc)
+
+
+def write_csv_banner(fh, version: str, config_hash: str) -> None:
+    """First line of every CSV artifact: tool version and configuration hash."""
+    fh.write(f"# kdeproc {version} config={config_hash}\n")
 
 
 def write_trajectory_csv(traj: Trajectory, path, version: str, config_hash: str) -> None:
@@ -459,7 +473,7 @@ def write_trajectory_csv(traj: Trajectory, path, version: str, config_hash: str)
 
     d = traj.dim
     with open(path, "w", newline="") as fh:
-        fh.write(f"# kdeproc {version} config={config_hash}\n")
+        write_csv_banner(fh, version, config_hash)
         writer = csv.writer(fh)
         writer.writerow(
             ["step", "ancestor", "h_used"]

@@ -19,7 +19,7 @@ from scipy import special, stats
 from .bandwidth import BandwidthSchedule
 from .errors import DomainError, TrajectoryTooShort
 from .kernels import KernelSpec
-from .process import Trajectory, simulate
+from .process import Trajectory, chain_root, simulate
 from .streams import DrawStreams
 
 
@@ -91,16 +91,26 @@ def simulate_descendants(traj: Trajectory, n: int) -> DescendantCounts:
         raise TrajectoryTooShort(f"need at least {2 * n} points, trajectory has {len(traj)}")
     if traj.seed_prefix_len > n:
         raise ValueError("window start lies inside the injected data prefix")
-    ancestors = traj.ancestors
-    # root_of[p] = first chain element <= n, memoized in index order.
-    root_of = np.arange(2 * n + 1, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    for p in range(n + 1, 2 * n + 1):
-        a = ancestors[p - 2]
-        r = a if a <= n else root_of[a]
-        root_of[p] = r
-        counts[r - 1] += 1
+    roots = chain_root(traj.ancestors[n - 1 : 2 * n - 1] - 1, n)
+    counts = np.bincount(roots[n:], minlength=n)
     return DescendantCounts(n=n, window=n, counts=counts)
+
+
+def replicated_descendant_counts(
+    flavor: str,
+    schedule: BandwidthSchedule,
+    kernel: KernelSpec,
+    n: int,
+    replications: int,
+    master_seed: int,
+) -> np.ndarray:
+    """Histogram over k = 0..n of point 1's descendant count in (n, 2n],
+    one seeded 2n-point trajectory per replication."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for r in range(replications):
+        traj = simulate(flavor, schedule, kernel, 2 * n, DrawStreams.from_seed(master_seed, r))
+        counts[simulate_descendants(traj, n).counts[0]] += 1
+    return counts
 
 
 def descendant_fraction_path(traj: Trajectory, anchor: int, horizon: int | None = None) -> np.ndarray:
@@ -115,18 +125,11 @@ def descendant_fraction_path(traj: Trajectory, anchor: int, horizon: int | None 
     m_max = len(traj) if horizon is None else int(horizon)
     if not anchor <= m_max <= len(traj):
         raise ValueError(f"horizon must be in [{anchor}, {len(traj)}], got {m_max}")
-    ancestors = traj.ancestors
-    is_desc = np.zeros(m_max + 1, dtype=bool)
-    is_desc[anchor] = True
-    running = np.zeros(m_max, dtype=np.int64)
-    running[anchor - 1] = 1
-    count = 1
-    desc = is_desc  # local alias for the loop
-    for p in range(anchor + 1, m_max + 1):
-        if desc[ancestors[p - 2]]:
-            desc[p] = True
-            count += 1
-        running[p - 1] = count
+    # Injected data points have no ancestry: chains stop at the prefix, so
+    # the roots are taken below max(anchor, prefix length).
+    bound = min(max(anchor, traj.seed_prefix_len), m_max)
+    roots = chain_root(traj.ancestors[bound - 1 : m_max - 1] - 1, bound)
+    running = np.cumsum(roots == anchor - 1)
     return running / np.arange(1, m_max + 1, dtype=float)
 
 

@@ -61,7 +61,7 @@ class TestDeterminism:
         traj = simulate_replication(cfg, 2)
         from kdeproc.process import write_trajectory_csv
 
-        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.0", cfg.config_hash())
+        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.1", cfg.config_hash())
         expected = (tmp_path / "sim" / "trajectory_00002.csv").read_bytes()
         assert (tmp_path / "solo.csv").read_bytes() == expected
 
@@ -94,7 +94,7 @@ class TestRunModes:
         for entry in report.drift_tests + report.bound_checks:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
-        assert data["version"] == "0.1.0"
+        assert data["version"] == "0.1.1"
         assert data["config_hash"] == cfg.config_hash()
 
     def test_diagnose_skips_drift_below_minimum_replications(self, tmp_path):
@@ -304,6 +304,25 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(cfgfile), "--out", "alt", "--seed", "7"]) == 0
         summary = json.loads((tmp_path / "alt" / "run_summary.json").read_text())
         assert summary["config"]["run.master_seed"] == 7
+
+    @pytest.mark.parametrize(
+        "config_text, data_text",
+        [
+            ("data.path = obs.txt\n", "1.0 2.0\n3.0\n"),
+            ("data.path = obs.txt\n", "1.0\nabc\n"),
+            (None, None),
+            ("data.path = missing.txt\n", None),
+        ],
+        ids=["ragged-data", "non-numeric-data", "missing-config", "missing-data"],
+    )
+    def test_bad_input_files_exit_code(self, tmp_path, capsys, config_text, data_text):
+        cfgfile = tmp_path / "exp.cfg"
+        if config_text is not None:
+            cfgfile.write_text("run.steps = 10\nkernel.dimension = 2\n" + config_text)
+        if data_text is not None:
+            (tmp_path / "obs.txt").write_text(data_text)
+        assert cli_main(["posterior", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -309,14 +309,15 @@ class TestCfMartingaleTrace:
         )
         assert bound.passed
 
-    def test_traces_match_corrections_helper(self):
+    @pytest.mark.parametrize("kernel", [GAUSS, KernelSpec("gaussian", dim=3)], ids=["d1", "d3"])
+    def test_traces_match_corrections_helper(self, kernel):
         streams = DrawStreams.from_seed(11, 0)
-        traj = simulate("kde", SCHED, GAUSS, 300, streams)
-        trace = mg.cf_martingale_trace(traj, SCHED, GAUSS, 1.5)
-        start, corr = mg.cf_corrections(SCHED, GAUSS, 1.5, 300, "kde")
+        traj = simulate("kde", SCHED, kernel, 300, streams)
+        trace = mg.cf_martingale_trace(traj, SCHED, kernel, 1.5)
+        start, corr = mg.cf_corrections(SCHED, kernel, 1.5, 300, "kde")
         assert start == trace.start_n
         np.testing.assert_allclose(corr, trace.correction, atol=1e-12)
-        phi = cf_path(traj, SCHED, GAUSS, 1.5)
+        phi = cf_path(traj, SCHED, kernel, 1.5)
         np.testing.assert_allclose(trace.martingale, corr * phi, atol=1e-14)
 
     def test_start_index_beyond_horizon_rejected(self):

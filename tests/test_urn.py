@@ -150,6 +150,16 @@ class TestFractionPath:
         counts = frac * np.arange(1, 7)
         assert np.all(np.diff(np.round(counts)) <= 1 + 1e-9)
 
+    def test_data_points_are_not_descendants(self):
+        # points 1..5 are observed data; 6 -> 3, 7 -> 6, 8 -> 2, 9 -> 7
+        traj = simulate(
+            "kde", SCHED, GAUSS, 9, data_prefix=[0.0, 1.0, 2.0, 3.0, 4.0],
+            forced_ancestors=[3, 6, 2, 7], forced_draws=[0.1] * 4,
+        )
+        frac = descendant_fraction_path(traj, 3, 9)
+        np.testing.assert_array_equal(frac * np.arange(1, 10), [0, 0, 1, 1, 1, 2, 3, 3, 4])
+        np.testing.assert_array_equal(descendant_fraction_path(traj, 3, 4), [0, 0, 1 / 3, 1 / 4])
+
     def test_counts_monotone_and_in_range(self):
         traj = simulate("recursive", SCHED, GAUSS, 500, DrawStreams.from_seed(3, 1))
         frac = descendant_fraction_path(traj, 4, 500)
