@@ -120,6 +120,15 @@ class ExperimentConfig:
             raise ConfigError("posterior.box_lo and posterior.box_hi must be set together")
         if self.posterior_box_lo is not None and self.posterior_box_lo > self.posterior_box_hi:
             raise ConfigError("posterior.box_lo must not exceed posterior.box_hi")
+        if any(n < 2 for n in self.urn_window_sizes):
+            raise ConfigError("urn.window_sizes must be >= 2")
+        if self.urn_anchor is not None:
+            if self.urn_anchor < 2:
+                raise ConfigError(f"urn.anchor must be >= 2, got {self.urn_anchor}")
+            # An unset (or zero) horizon means the fraction runs to run.steps.
+            key = "urn.fraction_horizon" if self.urn_fraction_horizon else "run.steps"
+            if (self.urn_fraction_horizon or self.steps) < self.urn_anchor:
+                raise ConfigError(f"urn.anchor={self.urn_anchor} exceeds {key}")
         try:
             self.kernel()
             self.schedule()

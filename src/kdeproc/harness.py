@@ -24,19 +24,17 @@ from .process import (
     PredictiveMixture,
     Trajectory,
     cf_path,
-    dominating_path,
     predictive_mixture,
-    simulate,
+    simulate_seeded,
     sup_norm_path,
     write_csv_banner,
     write_trajectory_csv,
 )
-from .streams import DrawStreams
 from .urn import (
     betabinom_pmf_vector,
     descendant_fraction_path,
     descendant_tail_bound,
-    replicated_descendant_counts,
+    simulate_descendants,
     support_contrast_experiment,
 )
 
@@ -56,21 +54,12 @@ def _load_data(config: ExperimentConfig) -> np.ndarray | None:
     return load_data_points(config.resolved_data_path(), config.kernel_dimension)
 
 
-def _sampler(config: ExperimentConfig, data: np.ndarray | None):
-    """replication -> trajectory, with the data and components built once."""
-    schedule = config.schedule()
-    kernel = config.kernel()
-
-    def sample(replication: int) -> Trajectory:
-        streams = DrawStreams.from_seed(config.master_seed, replication)
-        return simulate(config.flavor, schedule, kernel, config.steps, streams, data_prefix=data)
-
-    return sample
-
-
 def simulate_replication(config: ExperimentConfig, replication: int) -> Trajectory:
     """The trajectory of one replication; a pure function of (config, r)."""
-    return _sampler(config, _load_data(config))(replication)
+    return simulate_seeded(
+        config.flavor, config.schedule(), config.kernel(), config.steps,
+        config.master_seed, replication, _load_data(config),
+    )
 
 
 # ------------------------------------------------------------------ reports
@@ -166,9 +155,11 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
     finals = []
     files = []
     h = config.config_hash()
-    sample = _sampler(config, _load_data(config))
+    schedule, kernel, data = config.schedule(), config.kernel(), _load_data(config)
     for r in range(config.replications):
-        traj = sample(r)
+        traj = simulate_seeded(
+            config.flavor, schedule, kernel, config.steps, config.master_seed, r, data
+        )
         name = f"trajectory_{r:05d}.csv"
         write_trajectory_csv(traj, out_dir / name, _VERSION, h)
         files.append(name)
@@ -204,8 +195,13 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
     checkpoints = list(config.checkpoints) or [
         max(1, n_pts // 10), max(1, n_pts // 4), max(1, n_pts // 2)
     ]
+    can_drift = reps >= 100
+    if can_drift and any(2 * n > n_pts for n in config.urn_window_sizes):
+        raise ConfigError(
+            f"urn.window_sizes: each window n needs 2n <= run.steps={n_pts}, "
+            "since the urn checks count descendants on the run's own trajectories"
+        )
     ew1 = kernel.abs_moment(1.0)
-    comp = mg.compensator_values(flavor, schedule, ew1, n_pts - 1)
     corrections = {t: mg.cf_corrections(schedule, kernel, t, n_pts, flavor) for t in config.t_grid}
     cf_bound = (
         1.0
@@ -213,26 +209,26 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
         else max(float(np.nanmax(np.abs(c))) for _, c in corrections.values())
     )
 
-    tight_at = {n: np.empty(reps) for n in drift_times}
+    tight_at = {n: np.zeros(reps) for n in drift_times}
     tight_next = {n: np.empty(reps) for n in drift_times}
     cf_at = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
     cf_next = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
     cf_dist = {n: np.empty(reps) for n in checkpoints}
+    urn_counts = [(n, np.zeros(n + 1, dtype=np.int64)) for n in config.urn_window_sizes]
     radii = np.empty(reps)
     dominance_violation = -np.inf
     cf_bound_worst = -np.inf
     tail_violation = -np.inf
 
-    sample = _sampler(config, None)
     for r in range(reps):
-        traj = sample(r)
+        traj = simulate_seeded(flavor, schedule, kernel, n_pts, config.master_seed, r)
         radii[r] = float(sup_norm_path(traj)[-1])
-        u = dominating_path(traj)
+        trace = mg.tightness_trace(traj, schedule, ew1)
         norms = np.linalg.norm(traj.points, axis=1)
-        dominance_violation = max(dominance_violation, float(np.max(norms - u)))
-        j = np.cumsum(u) / np.arange(1, n_pts + 1, dtype=float)
+        dominance_violation = max(dominance_violation, float(np.max(norms - trace.dominating)))
+        j, comp = trace.running_mean, trace.compensators
         for n in drift_times:
-            tight_at[n][r] = 0.0
+            # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
             tight_next[n][r] = j[n] - j[n - 1] - comp[n - 1]
         phis = {t: cf_path(traj, schedule, kernel, t) for t in config.t_grid}
         for t in config.t_grid:
@@ -246,15 +242,15 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
             cf_dist[n][r] = max(
                 abs(phis[t][n - 1] - phis[t][n_pts - 1]) for t in config.t_grid
             )
-        trace = mg.tightness_trace(traj, schedule, ew1)
         threshold = config.tail_threshold_factor * max(trace.running_mean[-1], 1e-12)
         tail_report = mg.tail_prob_bound_check(
             trace, traj, schedule, kernel, threshold, at_times=drift_times
         )
         tail_violation = max(tail_violation, tail_report.max_violation)
+        if can_drift:
+            _tally_urn_windows(urn_counts, traj)
 
     report = DiagnosticsReport(header=_artifact_header(config))
-    can_drift = reps >= 100
     for n in drift_times:
         if can_drift:
             report.drift_tests.append(
@@ -295,10 +291,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
         "passed": all(inc <= 0 for inc in increases),
     }
     if can_drift:
-        for size in config.urn_window_sizes:
-            counts = replicated_descendant_counts(
-                flavor, schedule, kernel, size, reps, config.master_seed
-            )
+        for size, counts in urn_counts:
             chi = _chi_square_merged(counts, betabinom_pmf_vector(size) * reps)
             report.urn_tests.append(
                 {
@@ -320,16 +313,30 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
     return report
 
 
+def _tally_urn_windows(histograms: list, traj: Trajectory) -> None:
+    """Add point 1's descendant count over (n, 2n] to each (n, histogram) pair."""
+    for n, hist in histograms:
+        hist[simulate_descendants(traj, n).counts[0]] += 1
+
+
 def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
     schedule = config.schedule()
     kernel = config.kernel()
     reps = config.replications
+    anchor = config.urn_anchor
+    horizon = config.urn_fraction_horizon or config.steps
+    # One trajectory per replication serves every window and the fraction.
+    length = max([2 * n for n in config.urn_window_sizes] + [1 if anchor is None else horizon])
+    counts = [(n, np.zeros(n + 1, dtype=np.int64)) for n in config.urn_window_sizes]
+    finals = np.empty(reps)
+    for r in range(reps):
+        traj = simulate_seeded(config.flavor, schedule, kernel, length, config.master_seed, r)
+        _tally_urn_windows(counts, traj)
+        if anchor is not None:
+            finals[r] = descendant_fraction_path(traj, anchor, horizon)[-1]
     rows = []
     chi_results = {}
-    for n in config.urn_window_sizes:
-        counts = replicated_descendant_counts(
-            config.flavor, schedule, kernel, n, reps, config.master_seed
-        )
+    for n, hist in counts:
         pmf = betabinom_pmf_vector(n)
         tails_exact = np.cumsum(pmf[::-1])[::-1]
         for k in range(n + 1):
@@ -338,23 +345,17 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
                     "n": n,
                     "k": k,
                     "exact_pmf": pmf[k],
-                    "empirical_freq": counts[k] / reps,
+                    "empirical_freq": hist[k] / reps,
                     "tail_exact": tails_exact[k],
                     "tail_bound": descendant_tail_bound(n, k),
                 }
             )
-        chi_results[str(n)] = _chi_square_merged(counts, pmf * reps)
+        chi_results[str(n)] = _chi_square_merged(hist, pmf * reps)
     payload = {**_artifact_header(config), "chi_square": chi_results}
-    if config.urn_anchor is not None:
-        horizon = config.urn_fraction_horizon or config.steps
-        finals = np.empty(reps)
-        for r in range(reps):
-            streams = DrawStreams.from_seed(config.master_seed, r)
-            traj = simulate(config.flavor, schedule, kernel, horizon, streams)
-            finals[r] = descendant_fraction_path(traj, config.urn_anchor, horizon)[-1]
-        ks = stats.kstest(finals, stats.beta(1, config.urn_anchor - 1).cdf)
+    if anchor is not None:
+        ks = stats.kstest(finals, stats.beta(1, anchor - 1).cdf)
         payload["fraction_limit"] = {
-            "anchor": config.urn_anchor,
+            "anchor": anchor,
             "horizon": horizon,
             "ks_statistic": float(ks.statistic),
             "p_value": float(ks.pvalue),
@@ -432,9 +433,10 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
     means = np.empty((config.replications, d))
     conv = np.empty(config.replications)
     quantiles = np.empty((config.replications, len(config.posterior_quantiles)))
-    sample = _sampler(config, data)
     for r in range(config.replications):
-        traj = sample(r)
+        traj = simulate_seeded(
+            config.flavor, schedule, kernel, config.steps, config.master_seed, r, data
+        )
         mix = predictive_mixture(traj, schedule, kernel)
         mix_mean = mix.mean()
         means[r] = mix_mean
@@ -489,7 +491,7 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
         )
     schedule = config.schedule()
     kernel = config.kernel()
-    traj = _sampler(config, None)(0)
+    traj = simulate_seeded(config.flavor, schedule, kernel, config.steps, config.master_seed, 0)
     ew1 = kernel.abs_moment(1.0)
     tight = mg.tightness_trace(traj, schedule, ew1)
     summary_traces = {}

@@ -34,8 +34,7 @@ from scipy import integrate
 from .bandwidth import BandwidthSchedule
 from .errors import NoEnvelope, TooFewReplications, ZeroDenominator, ZeroFactor
 from .kernels import KernelSpec
-from .process import Trajectory, cf_path, dominating_path, simulate
-from .streams import DrawStreams
+from .process import Trajectory, cf_path, dominating_path
 
 DRIFT_FLAG_THRESHOLD = 4.0
 START_INDEX_FLOOR = 0.1
@@ -459,11 +458,9 @@ def cf_corrections(
     if np.any(factors == 0):
         raise ZeroFactor("a growth factor vanished inside the traced range")
     beyond = lemma_product_tail(schedule, kernel, t_arr, n_max + 1, rel_tol, flavor)
-    suffix = np.empty(n_max - start_n + 1, dtype=complex)
-    running = beyond.value
-    for i in range(len(suffix) - 1, -1, -1):
-        running = factors[i] * running
-        suffix[i] = running
+    # suffix[i] = factors[i] * ... * factors[-1] * beyond, multiplied from
+    # the far end inward as one reversed cumulative product.
+    suffix = np.cumprod(np.append(factors, beyond.value)[::-1])[:0:-1]
     correction = np.full(n_max, np.nan, dtype=complex)
     correction[start_n - 1 :] = suffix
     if flavor == "kde":
@@ -544,31 +541,3 @@ def drift_test(
         max_abs_z=max_abs_z,
         flagged=bool(max_abs_z > flag_threshold),
     )
-
-
-# ----------------------------------------------------- replication helpers
-
-
-def replicated_tightness_increments(
-    flavor: str,
-    schedule: BandwidthSchedule,
-    kernel: KernelSpec,
-    times,
-    replications: int,
-    master_seed: int,
-) -> dict[int, np.ndarray]:
-    """Per-replication martingale increments S_{n+1} - S_n at each time."""
-    times = sorted(int(n) for n in times)
-    length = max(times) + 1
-    ew1 = kernel.abs_moment(1.0)
-    comp = compensator_values(flavor, schedule, ew1, length - 1)
-    out = {n: np.empty(replications) for n in times}
-    for r in range(replications):
-        streams = DrawStreams.from_seed(master_seed, r)
-        traj = simulate(flavor, schedule, kernel, length, streams)
-        u = dominating_path(traj)
-        j = np.cumsum(u) / np.arange(1, length + 1, dtype=float)
-        for n in times:
-            # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
-            out[n][r] = j[n] - j[n - 1] - comp[n - 1]
-    return out

@@ -325,6 +325,26 @@ def simulate(
     )
 
 
+def simulate_seeded(
+    flavor: str,
+    schedule: BandwidthSchedule,
+    kernel: KernelSpec,
+    length: int,
+    master_seed: int,
+    replication: int,
+    data_prefix=None,
+) -> Trajectory:
+    """The trajectory of one replication, drawn from its (master_seed,
+    replication) substreams; every run mode simulates through it.
+
+    Draws are consumed in step order, so the first m points of a longer
+    trajectory are the m-point trajectory of the same replication; one
+    trajectory therefore serves every urn window and horizon up to its length.
+    """
+    streams = DrawStreams.from_seed(master_seed, replication)
+    return simulate(flavor, schedule, kernel, length, streams, data_prefix)
+
+
 def chain_sum(base: np.ndarray, parents: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """Forward sums along an ancestry: rows below s = len(base) are ``base``,
     row s + i is ``out[parents[i]] + increments[i]``, with 0-based

@@ -19,8 +19,7 @@ from scipy import special, stats
 from .bandwidth import BandwidthSchedule
 from .errors import DomainError, TrajectoryTooShort
 from .kernels import KernelSpec
-from .process import Trajectory, chain_root, simulate
-from .streams import DrawStreams
+from .process import Trajectory, chain_root, simulate_seeded
 
 
 # ------------------------------------------------------------------ exact law
@@ -94,23 +93,6 @@ def simulate_descendants(traj: Trajectory, n: int) -> DescendantCounts:
     roots = chain_root(traj.ancestors[n - 1 : 2 * n - 1] - 1, n)
     counts = np.bincount(roots[n:], minlength=n)
     return DescendantCounts(n=n, window=n, counts=counts)
-
-
-def replicated_descendant_counts(
-    flavor: str,
-    schedule: BandwidthSchedule,
-    kernel: KernelSpec,
-    n: int,
-    replications: int,
-    master_seed: int,
-) -> np.ndarray:
-    """Histogram over k = 0..n of point 1's descendant count in (n, 2n],
-    one seeded 2n-point trajectory per replication."""
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for r in range(replications):
-        traj = simulate(flavor, schedule, kernel, 2 * n, DrawStreams.from_seed(master_seed, r))
-        counts[simulate_descendants(traj, n).counts[0]] += 1
-    return counts
 
 
 def descendant_fraction_path(traj: Trajectory, anchor: int, horizon: int | None = None) -> np.ndarray:
@@ -207,8 +189,7 @@ def support_contrast_experiment(
         final_max = np.empty(replications)
         ratios = np.empty(replications)
         for r in range(replications):
-            streams = DrawStreams.from_seed(master_seed, r)
-            traj = simulate(flavor, schedule, kernel, n_steps, streams)
+            traj = simulate_seeded(flavor, schedule, kernel, n_steps, master_seed, r)
             last_record, fmax, ratio = _record_stats(traj)
             last_records[r] = last_record
             final_max[r] = fmax

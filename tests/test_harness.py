@@ -120,6 +120,16 @@ class TestRunModes:
         with pytest.raises(ConfigError, match="ancestry"):
             run(cfg, "cf-trace")
 
+    def test_diagnose_rejects_window_beyond_run(self, tmp_path):
+        # The urn checks count descendants on the run's own trajectories,
+        # which cannot hold a window (n, 2n] with 2n > run.steps.
+        cfg = ExperimentConfig(
+            steps=20, replications=100, drift_times=(10,), urn_window_sizes=(2, 11),
+            base_dir=str(tmp_path),
+        )
+        with pytest.raises(ConfigError, match="urn.window_sizes"):
+            run(cfg, "diagnose")
+
     def test_urn_mode(self, tmp_path):
         cfg = ExperimentConfig(
             steps=100,
@@ -306,23 +316,32 @@ class TestCli:
         assert summary["config"]["run.master_seed"] == 7
 
     @pytest.mark.parametrize(
-        "config_text, data_text",
+        "mode, config_text, data_text, needle",
         [
-            ("data.path = obs.txt\n", "1.0 2.0\n3.0\n"),
-            ("data.path = obs.txt\n", "1.0\nabc\n"),
-            (None, None),
-            ("data.path = missing.txt\n", None),
+            ("posterior", "data.path = obs.txt\n", "1.0 2.0\n3.0\n", "different numbers"),
+            ("posterior", "data.path = obs.txt\n", "1.0\nabc\n", "obs.txt:2"),
+            ("posterior", None, None, "config file"),
+            ("posterior", "data.path = missing.txt\n", None, "data file"),
+            ("urn", "urn.window_sizes = 0\n", None, "urn.window_sizes"),
+            ("urn", "urn.anchor = 1\n", None, "urn.anchor"),
+            ("urn", "urn.anchor = 5\nurn.fraction_horizon = 3\n", None, "urn.fraction_horizon"),
+            ("urn", "urn.anchor = 50\n", None, "run.steps"),
         ],
-        ids=["ragged-data", "non-numeric-data", "missing-config", "missing-data"],
+        ids=[
+            "ragged-data", "non-numeric-data", "missing-config", "missing-data",
+            "urn-window-0", "urn-anchor-1", "urn-horizon-below-anchor", "urn-anchor-beyond-steps",
+        ],
     )
-    def test_bad_input_files_exit_code(self, tmp_path, capsys, config_text, data_text):
+    def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):
         cfgfile = tmp_path / "exp.cfg"
         if config_text is not None:
-            cfgfile.write_text("run.steps = 10\nkernel.dimension = 2\n" + config_text)
+            cfgfile.write_text("run.steps = 20\nkernel.dimension = 2\n" + config_text)
         if data_text is not None:
             (tmp_path / "obs.txt").write_text(data_text)
-        assert cli_main(["posterior", "--config", str(cfgfile)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert cli_main([mode, "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert needle in err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

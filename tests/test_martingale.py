@@ -60,19 +60,14 @@ class TestTightnessTrace:
         with pytest.raises(MissingGenealogy):
             mg.tightness_trace(traj, SCHED, 1.0)
 
-    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
-    def test_zero_drift_mini(self, flavor):
-        incs = mg.replicated_tightness_increments(flavor, SCHED, GAUSS, [10, 50], 300, 12345)
-        for n, v in incs.items():
-            res = mg.drift_test(np.zeros_like(v), v, time=n)
-            assert res.max_abs_z < 4.0
-
     def test_increments_match_trace_differences(self):
-        streams = DrawStreams.from_seed(88, 0)
-        traj = simulate("kde", SCHED, GAUSS, 51, streams)
-        trace = mg.tightness_trace(traj, SCHED, GAUSS.abs_moment(1.0))
-        incs = mg.replicated_tightness_increments("kde", SCHED, GAUSS, [50], 1, 88)
-        assert incs[50][0] == pytest.approx(trace.martingale[50] - trace.martingale[49], abs=1e-12)
+        # The increment formula diagnose uses: the compensator tail cancels.
+        for flavor in ("kde", "recursive"):
+            traj = simulate(flavor, SCHED, GAUSS, 51, DrawStreams.from_seed(88, 0))
+            trace = mg.tightness_trace(traj, SCHED, GAUSS.abs_moment(1.0))
+            j, c, s = trace.running_mean, trace.compensators, trace.martingale
+            for n in (1, 10, 50):
+                assert j[n] - j[n - 1] - c[n - 1] == pytest.approx(s[n] - s[n - 1], abs=1e-12)
 
 
 class TestTailProbBound:
@@ -319,6 +314,23 @@ class TestCfMartingaleTrace:
         np.testing.assert_allclose(corr, trace.correction, atol=1e-12)
         phi = cf_path(traj, SCHED, kernel, 1.5)
         np.testing.assert_allclose(trace.martingale, corr * phi, atol=1e-14)
+
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    @pytest.mark.parametrize("kernel", [GAUSS, KernelSpec("laplace")], ids=["gaussian", "laplace"])
+    @pytest.mark.parametrize("t", [0.5, 2.0, 7.0])
+    def test_corrections_match_suffix_loop(self, flavor, kernel, t):
+        # Reference: the suffix product multiplied one factor at a time from
+        # the far end, as a scalar loop.
+        start, corr = mg.cf_corrections(SCHED, kernel, t, 400, flavor)
+        factors = mg.factor_values(SCHED, kernel, t, start, 400, flavor)
+        running = mg.lemma_product_tail(SCHED, kernel, t, 401, flavor=flavor).value
+        expected = np.full(400, np.nan, dtype=complex)
+        for i in range(len(factors) - 1, -1, -1):
+            running = factors[i] * running
+            expected[start - 1 + i] = running
+        if flavor == "kde":
+            expected[start - 1 :] /= kernel.cf_scaled(t, SCHED.values(400)[start - 1 :])
+        np.testing.assert_array_equal(corr, expected)
 
     def test_start_index_beyond_horizon_rejected(self):
         with pytest.raises(ZeroDenominator):

@@ -1,5 +1,6 @@
 """Descendant laws: exact pmf, tail bounds, simulated counts, limit fractions."""
 
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,11 @@ import pytest
 from scipy import stats
 
 from kdeproc import BandwidthSchedule, DrawStreams, KernelSpec, simulate
+from kdeproc.config import ExperimentConfig
 from kdeproc.errors import DomainError, TrajectoryTooShort
+from kdeproc.harness import run
+from kdeproc.kernels import FAMILIES
+from kdeproc.process import FLAVORS, simulate_seeded
 from kdeproc.urn import (
     ContrastReport,
     betabinom_pmf,
@@ -186,6 +191,78 @@ class TestFractionPath:
             descendant_fraction_path(traj, 1, 10)
         with pytest.raises(ValueError):
             descendant_fraction_path(traj, 5, 11)
+
+
+class TestPrefixProperty:
+    """The first m points of a replication's longer trajectory are its m-point
+    trajectory, so one trajectory serves every urn window and horizon."""
+
+    @staticmethod
+    def kernel(family, d):
+        return KernelSpec(family, dim=d, dof=5.0 if family == "student_t" else None)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_window_counts_read_off_longer_trajectory(self, flavor, d, family):
+        kernel = self.kernel(family, d)
+        for r in range(4):
+            long = simulate_seeded(flavor, SCHED, kernel, 61, 31, r)
+            for n in (2, 5, 13, 30):
+                short = simulate_seeded(flavor, SCHED, kernel, 2 * n, 31, r)
+                np.testing.assert_array_equal(long.points[: 2 * n], short.points)
+                np.testing.assert_array_equal(
+                    simulate_descendants(long, n).counts, simulate_descendants(short, n).counts
+                )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_fraction_path_read_off_longer_trajectory(self, flavor, d, family):
+        kernel = self.kernel(family, d)
+        for r in range(4):
+            long = simulate_seeded(flavor, SCHED, kernel, 90, 32, r)
+            for anchor, horizon in ((2, 2), (3, 17), (7, 40), (7, 90)):
+                short = simulate_seeded(flavor, SCHED, kernel, horizon, 32, r)
+                np.testing.assert_array_equal(
+                    descendant_fraction_path(long, anchor, horizon),
+                    descendant_fraction_path(short, anchor, horizon),
+                )
+
+
+class TestUrnModeOracle:
+    @pytest.mark.parametrize("horizon", [10, 40], ids=["windows-longest", "horizon-longest"])
+    def test_matches_independent_simulations(self, tmp_path, horizon):
+        cfg = ExperimentConfig(
+            flavor="recursive",
+            steps=30,
+            replications=150,
+            master_seed=19,
+            urn_window_sizes=(2, 9, 5),
+            urn_anchor=4,
+            urn_fraction_horizon=horizon,
+            base_dir=str(tmp_path),
+        )
+        payload = run(cfg, "urn")
+        schedule, kernel, reps = cfg.schedule(), cfg.kernel(), cfg.replications
+        with open(tmp_path / "out" / "urn.csv", newline="") as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        # Reference: an independent 2n-point simulation per window and
+        # replication, and a horizon-length one for the fraction.
+        for n in cfg.urn_window_sizes:
+            counts = np.zeros(n + 1, dtype=np.int64)
+            for r in range(reps):
+                traj = simulate(cfg.flavor, schedule, kernel, 2 * n, DrawStreams.from_seed(19, r))
+                counts[simulate_descendants(traj, n).counts[0]] += 1
+            got = [float(row["empirical_freq"]) for row in rows if int(row["n"]) == n]
+            assert got == (counts / reps).tolist()
+        finals = np.empty(reps)
+        for r in range(reps):
+            traj = simulate(cfg.flavor, schedule, kernel, horizon, DrawStreams.from_seed(19, r))
+            finals[r] = descendant_fraction_path(traj, 4, horizon)[-1]
+        ks = stats.kstest(finals, stats.beta(1, 3).cdf)
+        assert payload["fraction_limit"]["ks_statistic"] == float(ks.statistic)
 
 
 class TestSupportContrast:
