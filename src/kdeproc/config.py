@@ -68,6 +68,13 @@ _KEY_PARSERS = {
     "urn.fraction_horizon": ("urn_fraction_horizon", _parse_int),
 }
 
+# bandwidth.form -> the bandwidth keys it reads; the echo drops other forms' keys.
+_FORM_KEYS = {
+    "power": ("bandwidth.C", "bandwidth.delta"),
+    "exponential": ("bandwidth.rate",),
+    "table": ("bandwidth.table_path",),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -122,12 +129,19 @@ class ExperimentConfig:
             raise ConfigError("posterior.box_lo must not exceed posterior.box_hi")
         if any(n < 2 for n in self.urn_window_sizes):
             raise ConfigError("urn.window_sizes must be >= 2")
+        if self.urn_fraction_horizon is not None and self.urn_fraction_horizon < 1:
+            raise ConfigError(
+                f"urn.fraction_horizon must be >= 1, got {self.urn_fraction_horizon}"
+            )
         if self.urn_anchor is not None:
             if self.urn_anchor < 2:
                 raise ConfigError(f"urn.anchor must be >= 2, got {self.urn_anchor}")
-            # An unset (or zero) horizon means the fraction runs to run.steps.
-            key = "urn.fraction_horizon" if self.urn_fraction_horizon else "run.steps"
-            if (self.urn_fraction_horizon or self.steps) < self.urn_anchor:
+            # An unset horizon means the fraction runs to run.steps.
+            if self.urn_fraction_horizon is None:
+                key, horizon = "run.steps", self.steps
+            else:
+                key, horizon = "urn.fraction_horizon", self.urn_fraction_horizon
+            if horizon < self.urn_anchor:
                 raise ConfigError(f"urn.anchor={self.urn_anchor} exceeds {key}")
         try:
             self.kernel()
@@ -185,12 +199,7 @@ class ExperimentConfig:
 
     def schedule(self) -> BandwidthSchedule:
         if self.bandwidth_form == "power":
-            delta = (
-                self.bandwidth_delta
-                if self.bandwidth_delta is not None
-                else default_delta(self.kernel_dimension)
-            )
-            return BandwidthSchedule.power(self.bandwidth_c, delta)
+            return BandwidthSchedule.power(self.bandwidth_c, self._delta())
         if self.bandwidth_form == "exponential":
             if self.bandwidth_rate is None:
                 raise ConfigError("bandwidth.rate required for the exponential form")
@@ -203,6 +212,12 @@ class ExperimentConfig:
             )
         raise ConfigError(f"unknown bandwidth.form {self.bandwidth_form!r}")
 
+    def _delta(self) -> float:
+        """bandwidth.delta, or the dimension's default when unset."""
+        if self.bandwidth_delta is None:
+            return default_delta(self.kernel_dimension)
+        return self.bandwidth_delta
+
     def resolved_data_path(self) -> Path | None:
         if self.data_path is None:
             return None
@@ -211,46 +226,18 @@ class ExperimentConfig:
     # ------------------------------------------------------------------- echo
 
     def to_echo(self) -> dict:
-        """Flat dotted-key view of every resolved setting."""
-        sched = {"bandwidth.form": self.bandwidth_form}
-        if self.bandwidth_form == "power":
-            delta = (
-                self.bandwidth_delta
-                if self.bandwidth_delta is not None
-                else default_delta(self.kernel_dimension)
-            )
-            sched.update({"bandwidth.C": self.bandwidth_c, "bandwidth.delta": delta})
-        elif self.bandwidth_form == "exponential":
-            sched.update({"bandwidth.rate": self.bandwidth_rate})
-        else:
-            sched.update({"bandwidth.table_path": self.bandwidth_table_path})
-        echo = {
-            "flavor": self.flavor,
-            "kernel.family": self.kernel_family,
-            "kernel.dimension": self.kernel_dimension,
-            **sched,
-            "run.steps": self.steps,
-            "run.replications": self.replications,
-            "run.master_seed": self.master_seed,
-            "run.checkpoints": list(self.checkpoints),
-            "diagnostics.t_grid": list(self.t_grid),
-            "diagnostics.drift_times": list(self.drift_times),
-            "diagnostics.tail_threshold_factor": self.tail_threshold_factor,
-            "posterior.quantiles": list(self.posterior_quantiles),
-            "urn.window_sizes": list(self.urn_window_sizes),
+        """Flat dotted-key view of every resolved setting: each config key but
+        ``run.output_dir``, unset values and the inactive forms' bandwidth keys."""
+        inactive = {
+            key for form, keys in _FORM_KEYS.items() if form != self.bandwidth_form for key in keys
         }
-        if self.kernel_dof is not None:
-            echo["kernel.dof"] = self.kernel_dof
-        if self.data_path is not None:
-            echo["data.path"] = self.data_path
-        if self.posterior_box_lo is not None:
-            echo["posterior.box_lo"] = self.posterior_box_lo
-        if self.posterior_box_hi is not None:
-            echo["posterior.box_hi"] = self.posterior_box_hi
-        if self.urn_anchor is not None:
-            echo["urn.anchor"] = self.urn_anchor
-        if self.urn_fraction_horizon is not None:
-            echo["urn.fraction_horizon"] = self.urn_fraction_horizon
+        echo = {}
+        for key, (name, _) in _KEY_PARSERS.items():
+            if key == "run.output_dir" or key in inactive:
+                continue
+            value = self._delta() if key == "bandwidth.delta" else getattr(self, name)
+            if value is not None:
+                echo[key] = list(value) if isinstance(value, tuple) else value
         return echo
 
     def config_hash(self) -> str:

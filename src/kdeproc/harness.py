@@ -8,7 +8,6 @@ reproduces their outputs byte for byte.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +26,7 @@ from .process import (
     predictive_mixture,
     simulate_seeded,
     sup_norm_path,
-    write_csv_banner,
+    write_csv,
     write_trajectory_csv,
 )
 from .urn import (
@@ -109,13 +108,6 @@ def _artifact_header(config: ExperimentConfig) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _csv_value(v):
-    """Exact, plain-text float cells (numpy scalar reprs are not portable)."""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return v
 
 
 def _drift_entry(kind: str, t, result: mg.DriftTestResult) -> dict:
@@ -324,7 +316,7 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
     kernel = config.kernel()
     reps = config.replications
     anchor = config.urn_anchor
-    horizon = config.urn_fraction_horizon or config.steps
+    horizon = config.steps if config.urn_fraction_horizon is None else config.urn_fraction_horizon
     # One trajectory per replication serves every window and the fraction.
     length = max([2 * n for n in config.urn_window_sizes] + [1 if anchor is None else horizon])
     counts = [(n, np.zeros(n + 1, dtype=np.int64)) for n in config.urn_window_sizes]
@@ -334,22 +326,17 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
         _tally_urn_windows(counts, traj)
         if anchor is not None:
             finals[r] = descendant_fraction_path(traj, anchor, horizon)[-1]
-    rows = []
+    names = ("n", "k", "exact_pmf", "empirical_freq", "tail_exact", "tail_bound")
+    table = {name: [] for name in names}
     chi_results = {}
     for n, hist in counts:
         pmf = betabinom_pmf_vector(n)
-        tails_exact = np.cumsum(pmf[::-1])[::-1]
-        for k in range(n + 1):
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "exact_pmf": pmf[k],
-                    "empirical_freq": hist[k] / reps,
-                    "tail_exact": tails_exact[k],
-                    "tail_bound": descendant_tail_bound(n, k),
-                }
-            )
+        table["n"] += [n] * (n + 1)
+        table["k"] += range(n + 1)
+        table["exact_pmf"] += pmf.tolist()
+        table["empirical_freq"] += (hist / reps).tolist()
+        table["tail_exact"] += np.cumsum(pmf[::-1])[::-1].tolist()
+        table["tail_bound"] += [descendant_tail_bound(n, k) for k in range(n + 1)]
         chi_results[str(n)] = _chi_square_merged(hist, pmf * reps)
     payload = {**_artifact_header(config), "chi_square": chi_results}
     if anchor is not None:
@@ -360,14 +347,7 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
             "ks_statistic": float(ks.statistic),
             "p_value": float(ks.pvalue),
         }
-    with open(out_dir / "urn.csv", "w", newline="") as fh:
-        write_csv_banner(fh, _VERSION, config.config_hash())
-        writer = csv.DictWriter(
-            fh, fieldnames=["n", "k", "exact_pmf", "empirical_freq", "tail_exact", "tail_bound"]
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_value(v) for k, v in row.items()})
+    write_csv(out_dir / "urn.csv", _VERSION, config.config_hash(), table)
     _write_json(out_dir / "urn_summary.json", payload)
     return payload
 
@@ -429,38 +409,33 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
     else:
         conv_pair = (max(1, config.steps // 2), config.steps)
 
-    rows = []
     means = np.empty((config.replications, d))
     conv = np.empty(config.replications)
     quantiles = np.empty((config.replications, len(config.posterior_quantiles)))
+    box_probs = np.empty(config.replications)
     for r in range(config.replications):
         traj = simulate_seeded(
             config.flavor, schedule, kernel, config.steps, config.master_seed, r, data
         )
         mix = predictive_mixture(traj, schedule, kernel)
-        mix_mean = mix.mean()
-        means[r] = mix_mean
-        row = {"replication": r}
-        for jdx in range(d):
-            row[f"mean_{jdx + 1}"] = float(mix_mean[jdx])
+        means[r] = mix.mean()
         if d == 1:
-            for qi, q in enumerate(config.posterior_quantiles):
-                quantiles[r, qi] = mix.quantile(q)
-                row[f"q{q:g}"] = quantiles[r, qi]
+            quantiles[r] = [mix.quantile(q) for q in config.posterior_quantiles]
         if has_box:
-            row["box_prob"] = mix.prob(config.posterior_box_lo, config.posterior_box_hi)
+            box_probs[r] = mix.prob(config.posterior_box_lo, config.posterior_box_hi)
         phis_a = [cf_path(traj, schedule, kernel, t, upto=conv_pair[1]) for t in config.t_grid]
         conv[r] = max(abs(p[conv_pair[0] - 1] - p[conv_pair[1] - 1]) for p in phis_a)
-        row["cf_convergence_gap"] = float(conv[r])
-        rows.append(row)
 
-    fieldnames = list(rows[0].keys())
-    with open(out_dir / "posterior.csv", "w", newline="") as fh:
-        write_csv_banner(fh, _VERSION, config.config_hash())
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_value(v) for k, v in row.items()})
+    columns = {"replication": range(config.replications)}
+    for jdx, col in enumerate(means.T.tolist(), start=1):
+        columns[f"mean_{jdx}"] = col
+    if d == 1:
+        for q, col in zip(config.posterior_quantiles, quantiles.T.tolist()):
+            columns[f"q{q:g}"] = col
+    if has_box:
+        columns["box_prob"] = box_probs.tolist()
+    columns["cf_convergence_gap"] = conv.tolist()
+    write_csv(out_dir / "posterior.csv", _VERSION, config.config_hash(), columns)
 
     payload = {
         **_artifact_header(config),
@@ -499,23 +474,17 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
     for t in config.t_grid:
         trace = mg.cf_martingale_trace(traj, schedule, kernel, t)
         name = f"cf_trace_t{t:g}.csv"
-        with open(out_dir / name, "w", newline="") as fh:
-            write_csv_banner(fh, _VERSION, h)
-            writer = csv.writer(fh)
-            writer.writerow(["step", "U", "J", "S", "phi_re", "phi_im", "S_re", "S_im"])
-            for i in range(len(traj)):
-                writer.writerow(
-                    [
-                        i + 1,
-                        repr(float(tight.dominating[i])),
-                        repr(float(tight.running_mean[i])),
-                        repr(float(tight.martingale[i])),
-                        repr(float(trace.phi[i].real)),
-                        repr(float(trace.phi[i].imag)),
-                        repr(float(trace.martingale[i].real)),
-                        repr(float(trace.martingale[i].imag)),
-                    ]
-                )
+        columns = {
+            "step": range(1, len(traj) + 1),
+            "U": tight.dominating.tolist(),
+            "J": tight.running_mean.tolist(),
+            "S": tight.martingale.tolist(),
+            "phi_re": trace.phi.real.tolist(),
+            "phi_im": trace.phi.imag.tolist(),
+            "S_re": trace.martingale.real.tolist(),
+            "S_im": trace.martingale.imag.tolist(),
+        }
+        write_csv(out_dir / name, _VERSION, h, columns)
         summary_traces[f"{t:g}"] = {
             "file": name,
             "start_index": trace.start_n,

@@ -211,7 +211,7 @@ def start_index(
     lo, block = 1, 1024
     while lo <= max_scan:
         hi = min(lo + block - 1, max_scan)
-        h = np.array([schedule.at(n) for n in range(lo, hi + 1)])
+        h = schedule.values(hi)[lo - 1 :]
         mod = np.abs(kernel.cf_scaled(t, h))
         hits = np.flatnonzero(mod > floor)
         if hits.size:

@@ -478,9 +478,23 @@ def dominating_path(traj: Trajectory) -> np.ndarray:
     return chain_sum(np.zeros(1), traj.ancestors - 1, norm_inc)
 
 
-def write_csv_banner(fh, version: str, config_hash: str) -> None:
-    """First line of every CSV artifact: tool version and configuration hash."""
-    fh.write(f"# kdeproc {version} config={config_hash}\n")
+def write_csv(path, version: str, config_hash: str, columns) -> None:
+    """Write one CSV artifact: the banner ``# kdeproc <version> config=<hash>``,
+    then the header row and the data rows, each ending in ``\\r\\n``.
+
+    ``columns`` maps each header name, in order, to an equal-length sequence
+    of Python scalars (the ``.tolist()`` of an array); every cell is written
+    as its ``repr``, and ``None`` as an empty cell.  Rows are streamed.
+    """
+    cells = [map(_csv_cell, col) for col in columns.values()]
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# kdeproc {version} config={config_hash}\n")
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(map("{}\r\n".format, map(",".join, zip(*cells, strict=True))))
+
+
+def _csv_cell(v) -> str:
+    return "" if v is None else repr(v)
 
 
 def write_trajectory_csv(traj: Trajectory, path, version: str, config_hash: str) -> None:
@@ -489,24 +503,17 @@ def write_trajectory_csv(traj: Trajectory, path, version: str, config_hash: str)
     Rows for the origin / injected data carry empty ancestor, h and y fields.
     The first line records the tool version and configuration hash.
     """
-    import csv
-
-    d = traj.dim
-    with open(path, "w", newline="") as fh:
-        write_csv_banner(fh, version, config_hash)
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "ancestor", "h_used"]
-            + [f"y_{j + 1}" for j in range(d)]
-            + [f"x_{j + 1}" for j in range(d)]
-        )
-        for p in range(1, len(traj) + 1):
-            row = [p]
-            slot = p - 2
-            if p > traj.root_bound:
-                row += [int(traj.ancestors[slot]), repr(float(traj.steps_h[slot]))]
-                row += [repr(float(v)) for v in traj.kernel_draws[slot]]
-            else:
-                row += ["", ""] + [""] * d
-            row += [repr(float(v)) for v in traj.points[p - 1]]
-            writer.writerow(row)
+    # Slot p - 2 of the genealogy arrays belongs to point p; points up to
+    # root_bound have no record.
+    gap = [None] * traj.root_bound
+    slots = slice(traj.root_bound - 1, None)
+    columns = {
+        "step": range(1, len(traj) + 1),
+        "ancestor": gap + traj.ancestors[slots].tolist(),
+        "h_used": gap + traj.steps_h[slots].tolist(),
+    }
+    for j, col in enumerate(traj.kernel_draws[slots].T.tolist(), start=1):
+        columns[f"y_{j}"] = gap + col
+    for j, col in enumerate(traj.points.T.tolist(), start=1):
+        columns[f"x_{j}"] = col
+    write_csv(path, version, config_hash, columns)

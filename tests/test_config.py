@@ -129,6 +129,102 @@ class TestHash:
         assert echo["bandwidth.delta"] == pytest.approx(0.2)
         assert "kernel.dof" not in echo
 
+    # Echoes and hashes recorded from the hand-written echo of kdeproc 0.1.1.
+    DEFAULT_ECHO = {
+        "flavor": "kde",
+        "kernel.family": "gaussian",
+        "kernel.dimension": 1,
+        "bandwidth.form": "power",
+        "bandwidth.C": 1.0,
+        "bandwidth.delta": 0.2,
+        "run.steps": 1000,
+        "run.replications": 1,
+        "run.master_seed": 0,
+        "run.checkpoints": [],
+        "diagnostics.t_grid": [0.5, 1.0, 2.0],
+        "diagnostics.drift_times": [10, 100],
+        "diagnostics.tail_threshold_factor": 10.0,
+        "posterior.quantiles": [0.05, 0.25, 0.5, 0.75, 0.95],
+        "urn.window_sizes": [2, 5, 10],
+    }
+    NOT_POWER = ("bandwidth.C", "bandwidth.delta")
+
+    @pytest.mark.parametrize(
+        "raw, changed, dropped, digest",
+        [
+            ({}, {}, (), "f575aa172edf43ea"),
+            (
+                {"bandwidth.form": "exponential", "bandwidth.rate": "0.05"},
+                {"bandwidth.form": "exponential", "bandwidth.rate": 0.05},
+                NOT_POWER,
+                "bd253ba02c2e2d41",
+            ),
+            (
+                {"bandwidth.form": "table", "bandwidth.table_path": "h.txt", "run.steps": "2"},
+                {"bandwidth.form": "table", "bandwidth.table_path": "h.txt", "run.steps": 2},
+                NOT_POWER,
+                "e1288ac4dc2c68af",
+            ),
+            (
+                {"kernel.family": "student_t", "kernel.dof": "5", "kernel.dimension": "2"},
+                {
+                    "kernel.family": "student_t",
+                    "kernel.dof": 5.0,
+                    "kernel.dimension": 2,
+                    "bandwidth.delta": 0.16666666666666666,
+                },
+                (),
+                "06e99d3b0b37c537",
+            ),
+            (
+                {"bandwidth.rate": "0.3", "bandwidth.C": "2", "kernel.dimension": "3"},
+                {"bandwidth.C": 2.0, "kernel.dimension": 3, "bandwidth.delta": 0.14285714285714285},
+                (),
+                "d272ae0df67eb090",
+            ),
+            (
+                {
+                    "data.path": "obs.txt",
+                    "posterior.box_lo": "-1",
+                    "posterior.box_hi": "2.5",
+                    "run.output_dir": "elsewhere",
+                },
+                {"data.path": "obs.txt", "posterior.box_lo": -1.0, "posterior.box_hi": 2.5},
+                (),
+                "235e7c55a7cce203",
+            ),
+            (
+                {
+                    "urn.anchor": "4",
+                    "urn.fraction_horizon": "500",
+                    "urn.window_sizes": "3, 6",
+                    "run.checkpoints": "10, 20",
+                },
+                {
+                    "urn.anchor": 4,
+                    "urn.fraction_horizon": 500,
+                    "urn.window_sizes": [3, 6],
+                    "run.checkpoints": [10, 20],
+                },
+                (),
+                "02201f2a84f14a75",
+            ),
+        ],
+        ids=[
+            "defaults", "exponential", "table", "student_t-dof", "power-stray-rate",
+            "data-box", "urn-anchor-horizon",
+        ],
+    )
+    def test_echo_pinned(self, tmp_path, raw, changed, dropped, digest):
+        (tmp_path / "h.txt").write_text("0.5\n0.25\n")
+        cfg = ExperimentConfig.from_mapping(raw, base_dir=str(tmp_path))
+        expected = {k: v for k, v in self.DEFAULT_ECHO.items() if k not in dropped}
+        expected.update(changed)
+        echo = cfg.to_echo()
+        assert echo == expected
+        assert {k: type(v) for k, v in echo.items()} == {k: type(v) for k, v in expected.items()}
+        assert cfg.config_hash() == digest
+
 
 class TestLoaders:
     def test_bandwidth_table_rejects_empty(self, tmp_path):

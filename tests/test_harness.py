@@ -326,10 +326,12 @@ class TestCli:
             ("urn", "urn.anchor = 1\n", None, "urn.anchor"),
             ("urn", "urn.anchor = 5\nurn.fraction_horizon = 3\n", None, "urn.fraction_horizon"),
             ("urn", "urn.anchor = 50\n", None, "run.steps"),
+            ("urn", "urn.anchor = 5\nurn.fraction_horizon = 0\n", None, "urn.fraction_horizon"),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
             "urn-window-0", "urn-anchor-1", "urn-horizon-below-anchor", "urn-anchor-beyond-steps",
+            "urn-horizon-0",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):

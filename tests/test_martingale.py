@@ -6,6 +6,7 @@ import pytest
 from kdeproc import BandwidthSchedule, DrawStreams, KernelSpec, cf_path, simulate
 from kdeproc import martingale as mg
 from kdeproc.errors import (
+    IndexBeyondTable,
     MissingGenealogy,
     NoEnvelope,
     TooFewReplications,
@@ -168,6 +169,11 @@ class TestStartIndex:
         mods = np.abs(HALF.cf_scaled(20.0, h))
         assert mods[-1] > 0.1
         assert np.all(mods[:-1] <= 0.1)
+
+    def test_table_shorter_than_first_block(self):
+        # The first scan block is 1024 long, even when h_1 already qualifies.
+        with pytest.raises(IndexBeyondTable):
+            mg.start_index(BandwidthSchedule.from_table([0.5] * 10), GAUSS, 1.0)
 
 
 class TestLemmaProduct:
