@@ -7,12 +7,10 @@ from .process import (
     Trajectory,
     cf_path,
     dominating_path,
-    init_trajectory,
     predictive_mixture,
     reconstruct_all,
     reconstruct_from_genealogy,
     simulate,
-    step,
     sup_norm_path,
 )
 from .streams import DrawStreams, substream
@@ -28,12 +26,10 @@ __all__ = [
     "cf_path",
     "default_delta",
     "dominating_path",
-    "init_trajectory",
     "predictive_mixture",
     "reconstruct_all",
     "reconstruct_from_genealogy",
     "simulate",
-    "step",
     "substream",
     "sup_norm_path",
     "__version__",

@@ -29,6 +29,10 @@ class ZeroDenominator(KdeprocError, ZeroDivisionError):
     """Kernel characteristic function vanishes where a ratio is required."""
 
 
+class ToleranceNotReached(KdeprocError, RuntimeError):
+    """A certified numerical evaluation could not reach its requested accuracy."""
+
+
 class NoEnvelope(KdeprocError):
     """Schedule carries no power-law envelope, so tail certification is impossible."""
 

@@ -37,9 +37,6 @@ from .urn import (
     support_contrast_experiment,
 )
 
-MODES = ("simulate", "diagnose", "urn", "contrast", "posterior", "cf-trace")
-
-
 def cf_distance(mix_a: PredictiveMixture, mix_b: PredictiveMixture, t_grid) -> float:
     """sup over the grid of |phi_A(t) - phi_B(t)| between two mixtures."""
     if mix_a.dim != mix_b.dim:
@@ -496,20 +493,21 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
     return payload
 
 
+_RUNNERS = {
+    "simulate": run_simulate,
+    "diagnose": run_diagnose,
+    "urn": run_urn,
+    "contrast": run_contrast,
+    "posterior": run_posterior,
+    "cf-trace": run_cf_trace,
+}
+MODES = tuple(_RUNNERS)
+
+
 def run(config: ExperimentConfig, mode: str = "diagnose"):
     """Execute one mode, writing its artifacts under the configured directory."""
-    if mode not in MODES:
+    if mode not in _RUNNERS:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     out_dir = Path(config.base_dir) / config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    if mode == "simulate":
-        return run_simulate(config, out_dir)
-    if mode == "diagnose":
-        return run_diagnose(config, out_dir)
-    if mode == "urn":
-        return run_urn(config, out_dir)
-    if mode == "contrast":
-        return run_contrast(config, out_dir)
-    if mode == "posterior":
-        return run_posterior(config, out_dir)
-    return run_cf_trace(config, out_dir)
+    return _RUNNERS[mode](config, out_dir)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import integrate
 
 from .bandwidth import BandwidthSchedule
-from .errors import NoEnvelope, TooFewReplications, ZeroDenominator, ZeroFactor
+from .errors import NoEnvelope, ToleranceNotReached, TooFewReplications, ZeroDenominator, ZeroFactor
 from .kernels import KernelSpec
 from .process import Trajectory, cf_path, dominating_path
 
@@ -162,29 +162,6 @@ def tail_prob_bound_check(
 # ------------------------------------------------------------- CF factors
 
 
-def cf_factors(
-    schedule: BandwidthSchedule, kernel: KernelSpec, t, n: int, flavor: str = "kde"
-):
-    """One-step CF growth factors at time n.
-
-    Returns ``(a_n, b_n)`` for the shared-bandwidth flavor and the single
-    factor for the frozen-bandwidth flavor.
-    """
-    if n < 1:
-        raise ValueError(f"time must be >= 1, got {n}")
-    t = np.asarray(t, dtype=float)
-    h_pair = np.array([schedule.at(n), schedule.at(n + 1)])
-    m1_n, m1_next = kernel.cf_scaled_minus_one(t, h_pair)
-    # 1 + (phi - 1)/(n+1) keeps the factor exactly 1 where phi is 1.
-    a = 1.0 + (m1_next if flavor == "recursive" else m1_n) / (n + 1)
-    if flavor == "recursive":
-        return a
-    phi_n = 1.0 + m1_n
-    if phi_n == 0:
-        raise ZeroDenominator(f"kernel CF vanishes at h_{n} * t; time below the usable start")
-    return a, a * (1.0 + m1_next) / phi_n
-
-
 def factor_values(
     schedule: BandwidthSchedule, kernel: KernelSpec, t, n_lo: int, n_hi: int, flavor: str
 ) -> np.ndarray:
@@ -218,7 +195,9 @@ def start_index(
             return lo + int(hits[0])
         lo = hi + 1
         block = min(block * 4, 1 << 20)
-    raise RuntimeError(f"no usable start index below {max_scan}")
+    raise ZeroDenominator(
+        f"kernel CF stays below the conditioning floor for every n below {max_scan}"
+    )
 
 
 # --------------------------------------------------------- infinite products
@@ -335,7 +314,9 @@ def lemma_product_tail(
                 numerical_error=float(rem_err * abs(value)),
             )
         cut *= 4
-    raise RuntimeError("product tail failed to reach the requested tolerance")
+    raise ToleranceNotReached(
+        f"CF product tail from n={from_n} did not reach relative tolerance {rel_tol:g}"
+    )
 
 
 def _euler_maclaurin_tail(f, start: int, schedule: BandwidthSchedule) -> tuple[complex, float]:
@@ -384,7 +365,7 @@ def _euler_maclaurin_tail(f, start: int, schedule: BandwidthSchedule) -> tuple[c
 
 @dataclass(frozen=True)
 class CFMartingaleTrace:
-    """Mixture CF, growth factors, product corrections and corrected values.
+    """Mixture CF, product corrections and corrected values.
 
     Entry i of each array corresponds to time n = i + 1; entries before
     ``start_n`` (where the correction would divide by a small CF value) are
@@ -394,7 +375,6 @@ class CFMartingaleTrace:
     flavor: str
     t: np.ndarray
     phi: np.ndarray
-    factors: np.ndarray
     correction: np.ndarray
     martingale: np.ndarray
     start_n: int
@@ -420,13 +400,10 @@ def cf_martingale_trace(
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (traj.dim,))
     start_n, correction = cf_corrections(schedule, kernel, t_arr, n_max, traj.flavor, rel_tol)
     phi = cf_path(traj, schedule, kernel, t_arr, upto=n_max)
-    factors = np.full(n_max, np.nan, dtype=complex)
-    factors[start_n - 1 :] = factor_values(schedule, kernel, t_arr, start_n, n_max, traj.flavor)
     return CFMartingaleTrace(
         flavor=traj.flavor,
         t=np.array(t_arr),
         phi=phi,
-        factors=factors,
         correction=correction,
         martingale=correction * phi,
         start_n=start_n,

@@ -1,9 +1,9 @@
 """Simulation of the two kernel predictive processes with full genealogy.
 
-Both processes share the generative skeleton: at step n an ancestor index is
-drawn uniformly from {1..n}, a kernel variate is drawn, and the new point is
-the ancestor plus a scaled variate.  They differ only in which bandwidth
-scales the variate:
+Both processes share the generative skeleton, which :func:`simulate` alone
+takes: at step n an ancestor index is drawn uniformly from {1..n}, a kernel
+variate is drawn, and the new point is the ancestor plus a scaled variate.
+They differ only in which bandwidth scales the variate:
 
 * ``kde``        -- the current bandwidth h_n (every component of the
   predictive mixture is rescaled to h_n at every step);
@@ -154,90 +154,17 @@ class PredictiveMixture:
 # ------------------------------------------------------------------ building
 
 
-def _as_prefix(data_prefix, dim: int | None) -> np.ndarray:
+def _as_prefix(data_prefix, dim: int) -> np.ndarray:
     pts = np.asarray(data_prefix, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("data prefix must be a non-empty sequence of points")
-    if dim is not None and pts.shape[1] != dim:
+    if pts.shape[1] != dim:
         raise ValueError(f"data prefix has dimension {pts.shape[1]}, expected {dim}")
     if not np.all(np.isfinite(pts)):
         raise NonFiniteInput("data prefix contains NaN or infinite coordinates")
     return pts
-
-
-def init_trajectory(flavor: str, data_prefix=None, dim: int | None = None) -> Trajectory:
-    """Fresh trajectory: either the conventional single origin point, or the
-    observed data injected as the leading points (replacing the convention).
-
-    The dimension is inferred from the data when given; ``dim`` pins it
-    explicitly (default 1 for the data-free start)."""
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-    if data_prefix is None:
-        dim = 1 if dim is None else dim
-        points = np.zeros((1, dim))
-        seed_len = 0
-    else:
-        points = _as_prefix(data_prefix, dim)
-        dim = points.shape[1]
-        seed_len = points.shape[0]
-    n = points.shape[0]
-    return Trajectory(
-        flavor=flavor,
-        points=points,
-        ancestors=np.zeros(n - 1, dtype=np.int64),
-        kernel_draws=np.full((n - 1, dim), np.nan),
-        steps_h=np.full(n - 1, np.nan),
-        seed_prefix_len=seed_len,
-    )
-
-
-def draw_next(
-    traj: Trajectory,
-    schedule: BandwidthSchedule,
-    kernel: KernelSpec,
-    streams: DrawStreams | None = None,
-    forced_ancestor: int | None = None,
-    forced_draw=None,
-):
-    """One generative step: returns (new_point, ancestor, kernel_draw, h_applied)."""
-    n = len(traj)
-    if forced_ancestor is not None:
-        m = int(forced_ancestor)
-        if not 1 <= m <= n:
-            raise ValueError(f"ancestor must be in [1, {n}], got {m}")
-    else:
-        m = int(streams.ancestors.integers(1, n + 1))
-    if forced_draw is not None:
-        y = np.broadcast_to(np.asarray(forced_draw, dtype=float), (traj.dim,)).copy()
-    else:
-        y = kernel.sample(streams.kernel)
-    h = schedule.at(n) if traj.flavor == "kde" else schedule.at(m)
-    point = traj.points[m - 1] + h * y
-    return point, m, y, h
-
-
-def step(
-    traj: Trajectory,
-    schedule: BandwidthSchedule,
-    kernel: KernelSpec,
-    streams: DrawStreams | None = None,
-    forced_ancestor: int | None = None,
-    forced_draw=None,
-) -> Trajectory:
-    """Extend an immutable trajectory by one point (copying; use
-    :func:`simulate` to build long paths in one pass)."""
-    point, m, y, h = draw_next(traj, schedule, kernel, streams, forced_ancestor, forced_draw)
-    return Trajectory(
-        flavor=traj.flavor,
-        points=np.vstack([traj.points, point[None, :]]),
-        ancestors=np.append(traj.ancestors, np.int64(m)),
-        kernel_draws=np.vstack([traj.kernel_draws, y[None, :]]),
-        steps_h=np.append(traj.steps_h, h),
-        seed_prefix_len=traj.seed_prefix_len,
-    )
 
 
 def simulate(

@@ -327,11 +327,12 @@ class TestCli:
             ("urn", "urn.anchor = 5\nurn.fraction_horizon = 3\n", None, "urn.fraction_horizon"),
             ("urn", "urn.anchor = 50\n", None, "run.steps"),
             ("urn", "urn.anchor = 5\nurn.fraction_horizon = 0\n", None, "urn.fraction_horizon"),
+            ("cf-trace", "diagnostics.t_grid = 1000\n", None, "conditioning floor"),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
             "urn-window-0", "urn-anchor-1", "urn-horizon-below-anchor", "urn-anchor-beyond-steps",
-            "urn-horizon-0",
+            "urn-horizon-0", "cf-start-index-out-of-scan",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):
@@ -344,6 +345,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert needle in err
+
+    def test_product_tail_tolerance_exit_code(self, tmp_path, capsys):
+        # At t = 20 the half-normal product tail from n = 2001 cannot reach
+        # its tolerance; the run must end as an error, not a traceback.
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            "flavor = kde\nkernel.family = half_normal\nrun.steps = 2000\n"
+            "diagnostics.t_grid = 1, 20\n"
+        )
+        assert cli_main(["cf-trace", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "tolerance" in err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

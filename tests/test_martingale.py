@@ -99,16 +99,13 @@ class TestTailProbBound:
         assert report.passed
 
 
-class _VanishingCF:
-    """Stub kernel whose CF is zero everywhere (to exercise guard rails)."""
+class _StubKernel:
+    """Stub kernel with a hand-set CF (to exercise guard rails)."""
 
     dim = 1
 
-    def cf_scaled(self, t, scales):
-        return np.zeros(np.shape(scales), dtype=complex)
-
     def cf_scaled_minus_one(self, t, scales):
-        return np.full(np.shape(scales), -1.0 + 0.0j)
+        return self.cf_scaled(t, scales) - 1.0
 
     def mean_vector(self):
         return np.zeros(1)
@@ -117,44 +114,42 @@ class _VanishingCF:
         return 1.0
 
 
-class _NegatingCF(_VanishingCF):
+class _NegatingCF(_StubKernel):
     """Stub with CF identically -1: the only way a growth factor can vanish
     (it needs phi = -n at time n, possible only at n = 1)."""
 
     def cf_scaled(self, t, scales):
         return np.full(np.shape(scales), -1.0 + 0.0j)
 
-    def cf_scaled_minus_one(self, t, scales):
-        return np.full(np.shape(scales), -2.0 + 0.0j)
+
+class _CFZeroAtH3(_StubKernel):
+    """Stub with CF 1 everywhere except 0 at exactly the bandwidth h_3."""
+
+    def cf_scaled(self, t, scales):
+        return np.where(np.asarray(scales) == SCHED.values(3)[2], 0.0, 1.0) + 0.0j
 
 
-class TestCfFactors:
-    def test_at_zero(self):
-        for n in (1, 5, 100):
-            a, b = mg.cf_factors(SCHED, GAUSS, 0.0, n, "kde")
-            assert a == 1.0 and b == 1.0
-
-    def test_constant_table_makes_b_equal_a(self):
-        sched = BandwidthSchedule.from_table([1.0] * 10)
-        a, b = mg.cf_factors(sched, GAUSS, 1.3, 4, "kde")
-        assert b == pytest.approx(a, abs=1e-15)
+class TestFactorValues:
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_at_zero(self, flavor):
+        got = mg.factor_values(SCHED, GAUSS, 0.0, 1, 100, flavor)
+        np.testing.assert_array_equal(got, np.ones(100))
 
     def test_first_factor_value(self):
-        a, _ = mg.cf_factors(SCHED, GAUSS, 1.0, 1, "kde")
+        a = mg.factor_values(SCHED, GAUSS, 1.0, 1, 1, "kde")[0]
         assert a.real == pytest.approx(np.exp(-0.5) / 2 + 0.5, abs=1e-12)
 
     def test_recursive_factor_uses_next_bandwidth(self):
-        a = mg.cf_factors(SCHED, GAUSS, 1.0, 1, "recursive")
+        a = mg.factor_values(SCHED, GAUSS, 1.0, 1, 1, "recursive")[0]
         expected = GAUSS.cf(2.0**-0.2) / 2 + 0.5
         assert a == pytest.approx(expected, abs=1e-14)
 
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            mg.cf_factors(SCHED, _VanishingCF(), 1.0, 3, "kde")
-
-    def test_factor_values_vectorized(self):
-        got = mg.factor_values(SCHED, GAUSS, 1.0, 3, 7, "kde")
-        expected = [mg.cf_factors(SCHED, GAUSS, 1.0, n, "kde")[0] for n in range(3, 8)]
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_factor_values_vectorized(self, flavor):
+        t = 1.0
+        got = mg.factor_values(SCHED, GAUSS, t, 3, 7, flavor)
+        shift = 0 if flavor == "kde" else 1
+        expected = [1 + (GAUSS.cf(SCHED.at(n + shift) * t) - 1) / (n + 1) for n in range(3, 8)]
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
 
@@ -338,6 +333,18 @@ class TestCfMartingaleTrace:
             expected[start - 1 :] /= kernel.cf_scaled(t, SCHED.values(400)[start - 1 :])
         np.testing.assert_array_equal(corr, expected)
 
+    def test_vanishing_growth_factor_rejected(self):
+        with pytest.raises(ZeroFactor):
+            mg.cf_corrections(SCHED, _NegatingCF(), 1.0, 5, "kde")
+
+    def test_kernel_cf_zero_inside_range_rejected(self):
+        # start_n = 1 and every growth factor is non-zero, but the kde
+        # correction divides by phi_K(h_3 t) = 0; the recursive one does not.
+        with pytest.raises(ZeroDenominator):
+            mg.cf_corrections(SCHED, _CFZeroAtH3(), 1.0, 5, "kde")
+        start, corr = mg.cf_corrections(SCHED, _CFZeroAtH3(), 1.0, 5, "recursive")
+        assert start == 1 and np.all(np.isfinite(corr))
+
     def test_start_index_beyond_horizon_rejected(self):
         with pytest.raises(ZeroDenominator):
             mg.cf_martingale_trace(
@@ -377,11 +384,9 @@ class TestOneStepIdentities:
             np.sum(phases * GAUSS.cf_scaled(t, scales_next))
             + next_phase * GAUSS.cf_scaled(t, np.array([h[n]]))[0]
         ) / (n + 1)
-        if flavor == "kde":
-            _, growth = mg.cf_factors(SCHED, GAUSS, t, n, "kde")
-        else:
-            growth = mg.cf_factors(SCHED, GAUSS, t, n, "recursive")
-        assert growth * phi_n == pytest.approx(expected, abs=1e-13)
+        # The production martingale c_n phi_n has this as its one-step mean.
+        _, c = mg.cf_corrections(SCHED, GAUSS, t, n + 1, flavor)
+        assert c[n - 1] * phi_n == pytest.approx(c[n] * expected, abs=1e-13)
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_tightness_compensator_matches_enumeration(self, flavor):

@@ -15,12 +15,10 @@ from kdeproc import (
     KernelSpec,
     cf_path,
     dominating_path,
-    init_trajectory,
     predictive_mixture,
     reconstruct_all,
     reconstruct_from_genealogy,
     simulate,
-    step,
     sup_norm_path,
 )
 from kdeproc.errors import NonFiniteInput, PrefixPointHasNoGenealogy
@@ -30,16 +28,29 @@ SCHED = BandwidthSchedule.power(1.0, 0.2)
 GAUSS = KernelSpec("gaussian")
 
 
+def forward_loop(flavor, schedule, prefix, ancestors, draws):
+    """Scalar reference: x[n+1] = x[m] + h * y, one step at a time, with h the
+    current bandwidth h_n (kde) or the ancestor's birth bandwidth h_m."""
+    xs = [list(row) for row in np.asarray(prefix, dtype=float).tolist()]
+    hs = []
+    for m, y in zip(ancestors.tolist(), draws.tolist()):
+        n = len(xs)
+        h = schedule.at(n) if flavor == "kde" else schedule.at(m)
+        xs.append([a + h * b for a, b in zip(xs[m - 1], y)])
+        hs.append(h)
+    return np.array(xs), np.array(hs)
+
+
 class TestInit:
     def test_default_origin(self):
-        traj = init_trajectory("kde")
+        traj = simulate("kde", SCHED, GAUSS, 1)
         assert len(traj) == 1
         assert traj.points[0, 0] == 0.0
         assert traj.seed_prefix_len == 0
         assert traj.steps_h.size == 0
 
     def test_data_prefix(self):
-        traj = init_trajectory("kde", data_prefix=[1.5, -2.0])
+        traj = simulate("kde", SCHED, GAUSS, 2, data_prefix=[1.5, -2.0])
         assert len(traj) == 2
         assert traj.seed_prefix_len == 2
         np.testing.assert_allclose(traj.points[:, 0], [1.5, -2.0])
@@ -47,76 +58,75 @@ class TestInit:
         assert np.all(np.isnan(traj.steps_h))
 
     def test_recursive_default(self):
-        traj = init_trajectory("recursive")
+        traj = simulate("recursive", SCHED, GAUSS, 1)
         assert traj.points[0, 0] == 0.0
         assert traj.steps_h.size == 0
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInput):
-            init_trajectory("kde", data_prefix=[0.0, np.nan])
+            simulate("kde", SCHED, GAUSS, 2, data_prefix=[0.0, np.nan])
         with pytest.raises(NonFiniteInput):
-            init_trajectory("kde", data_prefix=[np.inf])
+            simulate("kde", SCHED, GAUSS, 1, data_prefix=[np.inf])
 
     def test_rejects_unknown_flavor(self):
         with pytest.raises(ValueError):
-            init_trajectory("adaptive")
+            simulate("adaptive", SCHED, GAUSS, 1)
 
 
 class TestStep:
     def test_kde_single_step(self):
-        traj = init_trajectory("kde")
-        out = step(traj, SCHED, GAUSS, forced_ancestor=1, forced_draw=1.5)
+        out = simulate("kde", SCHED, GAUSS, 2, forced_ancestors=[1], forced_draws=[1.5])
         assert out.points[1, 0] == pytest.approx(1.5, abs=1e-15)
         assert out.ancestors[0] == 1
         assert out.steps_h[0] == 1.0
 
-    def _two_point_state(self, flavor):
-        traj = init_trajectory(flavor)
-        return step(traj, SCHED, GAUSS, forced_ancestor=1, forced_draw=1.0)
+    def _second_step_from_origin(self, flavor):
+        # Step 1 puts point 2 at 1; step 2 draws 2 from ancestor 1.
+        return simulate(flavor, SCHED, GAUSS, 3, forced_ancestors=[1, 1], forced_draws=[1.0, 2.0])
 
     def test_recursive_uses_birth_bandwidth(self):
-        traj = self._two_point_state("recursive")
-        out = step(traj, SCHED, GAUSS, forced_ancestor=1, forced_draw=2.0)
+        out = self._second_step_from_origin("recursive")
         # ancestor 1 keeps h_1 = 1, not the current h_2
         assert out.points[2, 0] == pytest.approx(2.0, abs=1e-15)
         assert out.steps_h[1] == 1.0
 
     def test_kde_uses_current_bandwidth(self):
-        traj = self._two_point_state("kde")
-        out = step(traj, SCHED, GAUSS, forced_ancestor=1, forced_draw=2.0)
+        out = self._second_step_from_origin("kde")
         assert out.points[2, 0] == pytest.approx(2.0 * 2.0**-0.2, rel=1e-14)
         assert out.steps_h[1] == pytest.approx(2.0**-0.2, rel=1e-15)
 
     def test_ancestor_validated(self):
-        traj = init_trajectory("kde")
-        with pytest.raises(ValueError):
-            step(traj, SCHED, GAUSS, forced_ancestor=2, forced_draw=0.0)
+        for ancestors in ([2], [0]):
+            with pytest.raises(ValueError):
+                simulate("kde", SCHED, GAUSS, 2, forced_ancestors=ancestors, forced_draws=[0.0])
 
     def test_random_step_consumes_streams(self):
-        streams = DrawStreams.from_seed(3, 0)
-        traj = init_trajectory("kde")
-        a = step(traj, SCHED, GAUSS, streams)
-        b = step(a, SCHED, GAUSS, streams)
+        b = simulate("kde", SCHED, GAUSS, 3, DrawStreams.from_seed(3, 0))
         assert len(b) == 3
         assert b.points[1, 0] != b.points[2, 0]
+        # Draws are consumed in step order: a shorter run is a prefix.
+        a = simulate("kde", SCHED, GAUSS, 2, DrawStreams.from_seed(3, 0))
+        np.testing.assert_array_equal(a.points, b.points[:2])
 
 
 class TestSimulate:
-    def test_matches_stepwise_replay(self):
-        for flavor in ("kde", "recursive"):
-            streams = DrawStreams.from_seed(11, 0)
-            whole = simulate(flavor, SCHED, GAUSS, 40, streams)
-            replay = init_trajectory(flavor)
-            for i in range(39):
-                replay = step(
-                    replay,
-                    SCHED,
-                    GAUSS,
-                    forced_ancestor=int(whole.ancestors[i]),
-                    forced_draw=whole.kernel_draws[i],
-                )
-            np.testing.assert_allclose(replay.points, whole.points, atol=1e-14)
-            np.testing.assert_allclose(replay.steps_h, whole.steps_h, atol=1e-15)
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    @pytest.mark.parametrize("dim", [1, 3], ids=["d1", "d3"])
+    @pytest.mark.parametrize("prefix_len", [0, 3], ids=["origin", "data3"])
+    def test_matches_forward_loop(self, flavor, dim, prefix_len):
+        kernel = KernelSpec("gaussian", dim=dim)
+        prefix = np.linspace(-1.0, 2.0, prefix_len * dim).reshape(prefix_len, dim)
+        whole = simulate(flavor, SCHED, kernel, 40, DrawStreams.from_seed(11, 0),
+                         data_prefix=prefix if prefix_len else None)
+        slots = slice(whole.root_bound - 1, None)
+        points, steps_h = forward_loop(
+            flavor, SCHED, whole.points[: whole.root_bound],
+            whole.ancestors[slots], whole.kernel_draws[slots],
+        )
+        if prefix_len:
+            np.testing.assert_array_equal(whole.points[:prefix_len], prefix)
+        np.testing.assert_allclose(points, whole.points, atol=1e-14)
+        np.testing.assert_allclose(steps_h, whole.steps_h[slots], atol=1e-15)
 
     def test_deterministic_per_seed(self):
         a = simulate("kde", SCHED, GAUSS, 500, DrawStreams.from_seed(5, 2))
@@ -151,7 +161,7 @@ class TestSimulate:
 
 class TestMixture:
     def test_single_component(self):
-        traj = init_trajectory("kde")
+        traj = simulate("kde", SCHED, GAUSS, 1)
         mix = predictive_mixture(traj, SCHED, GAUSS)
         assert mix.n_components == 1
         assert mix.scales[0] == 1.0
@@ -189,7 +199,7 @@ class TestMixture:
         assert mix.prob(-np.inf, 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_cf_values(self):
-        traj = init_trajectory("kde")
+        traj = simulate("kde", SCHED, GAUSS, 1)
         mix = predictive_mixture(traj, SCHED, GAUSS)
         assert mix.cf(0.0) == pytest.approx(1.0, abs=0)
         assert mix.cf(1.0) == pytest.approx(np.exp(-0.5), abs=1e-15)
@@ -229,7 +239,7 @@ class TestMixture:
             assert float(mix.cdf(x)) == pytest.approx(q, abs=1e-9)
 
     def test_invalid_box(self):
-        mix = predictive_mixture(init_trajectory("kde"), SCHED, GAUSS)
+        mix = predictive_mixture(simulate("kde", SCHED, GAUSS, 1), SCHED, GAUSS)
         with pytest.raises(ValueError):
             mix.prob(1.0, -1.0)
 
@@ -278,7 +288,7 @@ class TestCfPath:
 
 class TestReconstruction:
     def test_root(self):
-        traj = init_trajectory("kde")
+        traj = simulate("kde", SCHED, GAUSS, 1)
         assert reconstruct_from_genealogy(traj, 1)[0] == 0.0
 
     def test_hand_chain(self):
@@ -315,7 +325,7 @@ class TestReconstruction:
 
 class TestPaths:
     def test_sup_norm_examples(self):
-        traj = init_trajectory("kde")
+        traj = simulate("kde", SCHED, GAUSS, 1)
         np.testing.assert_allclose(sup_norm_path(traj), [0.0])
         t2 = simulate(
             "kde", BandwidthSchedule.from_table([1.0, 1.0]), GAUSS, 3,
@@ -334,16 +344,16 @@ class TestPaths:
 
 class TestDistributionalConsistency:
     def test_next_point_law_matches_mixture(self):
-        from kdeproc.process import draw_next
-
         streams = DrawStreams.from_seed(41, 0)
         traj = simulate("kde", SCHED, GAUSS, 50, streams)
         mix = predictive_mixture(traj, SCHED, GAUSS)
         n = 10**5
+        # Each call takes one step from the 50-point state, consuming one
+        # uniform and one kernel variate of the shared streams.
         fresh = DrawStreams.from_seed(43, 0)
         draws = np.empty(n)
         for i in range(n):
-            draws[i] = draw_next(traj, SCHED, GAUSS, fresh)[0][0]
+            draws[i] = simulate("kde", SCHED, GAUSS, 51, fresh, data_prefix=traj.points).points[50, 0]
         res = stats.kstest(draws, lambda x: mix.cdf(x))
         assert res.pvalue > 0.001
 
