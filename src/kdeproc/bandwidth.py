@@ -95,18 +95,18 @@ class BandwidthSchedule:
             raise IndexBeyondTable(f"table has {len(self.table)} entries, asked for h_{n}")
         return self.table[n - 1]
 
-    def values(self, n: int) -> np.ndarray:
-        """Array [h_1, ..., h_n]."""
-        if n < 1:
-            raise ValueError(f"need at least one value, got n={n}")
-        k = np.arange(1, n + 1, dtype=float)
+    def values(self, n: int, start: int = 1) -> np.ndarray:
+        """Array [h_start, ..., h_n]."""
+        if not 1 <= start <= n:
+            raise ValueError(f"need 1 <= start <= n, got start={start}, n={n}")
+        k = np.arange(start, n + 1, dtype=float)
         if self.form == "power":
             return self.c * k ** (-self.delta)
         if self.form == "exponential":
             return np.maximum(np.exp(-self.rate * k), np.finfo(float).tiny)
         if n > len(self.table):
             raise IndexBeyondTable(f"table has {len(self.table)} entries, asked for h_{n}")
-        return np.asarray(self.table[:n], dtype=float)
+        return np.asarray(self.table[start - 1 : n], dtype=float)
 
     # ---------------------------------------------------------------- envelope
 

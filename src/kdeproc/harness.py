@@ -20,28 +20,23 @@ from . import martingale as mg
 from .config import ExperimentConfig, load_data_points
 from .errors import ConfigError
 from .process import (
-    PredictiveMixture,
     Trajectory,
+    ancestor_block,
     cf_path,
     predictive_mixture,
-    simulate_seeded,
+    replication_blocks,
+    simulate_batch,
     sup_norm_path,
     write_csv,
     write_trajectory_csv,
 )
 from .urn import (
+    anchor_fractions,
     betabinom_pmf_vector,
-    descendant_fraction_path,
     descendant_tail_bound,
-    simulate_descendants,
     support_contrast_experiment,
+    window_roots,
 )
-
-def cf_distance(mix_a: PredictiveMixture, mix_b: PredictiveMixture, t_grid) -> float:
-    """sup over the grid of |phi_A(t) - phi_B(t)| between two mixtures."""
-    if mix_a.dim != mix_b.dim:
-        raise ValueError("mixtures must share their dimension")
-    return max(abs(mix_a.cf(t) - mix_b.cf(t)) for t in t_grid)
 
 
 def _load_data(config: ExperimentConfig) -> np.ndarray | None:
@@ -52,10 +47,11 @@ def _load_data(config: ExperimentConfig) -> np.ndarray | None:
 
 def simulate_replication(config: ExperimentConfig, replication: int) -> Trajectory:
     """The trajectory of one replication; a pure function of (config, r)."""
-    return simulate_seeded(
+    trajectories = simulate_batch(
         config.flavor, config.schedule(), config.kernel(), config.steps,
-        config.master_seed, replication, _load_data(config),
+        config.master_seed, range(replication, replication + 1), _load_data(config),
     )
+    return next(trajectories)
 
 
 # ------------------------------------------------------------------ reports
@@ -144,11 +140,11 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
     finals = []
     files = []
     h = config.config_hash()
-    schedule, kernel, data = config.schedule(), config.kernel(), _load_data(config)
-    for r in range(config.replications):
-        traj = simulate_seeded(
-            config.flavor, schedule, kernel, config.steps, config.master_seed, r, data
-        )
+    trajectories = simulate_batch(
+        config.flavor, config.schedule(), config.kernel(), config.steps,
+        config.master_seed, range(config.replications), _load_data(config),
+    )
+    for r, traj in enumerate(trajectories):
         name = f"trajectory_{r:05d}.csv"
         write_trajectory_csv(traj, out_dir / name, _VERSION, h)
         files.append(name)
@@ -203,14 +199,17 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
     cf_at = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
     cf_next = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
     cf_dist = {n: np.empty(reps) for n in checkpoints}
-    urn_counts = [(n, np.zeros(n + 1, dtype=np.int64)) for n in config.urn_window_sizes]
+    # The urn windows read only the genealogy of points 1..2n.
+    urn_width = 2 * max(config.urn_window_sizes) - 1 if can_drift and config.urn_window_sizes else 0
+    urn_ancestors = np.empty((reps, urn_width), dtype=np.int64)
     radii = np.empty(reps)
     dominance_violation = -np.inf
     cf_bound_worst = -np.inf
     tail_violation = -np.inf
 
-    for r in range(reps):
-        traj = simulate_seeded(flavor, schedule, kernel, n_pts, config.master_seed, r)
+    trajectories = simulate_batch(flavor, schedule, kernel, n_pts, config.master_seed, range(reps))
+    for r, traj in enumerate(trajectories):
+        urn_ancestors[r] = traj.ancestors[:urn_width]
         radii[r] = float(sup_norm_path(traj)[-1])
         trace = mg.tightness_trace(traj, schedule, ew1)
         norms = np.linalg.norm(traj.points, axis=1)
@@ -236,8 +235,6 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
             trace, traj, schedule, kernel, threshold, at_times=drift_times
         )
         tail_violation = max(tail_violation, tail_report.max_violation)
-        if can_drift:
-            _tally_urn_windows(urn_counts, traj)
 
     report = DiagnosticsReport(header=_artifact_header(config))
     for n in drift_times:
@@ -280,7 +277,8 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
         "passed": all(inc <= 0 for inc in increases),
     }
     if can_drift:
-        for size, counts in urn_counts:
+        for size in config.urn_window_sizes:
+            counts = _point_one_histogram(urn_ancestors, size)
             chi = _chi_square_merged(counts, betabinom_pmf_vector(size) * reps)
             report.urn_tests.append(
                 {
@@ -302,27 +300,30 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
     return report
 
 
-def _tally_urn_windows(histograms: list, traj: Trajectory) -> None:
-    """Add point 1's descendant count over (n, 2n] to each (n, histogram) pair."""
-    for n, hist in histograms:
-        hist[simulate_descendants(traj, n).counts[0]] += 1
+def _point_one_histogram(ancestors: np.ndarray, n: int) -> np.ndarray:
+    """Histogram over k = 0..n of point 1's descendant count in the window
+    (n, 2n], one count per row of an ancestor block."""
+    counts = np.count_nonzero(window_roots(ancestors, n) == 0, axis=1)
+    return np.bincount(counts, minlength=n + 1)
 
 
 def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
-    schedule = config.schedule()
-    kernel = config.kernel()
+    # Built only so that malformed kernel or bandwidth keys stay config errors.
+    config.schedule(), config.kernel()
     reps = config.replications
     anchor = config.urn_anchor
     horizon = config.steps if config.urn_fraction_horizon is None else config.urn_fraction_horizon
-    # One trajectory per replication serves every window and the fraction.
+    # One genealogy per replication serves every window and the fraction.
+    # The urn laws read no point, so no kernel variate is drawn.
     length = max([2 * n for n in config.urn_window_sizes] + [1 if anchor is None else horizon])
     counts = [(n, np.zeros(n + 1, dtype=np.int64)) for n in config.urn_window_sizes]
     finals = np.empty(reps)
-    for r in range(reps):
-        traj = simulate_seeded(config.flavor, schedule, kernel, length, config.master_seed, r)
-        _tally_urn_windows(counts, traj)
+    for block in replication_blocks(range(reps), length):
+        anc = ancestor_block(length, config.master_seed, block)
+        for n, hist in counts:
+            hist += _point_one_histogram(anc, n)
         if anchor is not None:
-            finals[r] = descendant_fraction_path(traj, anchor, horizon)[-1]
+            finals[block.start : block.stop] = anchor_fractions(anc, anchor, horizon)
     names = ("n", "k", "exact_pmf", "empirical_freq", "tail_exact", "tail_bound")
     table = {name: [] for name in names}
     chi_results = {}
@@ -410,10 +411,11 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
     conv = np.empty(config.replications)
     quantiles = np.empty((config.replications, len(config.posterior_quantiles)))
     box_probs = np.empty(config.replications)
-    for r in range(config.replications):
-        traj = simulate_seeded(
-            config.flavor, schedule, kernel, config.steps, config.master_seed, r, data
-        )
+    trajectories = simulate_batch(
+        config.flavor, schedule, kernel, config.steps, config.master_seed,
+        range(config.replications), data,
+    )
+    for r, traj in enumerate(trajectories):
         mix = predictive_mixture(traj, schedule, kernel)
         means[r] = mix.mean()
         if d == 1:
@@ -463,7 +465,9 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
         )
     schedule = config.schedule()
     kernel = config.kernel()
-    traj = simulate_seeded(config.flavor, schedule, kernel, config.steps, config.master_seed, 0)
+    traj = next(simulate_batch(
+        config.flavor, schedule, kernel, config.steps, config.master_seed, range(1)
+    ))
     ew1 = kernel.abs_moment(1.0)
     tight = mg.tightness_trace(traj, schedule, ew1)
     summary_traces = {}

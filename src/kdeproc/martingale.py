@@ -179,7 +179,7 @@ def start_index(
     floor: float = START_INDEX_FLOOR,
     max_scan: int = 10**7,
 ) -> int:
-    """Smallest n with |phi_K(h_n t)| > floor.
+    """Smallest n <= max_scan with |phi_K(h_n t)| > floor.
 
     Exists for any t once the bandwidths have decayed enough (CF continuity
     at the origin); the floor keeps later divisions well conditioned.
@@ -188,15 +188,14 @@ def start_index(
     lo, block = 1, 1024
     while lo <= max_scan:
         hi = min(lo + block - 1, max_scan)
-        h = schedule.values(hi)[lo - 1 :]
-        mod = np.abs(kernel.cf_scaled(t, h))
+        mod = np.abs(kernel.cf_scaled(t, schedule.values(hi, start=lo)))
         hits = np.flatnonzero(mod > floor)
         if hits.size:
             return lo + int(hits[0])
         lo = hi + 1
         block = min(block * 4, 1 << 20)
     raise ZeroDenominator(
-        f"kernel CF stays below the conditioning floor for every n below {max_scan}"
+        f"kernel CF stays below the conditioning floor for every n up to {max_scan}"
     )
 
 
@@ -425,12 +424,7 @@ def cf_corrections(
     dimension, as in :func:`cf_path`.
     """
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
-    start_n = start_index(schedule, kernel, t_arr)
-    if start_n > n_max:
-        raise ZeroDenominator(
-            f"kernel CF stays below the conditioning floor until n={start_n}, "
-            f"beyond the horizon {n_max}"
-        )
+    start_n = start_index(schedule, kernel, t_arr, max_scan=n_max)
     factors = factor_values(schedule, kernel, t_arr, start_n, n_max, flavor)
     if np.any(factors == 0):
         raise ZeroFactor("a growth factor vanished inside the traced range")

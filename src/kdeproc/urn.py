@@ -4,14 +4,14 @@ Every new point attaches to a uniformly chosen existing point, so the
 descendant count of a fixed point evolves exactly like the black-ball count
 of a reinforced urn.  This module provides the exact beta-binomial law and
 geometric tail bound for descendant counts over a doubling window, the
-empirical counterparts measured on simulated trajectories, the long-run
+empirical counterparts read off blocks of simulated genealogies, the long-run
 descendant fraction whose limit is a Beta law, and the support-contrast
 experiment separating the two process flavors under a non-negative kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
@@ -19,7 +19,7 @@ from scipy import special, stats
 from .bandwidth import BandwidthSchedule
 from .errors import DomainError, TrajectoryTooShort
 from .kernels import KernelSpec
-from .process import Trajectory, chain_root, simulate_seeded
+from .process import Trajectory, chain_root, simulate_batch
 
 
 # ------------------------------------------------------------------ exact law
@@ -61,38 +61,50 @@ def descendant_tail_bound(n: int, k: int) -> float:
     return 3.0 * (n - 1) * (2.0 / 3.0) ** k
 
 
-def max_descendant_tail_bound(n: int, k: int) -> float:
-    """Union bound over all n tracked points: 3 n (n-1) (2/3)^k."""
-    return n * descendant_tail_bound(n, k)
-
-
 # ------------------------------------------------------------ simulated counts
 
 
-@dataclass(frozen=True)
-class DescendantCounts:
-    """Descendant counts L_j of the first n points over the window (n, 2n]."""
+def block_roots(ancestors: np.ndarray, bound: int, upto: int) -> np.ndarray:
+    """(R, upto) 0-based roots below ``bound`` of points 1..upto, for every
+    row of an (R, m) block of 1-based ancestors (slot p - 2 belongs to point p,
+    m >= upto - 1, no injected data).
 
-    n: int
-    window: int
-    counts: np.ndarray  # counts[j - 1] = number of window points rooted at j
+    Points up to ``bound`` are their own roots and point p > bound starts from
+    its ancestor; ``roots = roots[roots]`` then doubles every chain's reach
+    until nothing changes.  Integer indexing, so the result is exact.
+    """
+    rows = ancestors.shape[0]
+    if ancestors.shape[1] < upto - 1:
+        raise TrajectoryTooShort(
+            f"need at least {upto} points, the ancestors cover {ancestors.shape[1] + 1}"
+        )
+    offsets = np.arange(rows, dtype=np.int64)[:, None] * upto
+    roots = np.empty((rows, upto), dtype=np.int64)
+    roots[:, :bound] = np.arange(bound)
+    roots[:, bound:] = ancestors[:, bound - 1 : upto - 1] - 1
+    flat = (roots + offsets).ravel()
+    while True:
+        jumped = flat[flat]
+        if np.array_equal(jumped, flat):
+            return flat.reshape(rows, upto) - offsets
+        flat = jumped
 
-    def total(self) -> int:
-        return int(self.counts.sum())
 
-
-def simulate_descendants(traj: Trajectory, n: int) -> DescendantCounts:
-    """Count, for each of the first n points, the window points (n, 2n]
-    whose ancestor chain first re-enters {1..n} at that point."""
+def window_roots(ancestors: np.ndarray, n: int) -> np.ndarray:
+    """(R, n) roots in 0..n-1 of the window points (n, 2n]: the first of the
+    points 1..n each window point's ancestor chain reaches."""
     if n < 1:
         raise ValueError(f"window parameter must be >= 1, got {n}")
-    if len(traj) < 2 * n:
-        raise TrajectoryTooShort(f"need at least {2 * n} points, trajectory has {len(traj)}")
-    if traj.seed_prefix_len > n:
-        raise ValueError("window start lies inside the injected data prefix")
-    roots = chain_root(traj.ancestors[n - 1 : 2 * n - 1] - 1, n)
-    counts = np.bincount(roots[n:], minlength=n)
-    return DescendantCounts(n=n, window=n, counts=counts)
+    return block_roots(ancestors, n, 2 * n)[:, n:]
+
+
+def anchor_fractions(ancestors: np.ndarray, anchor: int, horizon: int) -> np.ndarray:
+    """(R,) fraction of points 1..horizon in the anchor's subtree (anchor
+    included): the last entry of :func:`descendant_fraction_path`."""
+    if not 2 <= anchor <= horizon:
+        raise ValueError(f"need 2 <= anchor <= horizon, got anchor={anchor}, horizon={horizon}")
+    hits = np.count_nonzero(block_roots(ancestors, anchor, horizon) == anchor - 1, axis=1)
+    return hits / float(horizon)
 
 
 def descendant_fraction_path(traj: Trajectory, anchor: int, horizon: int | None = None) -> np.ndarray:
@@ -145,7 +157,6 @@ class ContrastReport:
     recursive: FlavorRecordStats
     z_statistic: float
     p_value: float
-    per_replication: dict = field(default_factory=dict, repr=False)
 
 
 def _record_stats(traj: Trajectory) -> tuple[int, float, float]:
@@ -182,14 +193,15 @@ def support_contrast_experiment(
     if kernel.family != "half_normal":
         raise ValueError("the support contrast is defined for the half_normal kernel")
     per_flavor = {}
-    per_replication = {}
     for flavor in ("kde", "recursive"):
         late = 0
         last_records = np.empty(replications)
         final_max = np.empty(replications)
         ratios = np.empty(replications)
-        for r in range(replications):
-            traj = simulate_seeded(flavor, schedule, kernel, n_steps, master_seed, r)
+        trajectories = simulate_batch(
+            flavor, schedule, kernel, n_steps, master_seed, range(replications)
+        )
+        for r, traj in enumerate(trajectories):
             last_record, fmax, ratio = _record_stats(traj)
             last_records[r] = last_record
             final_max[r] = fmax
@@ -205,10 +217,6 @@ def support_contrast_experiment(
             mean_final_max=float(final_max.mean()),
             mean_support_ratio=float(ratios.mean()),
         )
-        per_replication[flavor] = {
-            "last_record_index": last_records.tolist(),
-            "final_max": final_max.tolist(),
-        }
     z, p = two_proportion_one_sided(
         per_flavor["recursive"].last_half_record_count,
         replications,
@@ -222,5 +230,4 @@ def support_contrast_experiment(
         recursive=per_flavor["recursive"],
         z_statistic=z,
         p_value=p,
-        per_replication=per_replication,
     )

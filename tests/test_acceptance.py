@@ -24,12 +24,13 @@ from kdeproc import (
 from kdeproc import martingale as mg
 from kdeproc.config import ExperimentConfig
 from kdeproc.harness import run
+from kdeproc.process import ancestor_block, replication_blocks
 from kdeproc.urn import (
     betabinom_pmf_vector,
     descendant_fraction_path,
     descendant_tail_bound,
-    simulate_descendants,
     support_contrast_experiment,
+    window_roots,
 )
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
@@ -111,9 +112,11 @@ def test_criterion_3_genealogy_urn_embedding():
     p_values = {}
     for n in (2, 5, 10):
         counts = np.zeros(n + 1, dtype=np.int64)
-        for r in range(reps):
-            traj = simulate("kde", SCHED, GAUSS, 2 * n, DrawStreams.from_seed(300 + n, r))
-            counts[simulate_descendants(traj, n).counts[0]] += 1
+        # Replication r's genealogy comes from its DrawStreams.from_seed(300 + n, r)
+        # ancestor stream, a block of replications at a time.
+        for block in replication_blocks(range(reps), 2 * n):
+            roots = window_roots(ancestor_block(2 * n, 300 + n, block), n)
+            counts += np.bincount(np.count_nonzero(roots == 0, axis=1), minlength=n + 1)
         expected = betabinom_pmf_vector(n) * reps
         # merge sparse tail bins for chi-square validity
         obs, exp = [0.0], [0.0]

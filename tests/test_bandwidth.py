@@ -26,6 +26,24 @@ class TestValues:
         with pytest.raises(IndexBeyondTable):
             s.values(4)
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            BandwidthSchedule.power(1.3, 0.2),
+            BandwidthSchedule.exponential(0.01),
+            BandwidthSchedule.from_table(np.linspace(1.0, 0.1, 3000)),
+        ],
+        ids=["power", "exponential", "table"],
+    )
+    def test_values_from_start(self, s):
+        full = s.values(3000)
+        for start, n in ((1, 3000), (2, 2), (1025, 2048), (17, 3000)):
+            np.testing.assert_array_equal(s.values(n, start=start), full[start - 1 : n])
+        with pytest.raises(ValueError):
+            s.values(5, start=6)
+        with pytest.raises(ValueError):
+            s.values(0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BandwidthSchedule.power(0.0, 0.2)

@@ -11,7 +11,12 @@ from kdeproc import KernelSpec, predictive_mixture
 from kdeproc.cli import main as cli_main
 from kdeproc.config import ExperimentConfig
 from kdeproc.errors import ConfigError
-from kdeproc.harness import cf_distance, run, simulate_replication
+from kdeproc.harness import run, simulate_replication
+
+
+def cf_distance(mix_a, mix_b, t_grid) -> float:
+    """sup over the grid of |phi_A(t) - phi_B(t)| between two mixtures."""
+    return max(abs(mix_a.cf(t) - mix_b.cf(t)) for t in t_grid)
 
 
 def hash_tree(root: Path) -> dict:

@@ -170,6 +170,27 @@ class TestStartIndex:
         with pytest.raises(IndexBeyondTable):
             mg.start_index(BandwidthSchedule.from_table([0.5] * 10), GAUSS, 1.0)
 
+    def test_scan_limit(self):
+        start = mg.start_index(SCHED, HALF, 20.0)
+        assert mg.start_index(SCHED, HALF, 20.0, max_scan=start) == start
+        with pytest.raises(ZeroDenominator, match="conditioning floor"):
+            mg.start_index(SCHED, HALF, 20.0, max_scan=start - 1)
+
+    def test_corrections_scan_only_up_to_horizon(self, monkeypatch):
+        # At t = 1000 and d = 2 no h_n up to n = 20 qualifies: the scan stops
+        # at the horizon instead of evaluating bandwidths far beyond it.
+        asked = []
+        values = BandwidthSchedule.values
+
+        def recording(schedule, n, start=1):
+            asked.append((start, n))
+            return values(schedule, n, start)
+
+        monkeypatch.setattr(BandwidthSchedule, "values", recording)
+        with pytest.raises(ZeroDenominator, match="conditioning floor"):
+            mg.cf_corrections(SCHED, KernelSpec("gaussian", dim=2), 1000.0, 20, "kde")
+        assert asked == [(1, 20)]
+
 
 class TestLemmaProduct:
     def test_at_zero_exactly_one(self):

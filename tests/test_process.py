@@ -21,8 +21,10 @@ from kdeproc import (
     simulate,
     sup_norm_path,
 )
+from kdeproc import process
 from kdeproc.errors import NonFiniteInput, PrefixPointHasNoGenealogy
-from kdeproc.process import write_csv
+from kdeproc.kernels import FAMILIES
+from kdeproc.process import FLAVORS, ancestor_block, simulate_batch, write_csv
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
 GAUSS = KernelSpec("gaussian")
@@ -157,6 +159,65 @@ class TestSimulate:
         assert traj.points.shape == (100, 3)
         rec = reconstruct_all(traj)
         np.testing.assert_allclose(rec, traj.points, atol=1e-12)
+
+
+def assert_same_trajectory(got, want):
+    assert (got.flavor, got.seed_prefix_len) == (want.flavor, want.seed_prefix_len)
+    for field in ("points", "ancestors", "kernel_draws", "steps_h"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+        assert getattr(got, field).dtype == getattr(want, field).dtype
+
+
+class TestSimulateBatch:
+    """Every row of the block engine is the replication's own ``simulate``."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", [1, 3], ids=["d1", "d3"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("prefix_len", [0, 3], ids=["origin", "data3"])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(1, 2**32),
+        size=st.integers(2, 7),
+        length=st.integers(3, 30),
+        block_rows=st.integers(1, 3),
+    )
+    def test_rows_match_simulate(
+        self, prefix_len, flavor, dim, family, seed, start, size, length, block_rows
+    ):
+        kernel = KernelSpec(family, dim=dim, dof=5.0 if family == "student_t" else None)
+        prefix = np.linspace(-1.0, 2.0, prefix_len * dim).reshape(prefix_len, dim)
+        data = prefix if prefix_len else None
+        reps = range(start, start + size)
+        # Blocks of block_rows replications, so the range crosses a boundary.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(process, "BLOCK_ELEMENTS", block_rows * length)
+            got = list(simulate_batch(flavor, SCHED, kernel, length, seed, reps, data))
+        assert len(got) == size
+        for r, traj in zip(reps, got):
+            want = simulate(flavor, SCHED, kernel, length, DrawStreams.from_seed(seed, r), data)
+            assert_same_trajectory(traj, want)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_no_generated_points(self, length):
+        # Only the origin, or a prefix as long as the run: nothing is drawn.
+        data = [0.5, 1.0, 1.5] if length == 3 else None
+        (traj,) = simulate_batch("recursive", SCHED, GAUSS, length, 8, range(5, 6), data)
+        assert_same_trajectory(traj, simulate("recursive", SCHED, GAUSS, length, None, data))
+
+    def test_ancestor_block_matches_trajectories(self):
+        block = ancestor_block(30, 6, range(3, 9), prefix_len=4)
+        assert block.shape == (6, 26) and block.dtype == np.int64
+        for r, row in zip(range(3, 9), block):
+            traj = simulate("kde", SCHED, GAUSS, 30, DrawStreams.from_seed(6, r), [0.0] * 4)
+            np.testing.assert_array_equal(row, traj.ancestors[3:])
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            next(simulate_batch("other", SCHED, GAUSS, 5, 0, range(1)))
+        with pytest.raises(ValueError):
+            next(simulate_batch("kde", SCHED, GAUSS, 2, 0, range(1), data_prefix=[1.0, 2.0, 3.0]))
 
 
 class TestMixture:

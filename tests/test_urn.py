@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from kdeproc import BandwidthSchedule, DrawStreams, KernelSpec, simulate
@@ -12,17 +14,18 @@ from kdeproc.config import ExperimentConfig
 from kdeproc.errors import DomainError, TrajectoryTooShort
 from kdeproc.harness import run
 from kdeproc.kernels import FAMILIES
-from kdeproc.process import FLAVORS, simulate_seeded
+from kdeproc.process import FLAVORS, ancestor_block
 from kdeproc.urn import (
     ContrastReport,
+    anchor_fractions,
     betabinom_pmf,
     betabinom_pmf_vector,
+    block_roots,
     descendant_fraction_path,
     descendant_tail_bound,
-    max_descendant_tail_bound,
-    simulate_descendants,
     support_contrast_experiment,
     two_proportion_one_sided,
+    window_roots,
 )
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
@@ -46,6 +49,28 @@ def enumerate_urn_law(n: int) -> list[Fraction]:
 
     walk(n, 0, 1, n, Fraction(1))
     return pmf
+
+
+def walk_root(ancestors, p, bound):
+    """1-based root of point p: follow its recorded ancestors (slot p - 2
+    belongs to point p) until the chain reaches {1..bound}."""
+    while p > bound:
+        p = int(ancestors[p - 2])
+    return p
+
+
+def window_counts(ancestors, n):
+    """Descendant counts of points 1..n over the window (n, 2n], by walking
+    each window point's chain."""
+    counts = np.zeros(n, dtype=np.int64)
+    for p in range(n + 1, 2 * n + 1):
+        counts[walk_root(ancestors, p, n) - 1] += 1
+    return counts
+
+
+def max_descendant_tail_bound(n: int, k: int) -> float:
+    """Union bound over all n tracked points: 3 n (n-1) (2/3)^k."""
+    return n * descendant_tail_bound(n, k)
 
 
 class TestExactPmf:
@@ -103,38 +128,85 @@ class TestTailBound:
 
 
 class TestSimulatedCounts:
+    @staticmethod
+    def counts(traj, n):
+        return np.bincount(window_roots(traj.ancestors[None], n)[0], minlength=n)
+
     def test_single_step_window(self):
         traj = simulate("kde", SCHED, GAUSS, 2, DrawStreams.from_seed(0, 0))
-        counts = simulate_descendants(traj, 1)
-        assert counts.counts.tolist() == [1]
-        assert counts.total() == 1
+        counts = self.counts(traj, 1)
+        assert counts.tolist() == [1]
+        assert counts.sum() == 1
 
     def test_worked_example(self):
         # ancestors of points 3 and 4 forced to 1 and 3: both descend from 1
         traj = simulate("kde", SCHED, GAUSS, 4, forced_ancestors=[1, 1, 3], forced_draws=[0.1] * 3)
-        counts = simulate_descendants(traj, 2)
-        assert counts.counts.tolist() == [2, 0]
+        assert self.counts(traj, 2).tolist() == [2, 0]
 
     def test_counts_sum_to_window(self):
         for r in range(25):
             traj = simulate("recursive", SCHED, GAUSS, 40, DrawStreams.from_seed(100, r))
-            counts = simulate_descendants(traj, 20)
-            assert counts.total() == 20
+            counts = self.counts(traj, 20)
+            assert counts.sum() == 20
+            np.testing.assert_array_equal(counts, window_counts(traj.ancestors, 20))
 
     def test_too_short(self):
         traj = simulate("kde", SCHED, GAUSS, 9, DrawStreams.from_seed(1, 0))
         with pytest.raises(TrajectoryTooShort):
-            simulate_descendants(traj, 5)
+            window_roots(traj.ancestors[None], 5)
 
     def test_empirical_law_small_window(self):
         reps = 20000
-        counts = np.zeros(3)
-        for r in range(reps):
-            traj = simulate("kde", SCHED, GAUSS, 4, DrawStreams.from_seed(77, r))
-            counts[simulate_descendants(traj, 2).counts[0]] += 1
+        roots = window_roots(ancestor_block(4, 77, range(reps)), 2)
+        counts = np.bincount(np.count_nonzero(roots == 0, axis=1), minlength=3)
         # multinomial 3-sigma bands around 1/3 each
         se = np.sqrt(reps * (1 / 3) * (2 / 3))
         assert np.all(np.abs(counts - reps / 3) < 3 * se)
+
+
+@st.composite
+def ancestor_rows(draw):
+    """(R, m) block of 1-based ancestors with ancestor[p - 2] in 1..p - 1."""
+    rows = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 40))
+    raw = draw(st.lists(st.integers(0, 10**6), min_size=rows * m, max_size=rows * m))
+    steps = np.arange(1, m + 1)
+    return np.array(raw, dtype=np.int64).reshape(rows, m) % steps + 1
+
+
+class TestPointerJumping:
+    """Block roots by pointer jumping against a walk along each chain."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ancestors=ancestor_rows(), data=st.data())
+    def test_block_roots_match_walk(self, ancestors, data):
+        upto = data.draw(st.integers(1, ancestors.shape[1] + 1))
+        bound = data.draw(st.integers(1, upto))
+        got = block_roots(ancestors, bound, upto)
+        want = [[walk_root(row, p, bound) - 1 for p in range(1, upto + 1)] for row in ancestors]
+        np.testing.assert_array_equal(got, np.array(want, dtype=np.int64).reshape(got.shape))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ancestors=ancestor_rows(), data=st.data())
+    def test_window_counts_match_walk(self, ancestors, data):
+        n = data.draw(st.integers(1, (ancestors.shape[1] + 1) // 2))
+        roots = window_roots(ancestors, n)
+        for row, row_roots in zip(ancestors, roots):
+            counts = np.bincount(row_roots, minlength=n)
+            np.testing.assert_array_equal(counts, window_counts(row, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(ancestors=ancestor_rows(), data=st.data())
+    def test_anchor_fractions_match_fraction_path(self, ancestors, data):
+        horizon = data.draw(st.integers(2, ancestors.shape[1] + 1))
+        anchor = data.draw(st.integers(2, horizon))
+        got = anchor_fractions(ancestors, anchor, horizon)
+        for row, frac in zip(ancestors, got):
+            traj = simulate(
+                "kde", SCHED, GAUSS, len(row) + 1,
+                forced_ancestors=row, forced_draws=np.zeros(len(row)),
+            )
+            assert frac == descendant_fraction_path(traj, anchor, horizon)[-1]
 
 
 class TestFractionPath:
@@ -207,12 +279,12 @@ class TestPrefixProperty:
     def test_window_counts_read_off_longer_trajectory(self, flavor, d, family):
         kernel = self.kernel(family, d)
         for r in range(4):
-            long = simulate_seeded(flavor, SCHED, kernel, 61, 31, r)
+            long = simulate(flavor, SCHED, kernel, 61, DrawStreams.from_seed(31, r))
             for n in (2, 5, 13, 30):
-                short = simulate_seeded(flavor, SCHED, kernel, 2 * n, 31, r)
+                short = simulate(flavor, SCHED, kernel, 2 * n, DrawStreams.from_seed(31, r))
                 np.testing.assert_array_equal(long.points[: 2 * n], short.points)
                 np.testing.assert_array_equal(
-                    simulate_descendants(long, n).counts, simulate_descendants(short, n).counts
+                    window_counts(long.ancestors, n), window_counts(short.ancestors, n)
                 )
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -221,9 +293,9 @@ class TestPrefixProperty:
     def test_fraction_path_read_off_longer_trajectory(self, flavor, d, family):
         kernel = self.kernel(family, d)
         for r in range(4):
-            long = simulate_seeded(flavor, SCHED, kernel, 90, 32, r)
+            long = simulate(flavor, SCHED, kernel, 90, DrawStreams.from_seed(32, r))
             for anchor, horizon in ((2, 2), (3, 17), (7, 40), (7, 90)):
-                short = simulate_seeded(flavor, SCHED, kernel, horizon, 32, r)
+                short = simulate(flavor, SCHED, kernel, horizon, DrawStreams.from_seed(32, r))
                 np.testing.assert_array_equal(
                     descendant_fraction_path(long, anchor, horizon),
                     descendant_fraction_path(short, anchor, horizon),
@@ -249,12 +321,13 @@ class TestUrnModeOracle:
             fh.readline()
             rows = list(csv.DictReader(fh))
         # Reference: an independent 2n-point simulation per window and
-        # replication, and a horizon-length one for the fraction.
+        # replication, counted by walking each window point's chain, and a
+        # horizon-length one for the fraction.
         for n in cfg.urn_window_sizes:
             counts = np.zeros(n + 1, dtype=np.int64)
             for r in range(reps):
                 traj = simulate(cfg.flavor, schedule, kernel, 2 * n, DrawStreams.from_seed(19, r))
-                counts[simulate_descendants(traj, n).counts[0]] += 1
+                counts[window_counts(traj.ancestors, n)[0]] += 1
             got = [float(row["empirical_freq"]) for row in rows if int(row["n"]) == n]
             assert got == (counts / reps).tolist()
         finals = np.empty(reps)
