@@ -199,42 +199,49 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
     cf_at = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
     cf_next = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
     cf_dist = {n: np.empty(reps) for n in checkpoints}
-    # The urn windows read only the genealogy of points 1..2n.
-    urn_width = 2 * max(config.urn_window_sizes) - 1 if can_drift and config.urn_window_sizes else 0
-    urn_ancestors = np.empty((reps, urn_width), dtype=np.int64)
+    # The urn windows read only the genealogy of points 1..2n; it is kept
+    # for one block of replications at a time and tallied per block.
+    windows = config.urn_window_sizes if can_drift else ()
+    urn_width = 2 * max(windows) - 1 if windows else 0
+    urn_counts = {n: np.zeros(n + 1, dtype=np.int64) for n in windows}
     radii = np.empty(reps)
     dominance_violation = -np.inf
     cf_bound_worst = -np.inf
     tail_violation = -np.inf
 
     trajectories = simulate_batch(flavor, schedule, kernel, n_pts, config.master_seed, range(reps))
-    for r, traj in enumerate(trajectories):
-        urn_ancestors[r] = traj.ancestors[:urn_width]
-        radii[r] = float(sup_norm_path(traj)[-1])
-        trace = mg.tightness_trace(traj, schedule, ew1)
-        norms = np.linalg.norm(traj.points, axis=1)
-        dominance_violation = max(dominance_violation, float(np.max(norms - trace.dominating)))
-        j, comp = trace.running_mean, trace.compensators
-        for n in drift_times:
-            # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
-            tight_next[n][r] = j[n] - j[n - 1] - comp[n - 1]
-        phis = {t: cf_path(traj, schedule, kernel, t) for t in config.t_grid}
-        for t in config.t_grid:
-            start_n, corr = corrections[t]
-            s_vals = corr * phis[t]
-            cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
+    for block in replication_blocks(range(reps), urn_width + 1):
+        urn_ancestors = np.empty((len(block), urn_width), dtype=np.int64)
+        for r in block:
+            traj = next(trajectories)
+            urn_ancestors[r - block.start] = traj.ancestors[:urn_width]
+            radii[r] = float(sup_norm_path(traj)[-1])
+            trace = mg.tightness_trace(traj, schedule, ew1)
+            norms = np.linalg.norm(traj.points, axis=1)
+            dominance_violation = max(dominance_violation, float(np.max(norms - trace.dominating)))
+            j, comp = trace.running_mean, trace.compensators
             for n in drift_times:
-                cf_at[(t, n)][r] = s_vals[n - 1]
-                cf_next[(t, n)][r] = s_vals[n]
-        for n in checkpoints:
-            cf_dist[n][r] = max(
-                abs(phis[t][n - 1] - phis[t][n_pts - 1]) for t in config.t_grid
+                # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
+                tight_next[n][r] = j[n] - j[n - 1] - comp[n - 1]
+            phis = {t: cf_path(traj, schedule, kernel, t) for t in config.t_grid}
+            for t in config.t_grid:
+                start_n, corr = corrections[t]
+                s_vals = corr * phis[t]
+                cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
+                for n in drift_times:
+                    cf_at[(t, n)][r] = s_vals[n - 1]
+                    cf_next[(t, n)][r] = s_vals[n]
+            for n in checkpoints:
+                cf_dist[n][r] = max(
+                    abs(phis[t][n - 1] - phis[t][n_pts - 1]) for t in config.t_grid
+                )
+            threshold = config.tail_threshold_factor * max(trace.running_mean[-1], 1e-12)
+            tail_report = mg.tail_prob_bound_check(
+                trace, traj, schedule, kernel, threshold, at_times=drift_times
             )
-        threshold = config.tail_threshold_factor * max(trace.running_mean[-1], 1e-12)
-        tail_report = mg.tail_prob_bound_check(
-            trace, traj, schedule, kernel, threshold, at_times=drift_times
-        )
-        tail_violation = max(tail_violation, tail_report.max_violation)
+            tail_violation = max(tail_violation, tail_report.max_violation)
+        for n, hist in urn_counts.items():
+            hist += _point_one_histogram(urn_ancestors, n)
 
     report = DiagnosticsReport(header=_artifact_header(config))
     for n in drift_times:
@@ -278,8 +285,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
     }
     if can_drift:
         for size in config.urn_window_sizes:
-            counts = _point_one_histogram(urn_ancestors, size)
-            chi = _chi_square_merged(counts, betabinom_pmf_vector(size) * reps)
+            chi = _chi_square_merged(urn_counts[size], betabinom_pmf_vector(size) * reps)
             report.urn_tests.append(
                 {
                     "name": f"urn_descendant_law:n={size}",

@@ -1,10 +1,8 @@
 """Simulation of the two kernel predictive processes with full genealogy.
 
-Both processes share the generative skeleton: at step n an ancestor index
-is drawn uniformly from {1..n}, a kernel variate is drawn, and the new point
-is the ancestor plus a scaled variate.  One builder takes those steps, fed
-by :func:`simulate` (one pair of streams, or forced draws) and by
-:func:`simulate_batch` (a block of seeded replications; every run mode).
+Both processes share the generative skeleton, which :func:`simulate` alone
+takes: at step n an ancestor index is drawn uniformly from {1..n}, a kernel
+variate is drawn, and the new point is the ancestor plus a scaled variate.
 They differ only in which bandwidth scales the variate:
 
 * ``kde``        -- the current bandwidth h_n (every component of the
@@ -34,7 +32,7 @@ import numpy as np
 from .bandwidth import BandwidthSchedule
 from .errors import MissingGenealogy, NonFiniteInput, PrefixPointHasNoGenealogy
 from .kernels import KernelSpec
-from .streams import DrawStreams, ancestor_uniforms, replication_draws
+from .streams import DrawStreams, ancestor_uniforms, replication_streams
 
 FLAVORS = ("kde", "recursive")
 
@@ -169,19 +167,6 @@ def _as_prefix(data_prefix, dim: int) -> np.ndarray:
     return pts
 
 
-def _prefix(data_prefix, dim: int, length: int) -> tuple[np.ndarray, int]:
-    """(base rows, number of injected data points) of a ``length``-point run:
-    the origin alone when there is no data prefix."""
-    if data_prefix is None:
-        prefix, seed_len = np.zeros((1, dim)), 0
-    else:
-        prefix = _as_prefix(data_prefix, dim)
-        seed_len = prefix.shape[0]
-    if length < prefix.shape[0]:
-        raise ValueError(f"length {length} shorter than the prefix ({prefix.shape[0]} points)")
-    return prefix, seed_len
-
-
 def simulate(
     flavor: str,
     schedule: BandwidthSchedule,
@@ -199,10 +184,18 @@ def simulate(
     through the sequential recurrence.  ``forced_ancestors`` / ``forced_draws``
     replace the corresponding random draws for deterministic replay.
     """
-    _check_flavor(flavor)
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
     d = kernel.dim
-    prefix, seed_len = _prefix(data_prefix, d, length)
+    if data_prefix is None:
+        prefix = np.zeros((1, d))
+        seed_len = 0
+    else:
+        prefix = _as_prefix(data_prefix, d)
+        seed_len = prefix.shape[0]
     s = prefix.shape[0]
+    if length < s:
+        raise ValueError(f"length {length} shorter than the prefix ({s} points)")
     count = length - s
     step_idx = np.arange(s, length, dtype=np.int64)  # 1-based step indices
 
@@ -228,47 +221,26 @@ def simulate(
     else:
         y = np.zeros((0, d))
 
-    return _trajectory(flavor, _bandwidths(schedule, length), prefix, seed_len, anc, y)
+    if length > 1:
+        h_all = schedule.values(length - 1)
+    else:
+        h_all = np.zeros(0)
+    if count:
+        h_applied = h_all[step_idx - 1] if flavor == "kde" else h_all[anc - 1]
+    else:
+        h_applied = np.zeros(0)
+    increments = h_applied[:, None] * y
 
-
-def _pick_ancestors(u: np.ndarray, s: int) -> np.ndarray:
-    """1-based ancestors floor(u * n) + 1 of steps n = s, s+1, ... from the
-    uniforms u (last axis over the steps)."""
-    return (u * np.arange(s, s + u.shape[-1], dtype=np.int64)).astype(np.int64) + 1
-
-
-def _check_flavor(flavor: str) -> None:
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-
-
-def _bandwidths(schedule: BandwidthSchedule, length: int) -> np.ndarray:
-    """[h_1, ..., h_{length-1}]: every bandwidth a ``length``-point run can apply."""
-    return schedule.values(length - 1) if length > 1 else np.zeros(0)
-
-
-def _trajectory(
-    flavor: str,
-    h_all: np.ndarray,
-    prefix: np.ndarray,
-    seed_len: int,
-    anc: np.ndarray,
-    y: np.ndarray,
-) -> Trajectory:
-    """Accumulate the points from the base rows, the 1-based ancestors and
-    the kernel draws of steps s..length-1, and record the genealogy."""
-    s = prefix.shape[0]
-    count = anc.shape[0]
-    length = s + count
-    h_applied = h_all[s - 1 : length - 1] if flavor == "kde" else h_all[anc - 1]
-    points = chain_sum(prefix, anc - 1, h_applied[:, None] * y)
+    points = chain_sum(prefix, anc - 1, increments)
 
     ancestors = np.zeros(length - 1, dtype=np.int64)
-    draws = np.full((length - 1, prefix.shape[1]), np.nan)
+    draws = np.full((length - 1, d), np.nan)
     steps_h = np.full(length - 1, np.nan)
-    ancestors[s - 1 :] = anc
-    draws[s - 1 :] = y
-    steps_h[s - 1 :] = h_applied
+    if count:
+        ancestors[s - 1 :] = anc
+        draws[s - 1 :] = y
+        steps_h[s - 1 :] = h_applied
+
     return Trajectory(
         flavor=flavor,
         points=points,
@@ -279,10 +251,16 @@ def _trajectory(
     )
 
 
-# ------------------------------------------------------- replication blocks
+def _pick_ancestors(u: np.ndarray, s: int) -> np.ndarray:
+    """1-based ancestors floor(u * n) + 1 of steps n = s, s+1, ... from the
+    uniforms u (last axis over the steps)."""
+    return (u * np.arange(s, s + u.shape[-1], dtype=np.int64)).astype(np.int64) + 1
 
-# Cap on replications x length per block: bounds the memory of an ancestor
-# block, and of a block's stream keys, whatever the replication count.
+
+# ------------------------------------------------------- seeded replications
+
+# Cap on replications x length per ancestor block, so the memory of a block
+# does not grow with the replication count.
 BLOCK_ELEMENTS = 1 << 17
 
 
@@ -294,21 +272,16 @@ def replication_blocks(replications: range, length: int):
         yield replications[i : i + size]
 
 
-def ancestor_block(
-    length: int, master_seed: int, replications: range, prefix_len: int = 0
-) -> np.ndarray:
-    """(R, length - s) int64 1-based ancestors of steps s..length-1, with
-    s = max(1, prefix_len), drawn from each replication's ancestor substream
-    alone.
+def ancestor_block(length: int, master_seed: int, replications: range) -> np.ndarray:
+    """(R, length - 1) int64 1-based ancestors of steps 1..length-1, drawn
+    from each replication's ancestor substream alone.
 
-    Row i is ``traj.ancestors[s - 1:]`` of ``simulate(..., length,
-    DrawStreams.from_seed(master_seed, replications[i]), data_prefix)`` for a
-    data prefix of ``prefix_len`` points.
+    Row i is ``traj.ancestors`` of ``simulate(..., length,
+    DrawStreams.from_seed(master_seed, replications[i]))``.
     """
-    s = max(1, prefix_len)
-    if length < s:
-        raise ValueError(f"length {length} shorter than the prefix ({s} points)")
-    return _pick_ancestors(ancestor_uniforms(master_seed, replications, length - s), s)
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+    return _pick_ancestors(ancestor_uniforms(master_seed, replications, length - 1), 1)
 
 
 def simulate_batch(
@@ -320,25 +293,17 @@ def simulate_batch(
     replications: range,
     data_prefix=None,
 ):
-    """Yield the trajectory of each replication, in order.  Every run mode
+    """Yield the trajectory of each replication, in order; every run mode
     that builds points simulates through it.
 
     The trajectory of replication r is ``simulate(flavor, schedule, kernel,
-    length, DrawStreams.from_seed(master_seed, r), data_prefix)``: the stream
-    keys are derived a block of replications at a time, and each trajectory
-    is drawn from its own substreams when it is next.  Draws are consumed in
-    step order, so the first m points of a longer trajectory are the m-point
-    trajectory of the same replication.
+    length, DrawStreams.from_seed(master_seed, r), data_prefix)``, drawn from
+    re-keyed streams instead of two freshly seeded generators.  Draws are
+    consumed in step order, so the first m points of a longer trajectory are
+    the m-point trajectory of the same replication.
     """
-    _check_flavor(flavor)
-    prefix, seed_len = _prefix(data_prefix, kernel.dim, length)
-    s = prefix.shape[0]
-    h_all = _bandwidths(schedule, length)
-    for block in replication_blocks(replications, length):
-        for u, y in replication_draws(master_seed, block, kernel, length - s):
-            traj = _trajectory(flavor, h_all, prefix, seed_len, _pick_ancestors(u, s), y)
-            del u, y  # not held while the caller works on the trajectory
-            yield traj
+    for streams in replication_streams(master_seed, replications):
+        yield simulate(flavor, schedule, kernel, length, streams, data_prefix)
 
 
 def chain_sum(base: np.ndarray, parents: np.ndarray, increments: np.ndarray) -> np.ndarray:

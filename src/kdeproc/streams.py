@@ -8,9 +8,9 @@ whole experiment runs byte-reproducible.
 
 A substream is ``Philox(SeedSequence([master_seed, replication, purpose]))``.
 :func:`stream_keys` derives the Philox keys of a whole block of replications
-at once with numpy's uint32 arithmetic, and the block draws re-key one
-private Philox per call to each replication in turn (counter 0, empty
-buffer), so row i of a block is exactly replication i's own stream.
+at once with numpy's uint32 arithmetic, and one private Philox per purpose
+is re-keyed to each replication in turn (counter 0, empty buffer), so the
+draws of replication i are exactly those of its own fresh substreams.
 """
 
 from __future__ import annotations
@@ -176,14 +176,16 @@ def ancestor_uniforms(master_seed: int, replications, count: int) -> np.ndarray:
     return out
 
 
-def replication_draws(master_seed: int, replications, kernel, count: int):
-    """Yield, replication by replication, ``(uniforms, variates)``: the
-    ``random(count)`` of its ancestor substream and the ``kernel.sample(...,
-    size=count)`` of its kernel substream, as drawn from
-    ``DrawStreams.from_seed(master_seed, r)``.  Drawn on demand, so only the
-    keys are held for the whole block."""
-    for ancestor_gen, kernel_gen in zip(
+def replication_streams(master_seed: int, replications):
+    """Yield, replication by replication, the ``DrawStreams`` of
+    ``DrawStreams.from_seed(master_seed, r)`` at their first draw.
+
+    Every yielded pair holds the same two private generators, re-keyed for
+    the next replication when it is yielded: draw from a pair before asking
+    for the next one.
+    """
+    for ancestors, kernel in zip(
         _keyed(master_seed, replications, _PURPOSE_ANCESTOR),
         _keyed(master_seed, replications, _PURPOSE_KERNEL),
     ):
-        yield ancestor_gen.random(count), kernel.sample(kernel_gen, size=count)
+        yield DrawStreams(ancestors=ancestors, kernel=kernel)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kdeproc import KernelSpec, predictive_mixture
+from kdeproc import KernelSpec, predictive_mixture, process
 from kdeproc.cli import main as cli_main
 from kdeproc.config import ExperimentConfig
 from kdeproc.errors import ConfigError
@@ -134,6 +134,23 @@ class TestRunModes:
         )
         with pytest.raises(ConfigError, match="urn.window_sizes"):
             run(cfg, "diagnose")
+
+    def test_diagnose_urn_counts_across_blocks(self, tmp_path, monkeypatch):
+        # Windows 2 and 5 keep 9 ancestors per replication; a cap of 70
+        # elements splits the 100 replications into blocks of 7 rows.
+        cfg = ExperimentConfig(
+            steps=40, replications=100, master_seed=4, drift_times=(10,),
+            urn_window_sizes=(2, 5), base_dir=str(tmp_path),
+        )
+        whole = run(cfg.with_overrides(output_dir="whole"), "diagnose")
+        monkeypatch.setattr(process, "BLOCK_ELEMENTS", 70)
+        assert [len(b) for b in process.replication_blocks(range(100), 10)][-2:] == [7, 2]
+        blocked = run(cfg.with_overrides(output_dir="blocked"), "diagnose")
+        assert blocked.urn_tests == whole.urn_tests
+        assert len(whole.urn_tests) == 2
+        assert (tmp_path / "blocked" / "diagnostics.json").read_bytes() == (
+            tmp_path / "whole" / "diagnostics.json"
+        ).read_bytes()
 
     def test_urn_mode(self, tmp_path):
         cfg = ExperimentConfig(

@@ -21,7 +21,6 @@ from kdeproc import (
     simulate,
     sup_norm_path,
 )
-from kdeproc import process
 from kdeproc.errors import NonFiniteInput, PrefixPointHasNoGenealogy
 from kdeproc.kernels import FAMILIES
 from kdeproc.process import FLAVORS, ancestor_block, simulate_batch, write_csv
@@ -181,19 +180,13 @@ class TestSimulateBatch:
         start=st.integers(1, 2**32),
         size=st.integers(2, 7),
         length=st.integers(3, 30),
-        block_rows=st.integers(1, 3),
     )
-    def test_rows_match_simulate(
-        self, prefix_len, flavor, dim, family, seed, start, size, length, block_rows
-    ):
+    def test_rows_match_simulate(self, prefix_len, flavor, dim, family, seed, start, size, length):
         kernel = KernelSpec(family, dim=dim, dof=5.0 if family == "student_t" else None)
         prefix = np.linspace(-1.0, 2.0, prefix_len * dim).reshape(prefix_len, dim)
         data = prefix if prefix_len else None
         reps = range(start, start + size)
-        # Blocks of block_rows replications, so the range crosses a boundary.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(process, "BLOCK_ELEMENTS", block_rows * length)
-            got = list(simulate_batch(flavor, SCHED, kernel, length, seed, reps, data))
+        got = list(simulate_batch(flavor, SCHED, kernel, length, seed, reps, data))
         assert len(got) == size
         for r, traj in zip(reps, got):
             want = simulate(flavor, SCHED, kernel, length, DrawStreams.from_seed(seed, r), data)
@@ -207,11 +200,11 @@ class TestSimulateBatch:
         assert_same_trajectory(traj, simulate("recursive", SCHED, GAUSS, length, None, data))
 
     def test_ancestor_block_matches_trajectories(self):
-        block = ancestor_block(30, 6, range(3, 9), prefix_len=4)
-        assert block.shape == (6, 26) and block.dtype == np.int64
+        block = ancestor_block(30, 6, range(3, 9))
+        assert block.shape == (6, 29) and block.dtype == np.int64
         for r, row in zip(range(3, 9), block):
-            traj = simulate("kde", SCHED, GAUSS, 30, DrawStreams.from_seed(6, r), [0.0] * 4)
-            np.testing.assert_array_equal(row, traj.ancestors[3:])
+            traj = simulate("kde", SCHED, GAUSS, 30, DrawStreams.from_seed(6, r))
+            np.testing.assert_array_equal(row, traj.ancestors)
 
     def test_validation(self):
         with pytest.raises(ValueError):
