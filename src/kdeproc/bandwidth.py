@@ -28,6 +28,11 @@ from scipy import special
 from .errors import IndexBeyondTable
 
 _ZETA_SERIES_MIN_START = 64
+_BLOCK = 65536  # terms per numpy block in _block_sum
+
+
+def _finite_positive(v) -> bool:
+    return v is not None and 0 < v < np.inf
 
 
 def default_delta(dim: int) -> float:
@@ -47,16 +52,16 @@ class BandwidthSchedule:
 
     def __post_init__(self):
         if self.form == "power":
-            if self.c is None or self.delta is None or self.c <= 0 or self.delta <= 0:
-                raise ValueError("power schedule needs C > 0 and delta > 0")
+            if not (_finite_positive(self.c) and _finite_positive(self.delta)):
+                raise ValueError("power schedule needs finite C > 0 and delta > 0")
         elif self.form == "exponential":
-            if self.rate is None or self.rate <= 0:
-                raise ValueError("exponential schedule needs rate > 0")
+            if not _finite_positive(self.rate):
+                raise ValueError("exponential schedule needs a finite rate > 0")
         elif self.form == "table":
             if not self.table:
                 raise ValueError("table schedule needs at least one value")
             values = tuple(float(v) for v in self.table)
-            if any(not np.isfinite(v) or v <= 0 for v in values):
+            if not all(map(_finite_positive, values)):
                 raise ValueError("table values must be finite and strictly positive")
             object.__setattr__(self, "table", values)
         else:
@@ -107,25 +112,6 @@ class BandwidthSchedule:
         if n > len(self.table):
             raise IndexBeyondTable(f"table has {len(self.table)} entries, asked for h_{n}")
         return np.asarray(self.table[start - 1 : n], dtype=float)
-
-    # ---------------------------------------------------------------- envelope
-
-    def power_envelope(self) -> tuple[float, float] | None:
-        """(C, delta) with h_n <= C * n**(-delta) for all n, or None.
-
-        Exponential schedules get the exact delta = 1 envelope
-        C = max_n n * exp(-rate * n); tables have no envelope.
-        """
-        if self.form == "power":
-            return (self.c, self.delta)
-        if self.form == "exponential":
-            best = np.exp(-self.rate)
-            x = 1.0 / self.rate
-            for cand in {1, int(np.floor(x)), int(np.ceil(x))}:
-                if cand >= 1:
-                    best = max(best, cand * np.exp(-self.rate * cand))
-            return (float(best), 1.0)
-        return None
 
     # --------------------------------------------------------------- tail sums
 
@@ -200,16 +186,16 @@ def _alternating_zeta_tail(delta: float, start: int) -> float:
     return total
 
 
-def _block_sum(term_fn, start: int, rate: float, block: int = 65536) -> float:
+def _block_sum(term_fn, start: int, rate: float) -> float:
     """Sum term_fn(k) for k >= start where terms decay at least like exp(-rate*k)."""
     total = 0.0
     k0 = start
     while True:
-        k = np.arange(k0, k0 + block, dtype=float)
+        k = np.arange(k0, k0 + _BLOCK, dtype=float)
         vals = term_fn(k)
         total += float(np.sum(vals))
         # Geometric bound on everything past this block.
         remainder = vals[-1] * np.exp(-rate) / max(1.0 - np.exp(-rate), 1e-300)
         if remainder <= 1e-16 * max(total, 1e-300) or remainder == 0.0:
             return total
-        k0 += block
+        k0 += _BLOCK

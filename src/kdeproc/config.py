@@ -121,6 +121,11 @@ class ExperimentConfig:
             raise ConfigError("run.checkpoints must be strictly increasing")
         if any(n < 1 for n in self.drift_times):
             raise ConfigError("diagnostics.drift_times must be >= 1")
+        if not 0 < self.tail_threshold_factor < np.inf:
+            raise ConfigError(
+                "diagnostics.tail_threshold_factor must be finite and > 0, "
+                f"got {self.tail_threshold_factor}"
+            )
         if any(not 0 < q < 1 for q in self.posterior_quantiles):
             raise ConfigError("posterior.quantiles must lie in (0, 1)")
         if (self.posterior_box_lo is None) != (self.posterior_box_hi is None):

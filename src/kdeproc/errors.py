@@ -5,10 +5,6 @@ class KdeprocError(Exception):
     """Base class for all package-specific errors."""
 
 
-class MomentUndefined(KdeprocError):
-    """Requested absolute moment does not exist for the kernel family."""
-
-
 class IndexBeyondTable(KdeprocError, IndexError):
     """Tabulated bandwidth schedule queried past its last entry."""
 

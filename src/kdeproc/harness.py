@@ -9,7 +9,6 @@ reproduces their outputs byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,38 +54,6 @@ def simulate_replication(config: ExperimentConfig, replication: int) -> Trajecto
 
 
 # ------------------------------------------------------------------ reports
-
-
-@dataclass
-class DiagnosticsReport:
-    """Aggregated diagnostics: every entry carries name/statistic/threshold/pass."""
-
-    header: dict
-    drift_tests: list = field(default_factory=list)
-    bound_checks: list = field(default_factory=list)
-    cf_convergence: dict = field(default_factory=dict)
-    urn_tests: list = field(default_factory=list)
-    support_radius_estimate: float = 0.0
-    support_radius_mean: float = 0.0
-    notes: dict = field(default_factory=dict)
-
-    def all_passed(self) -> bool:
-        entries = self.drift_tests + self.bound_checks + self.urn_tests
-        if self.cf_convergence:
-            entries = entries + [self.cf_convergence]
-        return all(e["passed"] for e in entries)
-
-    def to_dict(self) -> dict:
-        return {
-            **self.header,
-            "drift_tests": self.drift_tests,
-            "bound_checks": self.bound_checks,
-            "cf_convergence": self.cf_convergence,
-            "urn_tests": self.urn_tests,
-            "support_radius_estimate": self.support_radius_estimate,
-            "support_radius_mean": self.support_radius_mean,
-            "notes": self.notes,
-        }
 
 
 def _artifact_header(config: ExperimentConfig) -> dict:
@@ -161,7 +128,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
     return payload
 
 
-def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
+def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     if not config.t_grid:
         raise ConfigError("CF diagnostics need a non-empty diagnostics.t_grid")
     if config.data_path is not None:
@@ -171,6 +138,11 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
         )
     schedule = config.schedule()
     kernel = config.kernel()
+    if not kernel.has_norm_survival:
+        raise ConfigError(
+            "diagnose mode needs the norm law of the kernel for its tail bound check; "
+            f"{kernel.family} has one only at kernel.dimension = 1"
+        )
     flavor = config.flavor
     n_pts = config.steps
     reps = config.replications
@@ -186,7 +158,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
             f"urn.window_sizes: each window n needs 2n <= run.steps={n_pts}, "
             "since the urn checks count descendants on the run's own trajectories"
         )
-    ew1 = kernel.abs_moment(1.0)
+    ew1 = kernel.norm_mean
     corrections = {t: mg.cf_corrections(schedule, kernel, t, n_pts, flavor) for t in config.t_grid}
     cf_bound = (
         1.0
@@ -194,10 +166,9 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
         else max(float(np.nanmax(np.abs(c))) for _, c in corrections.values())
     )
 
-    tight_at = {n: np.zeros(reps) for n in drift_times}
-    tight_next = {n: np.empty(reps) for n in drift_times}
-    cf_at = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
-    cf_next = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
+    # Per-replication martingale increments S_{n+1} - S_n at each drift time.
+    tight_inc = {n: np.empty(reps) for n in drift_times}
+    cf_inc = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
     cf_dist = {n: np.empty(reps) for n in checkpoints}
     # The urn windows read only the genealogy of points 1..2n; it is kept
     # for one block of replications at a time and tallied per block.
@@ -215,22 +186,21 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
         for r in block:
             traj = next(trajectories)
             urn_ancestors[r - block.start] = traj.ancestors[:urn_width]
-            radii[r] = float(sup_norm_path(traj)[-1])
             trace = mg.tightness_trace(traj, schedule, ew1)
             norms = np.linalg.norm(traj.points, axis=1)
+            radii[r] = float(np.max(norms))
             dominance_violation = max(dominance_violation, float(np.max(norms - trace.dominating)))
             j, comp = trace.running_mean, trace.compensators
             for n in drift_times:
                 # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
-                tight_next[n][r] = j[n] - j[n - 1] - comp[n - 1]
+                tight_inc[n][r] = j[n] - j[n - 1] - comp[n - 1]
             phis = {t: cf_path(traj, schedule, kernel, t) for t in config.t_grid}
             for t in config.t_grid:
                 start_n, corr = corrections[t]
                 s_vals = corr * phis[t]
                 cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
                 for n in drift_times:
-                    cf_at[(t, n)][r] = s_vals[n - 1]
-                    cf_next[(t, n)][r] = s_vals[n]
+                    cf_inc[(t, n)][r] = s_vals[n] - s_vals[n - 1]
             for n in checkpoints:
                 cf_dist[n][r] = max(
                     abs(phis[t][n - 1] - phis[t][n_pts - 1]) for t in config.t_grid
@@ -243,50 +213,19 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
         for n, hist in urn_counts.items():
             hist += _point_one_histogram(urn_ancestors, n)
 
-    report = DiagnosticsReport(header=_artifact_header(config))
-    for n in drift_times:
-        if can_drift:
-            report.drift_tests.append(
-                _drift_entry("tightness", None, mg.drift_test(tight_at[n], tight_next[n], time=n))
-            )
-        for t in config.t_grid:
-            if can_drift:
-                report.drift_tests.append(
-                    _drift_entry("cf", t, mg.drift_test(cf_at[(t, n)], cf_next[(t, n)], time=n))
-                )
-    if not can_drift:
-        report.notes["drift_tests"] = (
-            f"skipped: replications={reps} below the minimum of 100"
-        )
-    report.bound_checks.append(
-        _bound_entry("pathwise_dominance", dominance_violation, 1e-12)
-    )
-    report.bound_checks.append(
-        _bound_entry(
-            "cf_martingale_modulus",
-            cf_bound_worst - cf_bound,
-            1e-10,
-            modulus_sup=cf_bound_worst,
-            allowed=cf_bound,
-        )
-    )
-    report.bound_checks.append(
-        _bound_entry("dominating_tail_markov", tail_violation, 1e-10)
-    )
-    means = [float(np.mean(cf_dist[n])) for n in checkpoints]
-    increases = [b - a for a, b in zip(means, means[1:])]
-    report.cf_convergence = {
-        "name": "cf_distance_to_final",
-        "checkpoints": checkpoints,
-        "mean_distance": means,
-        "statistic": max(increases) if increases else 0.0,
-        "threshold": 0.0,
-        "passed": all(inc <= 0 for inc in increases),
-    }
+    drift_tests = []
+    urn_tests = []
+    notes = {}
     if can_drift:
+        for n in drift_times:
+            drift_tests.append(
+                _drift_entry("tightness", None, mg.drift_test(tight_inc[n], time=n))
+            )
+            for t in config.t_grid:
+                drift_tests.append(_drift_entry("cf", t, mg.drift_test(cf_inc[(t, n)], time=n)))
         for size in config.urn_window_sizes:
             chi = _chi_square_merged(urn_counts[size], betabinom_pmf_vector(size) * reps)
-            report.urn_tests.append(
+            urn_tests.append(
                 {
                     "name": f"urn_descendant_law:n={size}",
                     "statistic": chi["p_value"],
@@ -296,14 +235,41 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> DiagnosticsReport:
                     "bins": chi["bins"],
                 }
             )
-    elif config.urn_window_sizes:
-        report.notes["urn_tests"] = (
-            f"skipped: replications={reps} below the minimum of 100"
-        )
-    report.support_radius_estimate = float(np.max(radii))
-    report.support_radius_mean = float(np.mean(radii))
-    _write_json(out_dir / "diagnostics.json", report.to_dict())
-    return report
+    else:
+        notes["drift_tests"] = f"skipped: replications={reps} below the minimum of 100"
+        if config.urn_window_sizes:
+            notes["urn_tests"] = f"skipped: replications={reps} below the minimum of 100"
+    means = [float(np.mean(cf_dist[n])) for n in checkpoints]
+    increases = [b - a for a, b in zip(means, means[1:])]
+    payload = {
+        **_artifact_header(config),
+        "drift_tests": drift_tests,
+        "bound_checks": [
+            _bound_entry("pathwise_dominance", dominance_violation, 1e-12),
+            _bound_entry(
+                "cf_martingale_modulus",
+                cf_bound_worst - cf_bound,
+                1e-10,
+                modulus_sup=cf_bound_worst,
+                allowed=cf_bound,
+            ),
+            _bound_entry("dominating_tail_markov", tail_violation, mg.TAIL_BOUND_TOLERANCE),
+        ],
+        "cf_convergence": {
+            "name": "cf_distance_to_final",
+            "checkpoints": checkpoints,
+            "mean_distance": means,
+            "statistic": max(increases) if increases else 0.0,
+            "threshold": 0.0,
+            "passed": all(inc <= 0 for inc in increases),
+        },
+        "urn_tests": urn_tests,
+        "support_radius_estimate": float(np.max(radii)),
+        "support_radius_mean": float(np.mean(radii)),
+        "notes": notes,
+    }
+    _write_json(out_dir / "diagnostics.json", payload)
+    return payload
 
 
 def _point_one_histogram(ancestors: np.ndarray, n: int) -> np.ndarray:
@@ -356,17 +322,17 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
     return payload
 
 
-def _chi_square_merged(counts: np.ndarray, expected: np.ndarray, min_expected: float = 5.0) -> dict:
-    """Chi-square with tail bins merged until every expected count is adequate."""
+def _chi_square_merged(counts: np.ndarray, expected: np.ndarray) -> dict:
+    """Chi-square with tail bins merged until every expected count is at least 5."""
     obs = [0.0]
     exp = [0.0]
     for o, e in zip(counts, expected):
         obs[-1] += o
         exp[-1] += e
-        if exp[-1] >= min_expected:
+        if exp[-1] >= 5.0:
             obs.append(0.0)
             exp.append(0.0)
-    if exp[-1] < min_expected and len(exp) > 1:
+    if exp[-1] < 5.0 and len(exp) > 1:
         obs[-2] += obs[-1]
         exp[-2] += exp[-1]
         obs.pop()
@@ -474,8 +440,7 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
     traj = next(simulate_batch(
         config.flavor, schedule, kernel, config.steps, config.master_seed, range(1)
     ))
-    ew1 = kernel.abs_moment(1.0)
-    tight = mg.tightness_trace(traj, schedule, ew1)
+    tight = mg.tightness_trace(traj, schedule, kernel.norm_mean)
     summary_traces = {}
     h = config.config_hash()
     for t in config.t_grid:

@@ -9,20 +9,19 @@ Supported families:
 
 * ``gaussian``    -- standard normal coordinates.
 * ``half_normal`` -- coordinate-wise absolute value of a standard normal.
-* ``student_t``   -- Student-t coordinates, ``dof > 1`` so the first absolute
-  moment is finite.
+* ``student_t``   -- Student-t coordinates with a finite ``dof > 1``, so the
+  first absolute moment is finite.
 * ``laplace``     -- standard Laplace coordinates (scale 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, pi, sqrt
+from functools import cached_property
+from math import pi, sqrt
 
 import numpy as np
 from scipy import integrate, special, stats
-
-from .errors import MomentUndefined
 
 FAMILIES = ("gaussian", "half_normal", "student_t", "laplace")
 
@@ -43,8 +42,8 @@ class KernelSpec:
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if self.family == "student_t":
-            if self.dof is None or not self.dof > 1:
-                raise ValueError("student_t requires dof > 1 for a finite first moment")
+            if self.dof is None or not 1 < self.dof < np.inf:
+                raise ValueError("student_t requires a finite dof > 1 (finite first moment)")
         elif self.dof is not None:
             raise ValueError(f"dof only applies to student_t, not {self.family}")
 
@@ -187,22 +186,27 @@ class KernelSpec:
             return np.where(x < 0.0, 0.5 * np.exp(np.minimum(x, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(x, 0.0)))
         return stats.t.cdf(x, self.dof)
 
+    @property
+    def has_norm_survival(self) -> bool:
+        """True when :meth:`norm_survival` has a closed form: every family in
+        d = 1, and the normal-based families in any dimension."""
+        return self.dim == 1 or self.family in ("gaussian", "half_normal")
+
     def norm_survival(self, r) -> np.ndarray:
-        """P(||Y|| > r).  Closed forms exist for every family in d = 1 and for
-        the normal-based families in any dimension (chi law of the norm)."""
+        """P(||Y|| > r), for kernels with :attr:`has_norm_survival`."""
+        if not self.has_norm_survival:
+            raise ValueError(
+                f"norm survival of {self.family} is only available in dimension 1"
+            )
         r = np.asarray(r, dtype=float)
         rp = np.maximum(r, 0.0)
         if self.family in ("gaussian", "half_normal"):
             # |(|Z_1|,...,|Z_d|)| equals |Z|, so both families share the chi law.
             out = stats.chi.sf(rp, df=self.dim)
-        elif self.dim == 1 and self.family == "laplace":
+        elif self.family == "laplace":
             out = np.exp(-rp)
-        elif self.dim == 1 and self.family == "student_t":
-            out = 2.0 * stats.t.sf(rp, self.dof)
         else:
-            raise ValueError(
-                f"norm survival of {self.family} is only available in dimension 1"
-            )
+            out = 2.0 * stats.t.sf(rp, self.dof)
         return np.where(r < 0.0, 1.0, out)
 
     # ------------------------------------------------------------------ moments
@@ -213,91 +217,45 @@ class KernelSpec:
             return np.full(self.dim, _SQRT_2_OVER_PI)
         return np.zeros(self.dim)
 
-    def abs_moment(self, p: float) -> float:
-        """E[||Y||^p] for p > 0.
-
-        Raises :class:`MomentUndefined` when the family lacks the moment
-        (student_t with p >= dof).
-        """
-        if not p > 0:
-            raise ValueError(f"moment order must be positive, got {p}")
-        if self.family == "student_t" and p >= self.dof:
-            raise MomentUndefined(
-                f"student_t(dof={self.dof}) has no absolute moment of order {p}"
-            )
+    @cached_property
+    def norm_mean(self) -> float:
+        """E||Y||, the first absolute moment of the norm; computed once per
+        kernel object, since the multivariate heavy-tailed families need
+        quadrature."""
         if self.family in ("gaussian", "half_normal"):
             # ||Y|| follows the chi distribution with `dim` degrees of freedom.
             return float(
                 np.exp(
-                    0.5 * p * np.log(2.0)
-                    + special.gammaln(0.5 * (self.dim + p))
+                    0.5 * np.log(2.0)
+                    + special.gammaln(0.5 * (self.dim + 1.0))
                     - special.gammaln(0.5 * self.dim)
                 )
             )
         if self.dim == 1:
+            # E|Y|^p at p = 1: Gamma(p + 1) for laplace; for student_t,
+            # nu^(p/2) Gamma((p+1)/2) Gamma((nu-p)/2) / (sqrt(pi) Gamma(nu/2)).
             if self.family == "laplace":
-                return float(special.gamma(p + 1.0))
+                return float(special.gamma(2.0))
             nu = float(self.dof)
             return float(
                 np.exp(
-                    0.5 * p * np.log(nu)
-                    + special.gammaln(0.5 * (p + 1.0))
-                    + special.gammaln(0.5 * (nu - p))
+                    0.5 * np.log(nu)
+                    + special.gammaln(1.0)
+                    + special.gammaln(0.5 * (nu - 1.0))
                     - 0.5 * np.log(pi)
                     - special.gammaln(0.5 * nu)
                 )
             )
-        return self._norm_moment_multivariate(p)
-
-    def _coord_even_moments(self, m: int) -> list[float]:
-        """Raw moments E[Y_1^(2j)] for j = 1..m."""
-        out = []
-        for j in range(1, m + 1):
-            if self.family == "laplace":
-                out.append(float(special.gamma(2 * j + 1)))
-            else:
-                nu = float(self.dof)
-                out.append(
-                    float(
-                        np.exp(
-                            j * np.log(nu)
-                            + special.gammaln(j + 0.5)
-                            + special.gammaln(0.5 * nu - j)
-                            - 0.5 * np.log(pi)
-                            - special.gammaln(0.5 * nu)
-                        )
-                    )
-                )
-        return out
-
-    def _norm_moment_multivariate(self, p: float) -> float:
-        # Heavy-tailed multivariate norms: even orders by exact moment
-        # convolution of the squared coordinates, fractional orders below 2 by
-        # the Gamma-representation quadrature r^p = c_p * int (1-exp(-s r^2)).
-        if p == int(p) and int(p) % 2 == 0:
-            m = int(p) // 2
-            sq = [1.0] + self._coord_even_moments(m)  # E[(Y_1^2)^j]
-            acc = [1.0] + [0.0] * m
-            for _ in range(self.dim):
-                acc = [
-                    sum(comb(r, j) * acc[j] * sq[r - j] for j in range(r + 1))
-                    for r in range(m + 1)
-                ]
-            return float(acc[m])
-        if not 0 < p < 2:
-            raise ValueError(
-                f"||Y||^{p} for {self.family} in dimension {self.dim} is only "
-                "implemented for even integer orders and 0 < p < 2"
-            )
+        # Heavy-tailed multivariate norms by the Gamma representation
+        # r = c * int_0^inf (1 - exp(-s r^2)) s^(-3/2) ds, c = 1 / (2 Gamma(1/2)).
         lap = self._squared_coord_laplace_transform
-        q = 0.5 * p
 
         def integrand(s):
-            return (1.0 - lap(s) ** self.dim) * s ** (-1.0 - q)
+            return (1.0 - lap(s) ** self.dim) * s ** (-1.5)
 
         i1, _ = integrate.quad(integrand, 0.0, 1.0, limit=200)
         i2, _ = integrate.quad(integrand, 1.0, np.inf, limit=200)
-        return float(q / special.gamma(1.0 - q) * (i1 + i2))
+        return float(0.5 / special.gamma(0.5) * (i1 + i2))
 
     def _squared_coord_laplace_transform(self, s: float) -> float:
         """E[exp(-s Y_1^2)] for the heavy-tailed families."""

@@ -38,6 +38,9 @@ from .process import Trajectory, cf_path, dominating_path
 
 DRIFT_FLAG_THRESHOLD = 4.0
 START_INDEX_FLOOR = 0.1
+# Largest excess of the dominating chain's tail mass over its Markov bound
+# that still counts as rounding.
+TAIL_BOUND_TOLERANCE = 1e-10
 
 
 # --------------------------------------------------------------- tightness
@@ -104,8 +107,6 @@ def tightness_trace(traj: Trajectory, schedule: BandwidthSchedule, ew1: float) -
 class TailBoundReport:
     """Predictive tail mass of the dominating chain vs its Markov bound."""
 
-    threshold: float
-    times: np.ndarray
     tail_mass: np.ndarray
     bound: np.ndarray
     max_violation: float
@@ -119,7 +120,6 @@ def tail_prob_bound_check(
     kernel: KernelSpec,
     threshold: float,
     at_times=None,
-    tolerance: float = 1e-10,
 ) -> TailBoundReport:
     """Verify, at each requested time n, that the one-step predictive mass of
     the dominating chain beyond ``threshold`` is at most
@@ -135,7 +135,7 @@ def tail_prob_bound_check(
     if times.size and (times.min() < 1 or times.max() > n_pts - 1):
         raise ValueError("check times must lie in [1, length - 1]")
     h = schedule.values(n_pts - 1)
-    ew1 = kernel.abs_moment(1.0)
+    ew1 = kernel.norm_mean
     u = trace.dominating
     tail_mass = np.empty(times.size)
     bound = np.empty(times.size)
@@ -150,12 +150,10 @@ def tail_prob_bound_check(
         bound[i] = (trace.running_mean[n - 1] + comp) / threshold
     violation = float(np.max(tail_mass - bound)) if times.size else 0.0
     return TailBoundReport(
-        threshold=float(threshold),
-        times=times,
         tail_mass=tail_mass,
         bound=bound,
         max_violation=violation,
-        passed=violation <= tolerance,
+        passed=violation <= TAIL_BOUND_TOLERANCE,
     )
 
 
@@ -176,10 +174,9 @@ def start_index(
     schedule: BandwidthSchedule,
     kernel: KernelSpec,
     t,
-    floor: float = START_INDEX_FLOOR,
     max_scan: int = 10**7,
 ) -> int:
-    """Smallest n <= max_scan with |phi_K(h_n t)| > floor.
+    """Smallest n <= max_scan with |phi_K(h_n t)| > START_INDEX_FLOOR.
 
     Exists for any t once the bandwidths have decayed enough (CF continuity
     at the origin); the floor keeps later divisions well conditioned.
@@ -189,7 +186,7 @@ def start_index(
     while lo <= max_scan:
         hi = min(lo + block - 1, max_scan)
         mod = np.abs(kernel.cf_scaled(t, schedule.values(hi, start=lo)))
-        hits = np.flatnonzero(mod > floor)
+        hits = np.flatnonzero(mod > START_INDEX_FLOOR)
         if hits.size:
             return lo + int(hits[0])
         lo = hi + 1
@@ -206,7 +203,7 @@ def lemma_constant(kernel: KernelSpec, t) -> float:
     """||t|| (||E[Y]|| + 2 E||Y||), the factor in the summable product bound."""
     t = np.asarray(t, dtype=float)
     norm_t = float(np.linalg.norm(t))
-    return norm_t * (float(np.linalg.norm(kernel.mean_vector())) + 2.0 * kernel.abs_moment(1.0))
+    return norm_t * (float(np.linalg.norm(kernel.mean_vector())) + 2.0 * kernel.norm_mean)
 
 
 def product_tail_bound(
@@ -217,7 +214,7 @@ def product_tail_bound(
     |a_k - 1| <= h_k kappa / (k+1) (shared) or h_{k+1} kappa / (k+1)
     (frozen); both sums have closed-to-1e-12 evaluations per schedule form.
     """
-    if schedule.power_envelope() is None:
+    if schedule.form == "table":
         raise NoEnvelope("tail certification needs a power-law bandwidth envelope")
     kappa = lemma_constant(kernel, t)
     if flavor == "kde":
@@ -372,7 +369,6 @@ class CFMartingaleTrace:
     """
 
     flavor: str
-    t: np.ndarray
     phi: np.ndarray
     correction: np.ndarray
     martingale: np.ndarray
@@ -389,19 +385,13 @@ def cf_martingale_trace(
     schedule: BandwidthSchedule,
     kernel: KernelSpec,
     t,
-    horizon: int | None = None,
-    rel_tol: float = 1e-8,
 ) -> CFMartingaleTrace:
     """Trace the corrected CF martingale along one trajectory."""
-    n_max = len(traj) if horizon is None else int(horizon)
-    if not 1 <= n_max <= len(traj):
-        raise ValueError(f"horizon must be in [1, {len(traj)}], got {n_max}")
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (traj.dim,))
-    start_n, correction = cf_corrections(schedule, kernel, t_arr, n_max, traj.flavor, rel_tol)
-    phi = cf_path(traj, schedule, kernel, t_arr, upto=n_max)
+    start_n, correction = cf_corrections(schedule, kernel, t_arr, len(traj), traj.flavor)
+    phi = cf_path(traj, schedule, kernel, t_arr)
     return CFMartingaleTrace(
         flavor=traj.flavor,
-        t=np.array(t_arr),
         phi=phi,
         correction=correction,
         martingale=correction * phi,
@@ -415,7 +405,6 @@ def cf_corrections(
     t,
     n_max: int,
     flavor: str,
-    rel_tol: float = 1e-8,
 ) -> tuple[int, np.ndarray]:
     """(start_n, correction array for n = 1..n_max) -- the deterministic part
     of the CF martingale, reusable across replications.
@@ -428,7 +417,7 @@ def cf_corrections(
     factors = factor_values(schedule, kernel, t_arr, start_n, n_max, flavor)
     if np.any(factors == 0):
         raise ZeroFactor("a growth factor vanished inside the traced range")
-    beyond = lemma_product_tail(schedule, kernel, t_arr, n_max + 1, rel_tol, flavor)
+    beyond = lemma_product_tail(schedule, kernel, t_arr, n_max + 1, flavor=flavor)
     # suffix[i] = factors[i] * ... * factors[-1] * beyond, multiplied from
     # the far end inward as one reversed cumulative product.
     suffix = np.cumprod(np.append(factors, beyond.value)[::-1])[:0:-1]
@@ -449,7 +438,6 @@ def cf_corrections(
 class DriftTestResult:
     """Zero-mean test of martingale increments across replications."""
 
-    label: str
     time: int
     replications: int
     mean_re: float
@@ -474,25 +462,18 @@ def _component_z(values: np.ndarray) -> tuple[float, float, float]:
     return mean, se, mean / se
 
 
-def drift_test(
-    values_at_n,
-    values_at_next,
-    label: str = "",
-    time: int = 0,
-    flag_threshold: float = DRIFT_FLAG_THRESHOLD,
-) -> DriftTestResult:
-    """z-statistics of the per-replication increments value(n+1) - value(n).
+def drift_test(increments, time: int = 0) -> DriftTestResult:
+    """z-statistics of the per-replication increments value(n+1) - value(n),
+    flagged when either component's |z| exceeds DRIFT_FLAG_THRESHOLD.
 
     The tower property makes the unconditional mean increment exactly zero
     for a martingale, which is the testable consequence at a fixed time.
     """
-    at_n = np.asarray(values_at_n)
-    at_next = np.asarray(values_at_next)
-    if at_n.shape != at_next.shape or at_n.ndim != 1:
-        raise ValueError("need two equal-length 1-d arrays of replication values")
-    if at_n.size < 100:
-        raise TooFewReplications(f"need >= 100 replications, got {at_n.size}")
-    inc = at_next - at_n
+    inc = np.asarray(increments)
+    if inc.ndim != 1:
+        raise ValueError("need a 1-d array of per-replication increments")
+    if inc.size < 100:
+        raise TooFewReplications(f"need >= 100 replications, got {inc.size}")
     mean_re, se_re, z_re = _component_z(inc.real)
     if np.iscomplexobj(inc):
         mean_im, se_im, z_im = _component_z(inc.imag)
@@ -500,9 +481,8 @@ def drift_test(
         mean_im, se_im, z_im = 0.0, 0.0, 0.0
     max_abs_z = max(abs(z_re), abs(z_im))
     return DriftTestResult(
-        label=label,
         time=int(time),
-        replications=int(at_n.size),
+        replications=int(inc.size),
         mean_re=mean_re,
         se_re=se_re,
         z_re=z_re,
@@ -510,5 +490,5 @@ def drift_test(
         se_im=se_im,
         z_im=z_im,
         max_abs_z=max_abs_z,
-        flagged=bool(max_abs_z > flag_threshold),
+        flagged=bool(max_abs_z > DRIFT_FLAG_THRESHOLD),
     )

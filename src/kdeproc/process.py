@@ -15,12 +15,11 @@ applied, so any point can be reconstructed independently by walking its
 ancestry, and the exact finite-mixture form of the predictive law is
 available at every time index.
 
-Every recursion along one trajectory's ancestry goes through two
-primitives: :func:`chain_sum` (the points, the dominating chain sums) and
-:func:`chain_root` (descendant fraction paths in ``urn``).
-:func:`reconstruct_from_genealogy` and :func:`reconstruct_all` walk the
-chains separately on purpose: they are the independent oracles the
-primitives are tested against.
+Every sum along one trajectory's ancestry (the points, the dominating
+chain sums) goes through :func:`chain_sum`; chain roots for the urn laws
+come from ``urn.block_roots``.  :func:`reconstruct_from_genealogy` and
+:func:`reconstruct_all` walk the chains separately on purpose: they are the
+independent oracles :func:`chain_sum` is tested against.
 """
 
 from __future__ import annotations
@@ -323,19 +322,6 @@ def chain_sum(base: np.ndarray, parents: np.ndarray, increments: np.ndarray) -> 
             append(buf[p] + v)
     # The copy turns the transposed columns back into C-ordered rows.
     return np.array(cols).T.copy().reshape((-1,) + base.shape[1:])
-
-
-def chain_root(parents: np.ndarray, bound: int) -> np.ndarray:
-    """First row below ``bound`` on each row's ancestor chain (0-based).
-
-    Rows below ``bound`` are their own roots; row bound + i inherits the root
-    of ``parents[i]``, with 0 <= parents[i] < bound + i.
-    """
-    roots = list(range(bound))
-    append = roots.append
-    for p in parents.tolist():
-        append(roots[p])
-    return np.array(roots, dtype=np.int64)
 
 
 # -------------------------------------------------------------- derived views

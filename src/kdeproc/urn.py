@@ -19,7 +19,7 @@ from scipy import special, stats
 from .bandwidth import BandwidthSchedule
 from .errors import DomainError, TrajectoryTooShort
 from .kernels import KernelSpec
-from .process import Trajectory, chain_root, simulate_batch
+from .process import Trajectory, simulate_batch
 
 
 # ------------------------------------------------------------------ exact law
@@ -67,7 +67,7 @@ def descendant_tail_bound(n: int, k: int) -> float:
 def block_roots(ancestors: np.ndarray, bound: int, upto: int) -> np.ndarray:
     """(R, upto) 0-based roots below ``bound`` of points 1..upto, for every
     row of an (R, m) block of 1-based ancestors (slot p - 2 belongs to point p,
-    m >= upto - 1, no injected data).
+    m >= upto - 1, every point above ``bound`` generated).
 
     Points up to ``bound`` are their own roots and point p > bound starts from
     its ancestor; ``roots = roots[roots]`` then doubles every chain's reach
@@ -122,7 +122,7 @@ def descendant_fraction_path(traj: Trajectory, anchor: int, horizon: int | None 
     # Injected data points have no ancestry: chains stop at the prefix, so
     # the roots are taken below max(anchor, prefix length).
     bound = min(max(anchor, traj.seed_prefix_len), m_max)
-    roots = chain_root(traj.ancestors[bound - 1 : m_max - 1] - 1, bound)
+    roots = block_roots(traj.ancestors[None, : m_max - 1], bound, m_max)[0]
     running = np.cumsum(roots == anchor - 1)
     return running / np.arange(1, m_max + 1, dtype=float)
 
@@ -151,8 +151,6 @@ class ContrastReport:
     flavor producing late records more often than the shared-bandwidth one.
     """
 
-    n_steps: int
-    replications: int
     kde: FlavorRecordStats
     recursive: FlavorRecordStats
     z_statistic: float
@@ -224,8 +222,6 @@ def support_contrast_experiment(
         replications,
     )
     return ContrastReport(
-        n_steps=n_steps,
-        replications=replications,
         kde=per_flavor["kde"],
         recursive=per_flavor["recursive"],
         z_statistic=z,

@@ -26,8 +26,8 @@ from kdeproc.config import ExperimentConfig
 from kdeproc.harness import run
 from kdeproc.process import ancestor_block, replication_blocks
 from kdeproc.urn import (
+    anchor_fractions,
     betabinom_pmf_vector,
-    descendant_fraction_path,
     descendant_tail_bound,
     support_contrast_experiment,
     window_roots,
@@ -153,7 +153,7 @@ DRIFT_LENGTH = 1001
 def drift_data():
     """Shared replication sweep for the two drift criteria."""
     data = {}
-    ew1 = GAUSS.abs_moment(1.0)
+    ew1 = GAUSS.norm_mean
     for flavor in FLAVORS:
         comp = mg.compensator_values(flavor, SCHED, ew1, DRIFT_LENGTH - 1)
         corrections = {
@@ -165,8 +165,7 @@ def drift_data():
             else max(float(np.nanmax(np.abs(c))) for _, c in corrections.values())
         )
         tight = {n: np.empty(R_DRIFT) for n in TIGHT_TIMES}
-        cf_at = {(t, n): np.empty(R_DRIFT, dtype=complex) for t in T_GRID for n in CF_TIMES}
-        cf_next = {(t, n): np.empty(R_DRIFT, dtype=complex) for t in T_GRID for n in CF_TIMES}
+        cf_inc = {(t, n): np.empty(R_DRIFT, dtype=complex) for t in T_GRID for n in CF_TIMES}
         sup_mod = 0.0
         for r in range(R_DRIFT):
             traj = simulate(flavor, SCHED, GAUSS, DRIFT_LENGTH, DrawStreams.from_seed(45000, r))
@@ -179,12 +178,10 @@ def drift_data():
                 s_vals = corr * cf_path(traj, SCHED, GAUSS, t)
                 sup_mod = max(sup_mod, float(np.nanmax(np.abs(s_vals))))
                 for n in CF_TIMES:
-                    cf_at[(t, n)][r] = s_vals[n - 1]
-                    cf_next[(t, n)][r] = s_vals[n]
+                    cf_inc[(t, n)][r] = s_vals[n] - s_vals[n - 1]
         data[flavor] = {
             "tight": tight,
-            "cf_at": cf_at,
-            "cf_next": cf_next,
+            "cf_inc": cf_inc,
             "sup_mod": sup_mod,
             "sup_allowed": sup_allowed,
         }
@@ -198,7 +195,7 @@ def test_criterion_4_tightness_drift(drift_data):
     for flavor in FLAVORS:
         for n in TIGHT_TIMES:
             inc = drift_data[flavor]["tight"][n]
-            res = mg.drift_test(np.zeros_like(inc), inc, time=n)
+            res = mg.drift_test(inc, time=n)
             worst = max(worst, res.max_abs_z)
             detail.append(f"{flavor[:3]}:n={n}:z={res.z_re:+.2f}")
     elapsed = time.perf_counter() - start
@@ -214,11 +211,7 @@ def test_criterion_5_cf_drift_and_bounds(drift_data):
     for flavor in FLAVORS:
         for t in T_GRID:
             for n in CF_TIMES:
-                res = mg.drift_test(
-                    drift_data[flavor]["cf_at"][(t, n)],
-                    drift_data[flavor]["cf_next"][(t, n)],
-                    time=n,
-                )
+                res = mg.drift_test(drift_data[flavor]["cf_inc"][(t, n)], time=n)
                 worst = max(worst, res.max_abs_z)
     bound_slack = max(
         drift_data[f]["sup_mod"] - drift_data[f]["sup_allowed"] for f in FLAVORS
@@ -351,9 +344,11 @@ def test_criterion_9_beta_limit():
     start = time.perf_counter()
     anchor, horizon, reps = 5, 10**4, 2000
     finals = np.empty(reps)
-    for r in range(reps):
-        traj = simulate("kde", SCHED, GAUSS, horizon, DrawStreams.from_seed(900, r))
-        finals[r] = descendant_fraction_path(traj, anchor, horizon)[-1]
+    # Replication r's genealogy comes from its DrawStreams.from_seed(900, r)
+    # ancestor stream, a block of replications at a time.
+    for block in replication_blocks(range(reps), horizon):
+        anc = ancestor_block(horizon, 900, block)
+        finals[block.start : block.stop] = anchor_fractions(anc, anchor, horizon)
     res = stats.kstest(finals, stats.beta(1, anchor - 1).cdf)
     elapsed = time.perf_counter() - start
     ok = res.pvalue > 0.001 and elapsed < 120.0

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdeproc.process import chain_root, chain_sum
+from kdeproc.process import chain_sum
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -15,16 +15,6 @@ def forward_sum_oracle(base, parents, increments):
     for i, p in enumerate(parents):
         out.append([out[p][j] + increments[i][j] for j in range(len(base[0]))])
     return np.array(out)
-
-
-def root_walk_oracle(parents, bound):
-    """Walk each row's chain back until it drops below the bound."""
-    roots = []
-    for r in range(bound + len(parents)):
-        while r >= bound:
-            r = parents[r - bound]
-        roots.append(r)
-    return np.array(roots)
 
 
 @st.composite
@@ -50,9 +40,3 @@ def test_chain_sum_matches_forward_loop(genealogy, d, data):
     if d == 1:
         assert np.array_equal(chain_sum(base[:, 0], parents, inc[:, 0]), expected[:, 0])
 
-
-@settings(max_examples=200, deadline=None)
-@given(genealogy=genealogies())
-def test_chain_root_matches_walk(genealogy):
-    bound, parents = genealogy
-    assert np.array_equal(chain_root(parents, bound), root_walk_oracle(parents.tolist(), bound))

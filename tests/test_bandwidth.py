@@ -51,6 +51,13 @@ class TestValues:
             BandwidthSchedule.power(1.0, -0.1)
         with pytest.raises(ValueError):
             BandwidthSchedule.exponential(0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                BandwidthSchedule.power(bad, 0.2)
+            with pytest.raises(ValueError):
+                BandwidthSchedule.power(1.0, bad)
+            with pytest.raises(ValueError):
+                BandwidthSchedule.exponential(bad)
         with pytest.raises(ValueError):
             BandwidthSchedule.from_table([])
         with pytest.raises(ValueError):
@@ -161,19 +168,3 @@ class TestTailSums:
         st = BandwidthSchedule.from_table([1.0, 0.5, 0.25])
         assert st.tail_weight_shifted(1) == pytest.approx(0.5 / 2 + 0.25 / 3, rel=1e-15)
 
-
-class TestEnvelope:
-    def test_power(self):
-        assert BandwidthSchedule.power(2.0, 0.3).power_envelope() == (2.0, 0.3)
-
-    def test_exponential_envelope_dominates(self):
-        s = BandwidthSchedule.exponential(0.07)
-        c, delta = s.power_envelope()
-        assert delta == 1.0
-        n = np.arange(1, 10**5, dtype=float)
-        assert np.all(np.exp(-0.07 * n) <= c / n + 1e-300)
-        # and it is attained somewhere near 1/rate
-        assert np.max(np.exp(-0.07 * n) * n) == pytest.approx(c, rel=1e-12)
-
-    def test_table_has_none(self):
-        assert BandwidthSchedule.from_table([1.0]).power_envelope() is None

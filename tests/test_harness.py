@@ -91,14 +91,16 @@ class TestRunModes:
             checkpoints=(12, 30, 60),
             base_dir=str(tmp_path),
         )
-        report = run(cfg, "diagnose")
-        assert report.all_passed()
-        names = {e["name"] for e in report.drift_tests}
+        payload = run(cfg, "diagnose")
+        entries = payload["drift_tests"] + payload["bound_checks"] + payload["urn_tests"]
+        assert all(e["passed"] for e in entries + [payload["cf_convergence"]])
+        names = {e["name"] for e in payload["drift_tests"]}
         assert "drift:tightness:n=10" in names
         assert any(n.startswith("drift:cf:n=60:t=") for n in names)
-        for entry in report.drift_tests + report.bound_checks:
+        for entry in entries:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert data == payload
         assert data["version"] == "0.1.1"
         assert data["config_hash"] == cfg.config_hash()
 
@@ -106,9 +108,9 @@ class TestRunModes:
         cfg = ExperimentConfig(
             steps=60, replications=5, master_seed=2, drift_times=(10,), base_dir=str(tmp_path)
         )
-        report = run(cfg, "diagnose")
-        assert report.drift_tests == []
-        assert "drift_tests" in report.notes
+        payload = run(cfg, "diagnose")
+        assert payload["drift_tests"] == []
+        assert "drift_tests" in payload["notes"]
 
     def test_diagnose_needs_t_grid(self, tmp_path):
         cfg = ExperimentConfig(steps=60, replications=5, t_grid=(), base_dir=str(tmp_path))
@@ -135,6 +137,23 @@ class TestRunModes:
         with pytest.raises(ConfigError, match="urn.window_sizes"):
             run(cfg, "diagnose")
 
+    @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
+    def test_first_moment_evaluated_once_per_run(self, tmp_path, monkeypatch, mode):
+        # E||Y|| feeds every replication's tail check and every t's lemma
+        # constant; at d = 2 a laplace kernel needs quadrature for it.
+        calls = []
+        norm_mean = KernelSpec.norm_mean.func
+        monkeypatch.setattr(
+            KernelSpec.norm_mean, "func", lambda kernel: calls.append(1) or norm_mean(kernel)
+        )
+        family, dim = ("gaussian", 1) if mode == "diagnose" else ("laplace", 2)
+        cfg = ExperimentConfig(
+            kernel_family=family, kernel_dimension=dim, steps=40, replications=100,
+            drift_times=(10,), urn_window_sizes=(2,), base_dir=str(tmp_path),
+        )
+        run(cfg, mode)
+        assert len(calls) == 1
+
     def test_diagnose_urn_counts_across_blocks(self, tmp_path, monkeypatch):
         # Windows 2 and 5 keep 9 ancestors per replication; a cap of 70
         # elements splits the 100 replications into blocks of 7 rows.
@@ -146,8 +165,8 @@ class TestRunModes:
         monkeypatch.setattr(process, "BLOCK_ELEMENTS", 70)
         assert [len(b) for b in process.replication_blocks(range(100), 10)][-2:] == [7, 2]
         blocked = run(cfg.with_overrides(output_dir="blocked"), "diagnose")
-        assert blocked.urn_tests == whole.urn_tests
-        assert len(whole.urn_tests) == 2
+        assert blocked["urn_tests"] == whole["urn_tests"]
+        assert len(whole["urn_tests"]) == 2
         assert (tmp_path / "blocked" / "diagnostics.json").read_bytes() == (
             tmp_path / "whole" / "diagnostics.json"
         ).read_bytes()
@@ -237,7 +256,7 @@ class TestMultivariate:
         assert abs(mix.cf(t)) <= 1.0
         trace = mg.cf_martingale_trace(traj, schedule, kernel, t)
         assert np.isfinite(trace.martingale[-1].real)
-        tight = mg.tightness_trace(traj, schedule, kernel.abs_moment(1.0))
+        tight = mg.tightness_trace(traj, schedule, kernel.norm_mean)
         assert np.all(tight.martingale >= tight.running_mean)
         report = mg.tail_prob_bound_check(
             tight, traj, schedule, kernel, threshold=10 * tight.running_mean[-1], at_times=[100]
@@ -350,11 +369,19 @@ class TestCli:
             ("urn", "urn.anchor = 50\n", None, "run.steps"),
             ("urn", "urn.anchor = 5\nurn.fraction_horizon = 0\n", None, "urn.fraction_horizon"),
             ("cf-trace", "diagnostics.t_grid = 1000\n", None, "conditioning floor"),
+            ("simulate", "bandwidth.C = nan\n", None, "power schedule"),
+            ("simulate", "bandwidth.delta = inf\n", None, "power schedule"),
+            ("simulate", "bandwidth.form = exponential\nbandwidth.rate = nan\n", None, "rate"),
+            ("simulate", "kernel.family = student_t\nkernel.dof = inf\n", None, "dof"),
+            ("diagnose", "diagnostics.tail_threshold_factor = -1\n", None, "tail_threshold_factor"),
+            ("diagnose", "kernel.family = laplace\n", None, "kernel.dimension"),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
             "urn-window-0", "urn-anchor-1", "urn-horizon-below-anchor", "urn-anchor-beyond-steps",
-            "urn-horizon-0", "cf-start-index-out-of-scan",
+            "urn-horizon-0", "cf-start-index-out-of-scan", "bandwidth-C-nan",
+            "bandwidth-delta-inf", "bandwidth-rate-nan", "student-t-dof-inf",
+            "negative-tail-factor", "diagnose-laplace-d2",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):

@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate, stats
 
 from kdeproc import KernelSpec
-from kdeproc.errors import MomentUndefined
 
 T_GRID = np.arange(-5.0, 5.0 + 0.25, 0.5)
 
@@ -46,6 +45,8 @@ class TestValidation:
     def test_student_t_needs_dof_above_one(self):
         with pytest.raises(ValueError):
             KernelSpec("student_t", dof=1.0)
+        with pytest.raises(ValueError):
+            KernelSpec("student_t", dof=np.inf)
         with pytest.raises(ValueError):
             KernelSpec("student_t")
 
@@ -209,29 +210,19 @@ class TestCdf:
 
 
 class TestMoments:
-    def test_gaussian_second(self):
-        assert KernelSpec("gaussian").abs_moment(2.0) == pytest.approx(1.0, abs=1e-12)
-
     def test_half_normal_first(self):
-        assert KernelSpec("half_normal").abs_moment(1.0) == pytest.approx(
+        assert KernelSpec("half_normal").norm_mean == pytest.approx(
             np.sqrt(2 / np.pi), abs=1e-12
         )
 
-    def test_student_t_undefined(self):
-        with pytest.raises(MomentUndefined):
-            KernelSpec("student_t", dof=2.0).abs_moment(3.0)
-        with pytest.raises(MomentUndefined):
-            KernelSpec("student_t", dof=2.0).abs_moment(2.0)
-
     def test_student_t_first_closed_form(self):
         # E|T_3| = 2 sqrt(3) / pi
-        assert KernelSpec("student_t", dof=3.0).abs_moment(1.0) == pytest.approx(
+        assert KernelSpec("student_t", dof=3.0).norm_mean == pytest.approx(
             2 * np.sqrt(3) / np.pi, rel=1e-12
         )
 
     def test_laplace(self):
-        assert KernelSpec("laplace").abs_moment(1.0) == pytest.approx(1.0, rel=1e-12)
-        assert KernelSpec("laplace").abs_moment(3.0) == pytest.approx(6.0, rel=1e-12)
+        assert KernelSpec("laplace").norm_mean == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_first_moment_vs_sample_mean(self, spec):
@@ -239,38 +230,46 @@ class TestMoments:
         n = 10**6
         draws = np.linalg.norm(spec.sample(rng, size=n), axis=1)
         se = draws.std() / np.sqrt(n)
-        assert abs(spec.abs_moment(1.0) - draws.mean()) < 4 * se
+        assert abs(spec.norm_mean - draws.mean()) < 4 * se
 
     def test_chi_moment_multivariate(self):
         # E||Z_3|| = 2 sqrt(2/pi)
-        assert KernelSpec("gaussian", dim=3).abs_moment(1.0) == pytest.approx(
+        assert KernelSpec("gaussian", dim=3).norm_mean == pytest.approx(
             2 * np.sqrt(2 / np.pi), rel=1e-12
         )
         # half-normal coordinates share the chi norm law
-        assert KernelSpec("half_normal", dim=3).abs_moment(1.0) == pytest.approx(
-            KernelSpec("gaussian", dim=3).abs_moment(1.0), rel=1e-14
+        assert KernelSpec("half_normal", dim=3).norm_mean == pytest.approx(
+            KernelSpec("gaussian", dim=3).norm_mean, rel=1e-14
         )
-
-    def test_multivariate_heavy_tail_even_orders(self):
-        # E||Y||^2 = d Var, E||Y||^4 = d m4 + d(d-1) m2^2
-        lap = KernelSpec("laplace", dim=2)
-        assert lap.abs_moment(2.0) == pytest.approx(4.0, rel=1e-12)
-        assert lap.abs_moment(4.0) == pytest.approx(2 * 24 + 2 * 1 * 4, rel=1e-12)
 
     def test_multivariate_fractional_vs_monte_carlo(self):
         rng = np.random.default_rng(4)
         lap = KernelSpec("laplace", dim=2)
         r = np.linalg.norm(rng.laplace(size=(10**6, 2)), axis=1)
         se = r.std() / 1e3
-        assert abs(lap.abs_moment(1.0) - r.mean()) < 4 * se
+        assert abs(lap.norm_mean - r.mean()) < 4 * se
         tsp = KernelSpec("student_t", dim=2, dof=5.0)
         rt = np.linalg.norm(rng.standard_t(5.0, size=(10**6, 2)), axis=1)
         se_t = rt.std() / 1e3
-        assert abs(tsp.abs_moment(1.0) - rt.mean()) < 4 * se_t
+        assert abs(tsp.norm_mean - rt.mean()) < 4 * se_t
 
-    def test_multivariate_unsupported_order(self):
-        with pytest.raises(ValueError):
-            KernelSpec("laplace", dim=2).abs_moment(3.0)
+    def test_norm_mean_quadrature_runs_once_per_kernel(self, monkeypatch):
+        calls = []
+        lap_transform = KernelSpec._squared_coord_laplace_transform
+
+        def counting(self, s):
+            calls.append(s)
+            return lap_transform(self, s)
+
+        monkeypatch.setattr(KernelSpec, "_squared_coord_laplace_transform", counting)
+        lap = KernelSpec("laplace", dim=2)
+        first = lap.norm_mean
+        evaluations = len(calls)
+        assert evaluations > 0
+        assert lap.norm_mean == first and len(calls) == evaluations
+        # An equal kernel built afresh evaluates it again, to the same bits.
+        assert KernelSpec("laplace", dim=2).norm_mean == first
+        assert len(calls) == 2 * evaluations
 
     def test_mean_vector(self):
         np.testing.assert_allclose(

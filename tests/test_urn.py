@@ -14,7 +14,7 @@ from kdeproc.config import ExperimentConfig
 from kdeproc.errors import DomainError, TrajectoryTooShort
 from kdeproc.harness import run
 from kdeproc.kernels import FAMILIES
-from kdeproc.process import FLAVORS, ancestor_block
+from kdeproc.process import FLAVORS, ancestor_block, replication_blocks
 from kdeproc.urn import (
     ContrastReport,
     anchor_fractions,
@@ -201,12 +201,16 @@ class TestPointerJumping:
         horizon = data.draw(st.integers(2, ancestors.shape[1] + 1))
         anchor = data.draw(st.integers(2, horizon))
         got = anchor_fractions(ancestors, anchor, horizon)
+        m = np.arange(1, horizon + 1)
         for row, frac in zip(ancestors, got):
+            # Reference: walk each point's chain down to {1..anchor}.
+            want = np.cumsum([walk_root(row, p, anchor) == anchor for p in m]) / m
+            assert frac == want[-1]
             traj = simulate(
                 "kde", SCHED, GAUSS, len(row) + 1,
                 forced_ancestors=row, forced_draws=np.zeros(len(row)),
             )
-            assert frac == descendant_fraction_path(traj, anchor, horizon)[-1]
+            np.testing.assert_array_equal(descendant_fraction_path(traj, anchor, horizon), want)
 
 
 class TestFractionPath:
@@ -251,9 +255,9 @@ class TestFractionPath:
     def test_beta_limit_mini(self):
         reps, horizon, anchor = 800, 3000, 5
         finals = np.empty(reps)
-        for r in range(reps):
-            traj = simulate("kde", SCHED, GAUSS, horizon, DrawStreams.from_seed(404, r))
-            finals[r] = descendant_fraction_path(traj, anchor, horizon)[-1]
+        for block in replication_blocks(range(reps), horizon):
+            anc = ancestor_block(horizon, 404, block)
+            finals[block.start : block.stop] = anchor_fractions(anc, anchor, horizon)
         res = stats.kstest(finals, stats.beta(1, anchor - 1).cdf)
         assert res.pvalue > 0.001
 
