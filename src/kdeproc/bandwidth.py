@@ -8,14 +8,18 @@ Three forms are supported:
   contrast experiments against prior work.
 * ``table``       -- finite explicit sequence; querying past the end raises.
 
-The module also evaluates the schedule-weighted infinite sums feeding the
-compensated martingale traces:
+The power and exponential forms are one law h(x) at a real index x
+(:meth:`BandwidthSchedule.law`); ``values`` and ``at`` read it at the
+integers.  The module also evaluates the schedule-weighted infinite sums
+feeding the compensated martingale traces:
 
     sum_{k>=n} h_k / (k+1)                       (shared-bandwidth flavor)
     sum_{k>=n} (1/(k(k+1))) * sum_{i<=k} h_i     (frozen-bandwidth flavor)
 
 to ~1e-12 relative accuracy, using alternating Hurwitz-zeta series for power
-schedules and blockwise geometric summation for exponential ones.
+schedules and blockwise geometric summation for exponential ones.  A table
+ends, so it has no law past its end and none of these sums: each raises
+NoEnvelope.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import IndexBeyondTable
+from .errors import IndexBeyondTable, NoEnvelope
 
 _ZETA_SERIES_MIN_START = 64
 _BLOCK = 65536  # terms per numpy block in _block_sum
@@ -87,33 +91,37 @@ class BandwidthSchedule:
 
     # ------------------------------------------------------------------ values
 
-    def at(self, n: int) -> float:
-        """h_n for 1-based step index n."""
-        if n < 1:
-            raise ValueError(f"step index must be >= 1, got {n}")
+    def law(self, x):
+        """h(x) at a real index x >= 1, unclamped: exp underflows to 0.
+
+        A table has no law past its end, so nothing summed beyond it can be
+        certified; it raises NoEnvelope.
+        """
         if self.form == "power":
-            return self.c * float(n) ** (-self.delta)
+            return self.c * x ** (-self.delta)
         if self.form == "exponential":
-            # Clamp at the smallest positive normal so values stay > 0.
-            return max(float(np.exp(-self.rate * n)), float(np.finfo(float).tiny))
-        if n > len(self.table):
-            raise IndexBeyondTable(f"table has {len(self.table)} entries, asked for h_{n}")
-        return self.table[n - 1]
+            return np.exp(-self.rate * x)
+        raise NoEnvelope("tail certification needs a power-law bandwidth envelope")
+
+    def at(self, n: int) -> float:
+        """h_n for 1-based step index n, the same float as ``values``."""
+        return float(self.values(n, start=n)[0])
 
     def values(self, n: int, start: int = 1) -> np.ndarray:
-        """Array [h_start, ..., h_n]."""
+        """Array [h_start, ..., h_n], clamped at the smallest positive normal
+        so every value stays > 0."""
         if not 1 <= start <= n:
             raise ValueError(f"need 1 <= start <= n, got start={start}, n={n}")
-        k = np.arange(start, n + 1, dtype=float)
-        if self.form == "power":
-            return self.c * k ** (-self.delta)
-        if self.form == "exponential":
-            return np.maximum(np.exp(-self.rate * k), np.finfo(float).tiny)
+        if self.form != "table":
+            k = np.arange(start, n + 1, dtype=float)
+            return np.maximum(self.law(k), np.finfo(float).tiny)
         if n > len(self.table):
             raise IndexBeyondTable(f"table has {len(self.table)} entries, asked for h_{n}")
         return np.asarray(self.table[start - 1 : n], dtype=float)
 
     # --------------------------------------------------------------- tail sums
+    # The exponential branches sum the law blockwise; on a table the law
+    # raises NoEnvelope at the first block.
 
     def tail_weight_kde(self, n: int) -> float:
         """sum_{k>=n} h_k / (k+1), the shared-bandwidth compensator weight."""
@@ -124,13 +132,7 @@ class BandwidthSchedule:
             k = np.arange(n, start, dtype=float)
             head = float(np.sum(k ** (-self.delta) / (k + 1.0))) if len(k) else 0.0
             return self.c * (head + _alternating_zeta_tail(self.delta, start))
-        if self.form == "exponential":
-            return _block_sum(lambda k: np.exp(-self.rate * k) / (k + 1.0), n, self.rate)
-        k = np.arange(n, len(self.table) + 1, dtype=float)
-        if len(k) == 0:
-            return 0.0
-        vals = np.asarray(self.table[n - 1 :], dtype=float)
-        return float(np.sum(vals / (k + 1.0)))
+        return _block_sum(lambda k: self.law(k) / (k + 1.0), n, self.rate)
 
     def tail_weight_shifted(self, n: int) -> float:
         """sum_{k>=n} h_{k+1} / (k+1), the frozen-flavor product-bound weight."""
@@ -139,32 +141,17 @@ class BandwidthSchedule:
         if self.form == "power":
             # h_{k+1}/(k+1) = C (k+1)**-(1+delta) exactly.
             return self.c * float(special.zeta(1.0 + self.delta, n + 1))
-        if self.form == "exponential":
-            return _block_sum(lambda k: np.exp(-self.rate * (k + 1.0)) / (k + 1.0), n, self.rate)
-        vals = np.asarray(self.table[n:], dtype=float)
-        k = np.arange(n, n + len(vals), dtype=float)
-        return float(np.sum(vals / (k + 1.0)))
+        return _block_sum(lambda k: self.law(k + 1.0) / (k + 1.0), n, self.rate)
 
     def tail_weight_recursive(self, n: int) -> float:
         """sum_{k>=n} (1/(k(k+1))) * sum_{i<=k} h_i.
 
         Abel summation collapses it to H_n / n + sum_{k>n} h_k / k with
-        H_n the bandwidth prefix sum.
+        H_n the bandwidth prefix sum; the second sum is
+        :meth:`tail_weight_shifted` at n.
         """
-        if n < 1:
-            raise ValueError(f"tail start must be >= 1, got {n}")
-        if self.form == "table":
-            last = len(self.table)
-            if n > last:
-                return 0.0
-            vals = np.asarray(self.table, dtype=float)
-            prefix = np.cumsum(vals)
-            k = np.arange(n, last + 1, dtype=float)
-            return float(np.sum(prefix[n - 1 :] / (k * (k + 1.0))))
-        h_prefix = float(np.sum(self.values(n)))
-        if self.form == "power":
-            return h_prefix / n + self.c * float(special.zeta(1.0 + self.delta, n + 1))
-        return h_prefix / n + _block_sum(lambda k: np.exp(-self.rate * k) / k, n + 1, self.rate)
+        shifted = self.tail_weight_shifted(n)
+        return float(np.sum(self.values(n))) / n + shifted
 
 
 def _alternating_zeta_tail(delta: float, start: int) -> float:

@@ -128,8 +128,14 @@ class ExperimentConfig:
             )
         if any(not 0 < q < 1 for q in self.posterior_quantiles):
             raise ConfigError("posterior.quantiles must lie in (0, 1)")
+        if not all(np.isfinite(self.t_grid)):
+            raise ConfigError("diagnostics.t_grid values must be finite")
         if (self.posterior_box_lo is None) != (self.posterior_box_hi is None):
             raise ConfigError("posterior.box_lo and posterior.box_hi must be set together")
+        for key, side in (("box_lo", self.posterior_box_lo), ("box_hi", self.posterior_box_hi)):
+            # Infinite sides are legal: the mixture's prob takes half-lines.
+            if side is not None and np.isnan(side):
+                raise ConfigError(f"posterior.{key} must not be nan")
         if self.posterior_box_lo is not None and self.posterior_box_lo > self.posterior_box_hi:
             raise ConfigError("posterior.box_lo must not exceed posterior.box_hi")
         if any(n < 2 for n in self.urn_window_sizes):

@@ -153,11 +153,6 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
         max(1, n_pts // 10), max(1, n_pts // 4), max(1, n_pts // 2)
     ]
     can_drift = reps >= 100
-    if can_drift and any(2 * n > n_pts for n in config.urn_window_sizes):
-        raise ConfigError(
-            f"urn.window_sizes: each window n needs 2n <= run.steps={n_pts}, "
-            "since the urn checks count descendants on the run's own trajectories"
-        )
     ew1 = kernel.norm_mean
     corrections = {t: mg.cf_corrections(schedule, kernel, t, n_pts, flavor) for t in config.t_grid}
     cf_bound = (
@@ -170,48 +165,37 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     tight_inc = {n: np.empty(reps) for n in drift_times}
     cf_inc = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
     cf_dist = {n: np.empty(reps) for n in checkpoints}
-    # The urn windows read only the genealogy of points 1..2n; it is kept
-    # for one block of replications at a time and tallied per block.
-    windows = config.urn_window_sizes if can_drift else ()
-    urn_width = 2 * max(windows) - 1 if windows else 0
-    urn_counts = {n: np.zeros(n + 1, dtype=np.int64) for n in windows}
     radii = np.empty(reps)
     dominance_violation = -np.inf
     cf_bound_worst = -np.inf
     tail_violation = -np.inf
 
     trajectories = simulate_batch(flavor, schedule, kernel, n_pts, config.master_seed, range(reps))
-    for block in replication_blocks(range(reps), urn_width + 1):
-        urn_ancestors = np.empty((len(block), urn_width), dtype=np.int64)
-        for r in block:
-            traj = next(trajectories)
-            urn_ancestors[r - block.start] = traj.ancestors[:urn_width]
-            trace = mg.tightness_trace(traj, schedule, ew1)
-            norms = np.linalg.norm(traj.points, axis=1)
-            radii[r] = float(np.max(norms))
-            dominance_violation = max(dominance_violation, float(np.max(norms - trace.dominating)))
-            j, comp = trace.running_mean, trace.compensators
+    for r, traj in enumerate(trajectories):
+        trace = mg.tightness_trace(traj, schedule, ew1)
+        norms = np.linalg.norm(traj.points, axis=1)
+        radii[r] = float(np.max(norms))
+        dominance_violation = max(dominance_violation, float(np.max(norms - trace.dominating)))
+        j, comp = trace.running_mean, trace.compensators
+        for n in drift_times:
+            # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
+            tight_inc[n][r] = j[n] - j[n - 1] - comp[n - 1]
+        phis = {t: cf_path(traj, schedule, kernel, t) for t in config.t_grid}
+        for t in config.t_grid:
+            start_n, corr = corrections[t]
+            s_vals = corr * phis[t]
+            cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
             for n in drift_times:
-                # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
-                tight_inc[n][r] = j[n] - j[n - 1] - comp[n - 1]
-            phis = {t: cf_path(traj, schedule, kernel, t) for t in config.t_grid}
-            for t in config.t_grid:
-                start_n, corr = corrections[t]
-                s_vals = corr * phis[t]
-                cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
-                for n in drift_times:
-                    cf_inc[(t, n)][r] = s_vals[n] - s_vals[n - 1]
-            for n in checkpoints:
-                cf_dist[n][r] = max(
-                    abs(phis[t][n - 1] - phis[t][n_pts - 1]) for t in config.t_grid
-                )
-            threshold = config.tail_threshold_factor * max(trace.running_mean[-1], 1e-12)
-            tail_report = mg.tail_prob_bound_check(
-                trace, traj, schedule, kernel, threshold, at_times=drift_times
+                cf_inc[(t, n)][r] = s_vals[n] - s_vals[n - 1]
+        for n in checkpoints:
+            cf_dist[n][r] = max(
+                abs(phis[t][n - 1] - phis[t][n_pts - 1]) for t in config.t_grid
             )
-            tail_violation = max(tail_violation, tail_report.max_violation)
-        for n, hist in urn_counts.items():
-            hist += _point_one_histogram(urn_ancestors, n)
+        threshold = config.tail_threshold_factor * max(trace.running_mean[-1], 1e-12)
+        tail_report = mg.tail_prob_bound_check(
+            trace, traj, schedule, kernel, threshold, at_times=drift_times
+        )
+        tail_violation = max(tail_violation, tail_report.max_violation)
 
     drift_tests = []
     urn_tests = []
@@ -223,8 +207,8 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
             )
             for t in config.t_grid:
                 drift_tests.append(_drift_entry("cf", t, mg.drift_test(cf_inc[(t, n)], time=n)))
-        for size in config.urn_window_sizes:
-            chi = _chi_square_merged(urn_counts[size], betabinom_pmf_vector(size) * reps)
+        for size, hist in _urn_tallies(config, config.urn_window_sizes)[0]:
+            chi = _chi_square_merged(hist, betabinom_pmf_vector(size) * reps)
             urn_tests.append(
                 {
                     "name": f"urn_descendant_law:n={size}",
@@ -279,16 +263,18 @@ def _point_one_histogram(ancestors: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(counts, minlength=n + 1)
 
 
-def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
-    # Built only so that malformed kernel or bandwidth keys stay config errors.
-    config.schedule(), config.kernel()
+def _urn_tallies(config: ExperimentConfig, windows, anchor=None, horizon=None):
+    """Point 1's descendant-count histogram per window, as (n, counts)
+    pairs, and, given an anchor, each replication's anchor fraction at the
+    horizon.
+
+    Read off the ancestor streams alone, one block of replications at a
+    time, so memory stays bounded by ``BLOCK_ELEMENTS``.  One genealogy per
+    replication serves every window and the fraction.
+    """
     reps = config.replications
-    anchor = config.urn_anchor
-    horizon = config.steps if config.urn_fraction_horizon is None else config.urn_fraction_horizon
-    # One genealogy per replication serves every window and the fraction.
-    # The urn laws read no point, so no kernel variate is drawn.
-    length = max([2 * n for n in config.urn_window_sizes] + [1 if anchor is None else horizon])
-    counts = [(n, np.zeros(n + 1, dtype=np.int64)) for n in config.urn_window_sizes]
+    length = max([2 * n for n in windows] + [1 if anchor is None else horizon])
+    counts = [(n, np.zeros(n + 1, dtype=np.int64)) for n in windows]
     finals = np.empty(reps)
     for block in replication_blocks(range(reps), length):
         anc = ancestor_block(length, config.master_seed, block)
@@ -296,6 +282,17 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
             hist += _point_one_histogram(anc, n)
         if anchor is not None:
             finals[block.start : block.stop] = anchor_fractions(anc, anchor, horizon)
+    return counts, finals
+
+
+def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
+    # Built only so that malformed kernel or bandwidth keys stay config errors.
+    config.schedule(), config.kernel()
+    reps = config.replications
+    anchor = config.urn_anchor
+    horizon = config.steps if config.urn_fraction_horizon is None else config.urn_fraction_horizon
+    # The urn laws read no point, so no kernel variate is drawn.
+    counts, finals = _urn_tallies(config, config.urn_window_sizes, anchor, horizon)
     names = ("n", "k", "exact_pmf", "empirical_freq", "tail_exact", "tail_bound")
     table = {name: [] for name in names}
     chi_results = {}
@@ -444,24 +441,26 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
     summary_traces = {}
     h = config.config_hash()
     for t in config.t_grid:
-        trace = mg.cf_martingale_trace(traj, schedule, kernel, t)
+        start_n, corr = mg.cf_corrections(schedule, kernel, t, len(traj), config.flavor)
+        phi = cf_path(traj, schedule, kernel, t)
+        s_vals = corr * phi
         name = f"cf_trace_t{t:g}.csv"
         columns = {
             "step": range(1, len(traj) + 1),
             "U": tight.dominating.tolist(),
             "J": tight.running_mean.tolist(),
             "S": tight.martingale.tolist(),
-            "phi_re": trace.phi.real.tolist(),
-            "phi_im": trace.phi.imag.tolist(),
-            "S_re": trace.martingale.real.tolist(),
-            "S_im": trace.martingale.imag.tolist(),
+            "phi_re": phi.real.tolist(),
+            "phi_im": phi.imag.tolist(),
+            "S_re": s_vals.real.tolist(),
+            "S_im": s_vals.imag.tolist(),
         }
         write_csv(out_dir / name, _VERSION, h, columns)
         summary_traces[f"{t:g}"] = {
             "file": name,
-            "start_index": trace.start_n,
-            "correction_sup": trace.correction_sup(),
-            "martingale_modulus_sup": float(np.nanmax(np.abs(trace.martingale))),
+            "start_index": start_n,
+            "correction_sup": float(np.nanmax(np.abs(corr))),
+            "martingale_modulus_sup": float(np.nanmax(np.abs(s_vals))),
         }
     payload = {**_artifact_header(config), "traces": summary_traces}
     _write_json(out_dir / "cf_trace_summary.json", payload)

@@ -258,14 +258,14 @@ class KernelSpec:
         return float(0.5 / special.gamma(0.5) * (i1 + i2))
 
     def _squared_coord_laplace_transform(self, s: float) -> float:
-        """E[exp(-s Y_1^2)] for the heavy-tailed families."""
+        """E[exp(-s Y_1^2)] for the heavy-tailed families, in closed form."""
+        if s <= 0:
+            return 1.0
         if self.family == "laplace":
-            if s <= 0:
-                return 1.0
             x = 1.0 / (2.0 * sqrt(s))
             return float(0.5 * sqrt(pi / s) * special.erfcx(x))
+        # student_t: Gamma((nu+1)/2) / Gamma(nu/2) * U(1/2, 1 - nu/2, nu s),
+        # with U Tricomi's confluent hypergeometric function.
         nu = float(self.dof)
-        val, _ = integrate.quad(
-            lambda y: 2.0 * stats.t.pdf(y, nu) * np.exp(-s * y * y), 0.0, np.inf, limit=200
-        )
-        return float(val)
+        ratio = np.exp(special.gammaln(0.5 * (nu + 1.0)) - special.gammaln(0.5 * nu))
+        return float(ratio * special.hyperu(0.5, 1.0 - 0.5 * nu, nu * s))

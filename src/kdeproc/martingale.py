@@ -12,8 +12,9 @@ sum_{k>=n} c_k is a non-negative martingale.  The compensators are
 with E[W] the kernel's exact first norm moment, never estimated from the
 same path.
 
-**Characteristic-function traces.**  The predictive-mixture CF phi_n(t) times
-a correction built from the infinite product of the one-step growth factors
+**Characteristic-function traces.**  The predictive-mixture CF phi_n(t)
+(``process.cf_path``) times a correction (:func:`cf_corrections`) built
+from the infinite product of the one-step growth factors
 
     a_n(t) = phi_K(h_n t)/(n+1) + n/(n+1)          (shared bandwidth)
     a~_n(t) = phi_K(h_{n+1} t)/(n+1) + n/(n+1)     (frozen bandwidth)
@@ -32,9 +33,9 @@ import numpy as np
 from scipy import integrate
 
 from .bandwidth import BandwidthSchedule
-from .errors import NoEnvelope, ToleranceNotReached, TooFewReplications, ZeroDenominator, ZeroFactor
+from .errors import ToleranceNotReached, TooFewReplications, ZeroDenominator, ZeroFactor
 from .kernels import KernelSpec
-from .process import Trajectory, cf_path, dominating_path
+from .process import Trajectory, dominating_path
 
 DRIFT_FLAG_THRESHOLD = 4.0
 START_INDEX_FLOOR = 0.1
@@ -160,14 +161,25 @@ def tail_prob_bound_check(
 # ------------------------------------------------------------- CF factors
 
 
+def _factor_deviation(h_of, kernel: KernelSpec, t, n: np.ndarray, flavor: str) -> np.ndarray:
+    """a_n(t) - 1 = (phi_K(h_{n+s} t) - 1)/(n + 1) at the indices n, with the
+    flavor shift s (0 shared, 1 frozen) and h_{n+s} = h_of(n + s), kept in
+    cancellation-free form."""
+    shift = 0.0 if flavor == "kde" else 1.0
+    return kernel.cf_scaled_minus_one(t, h_of(n + shift)) / (n + 1.0)
+
+
 def factor_values(
     schedule: BandwidthSchedule, kernel: KernelSpec, t, n_lo: int, n_hi: int, flavor: str
 ) -> np.ndarray:
-    """Growth factors for n = n_lo..n_hi, vectorized."""
+    """Growth factors for n = n_lo..n_hi, vectorized, on the bandwidths the
+    trajectories apply (``schedule.values``)."""
+
+    def applied(k):  # k runs over consecutive integers
+        return schedule.values(int(k[-1]), start=int(k[0]))
+
     n = np.arange(n_lo, n_hi + 1, dtype=float)
-    shift = 0 if flavor == "kde" else 1
-    h = schedule.values(n_hi + shift)[n_lo - 1 + shift :]
-    return 1.0 + kernel.cf_scaled_minus_one(t, h) / (n + 1.0)
+    return 1.0 + _factor_deviation(applied, kernel, t, n, flavor)
 
 
 def start_index(
@@ -212,10 +224,8 @@ def product_tail_bound(
     """Summable bound on sum_{k>=from_n} |factor_k - 1|.
 
     |a_k - 1| <= h_k kappa / (k+1) (shared) or h_{k+1} kappa / (k+1)
-    (frozen); both sums have closed-to-1e-12 evaluations per schedule form.
+    (frozen); both sums have closed-to-1e-12 evaluations per bandwidth form.
     """
-    if schedule.form == "table":
-        raise NoEnvelope("tail certification needs a power-law bandwidth envelope")
     kappa = lemma_constant(kernel, t)
     if flavor == "kde":
         return kappa * schedule.tail_weight_kde(from_n)
@@ -249,25 +259,12 @@ def _log1p_complex(w: np.ndarray) -> np.ndarray:
 
 def _log_factor_fn(schedule: BandwidthSchedule, kernel: KernelSpec, t, flavor: str):
     t = np.asarray(t, dtype=float)
-    shift = 0.0 if flavor == "kde" else 1.0
-    if schedule.form == "power":
-        c, delta = schedule.c, schedule.delta
-
-        def h_of(x):
-            return c * (x + shift) ** (-delta)
-
-    else:
-        rate = schedule.rate
-
-        def h_of(x):
-            return np.exp(-rate * (x + shift))
 
     def log_factor(x):
-        # factor = 1 + (phi_K(h t) - 1)/(x + 1); the deviation is kept in
-        # cancellation-free form end to end.
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        w = kernel.cf_scaled_minus_one(t, h_of(x)) / (x + 1.0)
+        # Past the horizon, at real x, h is the unclamped law.
+        w = _factor_deviation(schedule.law, kernel, t, x, flavor)
         if np.any(w == -1.0):
             raise ZeroFactor("a growth factor vanished; start the product later")
         out = _log1p_complex(w)
@@ -356,47 +353,7 @@ def _euler_maclaurin_tail(f, start: int, schedule: BandwidthSchedule) -> tuple[c
     return remainder, float(err)
 
 
-# ------------------------------------------------------------- CF traces
-
-
-@dataclass(frozen=True)
-class CFMartingaleTrace:
-    """Mixture CF, product corrections and corrected values.
-
-    Entry i of each array corresponds to time n = i + 1; entries before
-    ``start_n`` (where the correction would divide by a small CF value) are
-    NaN.  ``martingale[i] = correction[i] * phi[i]``.
-    """
-
-    flavor: str
-    phi: np.ndarray
-    correction: np.ndarray
-    martingale: np.ndarray
-    start_n: int
-
-    def correction_sup(self) -> float:
-        """sup of |correction| over the traced horizon (the bound the
-        shared-bandwidth martingale must respect)."""
-        return float(np.nanmax(np.abs(self.correction)))
-
-
-def cf_martingale_trace(
-    traj: Trajectory,
-    schedule: BandwidthSchedule,
-    kernel: KernelSpec,
-    t,
-) -> CFMartingaleTrace:
-    """Trace the corrected CF martingale along one trajectory."""
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), (traj.dim,))
-    start_n, correction = cf_corrections(schedule, kernel, t_arr, len(traj), traj.flavor)
-    phi = cf_path(traj, schedule, kernel, t_arr)
-    return CFMartingaleTrace(
-        flavor=traj.flavor,
-        phi=phi,
-        correction=correction,
-        martingale=correction * phi,
-        start_n=start_n,
-    )
+# -------------------------------------------------------- CF corrections
 
 
 def cf_corrections(
@@ -409,8 +366,9 @@ def cf_corrections(
     """(start_n, correction array for n = 1..n_max) -- the deterministic part
     of the CF martingale, reusable across replications.
 
-    Entries before ``start_n`` are NaN; a scalar t is broadcast to the kernel
-    dimension, as in :func:`cf_path`.
+    The martingale along a trajectory is ``correction * process.cf_path(traj,
+    schedule, kernel, t)``.  Entries before ``start_n`` are NaN; a scalar t
+    is broadcast to the kernel dimension, as in ``cf_path``.
     """
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
     start_n = start_index(schedule, kernel, t_arr, max_scan=n_max)

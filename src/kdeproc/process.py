@@ -417,9 +417,11 @@ def dominating_path(traj: Trajectory) -> np.ndarray:
     """Pathwise dominating process: chain sums of h * ||kernel draw||.
 
     Entry p bounds ||point p|| from above (triangle inequality along the
-    ancestry).  Requires full genealogy, so seeded trajectories are rejected.
+    ancestry).  Requires full genealogy, so any trajectory with injected
+    data points is rejected: even one data point roots the chains away from
+    the origin.
     """
-    if traj.seed_prefix_len > 1:
+    if traj.seed_prefix_len:
         raise MissingGenealogy("dominating path needs ancestry for every point")
     norm_inc = traj.steps_h * np.linalg.norm(traj.kernel_draws, axis=1)
     return chain_sum(np.zeros(1), traj.ancestors - 1, norm_inc)

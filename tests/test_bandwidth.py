@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdeproc import BandwidthSchedule, default_delta
-from kdeproc.errors import IndexBeyondTable
+from kdeproc.errors import IndexBeyondTable, NoEnvelope
 
 
 class TestValues:
@@ -43,6 +45,23 @@ class TestValues:
             s.values(5, start=6)
         with pytest.raises(ValueError):
             s.values(0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        form=st.sampled_from(["power", "exponential", "table"]),
+        param=st.floats(0.01, 3.0),
+        n=st.integers(1, 3000),
+        extra=st.integers(0, 3000),
+    )
+    def test_at_reads_values(self, form, param, n, extra):
+        m = n + extra
+        if form == "power":
+            s = BandwidthSchedule.power(1.0 + param, param / 3.0)
+        elif form == "exponential":
+            s = BandwidthSchedule.exponential(param)
+        else:
+            s = BandwidthSchedule.from_table(np.linspace(param, param / 7.0, m))
+        assert s.at(n) == s.values(m)[n - 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -114,11 +133,6 @@ class TestTailSums:
         brute = _brute_tail(lambda k: np.exp(-0.05 * k) / (k + 1.0), n, 10**5)
         assert s.tail_weight_kde(n) == pytest.approx(brute, rel=1e-12)
 
-    def test_kde_tail_table(self):
-        s = BandwidthSchedule.from_table([1.0, 0.5, 0.25])
-        assert s.tail_weight_kde(2) == pytest.approx(0.5 / 3 + 0.25 / 4, rel=1e-15)
-        assert s.tail_weight_kde(4) == 0.0
-
     def test_recursive_tail_brute_force(self):
         c, delta, n = 1.3, 0.45, 7
         s = BandwidthSchedule.power(c, delta)
@@ -148,12 +162,6 @@ class TestTailSums:
         h_inf = np.exp(-0.2) / (1 - np.exp(-0.2))
         assert s.tail_weight_recursive(n) == pytest.approx(brute + h_inf / (K + 1), rel=1e-9)
 
-    def test_recursive_tail_table(self):
-        s = BandwidthSchedule.from_table([1.0, 0.5])
-        expected = 1.0 / (1 * 2) + 1.5 / (2 * 3)
-        assert s.tail_weight_recursive(1) == pytest.approx(expected, rel=1e-15)
-        assert s.tail_weight_recursive(3) == 0.0
-
     def test_shifted_tail_power_closed_form(self):
         s = BandwidthSchedule.power(2.0, 0.5)
         n = 9
@@ -161,10 +169,21 @@ class TestTailSums:
         assert s.tail_weight_shifted(n) == pytest.approx(brute, rel=1e-3)
         assert s.tail_weight_shifted(n) > brute
 
-    def test_shifted_tail_exponential_and_table(self):
+    def test_shifted_tail_exponential(self):
         s = BandwidthSchedule.exponential(0.3)
         brute = _brute_tail(lambda k: np.exp(-0.3 * (k + 1.0)) / (k + 1.0), 2, 10**4)
         assert s.tail_weight_shifted(2) == pytest.approx(brute, rel=1e-12)
-        st = BandwidthSchedule.from_table([1.0, 0.5, 0.25])
-        assert st.tail_weight_shifted(1) == pytest.approx(0.5 / 2 + 0.25 / 3, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "tail", ["tail_weight_kde", "tail_weight_shifted", "tail_weight_recursive"]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_table_has_no_tail(self, tail, n):
+        # A table ends, so nothing past it can be certified, inside or past
+        # its last entry.
+        s = BandwidthSchedule.from_table([1.0, 0.5, 0.25])
+        with pytest.raises(NoEnvelope, match="power-law bandwidth envelope"):
+            getattr(s, tail)(n)
+        with pytest.raises(NoEnvelope):
+            s.law(1.0)
 

@@ -66,7 +66,7 @@ class TestDeterminism:
         traj = simulate_replication(cfg, 2)
         from kdeproc.process import write_trajectory_csv
 
-        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.1", cfg.config_hash())
+        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.2", cfg.config_hash())
         expected = (tmp_path / "sim" / "trajectory_00002.csv").read_bytes()
         assert (tmp_path / "solo.csv").read_bytes() == expected
 
@@ -101,7 +101,7 @@ class TestRunModes:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert data == payload
-        assert data["version"] == "0.1.1"
+        assert data["version"] == "0.1.2"
         assert data["config_hash"] == cfg.config_hash()
 
     def test_diagnose_skips_drift_below_minimum_replications(self, tmp_path):
@@ -127,15 +127,22 @@ class TestRunModes:
         with pytest.raises(ConfigError, match="ancestry"):
             run(cfg, "cf-trace")
 
-    def test_diagnose_rejects_window_beyond_run(self, tmp_path):
-        # The urn checks count descendants on the run's own trajectories,
-        # which cannot hold a window (n, 2n] with 2n > run.steps.
+    def test_diagnose_urn_statistics_match_urn_mode(self, tmp_path):
+        # Both modes count windows on the ancestor streams alone, so a window
+        # (n, 2n] past run.steps is counted, and counted the same way.
         cfg = ExperimentConfig(
-            steps=20, replications=100, drift_times=(10,), urn_window_sizes=(2, 11),
-            base_dir=str(tmp_path),
+            steps=20, replications=100, master_seed=9, drift_times=(10,),
+            urn_window_sizes=(2, 11), base_dir=str(tmp_path),
         )
-        with pytest.raises(ConfigError, match="urn.window_sizes"):
-            run(cfg, "diagnose")
+        diag = run(cfg.with_overrides(output_dir="diag"), "diagnose")
+        urn = run(cfg.with_overrides(output_dir="urn"), "urn")
+        assert [e["name"] for e in diag["urn_tests"]] == [
+            "urn_descendant_law:n=2", "urn_descendant_law:n=11"
+        ]
+        for entry, n in zip(diag["urn_tests"], (2, 11)):
+            assert entry["chi_square"] == urn["chi_square"][str(n)]["statistic"]
+            assert entry["statistic"] == urn["chi_square"][str(n)]["p_value"]
+            assert entry["bins"] == urn["chi_square"][str(n)]["bins"]
 
     @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
     def test_first_moment_evaluated_once_per_run(self, tmp_path, monkeypatch, mode):
@@ -242,7 +249,7 @@ class TestMultivariate:
 
         from kdeproc import DrawStreams, simulate
         from kdeproc import martingale as mg
-        from kdeproc.process import predictive_mixture
+        from kdeproc.process import cf_path, predictive_mixture
 
         cfg = ExperimentConfig(
             kernel_dimension=2, steps=400, replications=2, master_seed=37, base_dir=str(tmp_path)
@@ -254,8 +261,8 @@ class TestMultivariate:
         assert mix.prob([-np.inf, -np.inf], [np.inf, np.inf]) == pytest.approx(1.0)
         t = np.array([0.8, -0.4])
         assert abs(mix.cf(t)) <= 1.0
-        trace = mg.cf_martingale_trace(traj, schedule, kernel, t)
-        assert np.isfinite(trace.martingale[-1].real)
+        _, corr = mg.cf_corrections(schedule, kernel, t, cfg.steps, cfg.flavor)
+        assert np.isfinite((corr * cf_path(traj, schedule, kernel, t))[-1].real)
         tight = mg.tightness_trace(traj, schedule, kernel.norm_mean)
         assert np.all(tight.martingale >= tight.running_mean)
         report = mg.tail_prob_bound_check(
@@ -343,6 +350,10 @@ class TestPosterior:
             run(cfg, "posterior")
 
 
+_TABLE = "bandwidth.form = table\nbandwidth.table_path = obs.txt\n"
+_NO_ENVELOPE = "error: tail certification needs a power-law bandwidth envelope"
+
+
 class TestCli:
     def test_end_to_end(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
@@ -375,13 +386,19 @@ class TestCli:
             ("simulate", "kernel.family = student_t\nkernel.dof = inf\n", None, "dof"),
             ("diagnose", "diagnostics.tail_threshold_factor = -1\n", None, "tail_threshold_factor"),
             ("diagnose", "kernel.family = laplace\n", None, "kernel.dimension"),
+            ("posterior", "posterior.box_lo = nan\nposterior.box_hi = 1\n", None,
+             "posterior.box_lo"),
+            ("diagnose", "diagnostics.t_grid = 1, nan\n", None, "diagnostics.t_grid"),
+            ("diagnose", _TABLE, "0.5\n" * 30, _NO_ENVELOPE),
+            ("cf-trace", _TABLE, "0.5\n" * 30, _NO_ENVELOPE),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
             "urn-window-0", "urn-anchor-1", "urn-horizon-below-anchor", "urn-anchor-beyond-steps",
             "urn-horizon-0", "cf-start-index-out-of-scan", "bandwidth-C-nan",
             "bandwidth-delta-inf", "bandwidth-rate-nan", "student-t-dof-inf",
-            "negative-tail-factor", "diagnose-laplace-d2",
+            "negative-tail-factor", "diagnose-laplace-d2", "box-lo-nan", "t-grid-nan",
+            "diagnose-table", "cf-trace-table",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):

@@ -55,9 +55,12 @@ class TestTightnessTrace:
         assert np.all(trace.tail[:-1] >= trace.tail[1:])  # tails decrease
         assert trace.tail[-1] < trace.tail[0]
 
-    def test_seeded_prefix_rejected(self):
+    @pytest.mark.parametrize("prefix", [[5.0], [1.0, 2.0]], ids=["one-point", "two-point"])
+    def test_seeded_prefix_rejected(self, prefix):
+        # Even one data point roots every chain at it instead of the origin,
+        # so U_p would not bound ||x_p||.
         streams = DrawStreams.from_seed(3, 0)
-        traj = simulate("kde", SCHED, GAUSS, 30, streams, data_prefix=[1.0, 2.0])
+        traj = simulate("kde", SCHED, GAUSS, 30, streams, data_prefix=prefix)
         with pytest.raises(MissingGenealogy):
             mg.tightness_trace(traj, SCHED, 1.0)
 
@@ -260,37 +263,42 @@ class TestLemmaProduct:
         assert abs(res.value - np.exp(np.sum(f(k)))) < 1e-10
 
 
+def cf_martingale(traj, schedule, kernel, t):
+    """(start_n, correction, phi, martingale) composed as the run modes do."""
+    start_n, corr = mg.cf_corrections(schedule, kernel, t, len(traj), traj.flavor)
+    phi = cf_path(traj, schedule, kernel, t)
+    return start_n, corr, phi, corr * phi
+
+
 class TestCfMartingaleTrace:
     def test_t_zero_is_identically_one(self):
         streams = DrawStreams.from_seed(7, 0)
         traj = simulate("kde", SCHED, GAUSS, 50, streams)
-        trace = mg.cf_martingale_trace(traj, SCHED, GAUSS, 0.0)
-        np.testing.assert_array_equal(trace.martingale, np.ones(50, dtype=complex))
+        _, _, _, mart = cf_martingale(traj, SCHED, GAUSS, 0.0)
+        np.testing.assert_array_equal(mart, np.ones(50, dtype=complex))
 
     def test_single_point_cf(self):
         traj = simulate("kde", SCHED, GAUSS, 1)
-        trace = mg.cf_martingale_trace(traj, SCHED, GAUSS, 1.0)
-        assert trace.phi[0] == pytest.approx(np.exp(-0.5), abs=1e-14)
+        _, _, phi, _ = cf_martingale(traj, SCHED, GAUSS, 1.0)
+        assert phi[0] == pytest.approx(np.exp(-0.5), abs=1e-14)
 
     def test_recursive_bounded_by_one(self):
         streams = DrawStreams.from_seed(8, 0)
         traj = simulate("recursive", SCHED, GAUSS, 10**4, streams)
-        trace = mg.cf_martingale_trace(traj, SCHED, GAUSS, 1.0)
-        assert float(np.nanmax(np.abs(trace.martingale))) <= 1.0 + 1e-10
-        assert float(np.nanmax(np.abs(trace.correction))) <= 1.0 + 1e-10
+        _, corr, _, mart = cf_martingale(traj, SCHED, GAUSS, 1.0)
+        assert float(np.nanmax(np.abs(mart))) <= 1.0 + 1e-10
+        assert float(np.nanmax(np.abs(corr))) <= 1.0 + 1e-10
 
     def test_kde_bounded_by_correction_sup(self):
         streams = DrawStreams.from_seed(9, 0)
         traj = simulate("kde", SCHED, GAUSS, 2000, streams)
-        trace = mg.cf_martingale_trace(traj, SCHED, GAUSS, 2.0)
-        sup_c = trace.correction_sup()
-        assert float(np.nanmax(np.abs(trace.martingale))) <= sup_c + 1e-10
+        _, corr, _, mart = cf_martingale(traj, SCHED, GAUSS, 2.0)
+        sup_c = float(np.nanmax(np.abs(corr)))
+        assert float(np.nanmax(np.abs(mart))) <= sup_c + 1e-10
 
     def test_correction_approaches_one(self):
-        streams = DrawStreams.from_seed(10, 0)
-        traj = simulate("recursive", SCHED, GAUSS, 5000, streams)
-        trace = mg.cf_martingale_trace(traj, SCHED, GAUSS, 1.0)
-        gaps = np.abs(trace.correction - 1.0)
+        _, corr = mg.cf_corrections(SCHED, GAUSS, 1.0, 5000, "recursive")
+        gaps = np.abs(corr - 1.0)
         checkpoints = np.array([10, 100, 1000, 4999]) - 1
         vals = gaps[checkpoints]
         assert all(x > y for x, y in zip(vals, vals[1:]))
@@ -318,23 +326,12 @@ class TestCfMartingaleTrace:
         traj = simulate("recursive", SCHED, lap, 800, streams)
         tight = mg.tightness_trace(traj, SCHED, lap.norm_mean)
         assert np.all(tight.martingale >= tight.running_mean)
-        trace = mg.cf_martingale_trace(traj, SCHED, lap, 1.5)
-        assert float(np.nanmax(np.abs(trace.martingale))) <= 1.0 + 1e-10
+        _, _, _, mart = cf_martingale(traj, SCHED, lap, 1.5)
+        assert float(np.nanmax(np.abs(mart))) <= 1.0 + 1e-10
         bound = mg.tail_prob_bound_check(
             tight, traj, SCHED, lap, threshold=10 * tight.running_mean[-1], at_times=[500]
         )
         assert bound.passed
-
-    @pytest.mark.parametrize("kernel", [GAUSS, KernelSpec("gaussian", dim=3)], ids=["d1", "d3"])
-    def test_traces_match_corrections_helper(self, kernel):
-        streams = DrawStreams.from_seed(11, 0)
-        traj = simulate("kde", SCHED, kernel, 300, streams)
-        trace = mg.cf_martingale_trace(traj, SCHED, kernel, 1.5)
-        start, corr = mg.cf_corrections(SCHED, kernel, 1.5, 300, "kde")
-        assert start == trace.start_n
-        np.testing.assert_allclose(corr, trace.correction, atol=1e-12)
-        phi = cf_path(traj, SCHED, kernel, 1.5)
-        np.testing.assert_allclose(trace.martingale, corr * phi, atol=1e-14)
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     @pytest.mark.parametrize("kernel", [GAUSS, KernelSpec("laplace")], ids=["gaussian", "laplace"])
@@ -367,12 +364,7 @@ class TestCfMartingaleTrace:
 
     def test_start_index_beyond_horizon_rejected(self):
         with pytest.raises(ZeroDenominator):
-            mg.cf_martingale_trace(
-                simulate("kde", SCHED, HALF, 5, DrawStreams.from_seed(1, 1)),
-                SCHED,
-                HALF,
-                20.0,
-            )
+            mg.cf_corrections(SCHED, HALF, 20.0, 5, "kde")
 
 
 class TestOneStepIdentities:
