@@ -22,6 +22,7 @@ from .process import (
     Trajectory,
     ancestor_block,
     cf_path,
+    dominating_path,
     predictive_mixture,
     replication_blocks,
     simulate_batch,
@@ -70,26 +71,9 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _drift_entry(kind: str, t, result: mg.DriftTestResult) -> dict:
-    name = f"drift:{kind}:n={result.time}"
-    if t is not None:
-        name += f":t={t:g}"
-    return {
-        "name": name,
-        "statistic": result.max_abs_z,
-        "threshold": mg.DRIFT_FLAG_THRESHOLD,
-        "passed": result.passed,
-        "replications": result.replications,
-        "mean_re": result.mean_re,
-        "se_re": result.se_re,
-        "z_re": result.z_re,
-        "mean_im": result.mean_im,
-        "se_im": result.se_im,
-        "z_im": result.z_im,
-    }
-
-
 def _bound_entry(name: str, statistic: float, threshold: float, **details) -> dict:
+    """A check entry: it passes when its statistic is at most its threshold,
+    so a NaN statistic fails."""
     return {
         "name": name,
         "statistic": float(statistic),
@@ -128,20 +112,38 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
     return payload
 
 
-def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
+def _martingale_setup(config: ExperimentConfig, mode: str):
+    """Schedule, kernel and each t's ``cf_corrections`` for the martingale
+    modes, after the guards both share."""
     if not config.t_grid:
-        raise ConfigError("CF diagnostics need a non-empty diagnostics.t_grid")
+        raise ConfigError(f"{mode} mode needs a non-empty diagnostics.t_grid")
     if config.data_path is not None:
         raise ConfigError(
-            "diagnose mode needs fully generated trajectories; injected data "
+            f"{mode} mode needs fully generated trajectories; injected data "
             "points carry no ancestry for the dominating-chain traces"
         )
+    if config.steps < 2:
+        raise ConfigError(f"{mode} mode needs run.steps >= 2, got {config.steps}")
     schedule = config.schedule()
     kernel = config.kernel()
-    if not kernel.has_norm_survival:
+    corrections = [
+        mg.cf_corrections(schedule, kernel, t, config.steps, config.flavor)
+        for t in config.t_grid
+    ]
+    return schedule, kernel, corrections
+
+
+def _dominating_mean(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """U, the dominating chain sums of a trajectory, and J, their running mean."""
+    u = dominating_path(traj)
+    return u, np.cumsum(u) / np.arange(1, len(u) + 1, dtype=float)
+
+
+def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
+    if not config.kernel().has_norm_survival:
         raise ConfigError(
             "diagnose mode needs the norm law of the kernel for its tail bound check; "
-            f"{kernel.family} has one only at kernel.dimension = 1"
+            f"{config.kernel_family} has one only at kernel.dimension = 1"
         )
     flavor = config.flavor
     n_pts = config.steps
@@ -149,64 +151,67 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     drift_times = [n for n in config.drift_times if n < n_pts]
     if config.drift_times and not drift_times:
         raise ConfigError("all diagnostics.drift_times lie beyond run.steps - 1")
+    schedule, kernel, corrections = _martingale_setup(config, "diagnose")
     checkpoints = list(config.checkpoints) or [
         max(1, n_pts // 10), max(1, n_pts // 4), max(1, n_pts // 2)
     ]
     can_drift = reps >= 100
-    ew1 = kernel.norm_mean
-    corrections = {t: mg.cf_corrections(schedule, kernel, t, n_pts, flavor) for t in config.t_grid}
+    comp = mg.compensator_values(flavor, schedule, kernel.norm_mean, n_pts - 1)
     cf_bound = (
         1.0
         if flavor == "recursive"
-        else max(float(np.nanmax(np.abs(c))) for _, c in corrections.values())
+        else max(float(np.nanmax(np.abs(c))) for _, c in corrections)
     )
 
-    # Per-replication martingale increments S_{n+1} - S_n at each drift time.
-    tight_inc = {n: np.empty(reps) for n in drift_times}
-    cf_inc = {(t, n): np.empty(reps, dtype=complex) for t in config.t_grid for n in drift_times}
-    cf_dist = {n: np.empty(reps) for n in checkpoints}
+    # Per-replication martingale increments S_{n+1} - S_n and Markov tail
+    # excesses at each drift time, indexed [drift time, replication] and
+    # [t, drift time, replication].
+    times = np.array(drift_times, dtype=np.int64)
+    tight_inc = np.empty((times.size, reps))
+    cf_inc = np.empty((len(config.t_grid), times.size, reps), dtype=complex)
+    cf_dist = np.empty((len(checkpoints), reps))
     radii = np.empty(reps)
+    tail_excess = np.empty((times.size, reps))
     dominance_violation = -np.inf
     cf_bound_worst = -np.inf
-    tail_violation = -np.inf
 
     trajectories = simulate_batch(flavor, schedule, kernel, n_pts, config.master_seed, range(reps))
     for r, traj in enumerate(trajectories):
-        trace = mg.tightness_trace(traj, schedule, ew1)
+        u, j = _dominating_mean(traj)
         norms = np.linalg.norm(traj.points, axis=1)
         radii[r] = float(np.max(norms))
-        dominance_violation = max(dominance_violation, float(np.max(norms - trace.dominating)))
-        j, comp = trace.running_mean, trace.compensators
-        for n in drift_times:
-            # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
-            tight_inc[n][r] = j[n] - j[n - 1] - comp[n - 1]
-        phis = {t: cf_path(traj, schedule, kernel, t) for t in config.t_grid}
-        for t in config.t_grid:
-            start_n, corr = corrections[t]
-            s_vals = corr * phis[t]
+        dominance_violation = max(dominance_violation, float(np.max(norms - u)))
+        # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
+        tight_inc[:, r] = j[times] - j[times - 1] - comp[times - 1]
+        phis = [cf_path(traj, schedule, kernel, t) for t in config.t_grid]
+        for i, ((_, corr), phi) in enumerate(zip(corrections, phis)):
+            s_vals = corr * phi
             cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
-            for n in drift_times:
-                cf_inc[(t, n)][r] = s_vals[n] - s_vals[n - 1]
-        for n in checkpoints:
-            cf_dist[n][r] = max(
-                abs(phis[t][n - 1] - phis[t][n_pts - 1]) for t in config.t_grid
-            )
-        threshold = config.tail_threshold_factor * max(trace.running_mean[-1], 1e-12)
-        tail_report = mg.tail_prob_bound_check(
-            trace, traj, schedule, kernel, threshold, at_times=drift_times
+            cf_inc[i, :, r] = s_vals[times] - s_vals[times - 1]
+        for k, n in enumerate(checkpoints):
+            cf_dist[k, r] = max(abs(phi[n - 1] - phi[n_pts - 1]) for phi in phis)
+        threshold = config.tail_threshold_factor * max(j[-1], 1e-12)
+        tail_mass, bound = mg.tail_prob_bound_check(
+            flavor, u, j, schedule, kernel, threshold, at_times=times
         )
-        tail_violation = max(tail_violation, tail_report.max_violation)
+        tail_excess[:, r] = tail_mass - bound
 
     drift_tests = []
     urn_tests = []
     notes = {}
     if can_drift:
-        for n in drift_times:
-            drift_tests.append(
-                _drift_entry("tightness", None, mg.drift_test(tight_inc[n], time=n))
-            )
-            for t in config.t_grid:
-                drift_tests.append(_drift_entry("cf", t, mg.drift_test(cf_inc[(t, n)], time=n)))
+        for k, n in enumerate(drift_times):
+            tested = [(f"drift:tightness:n={n}", tight_inc[k])]
+            for i, (t, (start_n, _)) in enumerate(zip(config.t_grid, corrections)):
+                name = f"drift:cf:n={n}:t={t:g}"
+                if n < start_n:  # the correction, so S, is NaN before start_n
+                    notes[name] = f"skipped: n={n} lies before the CF start index {start_n}"
+                else:
+                    tested.append((name, cf_inc[i, k]))
+            drift_tests += [
+                _bound_entry(name, threshold=mg.DRIFT_FLAG_THRESHOLD, **mg.drift_test(inc))
+                for name, inc in tested
+            ]
         for size, hist in _urn_tallies(config, config.urn_window_sizes)[0]:
             chi = _chi_square_merged(hist, betabinom_pmf_vector(size) * reps)
             urn_tests.append(
@@ -223,7 +228,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
         notes["drift_tests"] = f"skipped: replications={reps} below the minimum of 100"
         if config.urn_window_sizes:
             notes["urn_tests"] = f"skipped: replications={reps} below the minimum of 100"
-    means = [float(np.mean(cf_dist[n])) for n in checkpoints]
+    means = [float(np.mean(dist)) for dist in cf_dist]
     increases = [b - a for a, b in zip(means, means[1:])]
     payload = {
         **_artifact_header(config),
@@ -237,16 +242,19 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
                 modulus_sup=cf_bound_worst,
                 allowed=cf_bound,
             ),
-            _bound_entry("dominating_tail_markov", tail_violation, mg.TAIL_BOUND_TOLERANCE),
+            _bound_entry(
+                "dominating_tail_markov",
+                float(np.max(tail_excess)) if times.size else 0.0,
+                mg.TAIL_BOUND_TOLERANCE,
+            ),
         ],
-        "cf_convergence": {
-            "name": "cf_distance_to_final",
-            "checkpoints": checkpoints,
-            "mean_distance": means,
-            "statistic": max(increases) if increases else 0.0,
-            "threshold": 0.0,
-            "passed": all(inc <= 0 for inc in increases),
-        },
+        "cf_convergence": _bound_entry(
+            "cf_distance_to_final",
+            max(increases) if increases else 0.0,
+            0.0,
+            checkpoints=checkpoints,
+            mean_distance=means,
+        ),
         "urn_tests": urn_tests,
         "support_radius_estimate": float(np.max(radii)),
         "support_radius_mean": float(np.mean(radii)),
@@ -286,8 +294,6 @@ def _urn_tallies(config: ExperimentConfig, windows, anchor=None, horizon=None):
 
 
 def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
-    # Built only so that malformed kernel or bandwidth keys stay config errors.
-    config.schedule(), config.kernel()
     reps = config.replications
     anchor = config.urn_anchor
     horizon = config.steps if config.urn_fraction_horizon is None else config.urn_fraction_horizon
@@ -425,31 +431,24 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
-    if not config.t_grid:
-        raise ConfigError("cf-trace mode needs a non-empty diagnostics.t_grid")
-    if config.data_path is not None:
-        raise ConfigError(
-            "cf-trace mode needs a fully generated trajectory; injected data "
-            "points carry no ancestry for the dominating-chain columns"
-        )
-    schedule = config.schedule()
-    kernel = config.kernel()
+    schedule, kernel, corrections = _martingale_setup(config, "cf-trace")
+    n_pts = config.steps
     traj = next(simulate_batch(
-        config.flavor, schedule, kernel, config.steps, config.master_seed, range(1)
+        config.flavor, schedule, kernel, n_pts, config.master_seed, range(1)
     ))
-    tight = mg.tightness_trace(traj, schedule, kernel.norm_mean)
+    u, j = _dominating_mean(traj)
+    tight = j + mg.compensator_tails(config.flavor, schedule, kernel.norm_mean, n_pts)
     summary_traces = {}
     h = config.config_hash()
-    for t in config.t_grid:
-        start_n, corr = mg.cf_corrections(schedule, kernel, t, len(traj), config.flavor)
+    for t, (start_n, corr) in zip(config.t_grid, corrections):
         phi = cf_path(traj, schedule, kernel, t)
         s_vals = corr * phi
         name = f"cf_trace_t{t:g}.csv"
         columns = {
-            "step": range(1, len(traj) + 1),
-            "U": tight.dominating.tolist(),
-            "J": tight.running_mean.tolist(),
-            "S": tight.martingale.tolist(),
+            "step": range(1, n_pts + 1),
+            "U": u.tolist(),
+            "J": j.tolist(),
+            "S": tight.tolist(),
             "phi_re": phi.real.tolist(),
             "phi_im": phi.imag.tolist(),
             "S_re": s_vals.real.tolist(),

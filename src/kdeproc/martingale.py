@@ -1,10 +1,14 @@
-"""Martingale traces along simulated trajectories and their drift tests.
+"""The deterministic parts of two martingales, and their drift statistics.
 
-Two constructions are covered.
+Each martingale is a path computed per trajectory (in ``process``) composed
+with a deterministic part computed once per run here.  The functions return
+plain numbers and arrays; whether a statistic passes is decided by the run
+mode that compares it with its threshold.
 
-**Tightness traces.**  The dominating chain sums U_n bound the point norms
-pathwise; their running mean J_n plus the deterministic compensator tail
-sum_{k>=n} c_k is a non-negative martingale.  The compensators are
+**Tightness.**  The dominating chain sums U_n (``process.dominating_path``)
+bound the point norms pathwise; their running mean J_n plus the
+deterministic compensator tail sum_{k>=n} c_k (:func:`compensator_tails`) is
+a non-negative martingale.  The compensators are
 
     c_n = h_n E[W] / (n+1)                         (shared bandwidth)
     c_n = (sum_{i<=n} h_i) E[W] / (n (n+1))        (frozen bandwidth)
@@ -12,7 +16,7 @@ sum_{k>=n} c_k is a non-negative martingale.  The compensators are
 with E[W] the kernel's exact first norm moment, never estimated from the
 same path.
 
-**Characteristic-function traces.**  The predictive-mixture CF phi_n(t)
+**Characteristic function.**  The predictive-mixture CF phi_n(t)
 (``process.cf_path``) times a correction (:func:`cf_corrections`) built
 from the infinite product of the one-step growth factors
 
@@ -35,7 +39,6 @@ from scipy import integrate
 from .bandwidth import BandwidthSchedule
 from .errors import ToleranceNotReached, TooFewReplications, ZeroDenominator, ZeroFactor
 from .kernels import KernelSpec
-from .process import Trajectory, dominating_path
 
 DRIFT_FLAG_THRESHOLD = 4.0
 START_INDEX_FLOOR = 0.1
@@ -45,23 +48,6 @@ TAIL_BOUND_TOLERANCE = 1e-10
 
 
 # --------------------------------------------------------------- tightness
-
-
-@dataclass(frozen=True)
-class TightnessTrace:
-    """Dominating path, running mean, compensators and compensated martingale.
-
-    Arrays are 1-based in spirit: entry i corresponds to time n = i + 1.
-    ``compensators`` covers n = 1..N-1, the rest cover n = 1..N, and
-    ``tail[i]`` is sum_{k >= i+1} c_k computed to ~1e-10 relative accuracy.
-    """
-
-    flavor: str
-    dominating: np.ndarray
-    running_mean: np.ndarray
-    compensators: np.ndarray
-    tail: np.ndarray
-    martingale: np.ndarray
 
 
 def compensator_values(
@@ -75,87 +61,60 @@ def compensator_values(
     return np.cumsum(h) * ew1 / (n * (n + 1.0))
 
 
-def compensator_tail(flavor: str, schedule: BandwidthSchedule, ew1: float, n: int) -> float:
-    """sum_{k>=n} c_k."""
+def compensator_tails(
+    flavor: str, schedule: BandwidthSchedule, ew1: float, n_max: int
+) -> np.ndarray:
+    """sum_{k>=n} c_k for n = 1..n_max -- the deterministic part of the
+    tightness martingale, reusable across replications.
+
+    The martingale along a trajectory is J + tail, with J the running mean of
+    ``process.dominating_path``.  The sum past n_max comes from the
+    schedule's closed-form tail weights (~1e-10 relative accuracy).
+    """
     if flavor == "kde":
-        return ew1 * schedule.tail_weight_kde(n)
-    return ew1 * schedule.tail_weight_recursive(n)
-
-
-def tightness_trace(traj: Trajectory, schedule: BandwidthSchedule, ew1: float) -> TightnessTrace:
-    """Build the compensated trace for a fully recorded trajectory."""
-    if len(traj) < 2:
-        raise ValueError("trace needs a trajectory of length >= 2")
-    n_pts = len(traj)
-    dominating = dominating_path(traj)  # raises MissingGenealogy on seeded paths
-    running_mean = np.cumsum(dominating) / np.arange(1, n_pts + 1, dtype=float)
-    comp = compensator_values(traj.flavor, schedule, ew1, n_pts - 1)
-    tail = np.empty(n_pts)
-    tail[-1] = compensator_tail(traj.flavor, schedule, ew1, n_pts)
-    tail[:-1] = comp
-    tail[:] = np.cumsum(tail[::-1])[::-1]
-    return TightnessTrace(
-        flavor=traj.flavor,
-        dominating=dominating,
-        running_mean=running_mean,
-        compensators=comp,
-        tail=tail,
-        martingale=running_mean + tail,
-    )
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    """Predictive tail mass of the dominating chain vs its Markov bound."""
-
-    tail_mass: np.ndarray
-    bound: np.ndarray
-    max_violation: float
-    passed: bool
+        beyond = schedule.tail_weight_kde(n_max)
+    else:
+        beyond = schedule.tail_weight_recursive(n_max)
+    terms = np.append(compensator_values(flavor, schedule, ew1, n_max - 1), ew1 * beyond)
+    return np.cumsum(terms[::-1])[::-1]
 
 
 def tail_prob_bound_check(
-    trace: TightnessTrace,
-    traj: Trajectory,
+    flavor: str,
+    dominating: np.ndarray,
+    running_mean: np.ndarray,
     schedule: BandwidthSchedule,
     kernel: KernelSpec,
     threshold: float,
     at_times=None,
-) -> TailBoundReport:
-    """Verify, at each requested time n, that the one-step predictive mass of
-    the dominating chain beyond ``threshold`` is at most
-    (J_n + compensator term) / threshold.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tail mass, Markov bound) at each requested time n: the one-step
+    predictive mass of the dominating chain beyond ``threshold``, and
+    (J_n + compensator term) / threshold, which bounds it.
 
     The tail mass is exact: the predictive law of U_{n+1} is a uniform mixture
     of U_i + h * W, so its tail is an average of norm survival values.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    n_pts = len(traj)
+    n_pts = len(dominating)
     times = np.arange(1, n_pts) if at_times is None else np.asarray(at_times, dtype=np.int64)
     if times.size and (times.min() < 1 or times.max() > n_pts - 1):
         raise ValueError("check times must lie in [1, length - 1]")
     h = schedule.values(n_pts - 1)
     ew1 = kernel.norm_mean
-    u = trace.dominating
     tail_mass = np.empty(times.size)
     bound = np.empty(times.size)
     for i, n in enumerate(times):
-        if traj.flavor == "kde":
+        if flavor == "kde":
             scales = np.full(n, h[n - 1])
             comp = h[n - 1] * ew1
         else:
             scales = h[:n]
             comp = float(np.mean(scales)) * ew1
-        tail_mass[i] = float(np.mean(kernel.norm_survival((threshold - u[:n]) / scales)))
-        bound[i] = (trace.running_mean[n - 1] + comp) / threshold
-    violation = float(np.max(tail_mass - bound)) if times.size else 0.0
-    return TailBoundReport(
-        tail_mass=tail_mass,
-        bound=bound,
-        max_violation=violation,
-        passed=violation <= TAIL_BOUND_TOLERANCE,
-    )
+        tail_mass[i] = float(np.mean(kernel.norm_survival((threshold - dominating[:n]) / scales)))
+        bound[i] = (running_mean[n - 1] + comp) / threshold
+    return tail_mass, bound
 
 
 # ------------------------------------------------------------- CF factors
@@ -392,26 +351,6 @@ def cf_corrections(
 # -------------------------------------------------------------- drift tests
 
 
-@dataclass(frozen=True)
-class DriftTestResult:
-    """Zero-mean test of martingale increments across replications."""
-
-    time: int
-    replications: int
-    mean_re: float
-    se_re: float
-    z_re: float
-    mean_im: float
-    se_im: float
-    z_im: float
-    max_abs_z: float
-    flagged: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.flagged
-
-
 def _component_z(values: np.ndarray) -> tuple[float, float, float]:
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1) / np.sqrt(len(values)))
@@ -420,9 +359,10 @@ def _component_z(values: np.ndarray) -> tuple[float, float, float]:
     return mean, se, mean / se
 
 
-def drift_test(increments, time: int = 0) -> DriftTestResult:
-    """z-statistics of the per-replication increments value(n+1) - value(n),
-    flagged when either component's |z| exceeds DRIFT_FLAG_THRESHOLD.
+def drift_test(increments) -> dict:
+    """z-statistics of the per-replication increments value(n+1) - value(n):
+    ``statistic`` is the larger component |z|, to compare with
+    DRIFT_FLAG_THRESHOLD.
 
     The tower property makes the unconditional mean increment exactly zero
     for a martingale, which is the testable consequence at a fixed time.
@@ -437,16 +377,13 @@ def drift_test(increments, time: int = 0) -> DriftTestResult:
         mean_im, se_im, z_im = _component_z(inc.imag)
     else:
         mean_im, se_im, z_im = 0.0, 0.0, 0.0
-    max_abs_z = max(abs(z_re), abs(z_im))
-    return DriftTestResult(
-        time=int(time),
-        replications=int(inc.size),
-        mean_re=mean_re,
-        se_re=se_re,
-        z_re=z_re,
-        mean_im=mean_im,
-        se_im=se_im,
-        z_im=z_im,
-        max_abs_z=max_abs_z,
-        flagged=bool(max_abs_z > DRIFT_FLAG_THRESHOLD),
-    )
+    return {
+        "statistic": max(abs(z_re), abs(z_im)),
+        "replications": int(inc.size),
+        "mean_re": mean_re,
+        "se_re": se_re,
+        "z_re": z_re,
+        "mean_im": mean_im,
+        "se_im": se_im,
+        "z_im": z_im,
+    }

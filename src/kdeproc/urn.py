@@ -187,9 +187,14 @@ def support_contrast_experiment(
     master_seed: int,
 ) -> ContrastReport:
     """Run both flavors on the non-negative kernel and compare how often the
-    running maximum still sets records in the second half of the run."""
+    running maximum still sets records in the second half of the run.
+
+    The first half must reach past the origin, whose norm 0 would make the
+    support ratio infinite, so the run needs at least 4 steps."""
     if kernel.family != "half_normal":
-        raise ValueError("the support contrast is defined for the half_normal kernel")
+        raise DomainError("the support contrast is defined for the half_normal kernel")
+    if n_steps < 4:
+        raise DomainError(f"the support contrast needs run.steps >= 4, got {n_steps}")
     per_flavor = {}
     for flavor in ("kde", "recursive"):
         late = 0

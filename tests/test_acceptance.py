@@ -195,9 +195,9 @@ def test_criterion_4_tightness_drift(drift_data):
     for flavor in FLAVORS:
         for n in TIGHT_TIMES:
             inc = drift_data[flavor]["tight"][n]
-            res = mg.drift_test(inc, time=n)
-            worst = max(worst, res.max_abs_z)
-            detail.append(f"{flavor[:3]}:n={n}:z={res.z_re:+.2f}")
+            res = mg.drift_test(inc)
+            worst = max(worst, res["statistic"])
+            detail.append(f"{flavor[:3]}:n={n}:z={res['z_re']:+.2f}")
     elapsed = time.perf_counter() - start
     ok = worst < 4.0
     report("4-tightness-drift", ok, f"max|z|={worst:.2f} [{', '.join(detail)}]")
@@ -211,8 +211,8 @@ def test_criterion_5_cf_drift_and_bounds(drift_data):
     for flavor in FLAVORS:
         for t in T_GRID:
             for n in CF_TIMES:
-                res = mg.drift_test(drift_data[flavor]["cf_inc"][(t, n)], time=n)
-                worst = max(worst, res.max_abs_z)
+                res = mg.drift_test(drift_data[flavor]["cf_inc"][(t, n)])
+                worst = max(worst, res["statistic"])
     bound_slack = max(
         drift_data[f]["sup_mod"] - drift_data[f]["sup_allowed"] for f in FLAVORS
     )

@@ -7,16 +7,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kdeproc import KernelSpec, predictive_mixture, process
+from kdeproc import KernelSpec, dominating_path, predictive_mixture, process
+from kdeproc import martingale as mg
 from kdeproc.cli import main as cli_main
 from kdeproc.config import ExperimentConfig
 from kdeproc.errors import ConfigError
-from kdeproc.harness import run, simulate_replication
+from kdeproc.harness import _bound_entry, run, simulate_replication
 
 
 def cf_distance(mix_a, mix_b, t_grid) -> float:
     """sup over the grid of |phi_A(t) - phi_B(t)| between two mixtures."""
     return max(abs(mix_a.cf(t) - mix_b.cf(t)) for t in t_grid)
+
+
+def _reject_nan(constant: str) -> float:
+    if constant == "NaN":
+        raise ValueError("a bare NaN is not JSON")
+    return float(constant)
+
+
+def read_json(path: Path):
+    """Parse a JSON artifact, rejecting NaN.  -Infinity stays legal: an
+    infinite posterior.box_lo is echoed that way."""
+    return json.loads(path.read_text(), parse_constant=_reject_nan)
+
+
+def json_artifacts(root: Path) -> dict:
+    """Every JSON artifact under root, by relative path, parsed by read_json."""
+    return {p.relative_to(root).as_posix(): read_json(p) for p in sorted(root.rglob("*.json"))}
 
 
 def hash_tree(root: Path) -> dict:
@@ -57,18 +75,33 @@ class TestDeterminism:
         run(cfg.with_overrides(output_dir="a"), "diagnose")
         run(cfg.with_overrides(output_dir="b"), "diagnose")
         assert hash_tree(tmp_path / "a") == hash_tree(tmp_path / "b")
+        assert set(json_artifacts(tmp_path)) == {"a/diagnostics.json", "b/diagnostics.json"}
 
     def test_subset_rerun_reproduces(self, tmp_path):
         cfg = ExperimentConfig(
             steps=50, replications=4, master_seed=3, base_dir=str(tmp_path), output_dir="sim"
         )
         run(cfg, "simulate")
+        assert set(json_artifacts(tmp_path)) == {"sim/run_summary.json"}
         traj = simulate_replication(cfg, 2)
         from kdeproc.process import write_trajectory_csv
 
         write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.2", cfg.config_hash())
         expected = (tmp_path / "sim" / "trajectory_00002.csv").read_bytes()
         assert (tmp_path / "solo.csv").read_bytes() == expected
+
+
+class TestCheckEntries:
+    @pytest.mark.parametrize(
+        "statistic, passed",
+        [(3.9, True), (4.0, True), (4.1, False), (np.inf, False), (np.nan, False)],
+    )
+    def test_pass_rule(self, statistic, passed):
+        # One rule for every bound and drift entry: statistic <= threshold,
+        # which no NaN satisfies.
+        entry = _bound_entry("check", statistic, 4.0, replications=100)
+        assert entry["passed"] is passed
+        assert entry["threshold"] == 4.0 and entry["replications"] == 100
 
 
 class TestRunModes:
@@ -79,6 +112,7 @@ class TestRunModes:
         payload = run(cfg, "simulate")
         assert payload["config"]["run.steps"] == 1
         assert payload["support_radius_estimate"] == 0.0
+        assert json_artifacts(tmp_path) == {"o/run_summary.json": payload}
         lines = (tmp_path / "o" / "trajectory_00000.csv").read_text().splitlines()
         assert len(lines) == 3  # header comment + column row + single point
 
@@ -99,7 +133,7 @@ class TestRunModes:
         assert any(n.startswith("drift:cf:n=60:t=") for n in names)
         for entry in entries:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
-        data = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        data = read_json(tmp_path / "out" / "diagnostics.json")
         assert data == payload
         assert data["version"] == "0.1.2"
         assert data["config_hash"] == cfg.config_hash()
@@ -111,6 +145,25 @@ class TestRunModes:
         payload = run(cfg, "diagnose")
         assert payload["drift_tests"] == []
         assert "drift_tests" in payload["notes"]
+        assert json_artifacts(tmp_path) == {"out/diagnostics.json": payload}
+
+    def test_diagnose_skips_cf_drift_before_start_index(self, tmp_path):
+        # At t = 5 the kde correction starts at n = 69, so S is NaN at n = 10:
+        # that drift test is named in notes instead of reported as NaN.
+        cfg = ExperimentConfig(
+            flavor="kde", steps=200, replications=100, t_grid=(5.0,),
+            drift_times=(10, 100), base_dir=str(tmp_path),
+        )
+        payload = run(cfg, "diagnose")
+        data = read_json(tmp_path / "out" / "diagnostics.json")
+        assert data == payload
+        tests = {e["name"]: e for e in data["drift_tests"]}
+        assert "drift:cf:n=10:t=5" not in tests
+        assert "start index 69" in data["notes"]["drift:cf:n=10:t=5"]
+        assert np.isfinite(tests["drift:cf:n=100:t=5"]["statistic"])
+        assert set(tests) == {
+            "drift:tightness:n=10", "drift:tightness:n=100", "drift:cf:n=100:t=5"
+        }
 
     def test_diagnose_needs_t_grid(self, tmp_path):
         cfg = ExperimentConfig(steps=60, replications=5, t_grid=(), base_dir=str(tmp_path))
@@ -136,6 +189,9 @@ class TestRunModes:
         )
         diag = run(cfg.with_overrides(output_dir="diag"), "diagnose")
         urn = run(cfg.with_overrides(output_dir="urn"), "urn")
+        assert json_artifacts(tmp_path) == {
+            "diag/diagnostics.json": diag, "urn/urn_summary.json": urn
+        }
         assert [e["name"] for e in diag["urn_tests"]] == [
             "urn_descendant_law:n=2", "urn_descendant_law:n=11"
         ]
@@ -160,6 +216,7 @@ class TestRunModes:
         )
         run(cfg, mode)
         assert len(calls) == 1
+        assert json_artifacts(tmp_path)
 
     def test_diagnose_urn_counts_across_blocks(self, tmp_path, monkeypatch):
         # Windows 2 and 5 keep 9 ancestors per replication; a cap of 70
@@ -177,6 +234,7 @@ class TestRunModes:
         assert (tmp_path / "blocked" / "diagnostics.json").read_bytes() == (
             tmp_path / "whole" / "diagnostics.json"
         ).read_bytes()
+        assert json_artifacts(tmp_path)["whole/diagnostics.json"] == whole
 
     def test_urn_mode(self, tmp_path):
         cfg = ExperimentConfig(
@@ -189,6 +247,7 @@ class TestRunModes:
             base_dir=str(tmp_path),
         )
         payload = run(cfg, "urn")
+        assert json_artifacts(tmp_path) == {"out/urn_summary.json": payload}
         assert payload["chi_square"]["2"]["p_value"] > 0.001
         assert payload["fraction_limit"]["p_value"] > 0.001
         rows = (tmp_path / "out" / "urn.csv").read_text().splitlines()
@@ -206,7 +265,7 @@ class TestRunModes:
         )
         payload = run(cfg, "contrast")
         assert set(payload) >= {"kde", "recursive", "z_statistic", "p_value"}
-        assert (tmp_path / "out" / "contrast.json").exists()
+        assert json_artifacts(tmp_path) == {"out/contrast.json": payload}
 
     def test_cf_trace_mode(self, tmp_path):
         cfg = ExperimentConfig(
@@ -218,10 +277,18 @@ class TestRunModes:
             base_dir=str(tmp_path),
         )
         payload = run(cfg, "cf-trace")
+        assert json_artifacts(tmp_path) == {"out/cf_trace_summary.json": payload}
         assert payload["traces"]["0.5"]["martingale_modulus_sup"] <= 1.0 + 1e-10
         lines = (tmp_path / "out" / "cf_trace_t0.5.csv").read_text().splitlines()
         assert lines[1] == "step,U,J,S,phi_re,phi_im,S_re,S_im"
         assert len(lines) == 2 + 150
+        # The tightness columns: S is the running mean J of the dominating
+        # path U plus the deterministic compensator tail.
+        u, j, s = np.array([[float(c) for c in line.split(",")[1:4]] for line in lines[2:]]).T
+        np.testing.assert_array_equal(u, dominating_path(simulate_replication(cfg, 0)))
+        np.testing.assert_array_equal(j, np.cumsum(u) / np.arange(1, 151))
+        tail = mg.compensator_tails("recursive", cfg.schedule(), cfg.kernel().norm_mean, 150)
+        np.testing.assert_array_equal(s, j + tail)
 
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -236,6 +303,7 @@ class TestRunModes:
             base_dir=str(tmp_path),
         )
         run(cfg, "urn")
+        assert set(json_artifacts(tmp_path)) == {"out/urn_summary.json"}
         text = (tmp_path / "out" / "urn.csv").read_text()
         assert "np.float64" not in text
         for line in text.splitlines()[2:]:
@@ -248,7 +316,6 @@ class TestMultivariate:
         import numpy as np
 
         from kdeproc import DrawStreams, simulate
-        from kdeproc import martingale as mg
         from kdeproc.process import cf_path, predictive_mixture
 
         cfg = ExperimentConfig(
@@ -263,12 +330,14 @@ class TestMultivariate:
         assert abs(mix.cf(t)) <= 1.0
         _, corr = mg.cf_corrections(schedule, kernel, t, cfg.steps, cfg.flavor)
         assert np.isfinite((corr * cf_path(traj, schedule, kernel, t))[-1].real)
-        tight = mg.tightness_trace(traj, schedule, kernel.norm_mean)
-        assert np.all(tight.martingale >= tight.running_mean)
-        report = mg.tail_prob_bound_check(
-            tight, traj, schedule, kernel, threshold=10 * tight.running_mean[-1], at_times=[100]
+        u = dominating_path(traj)
+        j = np.cumsum(u) / np.arange(1, cfg.steps + 1)
+        tail = mg.compensator_tails(cfg.flavor, schedule, kernel.norm_mean, cfg.steps)
+        assert np.all(j + tail >= j)
+        tail_mass, bound = mg.tail_prob_bound_check(
+            cfg.flavor, u, j, schedule, kernel, threshold=10 * j[-1], at_times=[100]
         )
-        assert report.passed
+        assert np.max(tail_mass - bound) <= mg.TAIL_BOUND_TOLERANCE
 
 
 class TestPosterior:
@@ -288,11 +357,28 @@ class TestPosterior:
         cfg = self._cfg(tmp_path, [0.0], steps=1, replications=1)
         payload = run(cfg, "posterior")
         assert payload["posterior_mean"][0] == pytest.approx(0.0, abs=1e-15)
+        assert json_artifacts(tmp_path) == {"out/posterior_summary.json": payload}
 
     def test_symmetric_two_points(self, tmp_path):
         cfg = self._cfg(tmp_path, [-1.0, 1.0], steps=2, replications=1)
         payload = run(cfg, "posterior")
         assert payload["posterior_mean"][0] == pytest.approx(0.0, abs=1e-15)
+        assert json_artifacts(tmp_path) == {"out/posterior_summary.json": payload}
+
+    def test_infinite_box_side(self, tmp_path):
+        # A half-line box is legal and its infinite side is echoed as
+        # -Infinity; the mixture of N(-1, h^2) and N(1, h^2) puts half its
+        # mass below 0.
+        cfg = self._cfg(
+            tmp_path, [-1.0, 1.0], steps=2, replications=1,
+            posterior_box_lo=-np.inf, posterior_box_hi=0.0,
+        )
+        payload = run(cfg, "posterior")
+        assert json_artifacts(tmp_path) == {"out/posterior_summary.json": payload}
+        assert "-Infinity" in (tmp_path / "out" / "posterior_summary.json").read_text()
+        rows = (tmp_path / "out" / "posterior.csv").read_text().splitlines()
+        box = rows[1].split(",").index("box_prob")
+        assert float(rows[2].split(",")[box]) == pytest.approx(0.5, abs=1e-12)
 
     def test_resampling_run(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -306,6 +392,7 @@ class TestPosterior:
             posterior_box_hi=1.0,
         )
         payload = run(cfg, "posterior")
+        assert json_artifacts(tmp_path) == {"out/posterior_summary.json": payload}
         assert len(payload["quantile_means"]) == 3
         assert payload["cf_convergence_gap_mean"] >= 0.0
         rows = (tmp_path / "out" / "posterior.csv").read_text().splitlines()
@@ -320,6 +407,7 @@ class TestPosterior:
         data = rng.standard_normal(80) + 0.7
         cfg = self._cfg(tmp_path, data, steps=3000, replications=50, master_seed=71)
         payload = run(cfg, "posterior")
+        assert json_artifacts(tmp_path) == {"out/posterior_summary.json": payload}
         spread = payload["posterior_mean_spread"][0]
         gap = abs(payload["posterior_mean"][0] - data.mean())
         assert gap < 4 * spread / np.sqrt(50)
@@ -336,6 +424,7 @@ class TestPosterior:
                 master_seed=29,
             )
             payload = run(cfg, "posterior")
+            assert json_artifacts(tmp_path) == {"out/posterior_summary.json": payload}
             spreads.append(payload["posterior_mean_spread"][0])
         assert spreads[0] > spreads[1] > spreads[2]
 
@@ -364,7 +453,7 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(cfgfile)]) == 0
         assert (tmp_path / "out" / "run_summary.json").exists()
         assert cli_main(["simulate", "--config", str(cfgfile), "--out", "alt", "--seed", "7"]) == 0
-        summary = json.loads((tmp_path / "alt" / "run_summary.json").read_text())
+        summary = read_json(tmp_path / "alt" / "run_summary.json")
         assert summary["config"]["run.master_seed"] == 7
 
     @pytest.mark.parametrize(
@@ -391,6 +480,11 @@ class TestCli:
             ("diagnose", "diagnostics.t_grid = 1, nan\n", None, "diagnostics.t_grid"),
             ("diagnose", _TABLE, "0.5\n" * 30, _NO_ENVELOPE),
             ("cf-trace", _TABLE, "0.5\n" * 30, _NO_ENVELOPE),
+            ("cf-trace", "run.steps = 1\n", None, "run.steps >= 2"),
+            ("diagnose", "run.steps = 1\ndiagnostics.drift_times =\n", None, "run.steps >= 2"),
+            ("contrast", "kernel.family = gaussian\n", None, "half_normal"),
+            ("contrast", "kernel.family = half_normal\nrun.steps = 2\n", None, "run.steps >= 4"),
+            ("contrast", "kernel.family = half_normal\nrun.steps = 3\n", None, "run.steps >= 4"),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
@@ -398,13 +492,19 @@ class TestCli:
             "urn-horizon-0", "cf-start-index-out-of-scan", "bandwidth-C-nan",
             "bandwidth-delta-inf", "bandwidth-rate-nan", "student-t-dof-inf",
             "negative-tail-factor", "diagnose-laplace-d2", "box-lo-nan", "t-grid-nan",
-            "diagnose-table", "cf-trace-table",
+            "diagnose-table", "cf-trace-table", "cf-trace-one-step", "diagnose-one-step",
+            "contrast-gaussian", "contrast-two-steps", "contrast-three-steps",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):
         cfgfile = tmp_path / "exp.cfg"
         if config_text is not None:
-            cfgfile.write_text("run.steps = 20\nkernel.dimension = 2\n" + config_text)
+            # A key the case sets replaces the default.
+            defaults = [
+                line for line in ("run.steps = 20\n", "kernel.dimension = 2\n")
+                if line.split(" = ")[0] not in config_text
+            ]
+            cfgfile.write_text("".join(defaults) + config_text)
         if data_text is not None:
             (tmp_path / "obs.txt").write_text(data_text)
         assert cli_main([mode, "--config", str(cfgfile)]) == 2

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from kdeproc import BandwidthSchedule, DrawStreams, KernelSpec, cf_path, simulate
+from kdeproc import (
+    BandwidthSchedule,
+    DrawStreams,
+    KernelSpec,
+    cf_path,
+    dominating_path,
+    simulate,
+)
 from kdeproc import martingale as mg
 from kdeproc.errors import (
     IndexBeyondTable,
@@ -19,41 +26,66 @@ GAUSS = KernelSpec("gaussian")
 HALF = KernelSpec("half_normal")
 
 
+def tightness(traj, schedule, ew1):
+    """(U, J, tail, S) along a trajectory, composed as cf-trace composes them:
+    the running mean of the dominating path plus the compensator tail."""
+    u = dominating_path(traj)
+    j = np.cumsum(u) / np.arange(1, len(traj) + 1, dtype=float)
+    tail = mg.compensator_tails(traj.flavor, schedule, ew1, len(traj))
+    return u, j, tail, j + tail
+
+
+def markov_excess(flavor, u, j, kernel, threshold, at_times=None):
+    """Largest tail mass minus Markov bound over the checked times."""
+    tail_mass, bound = mg.tail_prob_bound_check(
+        flavor, u, j, SCHED, kernel, threshold, at_times=at_times
+    )
+    return float(np.max(tail_mass - bound)), tail_mass, bound
+
+
 class TestTightnessTrace:
     def test_telescoping_compensator_tail(self):
-        # h_n = 1/n with E[W] = 1: c_n = 1/(n(n+1)), tail = 1/n exactly.
+        # h_n = 1/n with E[W] = 1: c_n = 1/(n(n+1)), tail = 1/n exactly; the
+        # last entry is the closed-form tail past the horizon alone.
         sched = BandwidthSchedule.power(1.0, 1.0)
+        tail = mg.compensator_tails("kde", sched, 1.0, 1000)
         for n in (1, 4, 33, 1000):
-            assert mg.compensator_tail("kde", sched, 1.0, n) == pytest.approx(1.0 / n, rel=1e-12)
+            assert tail[n - 1] == pytest.approx(1.0 / n, rel=1e-12)
 
     def test_degenerate_path(self):
         traj = simulate("kde", SCHED, GAUSS, 6, forced_ancestors=[1] * 5, forced_draws=[0.0] * 5)
-        trace = mg.tightness_trace(traj, SCHED, GAUSS.norm_mean)
-        assert np.all(trace.dominating == 0.0)
-        assert np.all(trace.running_mean == 0.0)
-        np.testing.assert_allclose(trace.martingale, trace.tail, atol=0)
+        u, j, tail, s = tightness(traj, SCHED, GAUSS.norm_mean)
+        assert np.all(u == 0.0)
+        assert np.all(j == 0.0)
+        np.testing.assert_allclose(s, tail, atol=0)
 
     def test_two_point_hand_values(self):
         traj = simulate("kde", SCHED, GAUSS, 2, forced_ancestors=[1], forced_draws=[1.0])
-        trace = mg.tightness_trace(traj, SCHED, GAUSS.norm_mean)
-        assert trace.dominating[1] == pytest.approx(1.0)
-        assert trace.running_mean[1] == pytest.approx(0.5)
+        u, j, _, _ = tightness(traj, SCHED, GAUSS.norm_mean)
+        assert u[1] == pytest.approx(1.0)
+        assert j[1] == pytest.approx(0.5)
 
     def test_running_mean_identity(self):
+        # The cumulative-sum running mean against the one-step update
+        # J_n = J_{n-1} + (U_n - J_{n-1}) / n.
         streams = DrawStreams.from_seed(1, 0)
         traj = simulate("recursive", SCHED, HALF, 500, streams)
-        trace = mg.tightness_trace(traj, SCHED, HALF.norm_mean)
-        direct = np.cumsum(trace.dominating) / np.arange(1, 501)
-        rel = np.abs(trace.running_mean - direct) / np.maximum(direct, 1e-300)
+        u, j, _, _ = tightness(traj, SCHED, HALF.norm_mean)
+        direct = np.empty(500)
+        running = 0.0
+        for n, value in enumerate(u, start=1):
+            running += (value - running) / n
+            direct[n - 1] = running
+        rel = np.abs(j - direct) / np.maximum(direct, 1e-300)
         assert np.max(rel) < 1e-12
 
     def test_martingale_dominates_mean_and_tail_summable(self):
         streams = DrawStreams.from_seed(2, 0)
         traj = simulate("kde", SCHED, GAUSS, 2000, streams)
-        trace = mg.tightness_trace(traj, SCHED, GAUSS.norm_mean)
-        assert np.all(trace.martingale >= trace.running_mean)
-        assert np.all(trace.tail[:-1] >= trace.tail[1:])  # tails decrease
-        assert trace.tail[-1] < trace.tail[0]
+        _, j, tail, s = tightness(traj, SCHED, GAUSS.norm_mean)
+        assert np.all(s >= j)
+        assert np.all(tail[:-1] >= tail[1:])  # tails decrease
+        assert tail[-1] < tail[0]
 
     @pytest.mark.parametrize("prefix", [[5.0], [1.0, 2.0]], ids=["one-point", "two-point"])
     def test_seeded_prefix_rejected(self, prefix):
@@ -62,14 +94,14 @@ class TestTightnessTrace:
         streams = DrawStreams.from_seed(3, 0)
         traj = simulate("kde", SCHED, GAUSS, 30, streams, data_prefix=prefix)
         with pytest.raises(MissingGenealogy):
-            mg.tightness_trace(traj, SCHED, 1.0)
+            tightness(traj, SCHED, 1.0)
 
     def test_increments_match_trace_differences(self):
         # The increment formula diagnose uses: the compensator tail cancels.
         for flavor in ("kde", "recursive"):
             traj = simulate(flavor, SCHED, GAUSS, 51, DrawStreams.from_seed(88, 0))
-            trace = mg.tightness_trace(traj, SCHED, GAUSS.norm_mean)
-            j, c, s = trace.running_mean, trace.compensators, trace.martingale
+            _, j, _, s = tightness(traj, SCHED, GAUSS.norm_mean)
+            c = mg.compensator_values(flavor, SCHED, GAUSS.norm_mean, 50)
             for n in (1, 10, 50):
                 assert j[n] - j[n - 1] - c[n - 1] == pytest.approx(s[n] - s[n - 1], abs=1e-12)
 
@@ -77,29 +109,28 @@ class TestTightnessTrace:
 class TestTailProbBound:
     def test_zero_path_holds_with_slack(self):
         traj = simulate("kde", SCHED, GAUSS, 20, forced_ancestors=[1] * 19, forced_draws=[0.0] * 19)
-        trace = mg.tightness_trace(traj, SCHED, GAUSS.norm_mean)
-        report = mg.tail_prob_bound_check(trace, traj, SCHED, GAUSS, threshold=5.0)
-        assert report.passed
-        assert np.all(report.tail_mass < report.bound)
+        u, j, _, _ = tightness(traj, SCHED, GAUSS.norm_mean)
+        excess, tail_mass, bound = markov_excess("kde", u, j, GAUSS, threshold=5.0)
+        assert excess <= mg.TAIL_BOUND_TOLERANCE
+        assert tail_mass.shape == bound.shape == (19,)
+        assert np.all(tail_mass < bound)
 
     def test_huge_threshold_vanishing_tail(self):
         streams = DrawStreams.from_seed(5, 0)
         traj = simulate("recursive", SCHED, GAUSS, 100, streams)
-        trace = mg.tightness_trace(traj, SCHED, GAUSS.norm_mean)
-        report = mg.tail_prob_bound_check(trace, traj, SCHED, GAUSS, threshold=1e6)
-        assert report.passed
-        assert np.max(report.tail_mass) < 1e-12
+        u, j, _, _ = tightness(traj, SCHED, GAUSS.norm_mean)
+        excess, tail_mass, _ = markov_excess("recursive", u, j, GAUSS, threshold=1e6)
+        assert excess <= mg.TAIL_BOUND_TOLERANCE
+        assert np.max(tail_mass) < 1e-12
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_markov_bound_pathwise(self, flavor):
         streams = DrawStreams.from_seed(6, 0)
         traj = simulate(flavor, SCHED, GAUSS, 1000, streams)
-        trace = mg.tightness_trace(traj, SCHED, GAUSS.norm_mean)
-        report = mg.tail_prob_bound_check(
-            trace, traj, SCHED, GAUSS, threshold=10.0 * trace.running_mean[-1]
-        )
-        assert report.max_violation <= 1e-10
-        assert report.passed
+        u, j, _, _ = tightness(traj, SCHED, GAUSS.norm_mean)
+        excess, _, _ = markov_excess(flavor, u, j, GAUSS, threshold=10.0 * j[-1])
+        assert excess <= 1e-10
+        assert excess <= mg.TAIL_BOUND_TOLERANCE
 
 
 class _StubKernel:
@@ -324,14 +355,12 @@ class TestCfMartingaleTrace:
         lap = KernelSpec("laplace")
         streams = DrawStreams.from_seed(71, 0)
         traj = simulate("recursive", SCHED, lap, 800, streams)
-        tight = mg.tightness_trace(traj, SCHED, lap.norm_mean)
-        assert np.all(tight.martingale >= tight.running_mean)
+        u, j, _, s = tightness(traj, SCHED, lap.norm_mean)
+        assert np.all(s >= j)
         _, _, _, mart = cf_martingale(traj, SCHED, lap, 1.5)
         assert float(np.nanmax(np.abs(mart))) <= 1.0 + 1e-10
-        bound = mg.tail_prob_bound_check(
-            tight, traj, SCHED, lap, threshold=10 * tight.running_mean[-1], at_times=[500]
-        )
-        assert bound.passed
+        excess, _, _ = markov_excess("recursive", u, j, lap, 10 * j[-1], at_times=[500])
+        assert excess <= mg.TAIL_BOUND_TOLERANCE
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     @pytest.mark.parametrize("kernel", [GAUSS, KernelSpec("laplace")], ids=["gaussian", "laplace"])
@@ -406,9 +435,7 @@ class TestOneStepIdentities:
         streams = DrawStreams.from_seed(56, 0)
         traj = simulate(flavor, SCHED, GAUSS, n, streams)
         ew1 = GAUSS.norm_mean
-        u = mg.tightness_trace(
-            simulate(flavor, SCHED, GAUSS, n, DrawStreams.from_seed(56, 0)), SCHED, ew1
-        ).dominating
+        u = dominating_path(simulate(flavor, SCHED, GAUSS, n, DrawStreams.from_seed(56, 0)))
         h = SCHED.values(n)
         j_n = np.mean(u)
         # E[U_{n+1} | state] enumerated over ancestors with E[W] integrated.
@@ -425,28 +452,31 @@ class TestDriftTest:
     def test_constant_sequences(self):
         v = np.ones(200)
         res = mg.drift_test(v - v)
-        assert res.z_re == 0.0 and res.max_abs_z == 0.0 and res.passed
+        assert res["z_re"] == 0.0 and res["statistic"] == 0.0
+        assert res["statistic"] <= mg.DRIFT_FLAG_THRESHOLD
 
     def test_fair_increments_pass(self):
         rng = np.random.default_rng(13)
         inc = rng.choice([-1.0, 1.0], size=10**4)
         res = mg.drift_test(inc)
-        assert res.max_abs_z < 4.0
+        assert res["statistic"] < 4.0
+        assert res["replications"] == 10**4
 
     def test_biased_increments_flagged(self):
         rng = np.random.default_rng(14)
         inc = 0.1 + rng.standard_normal(10**4)
         res = mg.drift_test(inc)
-        assert res.flagged
-        assert res.z_re == pytest.approx(10.0, abs=2.0)
+        assert res["statistic"] > mg.DRIFT_FLAG_THRESHOLD
+        assert res["z_re"] == pytest.approx(10.0, abs=2.0)
 
     def test_complex_components(self):
         rng = np.random.default_rng(15)
         inc = rng.standard_normal(500) + 1j * (0.5 + rng.standard_normal(500))
         res = mg.drift_test(inc)
-        assert abs(res.z_re) < 4.0
-        assert res.z_im > 4.0
-        assert res.flagged
+        assert abs(res["z_re"]) < 4.0
+        assert res["z_im"] > 4.0
+        assert res["statistic"] == max(abs(res["z_re"]), abs(res["z_im"]))
+        assert res["statistic"] > mg.DRIFT_FLAG_THRESHOLD
 
     def test_too_few(self):
         with pytest.raises(TooFewReplications):
