@@ -15,7 +15,7 @@ from .process import (
 )
 from .streams import DrawStreams, substream
 
-__version__ = "0.1.2"
+__version__ = "0.1.3"
 
 __all__ = [
     "BandwidthSchedule",

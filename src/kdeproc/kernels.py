@@ -26,6 +26,7 @@ from scipy import integrate, special, stats
 FAMILIES = ("gaussian", "half_normal", "student_t", "laplace")
 
 _SQRT_2_OVER_PI = sqrt(2.0 / pi)
+_SQRT_2PI = sqrt(2.0 * pi)
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,18 @@ class KernelSpec:
         if self.family == "laplace":
             return np.where(x < 0.0, 0.5 * np.exp(np.minimum(x, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(x, 0.0)))
         return stats.t.cdf(x, self.dof)
+
+    def pdf1(self, x) -> np.ndarray:
+        """Coordinate density, vectorized; the derivative of :meth:`cdf1`
+        (half_normal takes 2 phi(0) at its kink x = 0)."""
+        x = np.asarray(x, dtype=float)
+        if self.family == "gaussian":
+            return np.exp(-0.5 * x * x) / _SQRT_2PI
+        if self.family == "half_normal":
+            return np.where(x < 0.0, 0.0, 2.0 * np.exp(-0.5 * x * x) / _SQRT_2PI)
+        if self.family == "laplace":
+            return 0.5 * np.exp(-np.abs(x))
+        return stats.t.pdf(x, self.dof)
 
     @property
     def has_norm_survival(self) -> bool:

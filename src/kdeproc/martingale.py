@@ -53,8 +53,8 @@ TAIL_BOUND_TOLERANCE = 1e-10
 def compensator_values(
     flavor: str, schedule: BandwidthSchedule, ew1: float, n_max: int
 ) -> np.ndarray:
-    """c_n for n = 1..n_max."""
-    h = schedule.values(n_max)
+    """c_n for n = 1..n_max; empty for n_max = 0."""
+    h = schedule.values(n_max) if n_max else np.empty(0)
     n = np.arange(1, n_max + 1, dtype=float)
     if flavor == "kde":
         return h * ew1 / (n + 1.0)
@@ -71,6 +71,8 @@ def compensator_tails(
     ``process.dominating_path``.  The sum past n_max comes from the
     schedule's closed-form tail weights (~1e-10 relative accuracy).
     """
+    if n_max < 1:
+        raise ValueError(f"compensator tails need n_max >= 1, got {n_max}")
     if flavor == "kde":
         beyond = schedule.tail_weight_kde(n_max)
     else:

@@ -35,6 +35,11 @@ from .streams import DrawStreams, ancestor_uniforms, replication_streams
 
 FLAVORS = ("kde", "recursive")
 
+# PredictiveMixture.quantile takes Newton steps for this many rounds and
+# plain bisection after, so every level ends within _QUANTILE_ROUNDS rounds.
+_NEWTON_ROUNDS = 100
+_QUANTILE_ROUNDS = 200
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -110,9 +115,12 @@ class PredictiveMixture:
         """Univariate mixture CDF, vectorized over x (dimension 1 only)."""
         if self.dim != 1:
             raise ValueError("cdf is only defined for dimension 1")
+        return np.mean(self.kernel.cdf1(self._standardized(x)), axis=-1)
+
+    def _standardized(self, x) -> np.ndarray:
+        """z[..., k] = (x - centers[k]) / scales[k], for dimension 1."""
         x = np.asarray(x, dtype=float)
-        z = (x[..., None] - self.centers[:, 0]) / self.scales
-        return np.mean(self.kernel.cdf1(z), axis=-1)
+        return (x[..., None] - self.centers[:, 0]) / self.scales
 
     def mean(self) -> np.ndarray:
         """Exact mixture mean: average center plus average scale times E[Y]."""
@@ -124,30 +132,71 @@ class PredictiveMixture:
         y = self.kernel.sample(rng, size=size)
         return self.centers[idx] + self.scales[idx, None] * y
 
-    def quantile(self, q: float, tol: float = 1e-10) -> float:
-        """Univariate quantile by bisection on the mixture CDF."""
+    def quantile(self, q, tol: float = 1e-10):
+        """Univariate quantile: a float for a scalar level q, an array of the
+        same shape for an array of levels.
+
+        Every level keeps a bracket with cdf(lo) < q <= cdf(hi), found by
+        span doubling outward from the extreme centers.  All levels then run
+        in lockstep through Newton's iteration on the mixture CDF, started at
+        the centers' own quantiles, one (levels x components) evaluation per
+        round, each step checked against its bracket:
+
+        * a step that leaves the bracket (or a zero density) falls back to
+          the bracket midpoint;
+        * a step shorter than tol(1 + |x|)/2 becomes a probe that far past x
+          on the root's side, which closes the bracket even where Newton
+          stalls at float resolution.
+
+        The result is the midpoint of a bracket narrower than tol(1 + |mid|).
+        """
         if self.dim != 1:
             raise ValueError("quantile is only defined for dimension 1")
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile level must be in (0, 1), got {q}")
-        span = 10.0 * float(np.max(self.scales)) + 1.0
+        levels = np.asarray(q, dtype=float)
+        if not np.all((levels > 0.0) & (levels < 1.0)):
+            raise ValueError(f"quantile levels must be in (0, 1), got {q}")
+        qs = levels.ravel()
+        span = np.full(qs.shape, 10.0 * float(np.max(self.scales)) + 1.0)
         lo = float(np.min(self.centers)) - span
         hi = float(np.max(self.centers)) + span
-        while self.cdf(lo) > q:
-            lo -= span
-            span *= 2.0
-        while self.cdf(hi) < q:
-            hi += span
-            span *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo < tol * (1.0 + abs(mid)):
+        while np.any(short := self._cdf_distinct(lo) >= qs):
+            lo[short] -= span[short]
+            span[short] *= 2.0
+        while np.any(short := self._cdf_distinct(hi) < qs):
+            hi[short] += span[short]
+            span[short] *= 2.0
+
+        x = np.clip(np.quantile(self.centers[:, 0], qs), lo, hi)
+        live = np.arange(qs.size)
+        for rounds in range(_QUANTILE_ROUNDS):
+            xl, ql = x[live], qs[live]
+            z = self._standardized(xl)
+            cdf = np.mean(self.kernel.cdf1(z), axis=-1)
+            density = np.mean(self.kernel.pdf1(z) / self.scales, axis=-1)
+            below = cdf < ql
+            lo[live] = np.where(below, xl, lo[live])
+            hi[live] = np.where(below, hi[live], xl)
+            lo_l, hi_l = lo[live], hi[live]
+            mid = 0.5 * (lo_l + hi_l)
+            probe = 0.5 * tol * (1.0 + np.abs(xl))
+            # A zero or subnormal density gives an infinite or NaN step,
+            # which the bracket test below turns into the midpoint.
+            with np.errstate(all="ignore"):
+                step = (ql - cdf) / density
+                step = np.where(np.abs(step) < probe, np.where(below, probe, -probe), step)
+                nxt = xl + step
+            inside = (nxt > lo_l) & (nxt < hi_l) & (rounds < _NEWTON_ROUNDS)
+            x[live] = np.where(inside, nxt, mid)
+            live = live[hi_l - lo_l >= tol * (1.0 + np.abs(mid))]
+            if live.size == 0:
                 break
-            if float(self.cdf(mid)) < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        out = (0.5 * (lo + hi)).reshape(levels.shape)
+        return float(out) if out.ndim == 0 else out
+
+    def _cdf_distinct(self, x: np.ndarray) -> np.ndarray:
+        """cdf at each entry of x, evaluated once per distinct value."""
+        points, inverse = np.unique(x, return_inverse=True)
+        return self.cdf(points)[inverse]
 
 
 # ------------------------------------------------------------------ building

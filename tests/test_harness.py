@@ -6,13 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from kdeproc import KernelSpec, dominating_path, predictive_mixture, process
 from kdeproc import martingale as mg
 from kdeproc.cli import main as cli_main
 from kdeproc.config import ExperimentConfig
 from kdeproc.errors import ConfigError
-from kdeproc.harness import _bound_entry, run, simulate_replication
+from kdeproc.harness import _bound_entry, _chi_square, run, simulate_replication
 
 
 def cf_distance(mix_a, mix_b, t_grid) -> float:
@@ -86,7 +89,7 @@ class TestDeterminism:
         traj = simulate_replication(cfg, 2)
         from kdeproc.process import write_trajectory_csv
 
-        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.2", cfg.config_hash())
+        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.3", cfg.config_hash())
         expected = (tmp_path / "sim" / "trajectory_00002.csv").read_bytes()
         assert (tmp_path / "solo.csv").read_bytes() == expected
 
@@ -102,6 +105,26 @@ class TestCheckEntries:
         entry = _bound_entry("check", statistic, 4.0, replications=100)
         assert entry["passed"] is passed
         assert entry["threshold"] == 4.0 and entry["replications"] == 100
+
+
+class TestChiSquare:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 500), min_size=2, max_size=30).filter(any),
+        weights=st.data(),
+    )
+    def test_matches_scipy_exactly(self, counts, weights):
+        w = np.array(weights.draw(st.lists(
+            st.floats(0.01, 100.0), min_size=len(counts), max_size=len(counts),
+        )))
+        observed = np.array(counts, dtype=float)
+        expected = w / w.sum() * observed.sum()
+        ref = stats.chisquare(observed, expected)
+        assert _chi_square(observed, expected) == (float(ref.statistic), float(ref.pvalue))
+
+    def test_mismatched_sums_raise(self):
+        with pytest.raises(ValueError, match="differ"):
+            _chi_square(np.array([50.0, 50.0]), np.array([50.0, 51.0]))
 
 
 class TestRunModes:
@@ -135,7 +158,7 @@ class TestRunModes:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = read_json(tmp_path / "out" / "diagnostics.json")
         assert data == payload
-        assert data["version"] == "0.1.2"
+        assert data["version"] == "0.1.3"
         assert data["config_hash"] == cfg.config_hash()
 
     def test_diagnose_skips_drift_below_minimum_replications(self, tmp_path):

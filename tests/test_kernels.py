@@ -195,6 +195,20 @@ class TestCdf:
             KernelSpec("student_t", dof=3.0).cdf1(x), stats.t.cdf(x, 3.0), atol=1e-12
         )
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.family}-{s.dof}")
+    def test_pdf_is_cdf_derivative(self, spec):
+        # Central differences of cdf1, at points clear of half_normal's kink
+        # at 0; the step balances truncation against cancellation.
+        x = np.concatenate([np.linspace(-6.0, -0.05, 24), np.linspace(0.05, 6.0, 24)])
+        step = 1e-5
+        numeric = (spec.cdf1(x + step) - spec.cdf1(x - step)) / (2.0 * step)
+        np.testing.assert_allclose(spec.pdf1(x), numeric, rtol=1e-6, atol=1e-10)
+
+    def test_pdf_half_normal_support(self):
+        spec = KernelSpec("half_normal")
+        assert spec.pdf1(-1e-300) == 0.0
+        assert spec.pdf1(0.0) == pytest.approx(2.0 * stats.norm.pdf(0.0), rel=1e-15)
+
     def test_norm_survival_chi(self):
         spec = KernelSpec("gaussian", dim=3)
         r = np.array([-1.0, 0.0, 1.0, 2.5])

@@ -52,6 +52,21 @@ class TestTightnessTrace:
         for n in (1, 4, 33, 1000):
             assert tail[n - 1] == pytest.approx(1.0 / n, rel=1e-12)
 
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_one_point_tail_is_closed_form(self, flavor):
+        # No compensator term lies inside a one-point horizon, so the tail is
+        # E[W] times the schedule's closed-form tail weight from n = 1.
+        ew1 = GAUSS.norm_mean
+        weight = SCHED.tail_weight_kde if flavor == "kde" else SCHED.tail_weight_recursive
+        assert mg.compensator_values(flavor, SCHED, ew1, 0).shape == (0,)
+        tail = mg.compensator_tails(flavor, SCHED, ew1, 1)
+        assert tail.shape == (1,)
+        assert tail[0] == ew1 * weight(1)
+
+    def test_empty_horizon_rejected(self):
+        with pytest.raises(ValueError, match="n_max >= 1"):
+            mg.compensator_tails("kde", SCHED, 1.0, 0)
+
     def test_degenerate_path(self):
         traj = simulate("kde", SCHED, GAUSS, 6, forced_ancestors=[1] * 5, forced_draws=[0.0] * 5)
         u, j, tail, s = tightness(traj, SCHED, GAUSS.norm_mean)

@@ -21,12 +21,20 @@ from kdeproc import (
     simulate,
     sup_norm_path,
 )
+from kdeproc.config import ExperimentConfig
 from kdeproc.errors import NonFiniteInput, PrefixPointHasNoGenealogy
 from kdeproc.kernels import FAMILIES
-from kdeproc.process import FLAVORS, ancestor_block, simulate_batch, write_csv
+from kdeproc.process import (
+    FLAVORS,
+    PredictiveMixture,
+    ancestor_block,
+    simulate_batch,
+    write_csv,
+)
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
 GAUSS = KernelSpec("gaussian")
+HALF = KernelSpec("half_normal")
 
 
 def forward_loop(flavor, schedule, prefix, ancestors, draws):
@@ -40,6 +48,38 @@ def forward_loop(flavor, schedule, prefix, ancestors, draws):
         xs.append([a + h * b for a, b in zip(xs[m - 1], y)])
         hs.append(h)
     return np.array(xs), np.array(hs)
+
+
+def bisection_quantile(mix, q, tol=1e-10):
+    """Reference quantile: plain bisection on the mixture CDF inside the
+    same span-doubling bracket, until it is narrower than tol(1 + |mid|)."""
+    span = 10.0 * float(np.max(mix.scales)) + 1.0
+    lo = float(np.min(mix.centers)) - span
+    hi = float(np.max(mix.centers)) + span
+    while mix.cdf(lo) > q:
+        lo -= span
+        span *= 2.0
+    while mix.cdf(hi) < q:
+        hi += span
+        span *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo < tol * (1.0 + abs(mid)):
+            break
+        if float(mix.cdf(mid)) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def assert_certified_quantile(mix, q, x, tol=1e-10):
+    """x is within tol(1 + |x|) of the bisection oracle, and cdf crosses q
+    within that distance of x on both sides."""
+    ref = bisection_quantile(mix, q, tol)
+    width = tol * (1.0 + max(abs(x), abs(ref)))
+    assert abs(x - ref) <= width, (q, x, ref)
+    assert mix.cdf(x - width) < q <= mix.cdf(x + width), (q, x)
 
 
 class TestInit:
@@ -296,6 +336,86 @@ class TestMixture:
         mix = predictive_mixture(simulate("kde", SCHED, GAUSS, 1), SCHED, GAUSS)
         with pytest.raises(ValueError):
             mix.prob(1.0, -1.0)
+
+
+LEVELS_NEAR_EDGES = st.one_of(
+    st.floats(1e-9, 1e-3), st.floats(1e-3, 1.0 - 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-9)
+)
+
+
+class TestQuantile:
+    """Lockstep safeguarded Newton against the bisection oracle."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        length=st.integers(1, 300),
+        prefix_len=st.integers(0, 5),
+        levels=st.lists(LEVELS_NEAR_EDGES, min_size=1, max_size=6),
+    )
+    def test_matches_bisection(self, flavor, family, seed, length, prefix_len, levels):
+        kernel = KernelSpec(family, dof=3.0 if family == "student_t" else None)
+        prefix_len = min(prefix_len, length)
+        data = np.random.default_rng(seed).normal(size=prefix_len) if prefix_len else None
+        traj = simulate(flavor, SCHED, kernel, length, DrawStreams.from_seed(seed, 0), data)
+        mix = predictive_mixture(traj, SCHED, kernel)
+        xs = mix.quantile(levels)
+        assert xs.shape == (len(levels),)
+        for q, x in zip(levels, xs):
+            assert_certified_quantile(mix, q, x)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_single_component(self, family):
+        kernel = KernelSpec(family, dof=3.0 if family == "student_t" else None)
+        mix = predictive_mixture(simulate("kde", SCHED, kernel, 1), SCHED, kernel)
+        for q in (1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6):
+            assert_certified_quantile(mix, q, mix.quantile(q))
+
+    def test_zero_density_gap(self):
+        # Two half-normal components 100 apart: the CDF is flat at 1/2
+        # across the gap, where Newton has no slope and bisects instead.
+        mix = PredictiveMixture(np.array([[0.0], [100.0]]), np.array([1.0, 1.0]), HALF)
+        levels = [0.1, 0.3, 0.5, 0.7, 0.9]
+        for q, x in zip(levels, mix.quantile(levels)):
+            assert_certified_quantile(mix, q, x)
+
+    def test_scalar_and_array_agree(self):
+        traj = simulate("recursive", SCHED, GAUSS, 400, DrawStreams.from_seed(12, 0))
+        mix = predictive_mixture(traj, SCHED, GAUSS)
+        levels = np.array([[1e-7, 0.05, 0.5], [0.75, 0.95, 1.0 - 1e-7]])
+        xs = mix.quantile(levels)
+        assert xs.shape == levels.shape
+        for q, x in zip(levels.ravel(), xs.ravel()):
+            one = mix.quantile(q)
+            assert type(one) is float
+            assert one == x
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, np.nan])
+    def test_level_outside_unit_interval(self, bad):
+        traj = simulate("kde", SCHED, GAUSS, 5, DrawStreams.from_seed(2, 0))
+        mix = predictive_mixture(traj, SCHED, GAUSS)
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            mix.quantile([0.5, bad])
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            mix.quantile(bad)
+
+    def test_default_levels_in_few_evaluations(self, monkeypatch):
+        # Two bracket checks and a handful of Newton rounds: a fall-back to
+        # bisection would take ~40 evaluations.
+        traj = simulate("recursive", SCHED, GAUSS, 5000, DrawStreams.from_seed(5, 0))
+        mix = predictive_mixture(traj, SCHED, GAUSS)
+        calls = []
+        cdf1 = KernelSpec.cdf1
+
+        def counted(kernel, x):
+            calls.append(np.shape(x))
+            return cdf1(kernel, x)
+
+        monkeypatch.setattr(KernelSpec, "cdf1", counted)
+        mix.quantile(ExperimentConfig().posterior_quantiles)
+        assert len(calls) <= 12
 
 
 class TestMeasureRecursion:
