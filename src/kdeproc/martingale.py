@@ -332,6 +332,9 @@ def cf_corrections(
     is broadcast to the kernel dimension, as in ``cf_path``.
     """
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
+    # The product past n_max follows the bandwidth law: a table, which has
+    # none, raises NoEnvelope here, before any of its entries is read.
+    schedule.law(n_max + 1.0)
     start_n = start_index(schedule, kernel, t_arr, max_scan=n_max)
     factors = factor_values(schedule, kernel, t_arr, start_n, n_max, flavor)
     if np.any(factors == 0):

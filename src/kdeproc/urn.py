@@ -4,22 +4,16 @@ Every new point attaches to a uniformly chosen existing point, so the
 descendant count of a fixed point evolves exactly like the black-ball count
 of a reinforced urn.  This module provides the exact beta-binomial law and
 geometric tail bound for descendant counts over a doubling window, the
-empirical counterparts read off blocks of simulated genealogies, the long-run
-descendant fraction whose limit is a Beta law, and the support-contrast
-experiment separating the two process flavors under a non-negative kernel.
+empirical counterparts read off blocks of simulated genealogies, and the
+long-run descendant fraction whose limit is a Beta law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
-from .bandwidth import BandwidthSchedule
 from .errors import DomainError, TrajectoryTooShort
-from .kernels import KernelSpec
-from .process import Trajectory, simulate_batch
 
 
 # ------------------------------------------------------------------ exact law
@@ -100,135 +94,8 @@ def window_roots(ancestors: np.ndarray, n: int) -> np.ndarray:
 
 def anchor_fractions(ancestors: np.ndarray, anchor: int, horizon: int) -> np.ndarray:
     """(R,) fraction of points 1..horizon in the anchor's subtree (anchor
-    included): the last entry of :func:`descendant_fraction_path`."""
+    included), whose limit law as the horizon grows is Beta(1, anchor - 1)."""
     if not 2 <= anchor <= horizon:
         raise ValueError(f"need 2 <= anchor <= horizon, got anchor={anchor}, horizon={horizon}")
     hits = np.count_nonzero(block_roots(ancestors, anchor, horizon) == anchor - 1, axis=1)
     return hits / float(horizon)
-
-
-def descendant_fraction_path(traj: Trajectory, anchor: int, horizon: int | None = None) -> np.ndarray:
-    """Running fraction of points descending from the anchor (anchor included).
-
-    Entry m-1 holds |{j <= m : j in the anchor's subtree}| / m; it is zero
-    before the anchor exists and 1/anchor at m = anchor.  The limit law of
-    the fraction is Beta(1, anchor - 1).
-    """
-    if anchor < 2:
-        raise ValueError(f"anchor must be >= 2, got {anchor}")
-    m_max = len(traj) if horizon is None else int(horizon)
-    if not anchor <= m_max <= len(traj):
-        raise ValueError(f"horizon must be in [{anchor}, {len(traj)}], got {m_max}")
-    # Injected data points have no ancestry: chains stop at the prefix, so
-    # the roots are taken below max(anchor, prefix length).
-    bound = min(max(anchor, traj.seed_prefix_len), m_max)
-    roots = block_roots(traj.ancestors[None, : m_max - 1], bound, m_max)[0]
-    running = np.cumsum(roots == anchor - 1)
-    return running / np.arange(1, m_max + 1, dtype=float)
-
-
-# --------------------------------------------------------- support contrast
-
-
-@dataclass(frozen=True)
-class FlavorRecordStats:
-    """Running-max record statistics for one flavor, aggregated over runs."""
-
-    flavor: str
-    replications: int
-    last_half_record_count: int
-    last_half_record_fraction: float
-    mean_last_record_index: float
-    mean_final_max: float
-    mean_support_ratio: float  # (max over full run) / (max over first half)
-
-
-@dataclass(frozen=True)
-class ContrastReport:
-    """Record-occurrence contrast between the two flavors.
-
-    ``p_value`` is the one-sided two-proportion test of the frozen-bandwidth
-    flavor producing late records more often than the shared-bandwidth one.
-    """
-
-    kde: FlavorRecordStats
-    recursive: FlavorRecordStats
-    z_statistic: float
-    p_value: float
-
-
-def _record_stats(traj: Trajectory) -> tuple[int, float, float]:
-    """(last strict-record index, final max, full/first-half max ratio)."""
-    norms = np.linalg.norm(traj.points, axis=1)
-    run_max = np.maximum.accumulate(norms)
-    strict = np.flatnonzero(norms[1:] > run_max[:-1]) + 1
-    last_record = int(strict[-1]) + 1 if strict.size else 1  # 1-based point index
-    half = len(traj) // 2
-    ratio = float(run_max[-1] / run_max[half - 1]) if run_max[half - 1] > 0 else np.inf
-    return last_record, float(run_max[-1]), ratio
-
-
-def two_proportion_one_sided(k1: int, n1: int, k2: int, n2: int) -> tuple[float, float]:
-    """z and p-value for H1: proportion 1 > proportion 2 (pooled variance)."""
-    p1, p2 = k1 / n1, k2 / n2
-    pooled = (k1 + k2) / (n1 + n2)
-    var = pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)
-    if var == 0.0:
-        return 0.0, 0.5
-    z = (p1 - p2) / np.sqrt(var)
-    return float(z), float(stats.norm.sf(z))
-
-
-def support_contrast_experiment(
-    schedule: BandwidthSchedule,
-    kernel: KernelSpec,
-    n_steps: int,
-    replications: int,
-    master_seed: int,
-) -> ContrastReport:
-    """Run both flavors on the non-negative kernel and compare how often the
-    running maximum still sets records in the second half of the run.
-
-    The first half must reach past the origin, whose norm 0 would make the
-    support ratio infinite, so the run needs at least 4 steps."""
-    if kernel.family != "half_normal":
-        raise DomainError("the support contrast is defined for the half_normal kernel")
-    if n_steps < 4:
-        raise DomainError(f"the support contrast needs run.steps >= 4, got {n_steps}")
-    per_flavor = {}
-    for flavor in ("kde", "recursive"):
-        late = 0
-        last_records = np.empty(replications)
-        final_max = np.empty(replications)
-        ratios = np.empty(replications)
-        trajectories = simulate_batch(
-            flavor, schedule, kernel, n_steps, master_seed, range(replications)
-        )
-        for r, traj in enumerate(trajectories):
-            last_record, fmax, ratio = _record_stats(traj)
-            last_records[r] = last_record
-            final_max[r] = fmax
-            ratios[r] = ratio
-            if last_record > n_steps // 2:
-                late += 1
-        per_flavor[flavor] = FlavorRecordStats(
-            flavor=flavor,
-            replications=replications,
-            last_half_record_count=late,
-            last_half_record_fraction=late / replications,
-            mean_last_record_index=float(last_records.mean()),
-            mean_final_max=float(final_max.mean()),
-            mean_support_ratio=float(ratios.mean()),
-        )
-    z, p = two_proportion_one_sided(
-        per_flavor["recursive"].last_half_record_count,
-        replications,
-        per_flavor["kde"].last_half_record_count,
-        replications,
-    )
-    return ContrastReport(
-        kde=per_flavor["kde"],
-        recursive=per_flavor["recursive"],
-        z_statistic=z,
-        p_value=p,
-    )

@@ -29,7 +29,6 @@ from kdeproc.urn import (
     anchor_fractions,
     betabinom_pmf_vector,
     descendant_tail_bound,
-    support_contrast_experiment,
     window_roots,
 )
 
@@ -290,7 +289,7 @@ def test_criterion_7_convergence_proxy():
 # --------------------------------------------------------------- criterion 8
 
 
-def test_criterion_8_support_dichotomy():
+def test_criterion_8_support_dichotomy(tmp_path):
     """Record-proportion contrast at the stated scale.
 
     Honest status: at this exact scale both flavors break their running-max
@@ -305,31 +304,32 @@ def test_criterion_8_support_dichotomy():
     the flavors decisively at this scale; see README for details.
     """
     start = time.perf_counter()
-    rep = support_contrast_experiment(
-        BandwidthSchedule.power(1.0, 0.3),
-        KernelSpec("half_normal"),
-        10**5,
-        200,
+    cfg = ExperimentConfig(
+        kernel_family="half_normal",
+        bandwidth_c=1.0,
+        bandwidth_delta=0.3,
+        steps=10**5,
+        replications=200,
         master_seed=20260810,
+        base_dir=str(tmp_path),
     )
+    rep = run(cfg, "contrast")
+    kde, recursive = rep["kde"], rep["recursive"]
+    kde_late = kde["last_half_record_fraction"]
+    recursive_late = recursive["last_half_record_fraction"]
     elapsed = time.perf_counter() - start
-    ok = (
-        rep.recursive.last_half_record_fraction > rep.kde.last_half_record_fraction
-        and rep.p_value < 0.01
-        and elapsed < 600.0
-    )
+    ok = recursive_late > kde_late and rep["p_value"] < 0.01 and elapsed < 600.0
     report(
         "8-support-dichotomy",
         ok,
-        f"kde {rep.kde.last_half_record_fraction:.3f} vs recursive "
-        f"{rep.recursive.last_half_record_fraction:.3f}, p={rep.p_value:.3f}, "
-        f"mean max {rep.kde.mean_final_max:.2f} vs {rep.recursive.mean_final_max:.2f}, "
+        f"kde {kde_late:.3f} vs recursive {recursive_late:.3f}, p={rep['p_value']:.3f}, "
+        f"mean max {kde['mean_final_max']:.2f} vs {recursive['mean_final_max']:.2f}, "
         f"{elapsed:.0f}s",
     )
-    assert rep.recursive.last_half_record_fraction > rep.kde.last_half_record_fraction, (
+    assert recursive_late > kde_late, (
         "record-proportion direction did not materialize at this scale"
     )
-    assert rep.p_value < 0.01, (
+    assert rep["p_value"] < 0.01, (
         "the record-occurrence proportions differ by ~0.005 at this scale, so a "
         "p < 0.01 two-proportion test at R = 200 is unreachable; see this test's "
         "docstring and README"

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from kdeproc import KernelSpec, dominating_path, predictive_mixture, process
+from kdeproc import DrawStreams, KernelSpec, dominating_path, predictive_mixture, process, simulate
 from kdeproc import martingale as mg
 from kdeproc.cli import main as cli_main
 from kdeproc.config import ExperimentConfig
 from kdeproc.errors import ConfigError
-from kdeproc.harness import _bound_entry, _chi_square, run, simulate_replication
+from kdeproc.harness import _bound_entry, _chi_square, run
+from kdeproc.process import FLAVORS
 
 
 def cf_distance(mix_a, mix_b, t_grid) -> float:
@@ -51,7 +52,8 @@ def hash_tree(root: Path) -> dict:
 class TestCfDistance:
     def test_identical_mixtures(self):
         cfg = ExperimentConfig(steps=20, master_seed=5)
-        traj = simulate_replication(cfg, 0)
+        streams = DrawStreams.from_seed(cfg.master_seed, 0)
+        traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
         mix = predictive_mixture(traj, cfg.schedule(), cfg.kernel())
         assert cf_distance(mix, mix, [0.5, 1.0, 2.0]) == 0.0
 
@@ -86,7 +88,10 @@ class TestDeterminism:
         )
         run(cfg, "simulate")
         assert set(json_artifacts(tmp_path)) == {"sim/run_summary.json"}
-        traj = simulate_replication(cfg, 2)
+        # The reference path: replication 2's streams built from its own
+        # SeedSequence, not by the batch engine that wrote the run.
+        streams = DrawStreams.from_seed(cfg.master_seed, 2)
+        traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
         from kdeproc.process import write_trajectory_csv
 
         write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.3", cfg.config_hash())
@@ -308,7 +313,9 @@ class TestRunModes:
         # The tightness columns: S is the running mean J of the dominating
         # path U plus the deterministic compensator tail.
         u, j, s = np.array([[float(c) for c in line.split(",")[1:4]] for line in lines[2:]]).T
-        np.testing.assert_array_equal(u, dominating_path(simulate_replication(cfg, 0)))
+        streams = DrawStreams.from_seed(cfg.master_seed, 0)
+        traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
+        np.testing.assert_array_equal(u, dominating_path(traj))
         np.testing.assert_array_equal(j, np.cumsum(u) / np.arange(1, 151))
         tail = mg.compensator_tails("recursive", cfg.schedule(), cfg.kernel().norm_mean, 150)
         np.testing.assert_array_equal(s, j + tail)
@@ -534,6 +541,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert needle in err
+
+    @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("entries", [19, 20, 21])
+    def test_table_schedule_has_no_envelope(self, tmp_path, capsys, mode, flavor, entries):
+        # A table one entry short of run.steps = 20, exactly as long, or one
+        # longer: each fails the same way, before any entry is read.
+        (tmp_path / "obs.txt").write_text("0.5\n" * entries)
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"flavor = {flavor}\nrun.steps = 20\n" + _TABLE)
+        assert cli_main([mode, "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == _NO_ENVELOPE + "\n"
 
     def test_product_tail_tolerance_exit_code(self, tmp_path, capsys):
         # At t = 20 the half-normal product tail from n = 2001 cannot reach

@@ -1,4 +1,5 @@
-"""Descendant laws: exact pmf, tail bounds, simulated counts, limit fractions."""
+"""Descendant laws: exact pmf, tail bounds, simulated counts, limit fractions;
+and the record-statistic support contrast between the two flavors."""
 
 import csv
 from fractions import Fraction
@@ -11,20 +12,16 @@ from scipy import stats
 
 from kdeproc import BandwidthSchedule, DrawStreams, KernelSpec, simulate
 from kdeproc.config import ExperimentConfig
-from kdeproc.errors import DomainError, TrajectoryTooShort
-from kdeproc.harness import run
+from kdeproc.errors import ConfigError, DomainError, TrajectoryTooShort
+from kdeproc.harness import _two_proportion_one_sided, run
 from kdeproc.kernels import FAMILIES
 from kdeproc.process import FLAVORS, ancestor_block, replication_blocks
 from kdeproc.urn import (
-    ContrastReport,
     anchor_fractions,
     betabinom_pmf,
     betabinom_pmf_vector,
     block_roots,
-    descendant_fraction_path,
     descendant_tail_bound,
-    support_contrast_experiment,
-    two_proportion_one_sided,
     window_roots,
 )
 
@@ -66,6 +63,16 @@ def window_counts(ancestors, n):
     for p in range(n + 1, 2 * n + 1):
         counts[walk_root(ancestors, p, n) - 1] += 1
     return counts
+
+
+def fraction_path(traj, anchor, horizon):
+    """Running fraction of points 1..m in the anchor's subtree (anchor
+    included) for m = 1..horizon, by walking each point's chain.  Injected
+    data points have no ancestry, so chains stop at max(anchor, data prefix
+    length) and data points are nobody's descendants."""
+    bound = max(anchor, traj.seed_prefix_len)
+    m = np.arange(1, horizon + 1)
+    return np.cumsum([walk_root(traj.ancestors, p, bound) == anchor for p in m]) / m
 
 
 def max_descendant_tail_bound(n: int, k: int) -> float:
@@ -210,15 +217,16 @@ class TestPointerJumping:
                 "kde", SCHED, GAUSS, len(row) + 1,
                 forced_ancestors=row, forced_draws=np.zeros(len(row)),
             )
-            np.testing.assert_array_equal(descendant_fraction_path(traj, anchor, horizon), want)
+            np.testing.assert_array_equal(fraction_path(traj, anchor, horizon), want)
 
 
 class TestFractionPath:
     def test_at_anchor(self):
         traj = simulate("kde", SCHED, GAUSS, 10, DrawStreams.from_seed(2, 0))
-        frac = descendant_fraction_path(traj, 5, 10)
+        frac = fraction_path(traj, 5, 10)
         assert frac[4] == pytest.approx(1 / 5)
         assert np.all(frac[:3] == 0.0)
+        assert anchor_fractions(traj.ancestors[None], 5, 10)[0] == frac[-1]
 
     def test_degenerate_forcing_reaches_one(self):
         # every step after the anchor attaches to the anchor's subtree
@@ -226,7 +234,7 @@ class TestFractionPath:
             "kde", SCHED, GAUSS, 6,
             forced_ancestors=[1, 2, 2, 3, 5], forced_draws=[0.0] * 5,
         )
-        frac = descendant_fraction_path(traj, 2, 6)
+        frac = fraction_path(traj, 2, 6)
         assert frac[-1] == pytest.approx(5 / 6)
         counts = frac * np.arange(1, 7)
         assert np.all(np.diff(np.round(counts)) <= 1 + 1e-9)
@@ -237,13 +245,13 @@ class TestFractionPath:
             "kde", SCHED, GAUSS, 9, data_prefix=[0.0, 1.0, 2.0, 3.0, 4.0],
             forced_ancestors=[3, 6, 2, 7], forced_draws=[0.1] * 4,
         )
-        frac = descendant_fraction_path(traj, 3, 9)
+        frac = fraction_path(traj, 3, 9)
         np.testing.assert_array_equal(frac * np.arange(1, 10), [0, 0, 1, 1, 1, 2, 3, 3, 4])
-        np.testing.assert_array_equal(descendant_fraction_path(traj, 3, 4), [0, 0, 1 / 3, 1 / 4])
+        np.testing.assert_array_equal(fraction_path(traj, 3, 4), [0, 0, 1 / 3, 1 / 4])
 
     def test_counts_monotone_and_in_range(self):
         traj = simulate("recursive", SCHED, GAUSS, 500, DrawStreams.from_seed(3, 1))
-        frac = descendant_fraction_path(traj, 4, 500)
+        frac = fraction_path(traj, 4, 500)
         m = np.arange(1, 501)
         counts = np.round(frac * m)
         assert np.all(np.diff(counts) >= 0)
@@ -251,6 +259,7 @@ class TestFractionPath:
         live = m >= 4
         assert np.all(frac[live] >= 1 / m[live] - 1e-12)
         assert np.all(frac <= 1.0)
+        assert anchor_fractions(traj.ancestors[None], 4, 500)[0] == frac[-1]
 
     def test_beta_limit_mini(self):
         reps, horizon, anchor = 800, 3000, 5
@@ -264,9 +273,11 @@ class TestFractionPath:
     def test_validation(self):
         traj = simulate("kde", SCHED, GAUSS, 10, DrawStreams.from_seed(4, 0))
         with pytest.raises(ValueError):
-            descendant_fraction_path(traj, 1, 10)
+            anchor_fractions(traj.ancestors[None], 1, 10)
         with pytest.raises(ValueError):
-            descendant_fraction_path(traj, 5, 11)
+            anchor_fractions(traj.ancestors[None], 5, 4)
+        with pytest.raises(TrajectoryTooShort):
+            anchor_fractions(traj.ancestors[None], 5, 11)
 
 
 class TestPrefixProperty:
@@ -301,8 +312,8 @@ class TestPrefixProperty:
             for anchor, horizon in ((2, 2), (3, 17), (7, 40), (7, 90)):
                 short = simulate(flavor, SCHED, kernel, horizon, DrawStreams.from_seed(32, r))
                 np.testing.assert_array_equal(
-                    descendant_fraction_path(long, anchor, horizon),
-                    descendant_fraction_path(short, anchor, horizon),
+                    fraction_path(long, anchor, horizon),
+                    fraction_path(short, anchor, horizon),
                 )
 
 
@@ -337,36 +348,88 @@ class TestUrnModeOracle:
         finals = np.empty(reps)
         for r in range(reps):
             traj = simulate(cfg.flavor, schedule, kernel, horizon, DrawStreams.from_seed(19, r))
-            finals[r] = descendant_fraction_path(traj, 4, horizon)[-1]
+            finals[r] = fraction_path(traj, 4, horizon)[-1]
         ks = stats.kstest(finals, stats.beta(1, 3).cdf)
         assert payload["fraction_limit"]["ks_statistic"] == float(ks.statistic)
 
 
+def contrast_config(tmp_path, **overrides):
+    settings = dict(
+        kernel_family="half_normal",
+        bandwidth_delta=0.2,
+        steps=10,
+        replications=8,
+        master_seed=5,
+        base_dir=str(tmp_path),
+    )
+    return ExperimentConfig(**{**settings, **overrides})
+
+
+def record_stats(points):
+    """(last strict-record index, final max, full/first-half max ratio) of
+    the running maximum of |x|, one point at a time."""
+    run_max, last_record, half_max = -1.0, 1, None
+    for i, x in enumerate(points[:, 0], start=1):
+        if abs(x) > run_max:
+            if i > 1:
+                last_record = i
+            run_max = abs(x)
+        if i == len(points) // 2:
+            half_max = run_max
+    return last_record, run_max, run_max / half_max
+
+
 class TestSupportContrast:
-    def test_short_runs_finite(self):
-        rep = support_contrast_experiment(
-            SCHED, KernelSpec("half_normal"), 10, 8, master_seed=5
-        )
-        assert isinstance(rep, ContrastReport)
-        assert np.isfinite(rep.kde.mean_final_max)
-        assert np.isfinite(rep.recursive.mean_final_max)
-        assert 0 <= rep.p_value <= 1
+    def test_short_runs_finite(self, tmp_path):
+        payload = run(contrast_config(tmp_path), "contrast")
+        assert np.isfinite(payload["kde"]["mean_final_max"])
+        assert np.isfinite(payload["recursive"]["mean_final_max"])
+        assert 0 <= payload["p_value"] <= 1
 
-    def test_requires_half_normal(self):
-        with pytest.raises(ValueError):
-            support_contrast_experiment(SCHED, GAUSS, 10, 4, master_seed=0)
+    def test_requires_half_normal(self, tmp_path):
+        with pytest.raises(ConfigError, match="half_normal"):
+            run(contrast_config(tmp_path, kernel_family="gaussian", replications=4), "contrast")
 
-    def test_record_stats_fields(self):
-        rep = support_contrast_experiment(
-            SCHED, KernelSpec("half_normal"), 200, 30, master_seed=6
-        )
-        for side in (rep.kde, rep.recursive):
-            assert 0.0 <= side.last_half_record_fraction <= 1.0
-            assert 1 <= side.mean_last_record_index <= 200
-            assert side.mean_support_ratio >= 1.0
+    def test_record_stats_fields(self, tmp_path):
+        payload = run(contrast_config(tmp_path, steps=200, replications=30, master_seed=6), "contrast")
+        for side in (payload["kde"], payload["recursive"]):
+            assert 0.0 <= side["last_half_record_fraction"] <= 1.0
+            assert 1 <= side["mean_last_record_index"] <= 200
+            assert side["mean_support_ratio"] >= 1.0
+
+    def test_matches_independent_simulations(self, tmp_path):
+        cfg = contrast_config(tmp_path, bandwidth_delta=0.3, steps=200, replications=30)
+        payload = run(cfg, "contrast")
+        # Reference: each replication simulated alone from its own streams,
+        # its running maximum followed one point at a time.
+        late = {}
+        for flavor in FLAVORS:
+            rows = [
+                record_stats(simulate(
+                    flavor, cfg.schedule(), cfg.kernel(), 200, DrawStreams.from_seed(5, r)
+                ).points)
+                for r in range(30)
+            ]
+            last, final_max, ratio = (np.array(col, dtype=float) for col in zip(*rows))
+            late[flavor] = int(np.sum(last > 100))
+            assert payload[flavor] == {
+                "flavor": flavor,
+                "replications": 30,
+                "last_half_record_count": late[flavor],
+                "last_half_record_fraction": late[flavor] / 30,
+                "mean_last_record_index": float(np.mean(last)),
+                "mean_final_max": float(np.mean(final_max)),
+                "mean_support_ratio": float(np.mean(ratio)),
+            }
+        # Pooled one-sided test of recursive > kde.
+        p_rec, p_kde = late["recursive"] / 30, late["kde"] / 30
+        pooled = (late["recursive"] + late["kde"]) / 60
+        z = (p_rec - p_kde) / np.sqrt(pooled * (1.0 - pooled) * (1 / 30 + 1 / 30))
+        assert payload["z_statistic"] == float(z)
+        assert payload["p_value"] == float(stats.norm.sf(z))
 
     def test_two_proportion(self):
-        z, p = two_proportion_one_sided(80, 100, 50, 100)
+        z, p = _two_proportion_one_sided(80, 100, 50, 100)
         assert z > 4.0 and p < 1e-4
-        z2, p2 = two_proportion_one_sided(50, 100, 50, 100)
+        z2, p2 = _two_proportion_one_sided(50, 100, 50, 100)
         assert z2 == 0.0 and p2 == pytest.approx(0.5)
