@@ -103,16 +103,21 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
     return payload
 
 
+def _refuse_data(config: ExperimentConfig, mode: str, reason: str) -> None:
+    """Modes that need fully generated genealogies end with a config error
+    on ``data.path`` rather than ignore it."""
+    if config.data_path is not None:
+        raise ConfigError(f"{mode} mode takes no data.path: {reason}")
+
+
 def _martingale_setup(config: ExperimentConfig, mode: str):
     """Schedule, kernel and each t's ``cf_corrections`` for the martingale
     modes, after the guards both share."""
     if not config.t_grid:
         raise ConfigError(f"{mode} mode needs a non-empty diagnostics.t_grid")
-    if config.data_path is not None:
-        raise ConfigError(
-            f"{mode} mode needs fully generated trajectories; injected data "
-            "points carry no ancestry for the dominating-chain traces"
-        )
+    _refuse_data(
+        config, mode, "injected data points carry no ancestry for the dominating-chain traces"
+    )
     if config.steps < 2:
         raise ConfigError(f"{mode} mode needs run.steps >= 2, got {config.steps}")
     schedule = config.schedule()
@@ -285,6 +290,7 @@ def _urn_tallies(config: ExperimentConfig, windows, anchor=None, horizon=None):
 
 
 def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
+    _refuse_data(config, "urn", "the descendant laws hold for a fully generated genealogy")
     reps = config.replications
     anchor = config.urn_anchor
     horizon = config.steps if config.urn_fraction_horizon is None else config.urn_fraction_horizon
@@ -384,6 +390,7 @@ def run_contrast(config: ExperimentConfig, out_dir: Path) -> dict:
     The first half must reach past the origin, whose norm 0 would make the
     support ratio infinite, so the run needs at least 4 steps.
     """
+    _refuse_data(config, "contrast", "both flavors run from the origin alone")
     schedule, kernel = config.schedule(), config.kernel()
     if kernel.family != "half_normal":
         raise ConfigError("the support contrast is defined for the half_normal kernel")

@@ -16,15 +16,18 @@ ancestry, and the exact finite-mixture form of the predictive law is
 available at every time index.
 
 Every sum along one trajectory's ancestry (the points, the dominating
-chain sums) goes through :func:`chain_sum`; chain roots for the urn laws
-come from ``urn.block_roots``.  :func:`reconstruct_from_genealogy` and
+chain sums) is evaluated over its :class:`LevelOrder`: the generated points
+grouped by depth below the roots, found once by :func:`level_order` and
+carried by the trajectory, then summed one depth level at a time
+(:func:`chain_sum` does both for any genealogy).  Chain roots for the urn
+laws come from ``urn.block_roots``.  :func:`reconstruct_from_genealogy` and
 :func:`reconstruct_all` walk the chains separately on purpose: they are the
-independent oracles :func:`chain_sum` is tested against.
+independent oracles the simulated points are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +42,19 @@ FLAVORS = ("kde", "recursive")
 # plain bisection after, so every level ends within _QUANTILE_ROUNDS rounds.
 _NEWTON_ROUNDS = 100
 _QUANTILE_ROUNDS = 200
+
+
+@dataclass(frozen=True)
+class LevelOrder:
+    """The generated rows of a genealogy, stably sorted by depth below the
+    base rows: the rows of depth k are ``rows[bounds[k - 1]:bounds[k]]``,
+    with parents ``sources[...]`` and 0-based generation positions
+    ``order[...]`` (row s + i is generated at position i)."""
+
+    rows: np.ndarray     # (m,) int64, s + order
+    sources: np.ndarray  # (m,) int64, parents[order]
+    order: np.ndarray    # (m,) int64, generation positions sorted by depth
+    bounds: list[int]    # [0, end of depth 1, end of depth 2, ...]
 
 
 @dataclass(frozen=True)
@@ -57,6 +73,9 @@ class Trajectory:
     kernel_draws: np.ndarray  # (N-1, d) float, NaN rows where no record
     steps_h: np.ndarray       # (N-1,) float, bandwidth applied, NaN where no record
     seed_prefix_len: int      # number of leading points injected as observed data
+    # Depth order of the generated points below the prefix rows, shared by
+    # every chain sum over this genealogy.
+    levels: LevelOrder = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -279,7 +298,8 @@ def simulate(
         h_applied = np.zeros(0)
     increments = h_applied[:, None] * y
 
-    points = chain_sum(prefix, anc - 1, increments)
+    levels = level_order(anc - 1, s)
+    points = _sum_levels(prefix, increments, levels)
 
     ancestors = np.zeros(length - 1, dtype=np.int64)
     draws = np.full((length - 1, d), np.nan)
@@ -296,6 +316,7 @@ def simulate(
         kernel_draws=draws,
         steps_h=steps_h,
         seed_prefix_len=seed_len,
+        levels=levels,
     )
 
 
@@ -359,18 +380,62 @@ def chain_sum(base: np.ndarray, parents: np.ndarray, increments: np.ndarray) -> 
     row s + i is ``out[parents[i]] + increments[i]``, with 0-based
     0 <= parents[i] < s + i.  Shapes are (s,)/(m,) or (s, d)/(m, d).
 
-    One forward loop over plain lists per coordinate: several times faster
-    than ndarray scalar indexing, and every sum runs root to leaf.
+    Evaluated over ``level_order(parents, s)``: a row's parent lies one
+    level up, so each level is one gather-and-add.  Every row is the same
+    IEEE addition of the same two doubles as in the recursion as written,
+    so the sums are bit for bit those of a forward loop.
     """
+    return _sum_levels(base, increments, level_order(parents, base.shape[0]))
+
+
+def level_order(parents: np.ndarray, s: int) -> LevelOrder:
+    """Depth order of the generated rows s + i of a genealogy whose rows
+    below s are roots and whose row s + i has the 0-based parent
+    ``parents[i]``, which must be an earlier row (ValueError otherwise).
+
+    Depths come from pointer jumping with distance doubling: every row
+    adds the distance its pointer has covered and jumps to its pointer's
+    pointer, until each pointer reaches a root; ~log2(height) rounds of
+    integer arithmetic, so the depths are exact.  The rows are then
+    stable-sorted on the narrowest unsigned key that holds the height.
+    """
+    parents = np.asarray(parents, dtype=np.int64)
+    m = parents.shape[0]
+    # Read as unsigned, a negative parent is huge: one comparison catches it
+    # and a parent at or past its own row alike.
+    if (parents.view(np.uint64) >= np.arange(s, s + m, dtype=np.uint64)).any():
+        raise ValueError("every parent must be an earlier row: 0 <= parents[i] < s + i")
+    up = np.concatenate((np.arange(s), parents))
+    depth = np.ones(s + m, dtype=np.int64)
+    depth[:s] = 0
+    while up[s:].max(initial=0) >= s:
+        depth += depth[up]
+        up = up[up]
+    key = depth[s:]
+    key = key.astype(np.min_scalar_type(key.max(initial=0)))
+    order = key.argsort(kind="stable")
+    return LevelOrder(
+        rows=order + s,
+        sources=parents[order],
+        order=order,
+        bounds=np.bincount(key).cumsum().tolist(),
+    )
+
+
+def _sum_levels(base: np.ndarray, increments: np.ndarray, levels: LevelOrder) -> np.ndarray:
+    """``chain_sum`` over a precomputed level order of the same genealogy."""
     s = base.shape[0]
-    rows = parents.tolist()
-    cols = base.reshape(s, -1).T.tolist()
-    for buf, inc in zip(cols, increments.reshape(len(rows), len(cols)).T.tolist()):
-        append = buf.append
-        for p, v in zip(rows, inc):
-            append(buf[p] + v)
-    # The copy turns the transposed columns back into C-ordered rows.
-    return np.array(cols).T.copy().reshape((-1,) + base.shape[1:])
+    out = np.empty((s + levels.order.size,) + base.shape[1:])
+    out[:s] = base
+    # One coordinate is gathered as scalars, faster than rows one wide.
+    flat = out.reshape(out.shape[0], -1)
+    if flat.shape[1] == 1:
+        flat = flat.reshape(-1)
+    inc = increments.reshape((levels.order.size,) + flat.shape[1:])[levels.order]
+    rows, sources, bounds = levels.rows, levels.sources, levels.bounds
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        flat[rows[a:b]] = flat[sources[a:b]] + inc[a:b]
+    return out
 
 
 # -------------------------------------------------------------- derived views
@@ -468,12 +533,12 @@ def dominating_path(traj: Trajectory) -> np.ndarray:
     Entry p bounds ||point p|| from above (triangle inequality along the
     ancestry).  Requires full genealogy, so any trajectory with injected
     data points is rejected: even one data point roots the chains away from
-    the origin.
+    the origin.  The sums run over the level order the trajectory carries.
     """
     if traj.seed_prefix_len:
         raise MissingGenealogy("dominating path needs ancestry for every point")
     norm_inc = traj.steps_h * np.linalg.norm(traj.kernel_draws, axis=1)
-    return chain_sum(np.zeros(1), traj.ancestors - 1, norm_inc)
+    return _sum_levels(np.zeros(1), norm_inc, traj.levels)
 
 
 def write_csv(path, version: str, config_hash: str, columns) -> None:

@@ -515,6 +515,9 @@ class TestCli:
             ("contrast", "kernel.family = gaussian\n", None, "half_normal"),
             ("contrast", "kernel.family = half_normal\nrun.steps = 2\n", None, "run.steps >= 4"),
             ("contrast", "kernel.family = half_normal\nrun.steps = 3\n", None, "run.steps >= 4"),
+            ("urn", "data.path = missing.txt\n", None, "urn mode takes no data.path"),
+            ("contrast", "kernel.family = half_normal\ndata.path = missing.txt\n", None,
+             "contrast mode takes no data.path"),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
@@ -524,6 +527,7 @@ class TestCli:
             "negative-tail-factor", "diagnose-laplace-d2", "box-lo-nan", "t-grid-nan",
             "diagnose-table", "cf-trace-table", "cf-trace-one-step", "diagnose-one-step",
             "contrast-gaussian", "contrast-two-steps", "contrast-three-steps",
+            "urn-data-path", "contrast-data-path",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):

@@ -50,6 +50,24 @@ def forward_loop(flavor, schedule, prefix, ancestors, draws):
     return np.array(xs), np.array(hs)
 
 
+def dominating_walk(traj):
+    """Reference U: walk each point's chain back to the origin, as
+    reconstruct_from_genealogy does, then add h * ||y|| from the root down."""
+    terms = (traj.steps_h * np.linalg.norm(traj.kernel_draws, axis=1)).tolist()
+    ancestors = traj.ancestors.tolist()
+    u = []
+    for n in range(1, len(traj) + 1):
+        chain = []
+        while n > 1:
+            chain.append(terms[n - 2])
+            n = ancestors[n - 2]
+        acc = 0.0
+        for term in reversed(chain):
+            acc += term
+        u.append(acc)
+    return np.array(u)
+
+
 def bisection_quantile(mix, q, tol=1e-10):
     """Reference quantile: plain bisection on the mixture CDF inside the
     same span-doubling bracket, until it is narrower than tol(1 + |mid|)."""
@@ -514,6 +532,15 @@ class TestPaths:
         u = dominating_path(traj)
         assert np.all(np.linalg.norm(traj.points, axis=1) <= u + 1e-12)
         assert u[0] == 0.0
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("chain", [False, True], ids=["drawn", "forced-chain"])
+    def test_dominating_path_matches_chain_walk(self, flavor, chain):
+        n = 2000
+        forced = np.arange(1, n) if chain else None
+        traj = simulate(flavor, SCHED, KernelSpec("laplace"), n, DrawStreams.from_seed(38, 0),
+                        forced_ancestors=forced)
+        assert np.array_equal(dominating_path(traj), dominating_walk(traj))
 
 
 class TestDistributionalConsistency:
