@@ -40,9 +40,15 @@ from .urn import (
 
 
 def _load_data(config: ExperimentConfig) -> np.ndarray | None:
+    """The observed-data prefix, or None; every run starts from all of it."""
     if config.data_path is None:
         return None
-    return load_data_points(config.resolved_data_path(), config.kernel_dimension)
+    data = load_data_points(config.resolved_data_path(), config.kernel_dimension)
+    if config.steps < len(data):
+        raise ConfigError(
+            f"run.steps={config.steps} is shorter than the data ({len(data)} points)"
+        )
+    return data
 
 
 # ------------------------------------------------------------------ reports
@@ -110,11 +116,21 @@ def _refuse_data(config: ExperimentConfig, mode: str, reason: str) -> None:
         raise ConfigError(f"{mode} mode takes no data.path: {reason}")
 
 
+def _require_t_grid(config: ExperimentConfig, mode: str) -> None:
+    """Modes that read the CF at each t of diagnostics.t_grid need one."""
+    if not config.t_grid:
+        raise ConfigError(f"{mode} mode needs a non-empty diagnostics.t_grid")
+
+
+def _cf_gap(phis, a: int, b: int) -> float:
+    """max over t of |phi_a(t) - phi_b(t)|, given each t's ``cf_path``."""
+    return max(abs(phi[a - 1] - phi[b - 1]) for phi in phis)
+
+
 def _martingale_setup(config: ExperimentConfig, mode: str):
     """Schedule, kernel and each t's ``cf_corrections`` for the martingale
     modes, after the guards both share."""
-    if not config.t_grid:
-        raise ConfigError(f"{mode} mode needs a non-empty diagnostics.t_grid")
+    _require_t_grid(config, mode)
     _refuse_data(
         config, mode, "injected data points carry no ancestry for the dominating-chain traces"
     )
@@ -185,7 +201,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
             cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
             cf_inc[i, :, r] = s_vals[times] - s_vals[times - 1]
         for k, n in enumerate(checkpoints):
-            cf_dist[k, r] = max(abs(phi[n - 1] - phi[n_pts - 1]) for phi in phis)
+            cf_dist[k, r] = _cf_gap(phis, n, n_pts)
         threshold = config.tail_threshold_factor * max(j[-1], 1e-12)
         tail_mass, bound = mg.tail_prob_bound_check(
             flavor, u, j, schedule, kernel, threshold, at_times=times
@@ -426,11 +442,8 @@ def run_contrast(config: ExperimentConfig, out_dir: Path) -> dict:
 def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
     if config.data_path is None:
         raise ConfigError("posterior mode needs data.path")
+    _require_t_grid(config, "posterior")
     data = _load_data(config)
-    if config.steps < len(data):
-        raise ConfigError(
-            f"run.steps={config.steps} is shorter than the data ({len(data)} points)"
-        )
     schedule = config.schedule()
     kernel = config.kernel()
     d = config.kernel_dimension
@@ -455,8 +468,8 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
             quantiles[r] = mix.quantile(config.posterior_quantiles)
         if has_box:
             box_probs[r] = mix.prob(config.posterior_box_lo, config.posterior_box_hi)
-        phis_a = [cf_path(traj, schedule, kernel, t, upto=conv_pair[1]) for t in config.t_grid]
-        conv[r] = max(abs(p[conv_pair[0] - 1] - p[conv_pair[1] - 1]) for p in phis_a)
+        phis = [cf_path(traj, schedule, kernel, t) for t in config.t_grid]
+        conv[r] = _cf_gap(phis, *conv_pair)
 
     columns = {"replication": range(config.replications)}
     for jdx, col in enumerate(means.T.tolist(), start=1):

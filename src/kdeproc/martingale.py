@@ -23,10 +23,15 @@ from the infinite product of the one-step growth factors
     a_n(t) = phi_K(h_n t)/(n+1) + n/(n+1)          (shared bandwidth)
     a~_n(t) = phi_K(h_{n+1} t)/(n+1) + n/(n+1)     (frozen bandwidth)
 
-is a bounded martingale.  Products over k >= n are evaluated through their
-log-sum with an Euler-Maclaurin tail (slow power-law decay makes naive
-truncation hopeless), and every product carries both the summable bound
-certifying it stays near 1 and a numerical remainder estimate.
+is a bounded martingale.  Each t takes one pass over the traced range: the
+bandwidths h_1..h_{n_max+s} (s = 0 shared, 1 frozen) are read once and
+phi_K(h_n t) is evaluated once.  The start index is the first n at which
+that array clears START_INDEX_FLOOR; the growth factors read the bandwidth
+slice shifted by s, and the shared-bandwidth correction divides by the same
+array.  Products over k > n_max are evaluated through their log-sum with an
+Euler-Maclaurin tail (slow power-law decay makes naive truncation
+hopeless), and every product carries both the summable bound certifying it
+stays near 1 and a numerical remainder estimate.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from .kernels import KernelSpec
 
 DRIFT_FLAG_THRESHOLD = 4.0
 START_INDEX_FLOOR = 0.1
+# Relative error the certified CF product tail must reach.
+PRODUCT_TAIL_REL_TOL = 1e-8
 # Largest excess of the dominating chain's tail mass over its Markov bound
 # that still counts as rounding.
 TAIL_BOUND_TOLERANCE = 1e-10
@@ -121,52 +128,16 @@ def tail_prob_bound_check(
 
 # ------------------------------------------------------------- CF factors
 
+# The bandwidth index shift s of the growth factor a_n, which reads h_{n+s}:
+# the shared bandwidth (kde) applies h_n, the frozen one (recursive) h_{n+1}.
+_BANDWIDTH_SHIFT = {"kde": 0, "recursive": 1}
 
-def _factor_deviation(h_of, kernel: KernelSpec, t, n: np.ndarray, flavor: str) -> np.ndarray:
-    """a_n(t) - 1 = (phi_K(h_{n+s} t) - 1)/(n + 1) at the indices n, with the
-    flavor shift s (0 shared, 1 frozen) and h_{n+s} = h_of(n + s), kept in
+
+def _factor_deviation(h: np.ndarray, kernel: KernelSpec, t, n: np.ndarray) -> np.ndarray:
+    """a_n(t) - 1 = (phi_K(h_{n+s} t) - 1)/(n + 1) at the indices n, given
+    the bandwidths h = h_{n+s} (shift s from ``_BANDWIDTH_SHIFT``), kept in
     cancellation-free form."""
-    shift = 0.0 if flavor == "kde" else 1.0
-    return kernel.cf_scaled_minus_one(t, h_of(n + shift)) / (n + 1.0)
-
-
-def factor_values(
-    schedule: BandwidthSchedule, kernel: KernelSpec, t, n_lo: int, n_hi: int, flavor: str
-) -> np.ndarray:
-    """Growth factors for n = n_lo..n_hi, vectorized, on the bandwidths the
-    trajectories apply (``schedule.values``)."""
-
-    def applied(k):  # k runs over consecutive integers
-        return schedule.values(int(k[-1]), start=int(k[0]))
-
-    n = np.arange(n_lo, n_hi + 1, dtype=float)
-    return 1.0 + _factor_deviation(applied, kernel, t, n, flavor)
-
-
-def start_index(
-    schedule: BandwidthSchedule,
-    kernel: KernelSpec,
-    t,
-    max_scan: int = 10**7,
-) -> int:
-    """Smallest n <= max_scan with |phi_K(h_n t)| > START_INDEX_FLOOR.
-
-    Exists for any t once the bandwidths have decayed enough (CF continuity
-    at the origin); the floor keeps later divisions well conditioned.
-    """
-    t = np.asarray(t, dtype=float)
-    lo, block = 1, 1024
-    while lo <= max_scan:
-        hi = min(lo + block - 1, max_scan)
-        mod = np.abs(kernel.cf_scaled(t, schedule.values(hi, start=lo)))
-        hits = np.flatnonzero(mod > START_INDEX_FLOOR)
-        if hits.size:
-            return lo + int(hits[0])
-        lo = hi + 1
-        block = min(block * 4, 1 << 20)
-    raise ZeroDenominator(
-        f"kernel CF stays below the conditioning floor for every n up to {max_scan}"
-    )
+    return kernel.cf_scaled_minus_one(t, h) / (n + 1.0)
 
 
 # --------------------------------------------------------- infinite products
@@ -180,7 +151,7 @@ def lemma_constant(kernel: KernelSpec, t) -> float:
 
 
 def product_tail_bound(
-    schedule: BandwidthSchedule, kernel: KernelSpec, t, from_n: int, flavor: str = "kde"
+    schedule: BandwidthSchedule, kernel: KernelSpec, t, from_n: int, flavor: str
 ) -> float:
     """Summable bound on sum_{k>=from_n} |factor_k - 1|.
 
@@ -220,12 +191,13 @@ def _log1p_complex(w: np.ndarray) -> np.ndarray:
 
 def _log_factor_fn(schedule: BandwidthSchedule, kernel: KernelSpec, t, flavor: str):
     t = np.asarray(t, dtype=float)
+    shift = _BANDWIDTH_SHIFT[flavor]
 
     def log_factor(x):
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
         # Past the horizon, at real x, h is the unclamped law.
-        w = _factor_deviation(schedule.law, kernel, t, x, flavor)
+        w = _factor_deviation(schedule.law(x + shift), kernel, t, x)
         if np.any(w == -1.0):
             raise ZeroFactor("a growth factor vanished; start the product later")
         out = _log1p_complex(w)
@@ -239,15 +211,14 @@ def lemma_product_tail(
     kernel: KernelSpec,
     t,
     from_n: int,
-    rel_tol: float = 1e-8,
-    flavor: str = "kde",
+    flavor: str,
 ) -> ProductTail:
     """prod_{k >= from_n} growth factor, certified.
 
     The log-sum is split into a direct part and an Euler-Maclaurin remainder
     (integral + endpoint corrections); with decay exponents as low as 1.2 a
-    term-by-term truncation could never reach ``rel_tol``, the remainder
-    integral can.
+    term-by-term truncation could never reach ``PRODUCT_TAIL_REL_TOL``, the
+    remainder integral can.
     """
     if from_n < 1:
         raise ValueError(f"start must be >= 1, got {from_n}")
@@ -260,7 +231,7 @@ def lemma_product_tail(
         direct = complex(np.sum(f(k))) if k.size else 0.0 + 0.0j
         remainder, rem_err = _euler_maclaurin_tail(f, cut, schedule)
         value = np.exp(direct + remainder)
-        if rem_err <= rel_tol * max(abs(value), 1e-300):
+        if rem_err <= PRODUCT_TAIL_REL_TOL * max(abs(value), 1e-300):
             return ProductTail(
                 value=complex(value),
                 from_n=from_n,
@@ -269,7 +240,8 @@ def lemma_product_tail(
             )
         cut *= 4
     raise ToleranceNotReached(
-        f"CF product tail from n={from_n} did not reach relative tolerance {rel_tol:g}"
+        f"CF product tail from n={from_n} did not reach relative tolerance "
+        f"{PRODUCT_TAIL_REL_TOL:g}"
     )
 
 
@@ -328,28 +300,38 @@ def cf_corrections(
     of the CF martingale, reusable across replications.
 
     The martingale along a trajectory is ``correction * process.cf_path(traj,
-    schedule, kernel, t)``.  Entries before ``start_n`` are NaN; a scalar t
-    is broadcast to the kernel dimension, as in ``cf_path``.
+    schedule, kernel, t)``.  ``start_n`` is the first n with |phi_K(h_n t)|
+    > START_INDEX_FLOOR, which keeps the kde division well conditioned;
+    entries before it are NaN.  A scalar t is broadcast to the kernel
+    dimension, as in ``cf_path``.
     """
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
     # The product past n_max follows the bandwidth law: a table, which has
     # none, raises NoEnvelope here, before any of its entries is read.
     schedule.law(n_max + 1.0)
-    start_n = start_index(schedule, kernel, t_arr, max_scan=n_max)
-    factors = factor_values(schedule, kernel, t_arr, start_n, n_max, flavor)
+    shift = _BANDWIDTH_SHIFT[flavor]
+    h = schedule.values(n_max + shift)
+    phi_h = kernel.cf_scaled(t_arr, h[:n_max])
+    usable = np.flatnonzero(np.abs(phi_h) > START_INDEX_FLOOR)
+    if not usable.size:
+        raise ZeroDenominator(
+            f"kernel CF stays below the conditioning floor for every n up to {n_max}"
+        )
+    start_n = int(usable[0]) + 1
+    n = np.arange(start_n, n_max + 1, dtype=float)
+    factors = 1.0 + _factor_deviation(h[start_n - 1 + shift :], kernel, t_arr, n)
     if np.any(factors == 0):
         raise ZeroFactor("a growth factor vanished inside the traced range")
-    beyond = lemma_product_tail(schedule, kernel, t_arr, n_max + 1, flavor=flavor)
+    beyond = lemma_product_tail(schedule, kernel, t_arr, n_max + 1, flavor)
     # suffix[i] = factors[i] * ... * factors[-1] * beyond, multiplied from
     # the far end inward as one reversed cumulative product.
     suffix = np.cumprod(np.append(factors, beyond.value)[::-1])[:0:-1]
     correction = np.full(n_max, np.nan, dtype=complex)
     correction[start_n - 1 :] = suffix
     if flavor == "kde":
-        phi_h = kernel.cf_scaled(t_arr, schedule.values(n_max)[start_n - 1 :])
-        if np.any(phi_h == 0):
+        if np.any(phi_h[start_n - 1 :] == 0):
             raise ZeroDenominator("kernel CF vanishes inside the traced range")
-        correction[start_n - 1 :] /= phi_h
+        correction[start_n - 1 :] /= phi_h[start_n - 1 :]
     return start_n, correction
 
 

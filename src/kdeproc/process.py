@@ -465,18 +465,15 @@ def cf_path(
     schedule: BandwidthSchedule,
     kernel: KernelSpec,
     t,
-    upto: int | None = None,
 ) -> np.ndarray:
-    """Predictive-mixture CF at a fixed t for every time 1..upto.
+    """Predictive-mixture CF at a fixed t for every time 1..len(traj).
 
     Uses cumulative phase sums, so a whole path costs the same as one
     evaluation at the final time.
     """
-    n_max = len(traj) if upto is None else int(upto)
-    if not 1 <= n_max <= len(traj):
-        raise ValueError(f"horizon must be in [1, {len(traj)}], got {n_max}")
+    n_max = len(traj)
     t = np.broadcast_to(np.asarray(t, dtype=float), (traj.dim,))
-    phases = np.exp(1j * (traj.points[:n_max] @ t))
+    phases = np.exp(1j * (traj.points @ t))
     h = schedule.values(n_max)
     counts = np.arange(1, n_max + 1, dtype=float)
     if traj.flavor == "kde":

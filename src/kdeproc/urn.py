@@ -19,31 +19,34 @@ from .errors import DomainError, TrajectoryTooShort
 # ------------------------------------------------------------------ exact law
 
 
-def betabinom_pmf(n: int, k: int) -> float:
-    """P(descendant count = k) for a window of n steps over n starting points.
+def betabinom_pmf_vector(n: int) -> np.ndarray:
+    """P(descendant count = k) for k = 0..n, for a window of n steps over n
+    starting points.
 
     The urn starts with 1 black ball (the tracked point) and n - 1 red balls
     and is reinforced for n draws:
 
         P(L = k) = C(n, k) * B(k + 1, 2n - k - 1) / B(1, n - 1)
 
-    evaluated in log-gamma arithmetic.
+    evaluated in log-gamma arithmetic over the whole array of k.
     """
     if n < 2:
         raise DomainError(f"window parameter must be >= 2, got {n}")
-    if not 0 <= k <= n:
-        raise DomainError(f"count must be in [0, {n}], got {k}")
+    k = np.arange(n + 1)
     log_binom = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
     log_beta_num = (
         special.gammaln(k + 1.0) + special.gammaln(2.0 * n - k - 1.0) - special.gammaln(2.0 * n)
     )
     log_beta_den = special.gammaln(1.0) + special.gammaln(n - 1.0) - special.gammaln(float(n))
-    return float(np.exp(log_binom + log_beta_num - log_beta_den))
+    return np.exp(log_binom + log_beta_num - log_beta_den)
 
 
-def betabinom_pmf_vector(n: int) -> np.ndarray:
-    """The full pmf over k = 0..n."""
-    return np.array([betabinom_pmf(n, k) for k in range(n + 1)])
+def betabinom_pmf(n: int, k: int) -> float:
+    """P(descendant count = k): entry k of :func:`betabinom_pmf_vector`."""
+    pmf = betabinom_pmf_vector(n)
+    if not 0 <= k <= n:
+        raise DomainError(f"count must be in [0, {n}], got {k}")
+    return float(pmf[k])
 
 
 def descendant_tail_bound(n: int, k: int) -> float:

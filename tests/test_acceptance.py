@@ -233,19 +233,19 @@ def test_criterion_5_cf_drift_and_bounds(drift_data):
 def test_criterion_6_lemma_product():
     start = time.perf_counter()
     t = 1.0
-    start_n = mg.start_index(SCHED, GAUSS, t)
-    f = mg._log_factor_fn(SCHED, GAUSS, np.array([t]), "kde")
     grid = [64, 256, 1024, 4096, 16384, 65536, 262144]
+    start_n = mg.cf_corrections(SCHED, GAUSS, t, grid[0], "kde")[0]
+    f = mg._log_factor_fn(SCHED, GAUSS, np.array([t]), "kde")
     partials = {}
     for m in grid:
         k = np.arange(start_n, m + 1, dtype=float)
         partials[m] = complex(np.exp(np.sum(f(k))))
     cauchy_ok = True
     for m1, m2 in zip(grid, grid[1:]):
-        bound = mg.product_tail_bound(SCHED, GAUSS, t, m1 + 1)
+        bound = mg.product_tail_bound(SCHED, GAUSS, t, m1 + 1, "kde")
         allowed = abs(partials[m1]) * np.expm1(bound) + 1e-12
         cauchy_ok = cauchy_ok and abs(partials[m2] - partials[m1]) <= allowed
-    res = mg.lemma_product_tail(SCHED, GAUSS, t, 10**4)
+    res = mg.lemma_product_tail(SCHED, GAUSS, t, 10**4, "kde")
     band = np.expm1(res.lemma_bound) + res.numerical_error
     in_band = abs(res.value - 1.0) <= band and res.value != 0
     elapsed = time.perf_counter() - start

@@ -471,6 +471,7 @@ class TestPosterior:
 
 _TABLE = "bandwidth.form = table\nbandwidth.table_path = obs.txt\n"
 _NO_ENVELOPE = "error: tail certification needs a power-law bandwidth envelope"
+_FOUR_POINTS = "0.1 0.2\n0.3 0.4\n0.5 0.6\n0.7 0.8\n"
 
 
 class TestCli:
@@ -518,6 +519,11 @@ class TestCli:
             ("urn", "data.path = missing.txt\n", None, "urn mode takes no data.path"),
             ("contrast", "kernel.family = half_normal\ndata.path = missing.txt\n", None,
              "contrast mode takes no data.path"),
+            ("posterior",
+             "data.path = obs.txt\ndiagnostics.t_grid =\nrun.steps = 50\nrun.replications = 2\n",
+             _FOUR_POINTS, "posterior mode needs a non-empty diagnostics.t_grid"),
+            ("simulate", "data.path = obs.txt\nrun.steps = 3\n", _FOUR_POINTS,
+             "run.steps=3 is shorter than the data (4 points)"),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
@@ -527,7 +533,8 @@ class TestCli:
             "negative-tail-factor", "diagnose-laplace-d2", "box-lo-nan", "t-grid-nan",
             "diagnose-table", "cf-trace-table", "cf-trace-one-step", "diagnose-one-step",
             "contrast-gaussian", "contrast-two-steps", "contrast-three-steps",
-            "urn-data-path", "contrast-data-path",
+            "urn-data-path", "contrast-data-path", "posterior-empty-t-grid",
+            "simulate-steps-below-data",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):

@@ -1,7 +1,11 @@
 """Martingale traces: compensators, product corrections, drift tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdeproc import (
     BandwidthSchedule,
@@ -13,7 +17,6 @@ from kdeproc import (
 )
 from kdeproc import martingale as mg
 from kdeproc.errors import (
-    IndexBeyondTable,
     MissingGenealogy,
     NoEnvelope,
     TooFewReplications,
@@ -177,56 +180,111 @@ class _CFZeroAtH3(_StubKernel):
         return np.where(np.asarray(scales) == SCHED.values(3)[2], 0.0, 1.0) + 0.0j
 
 
+def oracle_start(schedule, kernel, t, n_max):
+    """First n <= n_max with |phi_K(h_n t)| > 0.1, by a plain loop; None if
+    there is none."""
+    t = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
+    for n in range(1, n_max + 1):
+        if abs(kernel.cf(schedule.at(n) * t)) > 0.1:
+            return n
+    return None
+
+
+def oracle_factors(schedule, kernel, t, n_lo, n_hi, flavor):
+    """Growth factors 1 + (phi_K(h_{n+s} t) - 1)/(n + 1) for n = n_lo..n_hi,
+    one scalar CF at a time (s = 0 kde, 1 recursive)."""
+    t = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
+    s = 0 if flavor == "kde" else 1
+    return np.array(
+        [1 + (kernel.cf(schedule.at(n + s) * t) - 1) / (n + 1) for n in range(n_lo, n_hi + 1)]
+    )
+
+
+def factors_of_correction(schedule, kernel, t, corr, start_n, flavor):
+    """a_n for n = start_n..len(corr) - 1 read back from a correction:
+    c_n / c_{n+1}, after undoing the kde division by phi_K(h_n t)."""
+    n_max = len(corr)
+    prod = corr.copy()
+    if flavor == "kde":
+        t = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
+        prod *= [kernel.cf(schedule.at(n) * t) for n in range(1, n_max + 1)]
+    return prod[start_n - 1 : n_max - 1] / prod[start_n:]
+
+
+# Keyword arguments of each kernel family beyond its dimension.
+FAMILIES = {"gaussian": {}, "laplace": {}, "student_t": {"dof": 3.0}, "half_normal": {}}
+
+
 class TestFactorValues:
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_at_zero(self, flavor):
-        got = mg.factor_values(SCHED, GAUSS, 0.0, 1, 100, flavor)
-        np.testing.assert_array_equal(got, np.ones(100))
+        start, corr = mg.cf_corrections(SCHED, GAUSS, 0.0, 100, flavor)
+        assert start == 1
+        np.testing.assert_array_equal(corr, np.ones(100))
 
     def test_first_factor_value(self):
-        a = mg.factor_values(SCHED, GAUSS, 1.0, 1, 1, "kde")[0]
+        a = oracle_factors(SCHED, GAUSS, 1.0, 1, 1, "kde")[0]
         assert a.real == pytest.approx(np.exp(-0.5) / 2 + 0.5, abs=1e-12)
 
     def test_recursive_factor_uses_next_bandwidth(self):
-        a = mg.factor_values(SCHED, GAUSS, 1.0, 1, 1, "recursive")[0]
+        a = oracle_factors(SCHED, GAUSS, 1.0, 1, 1, "recursive")[0]
         expected = GAUSS.cf(2.0**-0.2) / 2 + 0.5
         assert a == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_factor_values_vectorized(self, flavor):
         t = 1.0
-        got = mg.factor_values(SCHED, GAUSS, t, 3, 7, flavor)
+        start, corr = mg.cf_corrections(SCHED, GAUSS, t, 8, flavor)
+        got = factors_of_correction(SCHED, GAUSS, t, corr, start, flavor)[2:]
         shift = 0 if flavor == "kde" else 1
         expected = [1 + (GAUSS.cf(SCHED.at(n + shift) * t) - 1) / (n + 1) for n in range(3, 8)]
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        d=st.integers(1, 3),
+        data=st.data(),
+        flavor=st.sampled_from(["kde", "recursive"]),
+        n_max=st.integers(2, 300),
+    )
+    def test_one_pass_matches_scalar_oracle(self, family, d, data, flavor, n_max):
+        kernel = KernelSpec(family, dim=d, **FAMILIES[family])
+        t = np.array(data.draw(st.lists(st.floats(-15.0, 15.0), min_size=d, max_size=d)))
+        want = oracle_start(SCHED, kernel, t, n_max)
+        # The certified tail past n_max is stubbed to 1: it scales every
+        # entry alike, so the start index and the factor ratios read the
+        # in-range pass alone, also where the tail cannot be certified.
+        unit_tail = mg.ProductTail(value=1.0 + 0.0j, from_n=n_max + 1, lemma_bound=0.0,
+                                   numerical_error=0.0)
+        with mock.patch.object(mg, "lemma_product_tail", return_value=unit_tail):
+            if want is None:
+                with pytest.raises(ZeroDenominator, match="conditioning floor"):
+                    mg.cf_corrections(SCHED, kernel, t, n_max, flavor)
+                return
+            start, corr = mg.cf_corrections(SCHED, kernel, t, n_max, flavor)
+        assert start == want
+        assert np.all(np.isnan(corr[: start - 1]))
+        got = factors_of_correction(SCHED, kernel, t, corr, start, flavor)
+        expected = oracle_factors(SCHED, kernel, t, start, n_max - 1, flavor)
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+
 
 class TestStartIndex:
     def test_gaussian_immediate(self):
-        assert mg.start_index(SCHED, GAUSS, 1.0) == 1
+        assert mg.cf_corrections(SCHED, GAUSS, 1.0, 50, "kde")[0] == 1
 
     def test_half_normal_large_t(self):
-        start = mg.start_index(SCHED, HALF, 20.0)
+        start = mg.cf_corrections(SCHED, HALF, 15.0, 1000, "kde")[0]
         assert start > 1
         h = SCHED.values(start)
-        mods = np.abs(HALF.cf_scaled(20.0, h))
+        mods = np.abs(HALF.cf_scaled(15.0, h))
         assert mods[-1] > 0.1
         assert np.all(mods[:-1] <= 0.1)
 
-    def test_table_shorter_than_first_block(self):
-        # The first scan block is 1024 long, even when h_1 already qualifies.
-        with pytest.raises(IndexBeyondTable):
-            mg.start_index(BandwidthSchedule.from_table([0.5] * 10), GAUSS, 1.0)
-
-    def test_scan_limit(self):
-        start = mg.start_index(SCHED, HALF, 20.0)
-        assert mg.start_index(SCHED, HALF, 20.0, max_scan=start) == start
-        with pytest.raises(ZeroDenominator, match="conditioning floor"):
-            mg.start_index(SCHED, HALF, 20.0, max_scan=start - 1)
-
     def test_corrections_scan_only_up_to_horizon(self, monkeypatch):
-        # At t = 1000 and d = 2 no h_n up to n = 20 qualifies: the scan stops
-        # at the horizon instead of evaluating bandwidths far beyond it.
+        # At t = 1000 and d = 2 no h_n up to n = 20 qualifies: the search
+        # stops at the horizon instead of reading bandwidths beyond it.
         asked = []
         values = BandwidthSchedule.values
 
@@ -242,11 +300,11 @@ class TestStartIndex:
 
 class TestLemmaProduct:
     def test_at_zero_exactly_one(self):
-        res = mg.lemma_product_tail(SCHED, GAUSS, 0.0, 5)
+        res = mg.lemma_product_tail(SCHED, GAUSS, 0.0, 5, "kde")
         assert res.value == 1.0 + 0.0j
 
     def test_within_lemma_band(self):
-        res = mg.lemma_product_tail(SCHED, GAUSS, 1.0, 10**4)
+        res = mg.lemma_product_tail(SCHED, GAUSS, 1.0, 10**4, "kde")
         assert res.value != 0
         assert abs(res.value - 1.0) <= 10 * res.lemma_bound
         # spec band: 10 * kappa * zeta(1.2, 1e4)
@@ -257,7 +315,7 @@ class TestLemmaProduct:
 
     def test_high_delta_against_direct_summation(self):
         sched = BandwidthSchedule.power(1.0, 0.8)
-        res = mg.lemma_product_tail(sched, GAUSS, 1.0, 50)
+        res = mg.lemma_product_tail(sched, GAUSS, 1.0, 50, "kde")
         f = mg._log_factor_fn(sched, GAUSS, np.array([1.0]), "kde")
         total = 0.0 + 0.0j
         lo = 50
@@ -268,15 +326,18 @@ class TestLemmaProduct:
         assert abs(res.value - np.exp(total)) < 1e-9
 
     def test_complex_case_cut_stability(self):
-        a = mg.lemma_product_tail(SCHED, HALF, 2.0, 100)
+        a = mg.lemma_product_tail(SCHED, HALF, 2.0, 100, "kde")
         f = mg._log_factor_fn(SCHED, HALF, np.array([2.0]), "kde")
         k = np.arange(100, 4096, dtype=float)
         head = np.exp(np.sum(f(k)))
-        b = mg.lemma_product_tail(SCHED, HALF, 2.0, 4096, rel_tol=1e-10)
+        b = mg.lemma_product_tail(SCHED, HALF, 2.0, 4096, "kde")
+        assert b.numerical_error <= 1e-10 * abs(b.value)
         assert abs(a.value - head * b.value) < 1e-9
 
     def test_monotone_certificates(self):
-        bounds = [mg.product_tail_bound(SCHED, GAUSS, 1.0, n) for n in (10, 100, 1000, 10**4)]
+        bounds = [
+            mg.product_tail_bound(SCHED, GAUSS, 1.0, n, "kde") for n in (10, 100, 1000, 10**4)
+        ]
         assert all(x > y for x, y in zip(bounds, bounds[1:]))
 
     def test_partial_products_cauchy(self):
@@ -288,22 +349,22 @@ class TestLemmaProduct:
             k = np.arange(start, m + 1, dtype=float)
             partials[m] = np.exp(np.sum(f(k)))
         for m1, m2 in zip(grid, grid[1:]):
-            bound = mg.product_tail_bound(SCHED, GAUSS, 1.0, m1 + 1)
+            bound = mg.product_tail_bound(SCHED, GAUSS, 1.0, m1 + 1, "kde")
             diff = abs(partials[m2] - partials[m1])
             assert diff <= abs(partials[m1]) * (np.expm1(bound)) + 1e-12
 
     def test_no_envelope_for_table(self):
         sched = BandwidthSchedule.from_table([0.5] * 100)
         with pytest.raises(NoEnvelope):
-            mg.lemma_product_tail(sched, GAUSS, 1.0, 5)
+            mg.lemma_product_tail(sched, GAUSS, 1.0, 5, "kde")
 
     def test_zero_factor_guard(self):
         with pytest.raises(ZeroFactor):
-            mg.lemma_product_tail(SCHED, _NegatingCF(), 1.0, 1)
+            mg.lemma_product_tail(SCHED, _NegatingCF(), 1.0, 1, "kde")
 
     def test_exponential_schedule_supported(self):
         sched = BandwidthSchedule.exponential(0.5)
-        res = mg.lemma_product_tail(sched, GAUSS, 1.0, 3)
+        res = mg.lemma_product_tail(sched, GAUSS, 1.0, 3, "kde")
         f = mg._log_factor_fn(sched, GAUSS, np.array([1.0]), "kde")
         k = np.arange(3, 500, dtype=float)
         assert abs(res.value - np.exp(np.sum(f(k)))) < 1e-10
@@ -357,11 +418,11 @@ class TestCfMartingaleTrace:
         # approach the stored correction within the certified bounds.
         t, n, m = 1.3, 7, 20000
         start, corr = mg.cf_corrections(SCHED, GAUSS, t, 64, "kde")
-        a = mg.factor_values(SCHED, GAUSS, t, n, m, "kde")
+        a = oracle_factors(SCHED, GAUSS, t, n, m, "kde")
         phi_h = GAUSS.cf_scaled(t, SCHED.values(m + 1))
         ratio_factors = a * phi_h[n : m + 1] / phi_h[n - 1 : m]
         partial = complex(np.prod(ratio_factors))
-        slack = np.expm1(mg.product_tail_bound(SCHED, GAUSS, t, m + 1)) + 2 * abs(
+        slack = np.expm1(mg.product_tail_bound(SCHED, GAUSS, t, m + 1, "kde")) + 2 * abs(
             phi_h[m] - 1.0
         )
         assert abs(corr[n - 1] - partial) <= abs(partial) * slack + 1e-12
@@ -382,10 +443,12 @@ class TestCfMartingaleTrace:
     @pytest.mark.parametrize("t", [0.5, 2.0, 7.0])
     def test_corrections_match_suffix_loop(self, flavor, kernel, t):
         # Reference: the suffix product multiplied one factor at a time from
-        # the far end, as a scalar loop.
+        # the far end, as a scalar loop, over the same factor floats.
         start, corr = mg.cf_corrections(SCHED, kernel, t, 400, flavor)
-        factors = mg.factor_values(SCHED, kernel, t, start, 400, flavor)
-        running = mg.lemma_product_tail(SCHED, kernel, t, 401, flavor=flavor).value
+        shift = 0 if flavor == "kde" else 1
+        h = SCHED.values(400 + shift)[start - 1 + shift :]
+        factors = 1.0 + mg._factor_deviation(h, kernel, t, np.arange(start, 401, dtype=float))
+        running = mg.lemma_product_tail(SCHED, kernel, t, 401, flavor).value
         expected = np.full(400, np.nan, dtype=complex)
         for i in range(len(factors) - 1, -1, -1):
             running = factors[i] * running
