@@ -128,8 +128,9 @@ def _cf_gap(phis, a: int, b: int) -> float:
 
 
 def _martingale_setup(config: ExperimentConfig, mode: str):
-    """Schedule, kernel and each t's ``cf_corrections`` for the martingale
-    modes, after the guards both share."""
+    """Schedule, kernel and each t's ``cf_corrections`` (start index,
+    correction and kernel CF row) for the martingale modes, after the guards
+    both share."""
     _require_t_grid(config, mode)
     _refuse_data(
         config, mode, "injected data points carry no ancestry for the dominating-chain traces"
@@ -172,7 +173,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     cf_bound = (
         1.0
         if flavor == "recursive"
-        else max(float(np.nanmax(np.abs(c))) for _, c in corrections)
+        else max(float(np.nanmax(np.abs(c))) for _, c, _ in corrections)
     )
 
     # Per-replication martingale increments S_{n+1} - S_n and Markov tail
@@ -195,13 +196,13 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
         dominance_violation = max(dominance_violation, float(np.max(norms - u)))
         # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
         tight_inc[:, r] = j[times] - j[times - 1] - comp[times - 1]
-        phis = [cf_path(traj, schedule, kernel, t) for t in config.t_grid]
-        for i, ((_, corr), phi) in enumerate(zip(corrections, phis)):
-            s_vals = corr * phi
-            cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
-            cf_inc[i, :, r] = s_vals[times] - s_vals[times - 1]
+        phis = [cf_path(traj, t, row) for t, (_, _, row) in zip(config.t_grid, corrections)]
         for k, n in enumerate(checkpoints):
             cf_dist[k, r] = _cf_gap(phis, n, n_pts)
+        for i, ((_, corr, _), s_vals) in enumerate(zip(corrections, phis)):
+            np.multiply(corr, s_vals, out=s_vals)  # S = correction * phi, over phi
+            cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
+            cf_inc[i, :, r] = s_vals[times] - s_vals[times - 1]
         threshold = config.tail_threshold_factor * max(j[-1], 1e-12)
         tail_mass, bound = mg.tail_prob_bound_check(
             flavor, u, j, schedule, kernel, threshold, at_times=times
@@ -214,7 +215,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     if can_drift:
         for k, n in enumerate(drift_times):
             tested = [(f"drift:tightness:n={n}", tight_inc[k])]
-            for i, (t, (start_n, _)) in enumerate(zip(config.t_grid, corrections)):
+            for i, (t, (start_n, _, _)) in enumerate(zip(config.t_grid, corrections)):
                 name = f"drift:cf:n={n}:t={t:g}"
                 if n < start_n:  # the correction, so S, is NaN before start_n
                     notes[name] = f"skipped: n={n} lies before the CF start index {start_n}"
@@ -457,6 +458,9 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
     conv = np.empty(config.replications)
     quantiles = np.empty((config.replications, len(config.posterior_quantiles)))
     box_probs = np.empty(config.replications)
+    # The kernel CF row of each t, for cf_path: one bandwidth read per run.
+    h = schedule.values(config.steps)
+    kernel_cfs = [kernel.cf_scaled(np.broadcast_to(t, (d,)), h) for t in config.t_grid]
     trajectories = simulate_batch(
         config.flavor, schedule, kernel, config.steps, config.master_seed,
         range(config.replications), data,
@@ -468,7 +472,7 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
             quantiles[r] = mix.quantile(config.posterior_quantiles)
         if has_box:
             box_probs[r] = mix.prob(config.posterior_box_lo, config.posterior_box_hi)
-        phis = [cf_path(traj, schedule, kernel, t) for t in config.t_grid]
+        phis = [cf_path(traj, t, row) for t, row in zip(config.t_grid, kernel_cfs)]
         conv[r] = _cf_gap(phis, *conv_pair)
 
     columns = {"replication": range(config.replications)}
@@ -511,8 +515,8 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
     tight = j + mg.compensator_tails(config.flavor, schedule, kernel.norm_mean, n_pts)
     summary_traces = {}
     h = config.config_hash()
-    for t, (start_n, corr) in zip(config.t_grid, corrections):
-        phi = cf_path(traj, schedule, kernel, t)
+    for t, (start_n, corr, row) in zip(config.t_grid, corrections):
+        phi = cf_path(traj, t, row)
         s_vals = corr * phi
         name = f"cf_trace_t{t:g}.csv"
         columns = {

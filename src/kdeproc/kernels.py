@@ -94,8 +94,8 @@ class KernelSpec:
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         scales = np.asarray(scales, dtype=float)
-        pm1 = np.zeros(scales.shape, dtype=complex)
-        for tj in t:
+        pm1 = self._cf1_m1(scales * t[0])
+        for tj in t[1:]:
             m1 = self._cf1_m1(scales * tj)
             pm1 = pm1 + m1 + pm1 * m1  # (1+pm1)(1+m1) - 1
         return pm1

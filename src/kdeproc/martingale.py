@@ -28,10 +28,14 @@ bandwidths h_1..h_{n_max+s} (s = 0 shared, 1 frozen) are read once and
 phi_K(h_n t) is evaluated once.  The start index is the first n at which
 that array clears START_INDEX_FLOOR; the growth factors read the bandwidth
 slice shifted by s, and the shared-bandwidth correction divides by the same
-array.  Products over k > n_max are evaluated through their log-sum with an
+array, which is also returned as the kernel CF row that ``cf_path`` reads.
+Products over k > n_max are evaluated through their log-sum with an
 Euler-Maclaurin tail (slow power-law decay makes naive truncation
 hopeless), and every product carries both the summable bound certifying it
-stays near 1 and a numerical remainder estimate.
+stays near 1 and a numerical remainder estimate.  The tail's quadrature
+evaluates the log-factor once at each node: the real and the imaginary
+pass and the endpoint differences read one table of complex values that
+lives for one call.
 """
 
 from __future__ import annotations
@@ -136,8 +140,14 @@ _BANDWIDTH_SHIFT = {"kde": 0, "recursive": 1}
 def _factor_deviation(h: np.ndarray, kernel: KernelSpec, t, n: np.ndarray) -> np.ndarray:
     """a_n(t) - 1 = (phi_K(h_{n+s} t) - 1)/(n + 1) at the indices n, given
     the bandwidths h = h_{n+s} (shift s from ``_BANDWIDTH_SHIFT``), kept in
-    cancellation-free form."""
-    return kernel.cf_scaled_minus_one(t, h) / (n + 1.0)
+    cancellation-free form.
+
+    The reciprocal multiply gives the same floats as numpy's complex-by-real
+    division, which scales by 1/(n + 1) itself, without its complex divide.
+    """
+    dev = kernel.cf_scaled_minus_one(t, h)
+    dev *= 1.0 / (n + 1.0)
+    return dev
 
 
 # --------------------------------------------------------- infinite products
@@ -239,8 +249,12 @@ def lemma_product_tail(
                 numerical_error=float(rem_err * abs(value)),
             )
         cut *= 4
+    # rem_err bounds the error of the log-sum; the check divides it by |tail|.
+    t_text = ", ".join(f"{v:g}" for v in np.atleast_1d(np.asarray(t, dtype=float)))
     raise ToleranceNotReached(
-        f"CF product tail from n={from_n} did not reach relative tolerance "
+        f"CF product tail at t=({t_text}), flavor {flavor}, from n={from_n}: relative "
+        f"error {rem_err / max(abs(value), 1e-300):.3g} (log-sum error {rem_err:.3g}, "
+        f"|tail| {abs(value):.3g}) at the last cut n={cut // 4}, above the tolerance "
         f"{PRODUCT_TAIL_REL_TOL:g}"
     )
 
@@ -271,16 +285,27 @@ def _euler_maclaurin_tail(f, start: int, schedule: BandwidthSchedule) -> tuple[c
         def jac(u):
             return 1.0 / (rate * u)
 
-    def quad_part(g):
-        val, err = integrate.quad(lambda u: g(x_of(u)) * jac(u), 0.0, 1.0, limit=400)
-        return val, err
+    # f at each node, kept for this call only: the real and the imaginary
+    # quadrature and the endpoint differences evaluate f once per node.
+    seen = {}
 
-    re_val, re_err = quad_part(lambda x: float(f(x).real))
-    im_val, im_err = quad_part(lambda x: float(f(x).imag))
-    f0 = complex(f(float(start)))
-    d1 = complex(f(start + 0.5) - f(start - 0.5))
+    def f_at(x):
+        value = seen.get(x)
+        if value is None:
+            value = seen[x] = f(x)
+        return value
+
+    def quad_part(part):
+        return integrate.quad(lambda u: float(part(f_at(x_of(u)))) * jac(u), 0.0, 1.0, limit=400)
+
+    re_val, re_err = quad_part(np.real)
+    im_val, im_err = quad_part(np.imag)
+    f0 = complex(f_at(float(start)))
+    d1 = complex(f_at(start + 0.5) - f_at(start - 0.5))
     # Third difference estimates the first omitted correction term f'''/720.
-    d3 = complex(f(start + 1.5) - 3 * f(start + 0.5) + 3 * f(start - 0.5) - f(start - 1.5))
+    d3 = complex(
+        f_at(start + 1.5) - 3 * f_at(start + 0.5) + 3 * f_at(start - 0.5) - f_at(start - 1.5)
+    )
     remainder = re_val + 1j * im_val + 0.5 * f0 - d1 / 12.0
     err = re_err + im_err + abs(d3) / 720.0 + 1e-15 * (abs(remainder) + 1.0)
     return remainder, float(err)
@@ -295,15 +320,15 @@ def cf_corrections(
     t,
     n_max: int,
     flavor: str,
-) -> tuple[int, np.ndarray]:
-    """(start_n, correction array for n = 1..n_max) -- the deterministic part
-    of the CF martingale, reusable across replications.
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(start_n, correction, kernel_cf), each array over n = 1..n_max -- the
+    deterministic parts of the CF martingale, reusable across replications.
 
     The martingale along a trajectory is ``correction * process.cf_path(traj,
-    schedule, kernel, t)``.  ``start_n`` is the first n with |phi_K(h_n t)|
-    > START_INDEX_FLOOR, which keeps the kde division well conditioned;
-    entries before it are NaN.  A scalar t is broadcast to the kernel
-    dimension, as in ``cf_path``.
+    t, kernel_cf)``, where ``kernel_cf`` is the kernel CF row phi_K(h_n t).
+    ``start_n`` is the first n with |phi_K(h_n t)| > START_INDEX_FLOOR, which
+    keeps the kde division well conditioned; corrections before it are NaN.
+    A scalar t is broadcast to the kernel dimension, as in ``cf_path``.
     """
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
     # The product past n_max follows the bandwidth law: a table, which has
@@ -319,20 +344,22 @@ def cf_corrections(
         )
     start_n = int(usable[0]) + 1
     n = np.arange(start_n, n_max + 1, dtype=float)
-    factors = 1.0 + _factor_deviation(h[start_n - 1 + shift :], kernel, t_arr, n)
+    correction = np.empty(n_max, dtype=complex)
+    correction[: start_n - 1] = np.nan
+    # The growth factors go straight into the correction array, which the
+    # reversed cumulative product then turns in place into the suffix
+    # products factors[i] * ... * factors[-1] * beyond, from the far end in.
+    factors = correction[start_n - 1 :]
+    np.add(_factor_deviation(h[start_n - 1 + shift :], kernel, t_arr, n), 1.0, out=factors)
     if np.any(factors == 0):
         raise ZeroFactor("a growth factor vanished inside the traced range")
-    beyond = lemma_product_tail(schedule, kernel, t_arr, n_max + 1, flavor)
-    # suffix[i] = factors[i] * ... * factors[-1] * beyond, multiplied from
-    # the far end inward as one reversed cumulative product.
-    suffix = np.cumprod(np.append(factors, beyond.value)[::-1])[:0:-1]
-    correction = np.full(n_max, np.nan, dtype=complex)
-    correction[start_n - 1 :] = suffix
+    factors[-1] *= lemma_product_tail(schedule, kernel, t_arr, n_max + 1, flavor).value
+    np.cumprod(factors[::-1], out=factors[::-1])
     if flavor == "kde":
         if np.any(phi_h[start_n - 1 :] == 0):
             raise ZeroDenominator("kernel CF vanishes inside the traced range")
-        correction[start_n - 1 :] /= phi_h[start_n - 1 :]
-    return start_n, correction
+        factors /= phi_h[start_n - 1 :]
+    return start_n, correction, phi_h
 
 
 # -------------------------------------------------------------- drift tests

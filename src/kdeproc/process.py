@@ -460,28 +460,40 @@ def predictive_mixture(
     return PredictiveMixture(centers=centers, scales=scales, kernel=kernel)
 
 
-def cf_path(
-    traj: Trajectory,
-    schedule: BandwidthSchedule,
-    kernel: KernelSpec,
-    t,
-) -> np.ndarray:
+def cf_path(traj: Trajectory, t, kernel_cf: np.ndarray) -> np.ndarray:
     """Predictive-mixture CF at a fixed t for every time 1..len(traj).
 
-    Uses cumulative phase sums, so a whole path costs the same as one
-    evaluation at the final time.
+    ``kernel_cf`` is the kernel CF row phi_K(h_n t), n = 1..len(traj).  It
+    depends on no trajectory, so a run builds it once per t (the third
+    result of ``martingale.cf_corrections``).  The path is one complex
+    buffer: the phases, their cumulative sum and the division by n are
+    written in place, so a whole path costs the same as one evaluation at
+    the final time.
     """
     n_max = len(traj)
+    if np.shape(kernel_cf) != (n_max,):
+        raise ValueError(
+            f"kernel CF row has shape {np.shape(kernel_cf)}, the trajectory {n_max} points"
+        )
     t = np.broadcast_to(np.asarray(t, dtype=float), (traj.dim,))
-    phases = np.exp(1j * (traj.points @ t))
-    h = schedule.values(n_max)
-    counts = np.arange(1, n_max + 1, dtype=float)
+    # At d = 1 the product is the matmul's one term, without its BLAS call.
+    x = traj.points[:, 0] * t[0] if traj.dim == 1 else traj.points @ t
+    phi = 1j * x
+    np.exp(phi, out=phi)
     if traj.flavor == "kde":
-        sums = kernel.cf_scaled(t, h) * np.cumsum(phases)
+        np.cumsum(phi, out=phi)
+        # kernel_cf on the left: numpy's complex multiply need not commute
+        # bit for bit (it may fuse one product into the sum).
+        np.multiply(kernel_cf, phi, out=phi)
     else:
-        sums = np.cumsum(phases * kernel.cf_scaled(t, h))
+        phi *= kernel_cf
+        np.cumsum(phi, out=phi)
     # Componentwise division: complex/real drops an ulp and phi(0) must be 1.
-    return sums.real / counts + 1j * (sums.imag / counts)
+    counts = np.arange(1, n_max + 1, dtype=float)
+    phi.real /= counts
+    phi.imag /= counts
+    phi += 0.0  # -0.0 parts (an underflowed kernel CF times a sum) read 0.0
+    return phi
 
 
 def reconstruct_from_genealogy(traj: Trajectory, n: int) -> np.ndarray:

@@ -161,7 +161,7 @@ def drift_data():
         sup_allowed = (
             1.0
             if flavor == "recursive"
-            else max(float(np.nanmax(np.abs(c))) for _, c in corrections.values())
+            else max(float(np.nanmax(np.abs(c))) for _, c, _ in corrections.values())
         )
         tight = {n: np.empty(R_DRIFT) for n in TIGHT_TIMES}
         cf_inc = {(t, n): np.empty(R_DRIFT, dtype=complex) for t in T_GRID for n in CF_TIMES}
@@ -173,8 +173,8 @@ def drift_data():
             for n in TIGHT_TIMES:
                 tight[n][r] = j[n] - j[n - 1] - comp[n - 1]
             for t in T_GRID:
-                start_n, corr = corrections[t]
-                s_vals = corr * cf_path(traj, SCHED, GAUSS, t)
+                start_n, corr, kernel_cf = corrections[t]
+                s_vals = corr * cf_path(traj, t, kernel_cf)
                 sup_mod = max(sup_mod, float(np.nanmax(np.abs(s_vals))))
                 for n in CF_TIMES:
                     cf_inc[(t, n)][r] = s_vals[n] - s_vals[n - 1]
@@ -269,11 +269,12 @@ def test_criterion_7_convergence_proxy():
     checkpoints = (10**4, 25 * 10**3, 5 * 10**4)
     means = {}
     ok = True
+    kernel_cfs = {t: GAUSS.cf_scaled(t, SCHED.values(n_final)) for t in T_GRID}
     for flavor in FLAVORS:
         dists = {n: np.empty(50) for n in checkpoints}
         for r in range(50):
             traj = simulate(flavor, SCHED, GAUSS, n_final, DrawStreams.from_seed(700, r))
-            phis = {t: cf_path(traj, SCHED, GAUSS, t) for t in T_GRID}
+            phis = {t: cf_path(traj, t, kernel_cfs[t]) for t in T_GRID}
             for n in checkpoints:
                 dists[n][r] = max(abs(phis[t][n - 1] - phis[t][n_final - 1]) for t in T_GRID)
         means[flavor] = [float(dists[n].mean()) for n in checkpoints]

@@ -358,8 +358,8 @@ class TestMultivariate:
         assert mix.prob([-np.inf, -np.inf], [np.inf, np.inf]) == pytest.approx(1.0)
         t = np.array([0.8, -0.4])
         assert abs(mix.cf(t)) <= 1.0
-        _, corr = mg.cf_corrections(schedule, kernel, t, cfg.steps, cfg.flavor)
-        assert np.isfinite((corr * cf_path(traj, schedule, kernel, t))[-1].real)
+        _, corr, kernel_cf = mg.cf_corrections(schedule, kernel, t, cfg.steps, cfg.flavor)
+        assert np.isfinite((corr * cf_path(traj, t, kernel_cf))[-1].real)
         u = dominating_path(traj)
         j = np.cumsum(u) / np.arange(1, cfg.steps + 1)
         tail = mg.compensator_tails(cfg.flavor, schedule, kernel.norm_mean, cfg.steps)
@@ -577,6 +577,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "tolerance" in err
+
+    @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
+    def test_product_tail_error_names_why(self, tmp_path, capsys, mode):
+        # half_normal at d = 3, t = 3 on the default schedule: the tail past
+        # run.steps = 1000 misses its tolerance, and the error says where and
+        # by how much before anything is written.
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            "flavor = kde\nkernel.family = half_normal\nkernel.dimension = 3\n"
+            "run.steps = 1000\nrun.replications = 2\ndiagnostics.t_grid = 3\n"
+            "run.output_dir = out\n"
+        )
+        assert cli_main([mode, "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: CF product tail at t=(3, 3, 3), flavor kde, from n=1001")
+        assert "relative error" in err and "above the tolerance 1e-08" in err
+        assert not any((tmp_path / "out").iterdir())
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

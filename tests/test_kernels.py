@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from kdeproc import KernelSpec
@@ -15,6 +17,12 @@ ALL_SPECS = [
     KernelSpec("student_t", dof=3.0),
     KernelSpec("student_t", dof=1.5),
 ]
+
+# Keyword arguments of each kernel family beyond its dimension.
+FAMILY_ARGS = {"gaussian": {}, "half_normal": {}, "laplace": {}, "student_t": {"dof": 3.0}}
+# Largest |cf_scaled - 1 - cf_scaled_minus_one| allowed at d = 2..3: each of
+# the two forms rounds once per coordinate product on values of modulus <= 2.
+MINUS_ONE_ATOL = 8 * np.finfo(float).eps
 
 
 class ForcedStream:
@@ -167,6 +175,25 @@ class TestCharacteristicFunction:
         # small-scale deviation keeps full relative resolution
         tiny = spec.cf_scaled_minus_one(1.0, np.array([1e-9]))[0]
         assert 0 < abs(tiny) < 1e-8
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILY_ARGS)),
+        d=st.integers(1, 3),
+        data=st.data(),
+        scales=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=30),
+    )
+    def test_minus_one_starts_from_first_coordinate(self, family, d, data, scales):
+        spec = KernelSpec(family, dim=d, **FAMILY_ARGS[family])
+        t = np.array(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=d, max_size=d)))
+        scales = np.array(scales)
+        got = spec.cf_scaled_minus_one(t, scales)
+        if d == 1:
+            # One coordinate: exactly its deviation, to the bit.
+            assert got.tobytes() == spec._cf1_m1(scales * t[0]).tobytes()
+        else:
+            direct = spec.cf_scaled(t, scales) - 1.0
+            np.testing.assert_allclose(got, direct, rtol=0.0, atol=MINUS_ONE_ATOL)
 
 
 class TestCdf:

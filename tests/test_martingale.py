@@ -19,6 +19,7 @@ from kdeproc import martingale as mg
 from kdeproc.errors import (
     MissingGenealogy,
     NoEnvelope,
+    ToleranceNotReached,
     TooFewReplications,
     ZeroDenominator,
     ZeroFactor,
@@ -218,7 +219,7 @@ FAMILIES = {"gaussian": {}, "laplace": {}, "student_t": {"dof": 3.0}, "half_norm
 class TestFactorValues:
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_at_zero(self, flavor):
-        start, corr = mg.cf_corrections(SCHED, GAUSS, 0.0, 100, flavor)
+        start, corr, _ = mg.cf_corrections(SCHED, GAUSS, 0.0, 100, flavor)
         assert start == 1
         np.testing.assert_array_equal(corr, np.ones(100))
 
@@ -234,7 +235,7 @@ class TestFactorValues:
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_factor_values_vectorized(self, flavor):
         t = 1.0
-        start, corr = mg.cf_corrections(SCHED, GAUSS, t, 8, flavor)
+        start, corr, _ = mg.cf_corrections(SCHED, GAUSS, t, 8, flavor)
         got = factors_of_correction(SCHED, GAUSS, t, corr, start, flavor)[2:]
         shift = 0 if flavor == "kde" else 1
         expected = [1 + (GAUSS.cf(SCHED.at(n + shift) * t) - 1) / (n + 1) for n in range(3, 8)]
@@ -262,7 +263,7 @@ class TestFactorValues:
                 with pytest.raises(ZeroDenominator, match="conditioning floor"):
                     mg.cf_corrections(SCHED, kernel, t, n_max, flavor)
                 return
-            start, corr = mg.cf_corrections(SCHED, kernel, t, n_max, flavor)
+            start, corr, _ = mg.cf_corrections(SCHED, kernel, t, n_max, flavor)
         assert start == want
         assert np.all(np.isnan(corr[: start - 1]))
         got = factors_of_correction(SCHED, kernel, t, corr, start, flavor)
@@ -370,10 +371,114 @@ class TestLemmaProduct:
         assert abs(res.value - np.exp(np.sum(f(k)))) < 1e-10
 
 
+def two_pass_euler_maclaurin_tail(f, start, schedule):
+    """Oracle for ``mg._euler_maclaurin_tail``: one quadrature pass for the
+    real part and one for the imaginary part, each calling f at its own
+    nodes, then seven scalar calls at the five endpoint points."""
+    from scipy import integrate
+
+    if schedule.form == "power":
+        inv = 1.0 / schedule.delta
+
+        def x_of(u):
+            return start * u ** (-inv)
+
+        def jac(u):
+            return start * inv * u ** (-inv - 1.0)
+
+    else:
+        rate = schedule.rate
+
+        def x_of(u):
+            return start - np.log(u) / rate
+
+        def jac(u):
+            return 1.0 / (rate * u)
+
+    def quad_part(g):
+        return integrate.quad(lambda u: g(x_of(u)) * jac(u), 0.0, 1.0, limit=400)
+
+    re_val, re_err = quad_part(lambda x: float(f(x).real))
+    im_val, im_err = quad_part(lambda x: float(f(x).imag))
+    f0 = complex(f(float(start)))
+    d1 = complex(f(start + 0.5) - f(start - 0.5))
+    d3 = complex(f(start + 1.5) - 3 * f(start + 0.5) + 3 * f(start - 0.5) - f(start - 1.5))
+    remainder = re_val + 1j * im_val + 0.5 * f0 - d1 / 12.0
+    err = re_err + im_err + abs(d3) / 720.0 + 1e-15 * (abs(remainder) + 1.0)
+    return remainder, float(err)
+
+
+def counting(f):
+    """f with a record of every argument it is called at."""
+    calls = []
+
+    def counted(x):
+        calls.append(float(x))
+        return f(x)
+
+    return counted, calls
+
+
+class TestTailQuadrature:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    @pytest.mark.parametrize("t", [0.5, 2.0, -3.0])
+    @pytest.mark.parametrize("from_n", [1, 100, 5000])
+    def test_matches_two_pass_oracle(self, family, flavor, t, from_n):
+        kernel = KernelSpec(family, **FAMILIES[family])
+        got = mg.lemma_product_tail(SCHED, kernel, t, from_n, flavor)
+        with mock.patch.object(mg, "_euler_maclaurin_tail", two_pass_euler_maclaurin_tail):
+            want = mg.lemma_product_tail(SCHED, kernel, t, from_n, flavor)
+        assert got.value == want.value
+        assert got.numerical_error == want.numerical_error
+        assert got.lemma_bound == want.lemma_bound
+
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_matches_two_pass_oracle_exponential(self, flavor):
+        sched = BandwidthSchedule.exponential(0.01)
+        kernel = KernelSpec("half_normal", dim=2)
+        got = mg.lemma_product_tail(sched, kernel, 1.5, 40, flavor)
+        with mock.patch.object(mg, "_euler_maclaurin_tail", two_pass_euler_maclaurin_tail):
+            want = mg.lemma_product_tail(sched, kernel, 1.5, 40, flavor)
+        assert (got.value, got.numerical_error) == (want.value, want.numerical_error)
+
+    @pytest.mark.parametrize(
+        "schedule", [SCHED, BandwidthSchedule.exponential(0.01)], ids=["power", "exponential"]
+    )
+    @pytest.mark.parametrize("kernel", [GAUSS, HALF], ids=["gaussian", "half_normal"])
+    def test_each_node_evaluated_once(self, schedule, kernel):
+        f = mg._log_factor_fn(schedule, kernel, np.array([2.0]), "kde")
+        once, calls = counting(f)
+        got = mg._euler_maclaurin_tail(once, 4096, schedule)
+        twice, oracle_calls = counting(f)
+        want = two_pass_euler_maclaurin_tail(twice, 4096, schedule)
+        assert got == want
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(oracle_calls)
+        # The two-pass form calls f more often than there are nodes.
+        assert len(oracle_calls) > len(calls)
+
+
+class TestToleranceMessage:
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_names_where_and_how_far(self, flavor):
+        # half_normal at d = 3, t = 3 on the default schedule h_n = n^(-1/7):
+        # the tail from n = 1001 does not reach the tolerance at any cut.
+        kernel = KernelSpec("half_normal", dim=3)
+        with pytest.raises(ToleranceNotReached) as info:
+            mg.cf_corrections(BandwidthSchedule.default(3), kernel, 3.0, 1000, flavor)
+        message = str(info.value)
+        assert f"t=(3, 3, 3), flavor {flavor}, from n=1001" in message
+        assert "at the last cut n=262144" in message
+        assert f"above the tolerance {mg.PRODUCT_TAIL_REL_TOL:g}" in message
+        reached = float(message.split("relative error ")[1].split(" ")[0])
+        assert reached > mg.PRODUCT_TAIL_REL_TOL
+
+
 def cf_martingale(traj, schedule, kernel, t):
     """(start_n, correction, phi, martingale) composed as the run modes do."""
-    start_n, corr = mg.cf_corrections(schedule, kernel, t, len(traj), traj.flavor)
-    phi = cf_path(traj, schedule, kernel, t)
+    start_n, corr, kernel_cf = mg.cf_corrections(schedule, kernel, t, len(traj), traj.flavor)
+    phi = cf_path(traj, t, kernel_cf)
     return start_n, corr, phi, corr * phi
 
 
@@ -404,7 +509,7 @@ class TestCfMartingaleTrace:
         assert float(np.nanmax(np.abs(mart))) <= sup_c + 1e-10
 
     def test_correction_approaches_one(self):
-        _, corr = mg.cf_corrections(SCHED, GAUSS, 1.0, 5000, "recursive")
+        _, corr, _ = mg.cf_corrections(SCHED, GAUSS, 1.0, 5000, "recursive")
         gaps = np.abs(corr - 1.0)
         checkpoints = np.array([10, 100, 1000, 4999]) - 1
         vals = gaps[checkpoints]
@@ -417,7 +522,7 @@ class TestCfMartingaleTrace:
         # (prod a_k) phi_K(h_{M+1} t) / phi_K(h_n t); for large M this must
         # approach the stored correction within the certified bounds.
         t, n, m = 1.3, 7, 20000
-        start, corr = mg.cf_corrections(SCHED, GAUSS, t, 64, "kde")
+        start, corr, _ = mg.cf_corrections(SCHED, GAUSS, t, 64, "kde")
         a = oracle_factors(SCHED, GAUSS, t, n, m, "kde")
         phi_h = GAUSS.cf_scaled(t, SCHED.values(m + 1))
         ratio_factors = a * phi_h[n : m + 1] / phi_h[n - 1 : m]
@@ -444,7 +549,7 @@ class TestCfMartingaleTrace:
     def test_corrections_match_suffix_loop(self, flavor, kernel, t):
         # Reference: the suffix product multiplied one factor at a time from
         # the far end, as a scalar loop, over the same factor floats.
-        start, corr = mg.cf_corrections(SCHED, kernel, t, 400, flavor)
+        start, corr, _ = mg.cf_corrections(SCHED, kernel, t, 400, flavor)
         shift = 0 if flavor == "kde" else 1
         h = SCHED.values(400 + shift)[start - 1 + shift :]
         factors = 1.0 + mg._factor_deviation(h, kernel, t, np.arange(start, 401, dtype=float))
@@ -466,7 +571,7 @@ class TestCfMartingaleTrace:
         # correction divides by phi_K(h_3 t) = 0; the recursive one does not.
         with pytest.raises(ZeroDenominator):
             mg.cf_corrections(SCHED, _CFZeroAtH3(), 1.0, 5, "kde")
-        start, corr = mg.cf_corrections(SCHED, _CFZeroAtH3(), 1.0, 5, "recursive")
+        start, corr, _ = mg.cf_corrections(SCHED, _CFZeroAtH3(), 1.0, 5, "recursive")
         assert start == 1 and np.all(np.isfinite(corr))
 
     def test_start_index_beyond_horizon_rejected(self):
@@ -504,7 +609,7 @@ class TestOneStepIdentities:
             + next_phase * GAUSS.cf_scaled(t, np.array([h[n]]))[0]
         ) / (n + 1)
         # The production martingale c_n phi_n has this as its one-step mean.
-        _, c = mg.cf_corrections(SCHED, GAUSS, t, n + 1, flavor)
+        _, c, _ = mg.cf_corrections(SCHED, GAUSS, t, n + 1, flavor)
         assert c[n - 1] * phi_n == pytest.approx(c[n] * expected, abs=1e-13)
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])

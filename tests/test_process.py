@@ -466,16 +466,81 @@ class TestMeasureRecursion:
             assert mix.prob(-np.inf, 0.5) == pytest.approx(float(direct), abs=1e-14)
 
 
+def kernel_cf_row(schedule, kernel, t, n):
+    """phi_K(h_k t) for k = 1..n, the row ``cf_path`` reads."""
+    t = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
+    return kernel.cf_scaled(t, schedule.values(n))
+
+
+def cf_path_out_of_place(traj, schedule, kernel, t):
+    """Oracle for ``cf_path``: the same steps as plain numpy expressions, each
+    writing a fresh array, with the kernel CF row read inside."""
+    n_max = len(traj)
+    t = np.broadcast_to(np.asarray(t, dtype=float), (traj.dim,))
+    phases = np.exp(1j * (traj.points @ t))
+    row = kernel.cf_scaled(t, schedule.values(n_max))
+    counts = np.arange(1, n_max + 1, dtype=float)
+    if traj.flavor == "kde":
+        sums = row * np.cumsum(phases)
+    else:
+        sums = np.cumsum(phases * row)
+    return sums.real / counts + 1j * (sums.imag / counts)
+
+
+# Keyword arguments of each kernel family beyond its dimension.
+FAMILY_ARGS = {"gaussian": {}, "half_normal": {}, "laplace": {}, "student_t": {"dof": 3.0}}
+
+
 class TestCfPath:
     def test_matches_mixture_cf(self):
         for flavor in ("kde", "recursive"):
             streams = DrawStreams.from_seed(29, 0)
             traj = simulate(flavor, SCHED, GAUSS, 60, streams)
             for t in (0.5, 2.0):
-                path = cf_path(traj, SCHED, GAUSS, t)
+                path = cf_path(traj, t, kernel_cf_row(SCHED, GAUSS, t, 60))
                 for n in (1, 7, 33, 60):
                     mix = predictive_mixture(traj, SCHED, GAUSS, at_time=n)
                     assert path[n - 1] == pytest.approx(mix.cf(t), abs=1e-12)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILY_ARGS)),
+        d=st.integers(1, 3),
+        flavor=st.sampled_from(FLAVORS),
+        length=st.integers(1, 80),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_matches_mixture_cf_every_family(self, family, d, flavor, length, seed, data):
+        # half_normal's complex kernel CF tells the kde order (multiply the
+        # cumulative sum by phi_K(h_n t)) from the recursive one (sum the
+        # products), which a real CF would not.
+        kernel = KernelSpec(family, dim=d, **FAMILY_ARGS[family])
+        schedule = BandwidthSchedule.default(d)
+        t = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=d, max_size=d)))
+        traj = simulate(flavor, schedule, kernel, length, DrawStreams.from_seed(seed, 0))
+        path = cf_path(traj, t, kernel_cf_row(schedule, kernel, t, length))
+        for n in sorted({1, max(1, length // 3), length}):
+            mix = predictive_mixture(traj, schedule, kernel, at_time=n)
+            assert path[n - 1] == pytest.approx(mix.cf(t), abs=1e-12)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, -0.0, 0.7, -2.5, 40.0])
+    def test_same_bits_as_out_of_place(self, family, flavor, d, t):
+        # t = 40 underflows the gaussian kernel CF to 0 at early n, where the
+        # in-place product and division would otherwise leave negative zeros.
+        kernel = KernelSpec(family, dim=d, **FAMILY_ARGS[family])
+        for r in range(2):
+            traj = simulate(flavor, SCHED, kernel, 400, DrawStreams.from_seed(17, r))
+            got = cf_path(traj, t, kernel_cf_row(SCHED, kernel, t, 400))
+            assert got.tobytes() == cf_path_out_of_place(traj, SCHED, kernel, t).tobytes()
+
+    def test_row_must_match_trajectory(self):
+        traj = simulate("kde", SCHED, GAUSS, 30, DrawStreams.from_seed(3, 0))
+        with pytest.raises(ValueError, match="kernel CF row"):
+            cf_path(traj, 1.0, kernel_cf_row(SCHED, GAUSS, 1.0, 31))
 
 
 class TestReconstruction:
