@@ -168,18 +168,19 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     checkpoints = list(config.checkpoints) or [
         max(1, n_pts // 10), max(1, n_pts // 4), max(1, n_pts // 2)
     ]
-    can_drift = reps >= 100
+    can_drift = reps >= mg.MIN_REPLICATIONS
     comp = mg.compensator_values(flavor, schedule, kernel.norm_mean, n_pts - 1)
-    cf_bound = (
-        1.0
-        if flavor == "recursive"
-        else max(float(np.nanmax(np.abs(c))) for _, c, _ in corrections)
-    )
+    h = schedule.values(n_pts - 1)
+    # |S_n| = |c_n| |phi_n| <= |c_n| for either flavor.
+    cf_bound = max(float(np.nanmax(np.abs(c))) for _, c, _ in corrections)
 
     # Per-replication martingale increments S_{n+1} - S_n and Markov tail
     # excesses at each drift time, indexed [drift time, replication] and
     # [t, drift time, replication].
     times = np.array(drift_times, dtype=np.int64)
+    # (n+1) c_n = E[U_{n+1} | F_n] - J_n, so (J_n + (n+1) c_n) / threshold
+    # is the Markov bound on the tail mass.
+    mean_gain = (times + 1) * comp[times - 1]
     tight_inc = np.empty((times.size, reps))
     cf_inc = np.empty((len(config.t_grid), times.size, reps), dtype=complex)
     cf_dist = np.empty((len(checkpoints), reps))
@@ -204,10 +205,8 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
             cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
             cf_inc[i, :, r] = s_vals[times] - s_vals[times - 1]
         threshold = config.tail_threshold_factor * max(j[-1], 1e-12)
-        tail_mass, bound = mg.tail_prob_bound_check(
-            flavor, u, j, schedule, kernel, threshold, at_times=times
-        )
-        tail_excess[:, r] = tail_mass - bound
+        tail_mass = mg.dominating_tail_mass(flavor, u, h, kernel, threshold, times)
+        tail_excess[:, r] = tail_mass - (j[times - 1] + mean_gain) / threshold
 
     drift_tests = []
     urn_tests = []
@@ -238,9 +237,10 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
                 }
             )
     else:
-        notes["drift_tests"] = f"skipped: replications={reps} below the minimum of 100"
+        skipped = f"skipped: replications={reps} below the minimum of {mg.MIN_REPLICATIONS}"
+        notes["drift_tests"] = skipped
         if config.urn_window_sizes:
-            notes["urn_tests"] = f"skipped: replications={reps} below the minimum of 100"
+            notes["urn_tests"] = skipped
     means = [float(np.mean(dist)) for dist in cf_dist]
     increases = [b - a for a, b in zip(means, means[1:])]
     payload = {

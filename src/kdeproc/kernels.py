@@ -3,7 +3,10 @@
 A kernel is a probability measure on R^d used as the smoothing distribution
 of the predictive processes.  Multivariate kernels are products of iid
 univariate coordinates, so characteristic functions factor exactly and box
-probabilities reduce to products of coordinate CDFs.
+probabilities reduce to products of coordinate CDFs.  The CF is written once,
+as its deviation from 1: :meth:`KernelSpec.cf_scaled_minus_one` multiplies
+the coordinate deviations phi_1 - 1 in cancellation-free form, and the CF
+itself is 1 plus that product.
 
 Supported families:
 
@@ -72,37 +75,29 @@ class KernelSpec:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.shape != (self.dim,):
             raise ValueError(f"t must have shape ({self.dim},), got {t.shape}")
-        return complex(np.prod(self._cf1(t)))
+        return complex(self.cf_scaled(t, 1.0))
 
     def cf_scaled(self, t, scales) -> np.ndarray:
-        """Vector of E[exp(i s t'Y)] over an array of scalar scales s.
-
-        Exploits the product structure: phi(s*t) = prod_j phi_1(s*t_j).
-        """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        scales = np.asarray(scales, dtype=float)
-        out = np.ones(scales.shape, dtype=complex)
-        for tj in t:
-            out *= self._cf1(scales * tj)
-        return out
+        """Vector of E[exp(i s t'Y)] over an array of scalar scales s: one
+        plus :meth:`cf_scaled_minus_one`."""
+        return 1.0 + self.cf_scaled_minus_one(t, scales)
 
     def cf_scaled_minus_one(self, t, scales) -> np.ndarray:
-        """E[exp(i s t'Y)] - 1 without cancellation, vectorized over scales.
+        """E[exp(i s t'Y)] - 1 without cancellation, vectorized over scales:
+        the kernel's one coordinate product.
 
-        Needed by the product-correction tails, where the deviation from 1 can
-        sit far below float resolution of the value itself.
+        Exploits the product structure, phi(s*t) = prod_j phi_1(s*t_j), in
+        deviation form: the running product minus one is updated as
+        (1 + p)(1 + m) - 1 = p + m + p*m, so a deviation far below the float
+        resolution of the value itself keeps its digits.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         scales = np.asarray(scales, dtype=float)
         pm1 = self._cf1_m1(scales * t[0])
         for tj in t[1:]:
             m1 = self._cf1_m1(scales * tj)
-            pm1 = pm1 + m1 + pm1 * m1  # (1+pm1)(1+m1) - 1
+            pm1 = pm1 + m1 + pm1 * m1
         return pm1
-
-    def _cf1(self, u: np.ndarray) -> np.ndarray:
-        """Coordinate characteristic function, vectorized over real u."""
-        return 1.0 + self._cf1_m1(u)
 
     def _cf1_m1(self, u: np.ndarray) -> np.ndarray:
         """Coordinate CF minus one, cancellation-free near zero."""

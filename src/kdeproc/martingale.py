@@ -14,7 +14,9 @@ a non-negative martingale.  The compensators are
     c_n = (sum_{i<=n} h_i) E[W] / (n (n+1))        (frozen bandwidth)
 
 with E[W] the kernel's exact first norm moment, never estimated from the
-same path.
+same path.  E[U_{n+1} | F_n] = J_n + (n+1) c_n, so Markov's inequality
+bounds the exact one-step tail mass (:func:`dominating_tail_mass`) by that
+over the threshold, from the same compensators.
 
 **Characteristic function.**  The predictive-mixture CF phi_n(t)
 (``process.cf_path``) times a correction (:func:`cf_corrections`) built
@@ -24,11 +26,13 @@ from the infinite product of the one-step growth factors
     a~_n(t) = phi_K(h_{n+1} t)/(n+1) + n/(n+1)     (frozen bandwidth)
 
 is a bounded martingale.  Each t takes one pass over the traced range: the
-bandwidths h_1..h_{n_max+s} (s = 0 shared, 1 frozen) are read once and
-phi_K(h_n t) is evaluated once.  The start index is the first n at which
-that array clears START_INDEX_FLOOR; the growth factors read the bandwidth
-slice shifted by s, and the shared-bandwidth correction divides by the same
-array, which is also returned as the kernel CF row that ``cf_path`` reads.
+bandwidths h_1..h_{n_max+s} (s = 0 shared, 1 frozen) are read once and the
+kernel CF's deviation phi_K(h_n t) - 1 is evaluated once over them.  One
+plus its first n_max entries is the kernel CF row that ``cf_path`` reads;
+the growth-factor deviations are the slice shifted by s, times 1/(n+1).
+Only the shared-bandwidth correction divides, by that row, so only it has a
+start index: the first n at which the row clears START_INDEX_FLOOR.  The
+frozen-bandwidth correction starts at n = 1.
 Products over k > n_max are evaluated through their log-sum with an
 Euler-Maclaurin tail (slow power-law decay makes naive truncation
 hopeless), and every product carries both the summable bound certifying it
@@ -50,6 +54,8 @@ from .errors import ToleranceNotReached, TooFewReplications, ZeroDenominator, Ze
 from .kernels import KernelSpec
 
 DRIFT_FLAG_THRESHOLD = 4.0
+# Fewest per-replication increments a drift test (and an urn law test) reads.
+MIN_REPLICATIONS = 100
 START_INDEX_FLOOR = 0.1
 # Relative error the certified CF product tail must reach.
 PRODUCT_TAIL_REL_TOL = 1e-8
@@ -92,42 +98,32 @@ def compensator_tails(
     return np.cumsum(terms[::-1])[::-1]
 
 
-def tail_prob_bound_check(
+def dominating_tail_mass(
     flavor: str,
     dominating: np.ndarray,
-    running_mean: np.ndarray,
-    schedule: BandwidthSchedule,
+    h: np.ndarray,
     kernel: KernelSpec,
     threshold: float,
-    at_times=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tail mass, Markov bound) at each requested time n: the one-step
-    predictive mass of the dominating chain beyond ``threshold``, and
-    (J_n + compensator term) / threshold, which bounds it.
+    times,
+) -> np.ndarray:
+    """The one-step predictive mass of the dominating chain beyond
+    ``threshold`` at each time n in ``times``, given U (``dominating``) and
+    the bandwidths h_1..h_{n} for the largest n.
 
-    The tail mass is exact: the predictive law of U_{n+1} is a uniform mixture
-    of U_i + h * W, so its tail is an average of norm survival values.
+    The mass is exact: the predictive law of U_{n+1} is a uniform mixture of
+    U_i + h * W (h = h_n shared, h_i frozen), so its tail is an average of
+    norm survival values.  Markov bounds it by (J_n + (n+1) c_n) / threshold.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    n_pts = len(dominating)
-    times = np.arange(1, n_pts) if at_times is None else np.asarray(at_times, dtype=np.int64)
-    if times.size and (times.min() < 1 or times.max() > n_pts - 1):
-        raise ValueError("check times must lie in [1, length - 1]")
-    h = schedule.values(n_pts - 1)
-    ew1 = kernel.norm_mean
+    times = np.asarray(times, dtype=np.int64)
+    if times.size and (times.min() < 1 or times.max() > min(len(dominating) - 1, len(h))):
+        raise ValueError("check times must lie in [1, length - 1] and within the bandwidths")
     tail_mass = np.empty(times.size)
-    bound = np.empty(times.size)
     for i, n in enumerate(times):
-        if flavor == "kde":
-            scales = np.full(n, h[n - 1])
-            comp = h[n - 1] * ew1
-        else:
-            scales = h[:n]
-            comp = float(np.mean(scales)) * ew1
+        scales = h[n - 1] if flavor == "kde" else h[:n]
         tail_mass[i] = float(np.mean(kernel.norm_survival((threshold - dominating[:n]) / scales)))
-        bound[i] = (running_mean[n - 1] + comp) / threshold
-    return tail_mass, bound
+    return tail_mass
 
 
 # ------------------------------------------------------------- CF factors
@@ -137,15 +133,15 @@ def tail_prob_bound_check(
 _BANDWIDTH_SHIFT = {"kde": 0, "recursive": 1}
 
 
-def _factor_deviation(h: np.ndarray, kernel: KernelSpec, t, n: np.ndarray) -> np.ndarray:
+def _factor_deviation(dev: np.ndarray, n: np.ndarray) -> np.ndarray:
     """a_n(t) - 1 = (phi_K(h_{n+s} t) - 1)/(n + 1) at the indices n, given
-    the bandwidths h = h_{n+s} (shift s from ``_BANDWIDTH_SHIFT``), kept in
-    cancellation-free form.
+    the kernel CF deviations dev = phi_K(h_{n+s} t) - 1 (shift s from
+    ``_BANDWIDTH_SHIFT``), kept in cancellation-free form.  Scales ``dev``
+    in place and returns it.
 
     The reciprocal multiply gives the same floats as numpy's complex-by-real
     division, which scales by 1/(n + 1) itself, without its complex divide.
     """
-    dev = kernel.cf_scaled_minus_one(t, h)
     dev *= 1.0 / (n + 1.0)
     return dev
 
@@ -207,7 +203,7 @@ def _log_factor_fn(schedule: BandwidthSchedule, kernel: KernelSpec, t, flavor: s
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
         # Past the horizon, at real x, h is the unclamped law.
-        w = _factor_deviation(schedule.law(x + shift), kernel, t, x)
+        w = _factor_deviation(kernel.cf_scaled_minus_one(t, schedule.law(x + shift)), x)
         if np.any(w == -1.0):
             raise ZeroFactor("a growth factor vanished; start the product later")
         out = _log1p_complex(w)
@@ -241,7 +237,9 @@ def lemma_product_tail(
         direct = complex(np.sum(f(k))) if k.size else 0.0 + 0.0j
         remainder, rem_err = _euler_maclaurin_tail(f, cut, schedule)
         value = np.exp(direct + remainder)
-        if rem_err <= PRODUCT_TAIL_REL_TOL * max(abs(value), 1e-300):
+        # rem_err bounds the error of the log-sum L, and exp(L + e) =
+        # exp(L)(1 + e + ...), so it is the tail's relative error as it stands.
+        if rem_err <= PRODUCT_TAIL_REL_TOL:
             return ProductTail(
                 value=complex(value),
                 from_n=from_n,
@@ -249,13 +247,11 @@ def lemma_product_tail(
                 numerical_error=float(rem_err * abs(value)),
             )
         cut *= 4
-    # rem_err bounds the error of the log-sum; the check divides it by |tail|.
     t_text = ", ".join(f"{v:g}" for v in np.atleast_1d(np.asarray(t, dtype=float)))
     raise ToleranceNotReached(
         f"CF product tail at t=({t_text}), flavor {flavor}, from n={from_n}: relative "
-        f"error {rem_err / max(abs(value), 1e-300):.3g} (log-sum error {rem_err:.3g}, "
-        f"|tail| {abs(value):.3g}) at the last cut n={cut // 4}, above the tolerance "
-        f"{PRODUCT_TAIL_REL_TOL:g}"
+        f"error {rem_err:.3g} (the log-sum error; |tail| {abs(value):.3g}) at the last "
+        f"cut n={cut // 4}, above the tolerance {PRODUCT_TAIL_REL_TOL:g}"
     )
 
 
@@ -326,23 +322,29 @@ def cf_corrections(
 
     The martingale along a trajectory is ``correction * process.cf_path(traj,
     t, kernel_cf)``, where ``kernel_cf`` is the kernel CF row phi_K(h_n t).
-    ``start_n`` is the first n with |phi_K(h_n t)| > START_INDEX_FLOOR, which
-    keeps the kde division well conditioned; corrections before it are NaN.
-    A scalar t is broadcast to the kernel dimension, as in ``cf_path``.
+    The kde correction divides by that row, so its ``start_n`` is the first
+    n with |phi_K(h_n t)| > START_INDEX_FLOOR, which keeps the division well
+    conditioned, and its entries before it are NaN; the recursive correction
+    divides by nothing and starts at 1.  A scalar t is broadcast to the
+    kernel dimension, as in ``cf_path``.
     """
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
     # The product past n_max follows the bandwidth law: a table, which has
     # none, raises NoEnvelope here, before any of its entries is read.
     schedule.law(n_max + 1.0)
     shift = _BANDWIDTH_SHIFT[flavor]
-    h = schedule.values(n_max + shift)
-    phi_h = kernel.cf_scaled(t_arr, h[:n_max])
-    usable = np.flatnonzero(np.abs(phi_h) > START_INDEX_FLOOR)
-    if not usable.size:
-        raise ZeroDenominator(
-            f"kernel CF stays below the conditioning floor for every n up to {n_max}"
-        )
-    start_n = int(usable[0]) + 1
+    # phi_K(h_k t) - 1 for k = 1..n_max + s, the one kernel-CF evaluation;
+    # the row is formed before the growth factors scale it in place.
+    dev = kernel.cf_scaled_minus_one(t_arr, schedule.values(n_max + shift))
+    kernel_cf = 1.0 + dev[:n_max]
+    start_n = 1
+    if flavor == "kde":
+        usable = np.flatnonzero(np.abs(kernel_cf) > START_INDEX_FLOOR)
+        if not usable.size:
+            raise ZeroDenominator(
+                f"kernel CF stays below the conditioning floor for every n up to {n_max}"
+            )
+        start_n = int(usable[0]) + 1
     n = np.arange(start_n, n_max + 1, dtype=float)
     correction = np.empty(n_max, dtype=complex)
     correction[: start_n - 1] = np.nan
@@ -350,16 +352,16 @@ def cf_corrections(
     # reversed cumulative product then turns in place into the suffix
     # products factors[i] * ... * factors[-1] * beyond, from the far end in.
     factors = correction[start_n - 1 :]
-    np.add(_factor_deviation(h[start_n - 1 + shift :], kernel, t_arr, n), 1.0, out=factors)
+    np.add(_factor_deviation(dev[start_n - 1 + shift :], n), 1.0, out=factors)
     if np.any(factors == 0):
         raise ZeroFactor("a growth factor vanished inside the traced range")
     factors[-1] *= lemma_product_tail(schedule, kernel, t_arr, n_max + 1, flavor).value
     np.cumprod(factors[::-1], out=factors[::-1])
     if flavor == "kde":
-        if np.any(phi_h[start_n - 1 :] == 0):
+        if np.any(kernel_cf[start_n - 1 :] == 0):
             raise ZeroDenominator("kernel CF vanishes inside the traced range")
-        factors /= phi_h[start_n - 1 :]
-    return start_n, correction, phi_h
+        factors /= kernel_cf[start_n - 1 :]
+    return start_n, correction, kernel_cf
 
 
 # -------------------------------------------------------------- drift tests
@@ -384,8 +386,8 @@ def drift_test(increments) -> dict:
     inc = np.asarray(increments)
     if inc.ndim != 1:
         raise ValueError("need a 1-d array of per-replication increments")
-    if inc.size < 100:
-        raise TooFewReplications(f"need >= 100 replications, got {inc.size}")
+    if inc.size < MIN_REPLICATIONS:
+        raise TooFewReplications(f"need >= {MIN_REPLICATIONS} replications, got {inc.size}")
     mean_re, se_re, z_re = _component_z(inc.real)
     if np.iscomplexobj(inc):
         mean_im, se_im, z_im = _component_z(inc.imag)

@@ -94,7 +94,7 @@ class TestDeterminism:
         traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
         from kdeproc.process import write_trajectory_csv
 
-        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.3", cfg.config_hash())
+        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.4", cfg.config_hash())
         expected = (tmp_path / "sim" / "trajectory_00002.csv").read_bytes()
         assert (tmp_path / "solo.csv").read_bytes() == expected
 
@@ -163,8 +163,27 @@ class TestRunModes:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = read_json(tmp_path / "out" / "diagnostics.json")
         assert data == payload
-        assert data["version"] == "0.1.3"
+        assert data["version"] == "0.1.4"
         assert data["config_hash"] == cfg.config_hash()
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_diagnose_modulus_bound_is_correction_sup(self, tmp_path, flavor):
+        # |S_n| = |c_n| |phi_n| <= |c_n|: either flavor allows max |c_n| over
+        # the t grid, and the recursive one no longer allows 1.
+        cfg = ExperimentConfig(
+            flavor=flavor, steps=300, replications=3, master_seed=4,
+            t_grid=(0.5, 2.0, 5.0), drift_times=(10,), base_dir=str(tmp_path),
+        )
+        checks = {e["name"]: e for e in run(cfg, "diagnose")["bound_checks"]}
+        entry = checks["cf_martingale_modulus"]
+        sups = [
+            float(np.nanmax(np.abs(mg.cf_corrections(cfg.schedule(), cfg.kernel(), t,
+                                                     cfg.steps, flavor)[1])))
+            for t in cfg.t_grid
+        ]
+        assert entry["allowed"] == max(sups)
+        assert entry["statistic"] == entry["modulus_sup"] - max(sups)
+        assert entry["passed"]
 
     def test_diagnose_skips_drift_below_minimum_replications(self, tmp_path):
         cfg = ExperimentConfig(
@@ -172,7 +191,9 @@ class TestRunModes:
         )
         payload = run(cfg, "diagnose")
         assert payload["drift_tests"] == []
-        assert "drift_tests" in payload["notes"]
+        assert payload["notes"]["drift_tests"] == (
+            f"skipped: replications=5 below the minimum of {mg.MIN_REPLICATIONS}"
+        )
         assert json_artifacts(tmp_path) == {"out/diagnostics.json": payload}
 
     def test_diagnose_skips_cf_drift_before_start_index(self, tmp_path):
@@ -364,9 +385,10 @@ class TestMultivariate:
         j = np.cumsum(u) / np.arange(1, cfg.steps + 1)
         tail = mg.compensator_tails(cfg.flavor, schedule, kernel.norm_mean, cfg.steps)
         assert np.all(j + tail >= j)
-        tail_mass, bound = mg.tail_prob_bound_check(
-            cfg.flavor, u, j, schedule, kernel, threshold=10 * j[-1], at_times=[100]
-        )
+        h = schedule.values(cfg.steps - 1)
+        tail_mass = mg.dominating_tail_mass(cfg.flavor, u, h, kernel, 10 * j[-1], [100])
+        comp = mg.compensator_values(cfg.flavor, schedule, kernel.norm_mean, cfg.steps - 1)
+        bound = (j[99] + 101 * comp[99]) / (10 * j[-1])
         assert np.max(tail_mass - bound) <= mg.TAIL_BOUND_TOLERANCE
 
 
@@ -566,11 +588,13 @@ class TestCli:
         assert capsys.readouterr().err == _NO_ENVELOPE + "\n"
 
     def test_product_tail_tolerance_exit_code(self, tmp_path, capsys):
-        # At t = 20 the half-normal product tail from n = 2001 cannot reach
-        # its tolerance; the run must end as an error, not a traceback.
+        # student_t with dof 1.5 at d = 3, t = 20 on h_n = n^(-0.05): the
+        # product tail from n = 1000 cannot reach its tolerance; the run must
+        # end as an error, not a traceback.
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(
-            "flavor = kde\nkernel.family = half_normal\nrun.steps = 2000\n"
+            "flavor = recursive\nkernel.family = student_t\nkernel.dof = 1.5\n"
+            "kernel.dimension = 3\nbandwidth.delta = 0.05\nrun.steps = 999\n"
             "diagnostics.t_grid = 1, 20\n"
         )
         assert cli_main(["cf-trace", "--config", str(cfgfile)]) == 2
@@ -580,20 +604,39 @@ class TestCli:
 
     @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
     def test_product_tail_error_names_why(self, tmp_path, capsys, mode):
-        # half_normal at d = 3, t = 3 on the default schedule: the tail past
-        # run.steps = 1000 misses its tolerance, and the error says where and
+        # student_t with dof 1.5 at t = 20 on h_n = n^(-0.05): the tail past
+        # run.steps = 999 misses its tolerance, and the error says where and
         # by how much before anything is written.
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(
-            "flavor = kde\nkernel.family = half_normal\nkernel.dimension = 3\n"
-            "run.steps = 1000\nrun.replications = 2\ndiagnostics.t_grid = 3\n"
-            "run.output_dir = out\n"
+            "flavor = recursive\nkernel.family = student_t\nkernel.dof = 1.5\n"
+            "bandwidth.delta = 0.05\nrun.steps = 999\nrun.replications = 2\n"
+            "diagnostics.t_grid = 20\nrun.output_dir = out\n"
         )
         assert cli_main([mode, "--config", str(cfgfile)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: CF product tail at t=(3, 3, 3), flavor kde, from n=1001")
+        assert err.startswith("error: CF product tail at t=(20), flavor recursive, from n=1000")
         assert "relative error" in err and "above the tolerance 1e-08" in err
         assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("d, t", [(1, 10), (3, 3)])
+    def test_cf_trace_past_the_kde_floor(self, tmp_path, capsys, d, t):
+        # gaussian at t = 10: the kde correction has no usable start index up
+        # to n = 1000, but the recursive one divides by nothing and starts at
+        # 1.  half_normal at d = 3, t = 3: the tail from n = 1001 certifies.
+        family = "gaussian" if d == 1 else "half_normal"
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            f"flavor = recursive\nkernel.family = {family}\nkernel.dimension = {d}\n"
+            f"run.steps = 1000\ndiagnostics.t_grid = {t}\nrun.output_dir = out\n"
+        )
+        assert cli_main(["cf-trace", "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = read_json(tmp_path / "out" / "cf_trace_summary.json")
+        assert summary["traces"][f"{t}"]["start_index"] == 1
+        rows = (tmp_path / "out" / f"cf_trace_t{t}.csv").read_text().splitlines()[2:]
+        assert len(rows) == 1000
+        assert all("nan" not in row for row in rows)
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

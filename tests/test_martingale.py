@@ -16,6 +16,7 @@ from kdeproc import (
     simulate,
 )
 from kdeproc import martingale as mg
+from kdeproc.config import ExperimentConfig
 from kdeproc.errors import (
     MissingGenealogy,
     NoEnvelope,
@@ -24,6 +25,7 @@ from kdeproc.errors import (
     ZeroDenominator,
     ZeroFactor,
 )
+from kdeproc.harness import run
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
 GAUSS = KernelSpec("gaussian")
@@ -39,12 +41,40 @@ def tightness(traj, schedule, ew1):
     return u, j, tail, j + tail
 
 
-def markov_excess(flavor, u, j, kernel, threshold, at_times=None):
-    """Largest tail mass minus Markov bound over the checked times."""
-    tail_mass, bound = mg.tail_prob_bound_check(
-        flavor, u, j, SCHED, kernel, threshold, at_times=at_times
-    )
+def markov_excess(flavor, u, j, kernel, threshold, times=None):
+    """Largest tail mass minus Markov bound over the checked times (every
+    n = 1..N-1 unless given), the bound formed as ``diagnose`` forms it:
+    (J_n + (n + 1) c_n) / threshold."""
+    n_pts = len(u)
+    times = np.arange(1, n_pts) if times is None else np.asarray(times)
+    h = SCHED.values(n_pts - 1)
+    comp = mg.compensator_values(flavor, SCHED, kernel.norm_mean, n_pts - 1)
+    tail_mass = mg.dominating_tail_mass(flavor, u, h, kernel, threshold, times)
+    bound = (j[times - 1] + (times + 1) * comp[times - 1]) / threshold
     return float(np.max(tail_mass - bound)), tail_mass, bound
+
+
+def tail_prob_bound_oracle(flavor, dominating, running_mean, schedule, kernel, threshold,
+                           at_times=None):
+    """Oracle for the tail mass and its Markov bound: one bandwidth read per
+    call, and the compensator term h_n E[W] (kde) or mean(h_1..h_n) E[W]
+    (recursive) formed on its own, per time."""
+    n_pts = len(dominating)
+    times = np.arange(1, n_pts) if at_times is None else np.asarray(at_times, dtype=np.int64)
+    h = schedule.values(n_pts - 1)
+    ew1 = kernel.norm_mean
+    tail_mass = np.empty(times.size)
+    bound = np.empty(times.size)
+    for i, n in enumerate(times):
+        if flavor == "kde":
+            scales = np.full(n, h[n - 1])
+            comp = h[n - 1] * ew1
+        else:
+            scales = h[:n]
+            comp = float(np.mean(scales)) * ew1
+        tail_mass[i] = float(np.mean(kernel.norm_survival((threshold - dominating[:n]) / scales)))
+        bound[i] = (running_mean[n - 1] + comp) / threshold
+    return tail_mass, bound
 
 
 class TestTightnessTrace:
@@ -151,6 +181,55 @@ class TestTailProbBound:
         assert excess <= 1e-10
         assert excess <= mg.TAIL_BOUND_TOLERANCE
 
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    @pytest.mark.parametrize("kernel", [GAUSS, HALF, KernelSpec("laplace")], ids=str)
+    @pytest.mark.parametrize("factor", [0.5, 2.0, 10.0])
+    def test_matches_oracle(self, flavor, kernel, factor):
+        # The tail mass is the oracle's to the bit; the bound reads the
+        # compensators c_n, so (n + 1) c_n and the oracle's own compensator
+        # term may round apart, by a few ulp of the bound.
+        traj = simulate(flavor, SCHED, kernel, 800, DrawStreams.from_seed(61, 0))
+        u, j, _, _ = tightness(traj, SCHED, kernel.norm_mean)
+        threshold = factor * j[-1]
+        _, tail_mass, bound = markov_excess(flavor, u, j, kernel, threshold)
+        want_mass, want_bound = tail_prob_bound_oracle(flavor, u, j, SCHED, kernel, threshold)
+        assert tail_mass.tobytes() == want_mass.tobytes()
+        assert np.all(np.abs(bound - want_bound) <= 4 * np.spacing(want_bound))
+
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_diagnose_entry_matches_oracle(self, flavor, tmp_path):
+        # diagnose's dominating_tail_markov statistic against the oracle over
+        # the same replications, re-simulated one at a time.
+        cfg = ExperimentConfig(
+            flavor=flavor, steps=400, replications=3, master_seed=31,
+            drift_times=(1, 10, 100, 399), base_dir=str(tmp_path),
+        )
+        checks = {e["name"]: e for e in run(cfg, "diagnose")["bound_checks"]}
+        schedule, kernel = cfg.schedule(), cfg.kernel()
+        worst, scale = -np.inf, 0.0
+        for r in range(cfg.replications):
+            traj = simulate(flavor, schedule, kernel, cfg.steps, DrawStreams.from_seed(31, r))
+            u, j, _, _ = tightness(traj, schedule, kernel.norm_mean)
+            threshold = cfg.tail_threshold_factor * max(j[-1], 1e-12)
+            mass, bound = tail_prob_bound_oracle(
+                flavor, u, j, schedule, kernel, threshold, at_times=cfg.drift_times
+            )
+            worst = max(worst, float(np.max(mass - bound)))
+            scale = max(scale, float(np.max(bound)))
+        statistic = checks["dominating_tail_markov"]["statistic"]
+        assert abs(statistic - worst) <= 4 * np.spacing(scale)
+
+    def test_check_times_within_path_and_bandwidths(self):
+        u = np.zeros(10)
+        h = SCHED.values(9)
+        for times in ([0], [10]):
+            with pytest.raises(ValueError, match="check times"):
+                mg.dominating_tail_mass("kde", u, h, GAUSS, 1.0, times)
+        with pytest.raises(ValueError, match="check times"):
+            mg.dominating_tail_mass("recursive", u, h[:5], GAUSS, 1.0, [6])
+        with pytest.raises(ValueError, match="threshold"):
+            mg.dominating_tail_mass("kde", u, h, GAUSS, 0.0, [1])
+
 
 class _StubKernel:
     """Stub kernel with a hand-set CF (to exercise guard rails)."""
@@ -252,7 +331,9 @@ class TestFactorValues:
     def test_one_pass_matches_scalar_oracle(self, family, d, data, flavor, n_max):
         kernel = KernelSpec(family, dim=d, **FAMILIES[family])
         t = np.array(data.draw(st.lists(st.floats(-15.0, 15.0), min_size=d, max_size=d)))
-        want = oracle_start(SCHED, kernel, t, n_max)
+        # Only the kde correction divides by the kernel CF, so only it has a
+        # conditioning floor; the recursive one starts at n = 1.
+        want = oracle_start(SCHED, kernel, t, n_max) if flavor == "kde" else 1
         # The certified tail past n_max is stubbed to 1: it scales every
         # entry alike, so the start index and the factor ratios read the
         # in-range pass alone, also where the tail cannot be certified.
@@ -282,6 +363,58 @@ class TestStartIndex:
         mods = np.abs(HALF.cf_scaled(15.0, h))
         assert mods[-1] > 0.1
         assert np.all(mods[:-1] <= 0.1)
+
+    @pytest.mark.parametrize("t", [5.0, 10.0])
+    def test_recursive_starts_at_one(self, t):
+        # The recursive correction divides by nothing: past the kde start
+        # index (n = 69 at t = 5) and past its conditioning floor (t = 10),
+        # every entry is finite from n = 1, each one the suffix product.
+        sched = BandwidthSchedule.default(1)
+        if t == 5.0:
+            assert mg.cf_corrections(sched, GAUSS, t, 1000, "kde")[0] == 69
+        else:
+            with pytest.raises(ZeroDenominator, match="conditioning floor"):
+                mg.cf_corrections(sched, GAUSS, t, 1000, "kde")
+        start, corr, row = mg.cf_corrections(sched, GAUSS, t, 1000, "recursive")
+        assert start == 1
+        assert np.all(np.isfinite(corr))
+        factors = factors_of_correction(sched, GAUSS, t, corr, 1, "recursive")
+        expected = oracle_factors(sched, GAUSS, t, 1, 999, "recursive")
+        np.testing.assert_allclose(factors, expected, rtol=1e-10, atol=0.0)
+        assert np.all(np.abs(corr) <= 1.0)
+
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_kernel_cf_pass(self, monkeypatch, flavor, d):
+        # One cf_scaled_minus_one call over h_1..h_{N+s} per t, besides the
+        # certified tail's quadrature (stubbed here), and no cf_scaled call.
+        n_max, shift = 500, 0 if flavor == "kde" else 1
+        kernel = KernelSpec("half_normal", dim=d)
+        calls, elements = [], []
+        minus_one = KernelSpec.cf_scaled_minus_one
+        coordinate = KernelSpec._cf1_m1
+
+        def recording(spec, t, scales):
+            calls.append(np.shape(scales))
+            return minus_one(spec, t, scales)
+
+        def counted(spec, u):
+            elements.append(np.size(u))
+            return coordinate(spec, u)
+
+        def refused(spec, t, scales):
+            raise AssertionError("cf_scaled called")
+
+        monkeypatch.setattr(KernelSpec, "cf_scaled_minus_one", recording)
+        monkeypatch.setattr(KernelSpec, "_cf1_m1", counted)
+        monkeypatch.setattr(KernelSpec, "cf_scaled", refused)
+        unit_tail = mg.ProductTail(value=1.0 + 0.0j, from_n=n_max + 1, lemma_bound=0.0,
+                                   numerical_error=0.0)
+        with mock.patch.object(mg, "lemma_product_tail", return_value=unit_tail):
+            start, corr, row = mg.cf_corrections(SCHED, kernel, 0.7, n_max, flavor)
+        assert calls == [(n_max + shift,)]
+        assert sum(elements) == (n_max + shift) * d
+        assert row.shape == corr.shape == (n_max,)
 
     def test_corrections_scan_only_up_to_horizon(self, monkeypatch):
         # At t = 1000 and d = 2 no h_n up to n = 20 qualifies: the search
@@ -325,6 +458,19 @@ class TestLemmaProduct:
             total += np.sum(f(k))
             lo += 10**6
         assert abs(res.value - np.exp(total)) < 1e-9
+
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_tail_telescopes_over_explicit_factors(self, flavor):
+        # prod_{k>=50} a_k = (prod_{k=50}^{4999} a_k) * prod_{k>=5000} a_k,
+        # with the head built here from h_{k+s} = (k+s)^(-0.2) and the
+        # gaussian CF in closed form.
+        s = 0 if flavor == "kde" else 1
+        t = 1.5
+        k = np.arange(50, 5000, dtype=float)
+        head = np.exp(np.sum(np.log1p(np.expm1(-0.5 * (t * (k + s) ** -0.2) ** 2) / (k + 1))))
+        whole = mg.lemma_product_tail(SCHED, GAUSS, t, 50, flavor).value
+        rest = mg.lemma_product_tail(SCHED, GAUSS, t, 5000, flavor).value
+        assert abs(whole - head * rest) <= 1e-10
 
     def test_complex_case_cut_stability(self):
         a = mg.lemma_product_tail(SCHED, HALF, 2.0, 100, "kde")
@@ -462,17 +608,39 @@ class TestTailQuadrature:
 class TestToleranceMessage:
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_names_where_and_how_far(self, flavor):
-        # half_normal at d = 3, t = 3 on the default schedule h_n = n^(-1/7):
-        # the tail from n = 1001 does not reach the tolerance at any cut.
-        kernel = KernelSpec("half_normal", dim=3)
+        # student_t with dof 1.5 at d = 3, t = 20 on h_n = n^(-0.05): the
+        # tail from n = 1000 does not reach the tolerance at any cut.
+        kernel = KernelSpec("student_t", dim=3, dof=1.5)
+        sched = BandwidthSchedule.power(1.0, 0.05)
         with pytest.raises(ToleranceNotReached) as info:
-            mg.cf_corrections(BandwidthSchedule.default(3), kernel, 3.0, 1000, flavor)
+            mg.lemma_product_tail(sched, kernel, np.full(3, 20.0), 1000, flavor)
         message = str(info.value)
-        assert f"t=(3, 3, 3), flavor {flavor}, from n=1001" in message
+        assert f"t=(20, 20, 20), flavor {flavor}, from n=1000" in message
         assert "at the last cut n=262144" in message
         assert f"above the tolerance {mg.PRODUCT_TAIL_REL_TOL:g}" in message
         reached = float(message.split("relative error ")[1].split(" ")[0])
         assert reached > mg.PRODUCT_TAIL_REL_TOL
+
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    @pytest.mark.parametrize("d, t", [(2, 5.0), (3, 3.0), (3, 5.0)])
+    def test_log_sum_error_is_the_relative_error(self, flavor, d, t):
+        # half_normal on the default schedule from n = 1001: |tail| is as
+        # small as 1e-6, and the log-sum error, which is the tail's relative
+        # error, meets the tolerance at the first cut.
+        kernel = KernelSpec("half_normal", dim=d)
+        sched = BandwidthSchedule.default(d)
+        t_arr = np.full(d, t)
+        quadrature = mg._euler_maclaurin_tail
+        with mock.patch.object(mg, "_euler_maclaurin_tail", wraps=quadrature) as spy:
+            tail = mg.lemma_product_tail(sched, kernel, t_arr, 1001, flavor)
+        assert spy.call_count == 1
+        assert spy.call_args.args[1] == 4096
+        remainder, rem_err = quadrature(spy.call_args.args[0], 4096, sched)
+        assert rem_err <= mg.PRODUCT_TAIL_REL_TOL
+        assert tail.numerical_error == rem_err * abs(tail.value)
+        assert abs(tail.value) < 1e-3
+        start, corr, _ = mg.cf_corrections(sched, kernel, t_arr, 1000, flavor)
+        assert corr[-1] != 0 and np.isfinite(corr[-1])
 
 
 def cf_martingale(traj, schedule, kernel, t):
@@ -540,7 +708,7 @@ class TestCfMartingaleTrace:
         assert np.all(s >= j)
         _, _, _, mart = cf_martingale(traj, SCHED, lap, 1.5)
         assert float(np.nanmax(np.abs(mart))) <= 1.0 + 1e-10
-        excess, _, _ = markov_excess("recursive", u, j, lap, 10 * j[-1], at_times=[500])
+        excess, _, _ = markov_excess("recursive", u, j, lap, 10 * j[-1], times=[500])
         assert excess <= mg.TAIL_BOUND_TOLERANCE
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
@@ -552,7 +720,8 @@ class TestCfMartingaleTrace:
         start, corr, _ = mg.cf_corrections(SCHED, kernel, t, 400, flavor)
         shift = 0 if flavor == "kde" else 1
         h = SCHED.values(400 + shift)[start - 1 + shift :]
-        factors = 1.0 + mg._factor_deviation(h, kernel, t, np.arange(start, 401, dtype=float))
+        n = np.arange(start, 401, dtype=float)
+        factors = 1.0 + mg._factor_deviation(kernel.cf_scaled_minus_one(t, h), n)
         running = mg.lemma_product_tail(SCHED, kernel, t, 401, flavor).value
         expected = np.full(400, np.nan, dtype=complex)
         for i in range(len(factors) - 1, -1, -1):
@@ -662,5 +831,6 @@ class TestDriftTest:
         assert res["statistic"] > mg.DRIFT_FLAG_THRESHOLD
 
     def test_too_few(self):
-        with pytest.raises(TooFewReplications):
-            mg.drift_test(np.zeros(99))
+        with pytest.raises(TooFewReplications, match=f">= {mg.MIN_REPLICATIONS} "):
+            mg.drift_test(np.zeros(mg.MIN_REPLICATIONS - 1))
+        assert mg.drift_test(np.zeros(mg.MIN_REPLICATIONS))["replications"] == 100
