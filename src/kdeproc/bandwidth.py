@@ -9,9 +9,9 @@ Three forms are supported:
 * ``table``       -- finite explicit sequence; querying past the end raises.
 
 The power and exponential forms are one law h(x) at a real index x
-(:meth:`BandwidthSchedule.law`); ``values`` and ``at`` read it at the
-integers.  The module also evaluates the schedule-weighted infinite sums
-feeding the compensated martingale traces:
+(:meth:`BandwidthSchedule.law`); ``values`` reads it at the integers, once
+per run, and each consumer takes its :func:`leading` head.  The module also
+evaluates the schedule-weighted infinite sums feeding the martingale traces:
 
     sum_{k>=n} h_k / (k+1)                       (shared-bandwidth flavor)
     sum_{k>=n} (1/(k(k+1))) * sum_{i<=k} h_i     (frozen-bandwidth flavor)
@@ -103,21 +103,19 @@ class BandwidthSchedule:
             return np.exp(-self.rate * x)
         raise NoEnvelope("tail certification needs a power-law bandwidth envelope")
 
-    def at(self, n: int) -> float:
-        """h_n for 1-based step index n, the same float as ``values``."""
-        return float(self.values(n, start=n)[0])
-
-    def values(self, n: int, start: int = 1) -> np.ndarray:
-        """Array [h_start, ..., h_n], clamped at the smallest positive normal
-        so every value stays > 0."""
-        if not 1 <= start <= n:
-            raise ValueError(f"need 1 <= start <= n, got start={start}, n={n}")
+    def values(self, n: int) -> np.ndarray:
+        """Read-only array [h_1, ..., h_n], clamped at the smallest positive
+        normal so every value stays > 0; its head is ``values(m)``, m < n."""
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
         if self.form != "table":
-            k = np.arange(start, n + 1, dtype=float)
-            return np.maximum(self.law(k), np.finfo(float).tiny)
-        if n > len(self.table):
+            h = np.maximum(self.law(np.arange(1, n + 1, dtype=float)), np.finfo(float).tiny)
+        elif n > len(self.table):
             raise IndexBeyondTable(f"table has {len(self.table)} entries, asked for h_{n}")
-        return np.asarray(self.table[start - 1 : n], dtype=float)
+        else:
+            h = np.array(self.table[:n], dtype=float)
+        h.flags.writeable = False
+        return h
 
     # --------------------------------------------------------------- tail sums
     # The exponential branches sum the law blockwise; on a table the law
@@ -143,15 +141,21 @@ class BandwidthSchedule:
             return self.c * float(special.zeta(1.0 + self.delta, n + 1))
         return _block_sum(lambda k: self.law(k + 1.0) / (k + 1.0), n, self.rate)
 
-    def tail_weight_recursive(self, n: int) -> float:
-        """sum_{k>=n} (1/(k(k+1))) * sum_{i<=k} h_i.
+    def tail_weight_recursive(self, n: int, prefix_sum: float) -> float:
+        """sum_{k>=n} (1/(k(k+1))) * sum_{i<=k} h_i, given the bandwidth
+        prefix sum H_n = ``prefix_sum`` (the caller sums its own h_1..h_n).
 
-        Abel summation collapses it to H_n / n + sum_{k>n} h_k / k with
-        H_n the bandwidth prefix sum; the second sum is
-        :meth:`tail_weight_shifted` at n.
+        Abel summation collapses it to H_n / n + sum_{k>n} h_k / k; the
+        second sum is :meth:`tail_weight_shifted` at n.
         """
-        shifted = self.tail_weight_shifted(n)
-        return float(np.sum(self.values(n))) / n + shifted
+        return self.tail_weight_shifted(n) + float(prefix_sum) / n
+
+
+def leading(h: np.ndarray, n: int) -> np.ndarray:
+    """h_1..h_n, the head of a run's bandwidths h_1..h_M (ValueError if M < n)."""
+    if len(h) < n:
+        raise ValueError(f"need the bandwidths h_1..h_{n}, got {len(h)}")
+    return h[:n]
 
 
 def _alternating_zeta_tail(delta: float, start: int) -> float:

@@ -87,14 +87,17 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
     radii = []
     finals = []
     files = []
-    h = config.config_hash()
+    config_hash = config.config_hash()
+    schedule, kernel, data = config.schedule(), config.kernel(), _load_data(config)
+    # h_1..h_{N-1}, the bandwidths of the steps: one read per run.
+    h = schedule.values(config.steps - 1) if config.steps > 1 else np.empty(0)
     trajectories = simulate_batch(
-        config.flavor, config.schedule(), config.kernel(), config.steps,
-        config.master_seed, range(config.replications), _load_data(config),
+        config.flavor, h, kernel, config.steps, config.master_seed,
+        range(config.replications), data,
     )
     for r, traj in enumerate(trajectories):
         name = f"trajectory_{r:05d}.csv"
-        write_trajectory_csv(traj, out_dir / name, _VERSION, h)
+        write_trajectory_csv(traj, out_dir / name, _VERSION, config_hash)
         files.append(name)
         radii.append(float(sup_norm_path(traj)[-1]))
         finals.append([float(v) for v in traj.points[-1]])
@@ -128,9 +131,8 @@ def _cf_gap(phis, a: int, b: int) -> float:
 
 
 def _martingale_setup(config: ExperimentConfig, mode: str):
-    """Schedule, kernel and each t's ``cf_corrections`` (start index,
-    correction and kernel CF row) for the martingale modes, after the guards
-    both share."""
+    """Schedule, its one read h_1..h_{N+s}, kernel and each t's
+    ``cf_corrections`` for the martingale modes, after the guards both share."""
     _require_t_grid(config, mode)
     _refuse_data(
         config, mode, "injected data points carry no ancestry for the dominating-chain traces"
@@ -139,11 +141,15 @@ def _martingale_setup(config: ExperimentConfig, mode: str):
         raise ConfigError(f"{mode} mode needs run.steps >= 2, got {config.steps}")
     schedule = config.schedule()
     kernel = config.kernel()
+    # The CF product past N follows the bandwidth law: a table, which has
+    # none, raises NoEnvelope here, before any of its entries is read.
+    schedule.law(config.steps + 1.0)
+    h = schedule.values(config.steps + mg.BANDWIDTH_SHIFT[config.flavor])
     corrections = [
-        mg.cf_corrections(schedule, kernel, t, config.steps, config.flavor)
+        mg.cf_corrections(schedule, h, kernel, t, config.steps, config.flavor)
         for t in config.t_grid
     ]
-    return schedule, kernel, corrections
+    return schedule, h, kernel, corrections
 
 
 def _dominating_mean(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -164,13 +170,12 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     drift_times = [n for n in config.drift_times if n < n_pts]
     if config.drift_times and not drift_times:
         raise ConfigError("all diagnostics.drift_times lie beyond run.steps - 1")
-    schedule, kernel, corrections = _martingale_setup(config, "diagnose")
+    _, h, kernel, corrections = _martingale_setup(config, "diagnose")
     checkpoints = list(config.checkpoints) or [
         max(1, n_pts // 10), max(1, n_pts // 4), max(1, n_pts // 2)
     ]
     can_drift = reps >= mg.MIN_REPLICATIONS
-    comp = mg.compensator_values(flavor, schedule, kernel.norm_mean, n_pts - 1)
-    h = schedule.values(n_pts - 1)
+    comp = mg.compensator_values(flavor, h, kernel.norm_mean, n_pts - 1)
     # |S_n| = |c_n| |phi_n| <= |c_n| for either flavor.
     cf_bound = max(float(np.nanmax(np.abs(c))) for _, c, _ in corrections)
 
@@ -189,7 +194,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     dominance_violation = -np.inf
     cf_bound_worst = -np.inf
 
-    trajectories = simulate_batch(flavor, schedule, kernel, n_pts, config.master_seed, range(reps))
+    trajectories = simulate_batch(flavor, h, kernel, n_pts, config.master_seed, range(reps))
     for r, traj in enumerate(trajectories):
         u, j = _dominating_mean(traj)
         norms = np.linalg.norm(traj.points, axis=1)
@@ -413,11 +418,12 @@ def run_contrast(config: ExperimentConfig, out_dir: Path) -> dict:
         raise ConfigError("the support contrast is defined for the half_normal kernel")
     if config.steps < 4:
         raise ConfigError(f"the support contrast needs run.steps >= 4, got {config.steps}")
+    h = schedule.values(config.steps - 1)  # both flavors step with h_1..h_{N-1}
     reps = config.replications
     sides = {}
     for flavor in FLAVORS:
         trajectories = simulate_batch(
-            flavor, schedule, kernel, config.steps, config.master_seed, range(reps)
+            flavor, h, kernel, config.steps, config.master_seed, range(reps)
         )
         records = [_record_stats(traj) for traj in trajectories]
         last_records, final_max, ratios = (np.array(col, dtype=float) for col in zip(*records))
@@ -458,15 +464,15 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
     conv = np.empty(config.replications)
     quantiles = np.empty((config.replications, len(config.posterior_quantiles)))
     box_probs = np.empty(config.replications)
-    # The kernel CF row of each t, for cf_path: one bandwidth read per run.
+    # One read of h_1..h_N for the steps, the kernel CF rows and the mixtures.
     h = schedule.values(config.steps)
     kernel_cfs = [kernel.cf_scaled(np.broadcast_to(t, (d,)), h) for t in config.t_grid]
     trajectories = simulate_batch(
-        config.flavor, schedule, kernel, config.steps, config.master_seed,
+        config.flavor, h, kernel, config.steps, config.master_seed,
         range(config.replications), data,
     )
     for r, traj in enumerate(trajectories):
-        mix = predictive_mixture(traj, schedule, kernel)
+        mix = predictive_mixture(traj, h, kernel)
         means[r] = mix.mean()
         if d == 1:
             quantiles[r] = mix.quantile(config.posterior_quantiles)
@@ -506,15 +512,13 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
-    schedule, kernel, corrections = _martingale_setup(config, "cf-trace")
+    schedule, h, kernel, corrections = _martingale_setup(config, "cf-trace")
     n_pts = config.steps
-    traj = next(simulate_batch(
-        config.flavor, schedule, kernel, n_pts, config.master_seed, range(1)
-    ))
+    traj = next(simulate_batch(config.flavor, h, kernel, n_pts, config.master_seed, range(1)))
     u, j = _dominating_mean(traj)
-    tight = j + mg.compensator_tails(config.flavor, schedule, kernel.norm_mean, n_pts)
+    tight = j + mg.compensator_tails(config.flavor, schedule, h, kernel.norm_mean, n_pts)
     summary_traces = {}
-    h = config.config_hash()
+    config_hash = config.config_hash()
     for t, (start_n, corr, row) in zip(config.t_grid, corrections):
         phi = cf_path(traj, t, row)
         s_vals = corr * phi
@@ -529,7 +533,7 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
             "S_re": s_vals.real.tolist(),
             "S_im": s_vals.imag.tolist(),
         }
-        write_csv(out_dir / name, _VERSION, h, columns)
+        write_csv(out_dir / name, _VERSION, config_hash, columns)
         summary_traces[f"{t:g}"] = {
             "file": name,
             "start_index": start_n,

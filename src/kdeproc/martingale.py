@@ -26,15 +26,15 @@ from the infinite product of the one-step growth factors
     a~_n(t) = phi_K(h_{n+1} t)/(n+1) + n/(n+1)     (frozen bandwidth)
 
 is a bounded martingale.  Each t takes one pass over the traced range: the
-bandwidths h_1..h_{n_max+s} (s = 0 shared, 1 frozen) are read once and the
-kernel CF's deviation phi_K(h_n t) - 1 is evaluated once over them.  One
+kernel CF's deviation phi_K(h_n t) - 1 is evaluated once over the bandwidths
+h_1..h_{n_max+s} (s = 0 shared, 1 frozen, :data:`BANDWIDTH_SHIFT`).  One
 plus its first n_max entries is the kernel CF row that ``cf_path`` reads;
 the growth-factor deviations are the slice shifted by s, times 1/(n+1).
 Only the shared-bandwidth correction divides, by that row, so only it has a
 start index: the first n at which the row clears START_INDEX_FLOOR.  The
 frozen-bandwidth correction starts at n = 1.
-Products over k > n_max are evaluated through their log-sum with an
-Euler-Maclaurin tail (slow power-law decay makes naive truncation
+Products over k > n_max follow the schedule's law, through their log-sum
+with an Euler-Maclaurin tail (slow power-law decay makes naive truncation
 hopeless), and every product carries both the summable bound certifying it
 stays near 1 and a numerical remainder estimate.  The tail's quadrature
 evaluates the log-factor once at each node: the real and the imaginary
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .bandwidth import BandwidthSchedule
+from .bandwidth import BandwidthSchedule, leading
 from .errors import ToleranceNotReached, TooFewReplications, ZeroDenominator, ZeroFactor
 from .kernels import KernelSpec
 
@@ -67,11 +67,10 @@ TAIL_BOUND_TOLERANCE = 1e-10
 # --------------------------------------------------------------- tightness
 
 
-def compensator_values(
-    flavor: str, schedule: BandwidthSchedule, ew1: float, n_max: int
-) -> np.ndarray:
-    """c_n for n = 1..n_max; empty for n_max = 0."""
-    h = schedule.values(n_max) if n_max else np.empty(0)
+def compensator_values(flavor: str, h: np.ndarray, ew1: float, n_max: int) -> np.ndarray:
+    """c_n for n = 1..n_max from the bandwidths h_1..h_{n_max} (the head of
+    ``h``); empty for n_max = 0."""
+    h = leading(h, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     if flavor == "kde":
         return h * ew1 / (n + 1.0)
@@ -79,22 +78,23 @@ def compensator_values(
 
 
 def compensator_tails(
-    flavor: str, schedule: BandwidthSchedule, ew1: float, n_max: int
+    flavor: str, schedule: BandwidthSchedule, h: np.ndarray, ew1: float, n_max: int
 ) -> np.ndarray:
     """sum_{k>=n} c_k for n = 1..n_max -- the deterministic part of the
     tightness martingale, reusable across replications.
 
     The martingale along a trajectory is J + tail, with J the running mean of
-    ``process.dominating_path``.  The sum past n_max comes from the
-    schedule's closed-form tail weights (~1e-10 relative accuracy).
+    ``process.dominating_path``.  The terms read h_1..h_{n_max} (the head of
+    ``h``), the sum past n_max the schedule's closed-form tail weights.
     """
     if n_max < 1:
         raise ValueError(f"compensator tails need n_max >= 1, got {n_max}")
+    h = leading(h, n_max)
     if flavor == "kde":
         beyond = schedule.tail_weight_kde(n_max)
     else:
-        beyond = schedule.tail_weight_recursive(n_max)
-    terms = np.append(compensator_values(flavor, schedule, ew1, n_max - 1), ew1 * beyond)
+        beyond = schedule.tail_weight_recursive(n_max, np.sum(h))
+    terms = np.append(compensator_values(flavor, h, ew1, n_max - 1), ew1 * beyond)
     return np.cumsum(terms[::-1])[::-1]
 
 
@@ -130,13 +130,13 @@ def dominating_tail_mass(
 
 # The bandwidth index shift s of the growth factor a_n, which reads h_{n+s}:
 # the shared bandwidth (kde) applies h_n, the frozen one (recursive) h_{n+1}.
-_BANDWIDTH_SHIFT = {"kde": 0, "recursive": 1}
+BANDWIDTH_SHIFT = {"kde": 0, "recursive": 1}
 
 
 def _factor_deviation(dev: np.ndarray, n: np.ndarray) -> np.ndarray:
     """a_n(t) - 1 = (phi_K(h_{n+s} t) - 1)/(n + 1) at the indices n, given
     the kernel CF deviations dev = phi_K(h_{n+s} t) - 1 (shift s from
-    ``_BANDWIDTH_SHIFT``), kept in cancellation-free form.  Scales ``dev``
+    ``BANDWIDTH_SHIFT``), kept in cancellation-free form.  Scales ``dev``
     in place and returns it.
 
     The reciprocal multiply gives the same floats as numpy's complex-by-real
@@ -197,7 +197,7 @@ def _log1p_complex(w: np.ndarray) -> np.ndarray:
 
 def _log_factor_fn(schedule: BandwidthSchedule, kernel: KernelSpec, t, flavor: str):
     t = np.asarray(t, dtype=float)
-    shift = _BANDWIDTH_SHIFT[flavor]
+    shift = BANDWIDTH_SHIFT[flavor]
 
     def log_factor(x):
         scalar = np.ndim(x) == 0
@@ -312,13 +312,15 @@ def _euler_maclaurin_tail(f, start: int, schedule: BandwidthSchedule) -> tuple[c
 
 def cf_corrections(
     schedule: BandwidthSchedule,
+    h: np.ndarray,
     kernel: KernelSpec,
     t,
     n_max: int,
     flavor: str,
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """(start_n, correction, kernel_cf), each array over n = 1..n_max -- the
-    deterministic parts of the CF martingale, reusable across replications.
+    deterministic parts of the CF martingale, reusable across replications,
+    from the head h_1..h_{n_max+s} of ``h`` and the schedule's law past it.
 
     The martingale along a trajectory is ``correction * process.cf_path(traj,
     t, kernel_cf)``, where ``kernel_cf`` is the kernel CF row phi_K(h_n t).
@@ -329,13 +331,10 @@ def cf_corrections(
     kernel dimension, as in ``cf_path``.
     """
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
-    # The product past n_max follows the bandwidth law: a table, which has
-    # none, raises NoEnvelope here, before any of its entries is read.
-    schedule.law(n_max + 1.0)
-    shift = _BANDWIDTH_SHIFT[flavor]
+    shift = BANDWIDTH_SHIFT[flavor]
     # phi_K(h_k t) - 1 for k = 1..n_max + s, the one kernel-CF evaluation;
     # the row is formed before the growth factors scale it in place.
-    dev = kernel.cf_scaled_minus_one(t_arr, schedule.values(n_max + shift))
+    dev = kernel.cf_scaled_minus_one(t_arr, leading(h, n_max + shift))
     kernel_cf = 1.0 + dev[:n_max]
     start_n = 1
     if flavor == "kde":

@@ -1,8 +1,10 @@
 """Simulation of the two kernel predictive processes with full genealogy.
 
-Both processes share the generative skeleton, which :func:`simulate` alone
-takes: at step n an ancestor index is drawn uniformly from {1..n}, a kernel
-variate is drawn, and the new point is the ancestor plus a scaled variate.
+Both processes share the generative skeleton, which one generator alone
+takes, behind :func:`simulate` and :func:`simulate_batch` (which steps every
+replication with the bandwidths its run reads once): at step n an ancestor
+index is drawn uniformly from {1..n}, a kernel variate is drawn, and the new
+point is the ancestor plus a scaled variate.
 They differ only in which bandwidth scales the variate:
 
 * ``kde``        -- the current bandwidth h_n (every component of the
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandwidth import BandwidthSchedule
+from .bandwidth import BandwidthSchedule, leading
 from .errors import MissingGenealogy, NonFiniteInput, PrefixPointHasNoGenealogy
 from .kernels import KernelSpec
 from .streams import DrawStreams, ancestor_uniforms, replication_streams
@@ -221,17 +223,23 @@ class PredictiveMixture:
 # ------------------------------------------------------------------ building
 
 
-def _as_prefix(data_prefix, dim: int) -> np.ndarray:
-    pts = np.asarray(data_prefix, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
+def _start(flavor: str, data_prefix, dim: int, length: int) -> tuple[np.ndarray, int]:
+    """(base points, seed_prefix_len) of a trajectory of ``length`` points:
+    the data prefix as an (s, d) array, or the origin alone with length 0."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+    prefix = np.zeros((1, dim)) if data_prefix is None else np.asarray(data_prefix, dtype=float)
+    if prefix.ndim == 1:
+        prefix = prefix[:, None]
+    if prefix.ndim != 2 or prefix.shape[0] == 0:
         raise ValueError("data prefix must be a non-empty sequence of points")
-    if pts.shape[1] != dim:
-        raise ValueError(f"data prefix has dimension {pts.shape[1]}, expected {dim}")
-    if not np.all(np.isfinite(pts)):
+    if prefix.shape[1] != dim:
+        raise ValueError(f"data prefix has dimension {prefix.shape[1]}, expected {dim}")
+    if not np.all(np.isfinite(prefix)):
         raise NonFiniteInput("data prefix contains NaN or infinite coordinates")
-    return pts
+    if length < len(prefix):
+        raise ValueError(f"length {length} shorter than the prefix ({len(prefix)} points)")
+    return prefix, 0 if data_prefix is None else len(prefix)
 
 
 def simulate(
@@ -251,23 +259,22 @@ def simulate(
     through the sequential recurrence.  ``forced_ancestors`` / ``forced_draws``
     replace the corresponding random draws for deterministic replay.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+    prefix, seed_len = _start(flavor, data_prefix, kernel.dim, length)
+    h = schedule.values(length - 1) if length > 1 else np.empty(0)
+    return _generate(flavor, h, kernel, length, streams, prefix, seed_len,
+                     forced_ancestors, forced_draws)
+
+
+def _generate(flavor, h, kernel, length, streams, prefix, seed_len, forced_anc, forced_y):
+    """The one generator behind ``simulate`` and ``simulate_batch``, from the
+    checked base points and bandwidths covering h_1..h_{length-1}."""
     d = kernel.dim
-    if data_prefix is None:
-        prefix = np.zeros((1, d))
-        seed_len = 0
-    else:
-        prefix = _as_prefix(data_prefix, d)
-        seed_len = prefix.shape[0]
     s = prefix.shape[0]
-    if length < s:
-        raise ValueError(f"length {length} shorter than the prefix ({s} points)")
     count = length - s
     step_idx = np.arange(s, length, dtype=np.int64)  # 1-based step indices
 
-    if forced_ancestors is not None:
-        anc = np.asarray(forced_ancestors, dtype=np.int64)
+    if forced_anc is not None:
+        anc = np.asarray(forced_anc, dtype=np.int64)
         if anc.shape != (count,):
             raise ValueError(f"need {count} forced ancestors, got {anc.shape}")
         if np.any(anc < 1) or np.any(anc > step_idx):
@@ -277,8 +284,8 @@ def simulate(
     else:
         anc = np.zeros(0, dtype=np.int64)
 
-    if forced_draws is not None:
-        y = np.asarray(forced_draws, dtype=float)
+    if forced_y is not None:
+        y = np.asarray(forced_y, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
         if y.shape != (count, d):
@@ -288,14 +295,7 @@ def simulate(
     else:
         y = np.zeros((0, d))
 
-    if length > 1:
-        h_all = schedule.values(length - 1)
-    else:
-        h_all = np.zeros(0)
-    if count:
-        h_applied = h_all[step_idx - 1] if flavor == "kde" else h_all[anc - 1]
-    else:
-        h_applied = np.zeros(0)
+    h_applied = h[step_idx - 1] if flavor == "kde" else h[anc - 1]
     increments = h_applied[:, None] * y
 
     levels = level_order(anc - 1, s)
@@ -304,10 +304,9 @@ def simulate(
     ancestors = np.zeros(length - 1, dtype=np.int64)
     draws = np.full((length - 1, d), np.nan)
     steps_h = np.full(length - 1, np.nan)
-    if count:
-        ancestors[s - 1 :] = anc
-        draws[s - 1 :] = y
-        steps_h[s - 1 :] = h_applied
+    ancestors[s - 1 :] = anc
+    draws[s - 1 :] = y
+    steps_h[s - 1 :] = h_applied
 
     return Trajectory(
         flavor=flavor,
@@ -355,7 +354,7 @@ def ancestor_block(length: int, master_seed: int, replications: range) -> np.nda
 
 def simulate_batch(
     flavor: str,
-    schedule: BandwidthSchedule,
+    h: np.ndarray,
     kernel: KernelSpec,
     length: int,
     master_seed: int,
@@ -365,14 +364,17 @@ def simulate_batch(
     """Yield the trajectory of each replication, in order; every run mode
     that builds points simulates through it.
 
+    The steps read the head h_1..h_{length-1} of the run's bandwidths ``h``.
     The trajectory of replication r is ``simulate(flavor, schedule, kernel,
     length, DrawStreams.from_seed(master_seed, r), data_prefix)``, drawn from
     re-keyed streams instead of two freshly seeded generators.  Draws are
     consumed in step order, so the first m points of a longer trajectory are
     the m-point trajectory of the same replication.
     """
+    prefix, seed_len = _start(flavor, data_prefix, kernel.dim, length)
+    h = leading(h, length - 1)
     for streams in replication_streams(master_seed, replications):
-        yield simulate(flavor, schedule, kernel, length, streams, data_prefix)
+        yield _generate(flavor, h, kernel, length, streams, prefix, seed_len, None, None)
 
 
 def chain_sum(base: np.ndarray, parents: np.ndarray, increments: np.ndarray) -> np.ndarray:
@@ -443,21 +445,20 @@ def _sum_levels(base: np.ndarray, increments: np.ndarray, levels: LevelOrder) ->
 
 def predictive_mixture(
     traj: Trajectory,
-    schedule: BandwidthSchedule,
+    h: np.ndarray,
     kernel: KernelSpec,
     at_time: int | None = None,
 ) -> PredictiveMixture:
     """Exact mixture form of the predictive law given the first ``at_time``
-    points (default: the full trajectory)."""
+    points (default: the full trajectory), from the head h_1..h_n of ``h``:
+    every component scaled by h_n (kde) or by its own h_i (recursive)."""
     n = len(traj) if at_time is None else int(at_time)
     if not 1 <= n <= len(traj):
         raise ValueError(f"time must be in [1, {len(traj)}], got {n}")
-    centers = traj.points[:n].copy()
+    scales = leading(h, n)
     if traj.flavor == "kde":
-        scales = np.full(n, schedule.at(n))
-    else:
-        scales = schedule.values(n)
-    return PredictiveMixture(centers=centers, scales=scales, kernel=kernel)
+        scales = np.full(n, scales[n - 1])
+    return PredictiveMixture(centers=traj.points[:n].copy(), scales=scales, kernel=kernel)
 
 
 def cf_path(traj: Trajectory, t, kernel_cf: np.ndarray) -> np.ndarray:

@@ -41,14 +41,6 @@ def betabinom_pmf_vector(n: int) -> np.ndarray:
     return np.exp(log_binom + log_beta_num - log_beta_den)
 
 
-def betabinom_pmf(n: int, k: int) -> float:
-    """P(descendant count = k): entry k of :func:`betabinom_pmf_vector`."""
-    pmf = betabinom_pmf_vector(n)
-    if not 0 <= k <= n:
-        raise DomainError(f"count must be in [0, {n}], got {k}")
-    return float(pmf[k])
-
-
 def descendant_tail_bound(n: int, k: int) -> float:
     """Closed-form bound on P(descendant count >= k): 3 (n-1) (2/3)^k."""
     if n < 2:

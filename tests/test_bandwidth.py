@@ -6,45 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdeproc import BandwidthSchedule, default_delta
+from kdeproc.bandwidth import leading
 from kdeproc.errors import IndexBeyondTable, NoEnvelope
 
 
 class TestValues:
     def test_power_examples(self):
         s = BandwidthSchedule.power(1.0, 0.2)
-        assert s.at(32) == pytest.approx(0.5, abs=1e-15)
-        assert s.at(1) == 1.0
+        assert s.values(32)[-1] == pytest.approx(0.5, abs=1e-15)
+        assert s.values(1)[-1] == 1.0
 
     def test_exponential_example(self):
         s = BandwidthSchedule.exponential(1.0)
-        assert s.at(3) == pytest.approx(np.exp(-3.0), rel=1e-15)
+        assert s.values(3)[-1] == pytest.approx(np.exp(-3.0), rel=1e-15)
 
     def test_table(self):
         s = BandwidthSchedule.from_table([0.5, 0.25, 0.125])
-        assert s.at(2) == 0.25
+        assert s.values(2)[-1] == 0.25
         np.testing.assert_allclose(s.values(3), [0.5, 0.25, 0.125])
-        with pytest.raises(IndexBeyondTable):
-            s.at(4)
-        with pytest.raises(IndexBeyondTable):
+        with pytest.raises(IndexBeyondTable, match="table has 3 entries, asked for h_4"):
             s.values(4)
-
-    @pytest.mark.parametrize(
-        "s",
-        [
-            BandwidthSchedule.power(1.3, 0.2),
-            BandwidthSchedule.exponential(0.01),
-            BandwidthSchedule.from_table(np.linspace(1.0, 0.1, 3000)),
-        ],
-        ids=["power", "exponential", "table"],
-    )
-    def test_values_from_start(self, s):
-        full = s.values(3000)
-        for start, n in ((1, 3000), (2, 2), (1025, 2048), (17, 3000)):
-            np.testing.assert_array_equal(s.values(n, start=start), full[start - 1 : n])
-        with pytest.raises(ValueError):
-            s.values(5, start=6)
-        with pytest.raises(ValueError):
-            s.values(0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -53,7 +34,10 @@ class TestValues:
         n=st.integers(1, 3000),
         extra=st.integers(0, 3000),
     )
-    def test_at_reads_values(self, form, param, n, extra):
+    def test_head_of_a_longer_read(self, form, param, n, extra):
+        # A run reads h_1..h_M once and its consumers slice the head they
+        # need: the head must be the same floats, and sum to the same float,
+        # as a read of its own.
         m = n + extra
         if form == "power":
             s = BandwidthSchedule.power(1.0 + param, param / 3.0)
@@ -61,7 +45,28 @@ class TestValues:
             s = BandwidthSchedule.exponential(param)
         else:
             s = BandwidthSchedule.from_table(np.linspace(param, param / 7.0, m))
-        assert s.at(n) == s.values(m)[n - 1]
+        head = leading(s.values(m), n)
+        assert head.tobytes() == s.values(n).tobytes()
+        assert np.sum(head) == np.sum(s.values(n))
+        with pytest.raises(ValueError, match=f"h_1..h_{m + 1}, got {m}"):
+            leading(s.values(m), m + 1)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            BandwidthSchedule.power(1.3, 0.2),
+            BandwidthSchedule.exponential(0.01),
+            BandwidthSchedule.from_table([1.0, 0.5]),
+        ],
+        ids=["power", "exponential", "table"],
+    )
+    def test_values_read_only(self, s):
+        # The one read of a run is shared by every consumer and replication,
+        # so a write through any slice of it raises.
+        h = s.values(2)
+        with pytest.raises(ValueError, match="read-only"):
+            h[1:][0] = 3.0
+        assert s.values(2)[1] == h[1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -81,8 +86,11 @@ class TestValues:
             BandwidthSchedule.from_table([])
         with pytest.raises(ValueError):
             BandwidthSchedule.from_table([1.0, -1.0])
-        with pytest.raises(ValueError):
-            BandwidthSchedule.power(1.0, 0.2).at(0)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n >= 1"):
+                BandwidthSchedule.power(1.0, 0.2).values(n)
+            with pytest.raises(ValueError, match="n >= 1"):
+                BandwidthSchedule.from_table([1.0, 0.5]).values(n)
 
     def test_monotone_non_increasing_to_1e6(self):
         for s in (BandwidthSchedule.power(2.0, 0.35), BandwidthSchedule.exponential(0.01)):
@@ -99,7 +107,7 @@ class TestValues:
     def test_default(self):
         assert default_delta(1) == pytest.approx(0.2)
         s = BandwidthSchedule.default(2)
-        assert s.at(1) == 1.0
+        assert s.values(1)[-1] == 1.0
         assert s.delta == pytest.approx(1.0 / 6.0)
 
 
@@ -146,7 +154,7 @@ class TestTailSums:
         # integral c (K+2)^(-delta) / delta up to one extra term.
         h_next = c * (K + 1.0) ** -delta
         remainder = (prefix[-1] + h_next) / (K + 1) + c * (K + 2.0) ** (-delta) / delta
-        got = s.tail_weight_recursive(n)
+        got = s.tail_weight_recursive(n, np.sum(s.values(n)))
         assert head < got < head + remainder + 2 * h_next / K
         assert got == pytest.approx(head + remainder, rel=1e-6)
 
@@ -160,7 +168,8 @@ class TestTailSums:
         # Prefix sums saturate geometrically but the terms only decay like
         # H_inf / k^2, leaving a telescoping H_inf / (K+1) remainder.
         h_inf = np.exp(-0.2) / (1 - np.exp(-0.2))
-        assert s.tail_weight_recursive(n) == pytest.approx(brute + h_inf / (K + 1), rel=1e-9)
+        got = s.tail_weight_recursive(n, np.sum(s.values(n)))
+        assert got == pytest.approx(brute + h_inf / (K + 1), rel=1e-9)
 
     def test_shifted_tail_power_closed_form(self):
         s = BandwidthSchedule.power(2.0, 0.5)
@@ -182,8 +191,10 @@ class TestTailSums:
         # A table ends, so nothing past it can be certified, inside or past
         # its last entry.
         s = BandwidthSchedule.from_table([1.0, 0.5, 0.25])
+        # The recursive weight takes the prefix sum H_n from its caller.
+        args = (n, 1.75) if tail == "tail_weight_recursive" else (n,)
         with pytest.raises(NoEnvelope, match="power-law bandwidth envelope"):
-            getattr(s, tail)(n)
+            getattr(s, tail)(*args)
         with pytest.raises(NoEnvelope):
             s.law(1.0)
 

@@ -43,7 +43,7 @@ class TestParsing:
         assert cfg.master_seed == 0xDEADBEEF
         assert cfg.checkpoints == (40, 100, 200)
         assert cfg.kernel().family == "student_t"
-        assert cfg.schedule().at(1) == 2.0
+        assert cfg.schedule().values(1)[-1] == 2.0
         assert cfg.resolved_data_path() == tmp_path / "obs.txt"
 
     def test_defaults(self):
@@ -108,7 +108,7 @@ class TestParsing:
             base_dir=str(tmp_path),
             steps=3,
         )
-        assert cfg.schedule().at(3) == 0.25
+        assert cfg.schedule().values(3)[-1] == 0.25
 
     def test_overrides(self):
         cfg = ExperimentConfig(master_seed=1).with_overrides(master_seed=9, output_dir="x")

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from kdeproc import DrawStreams, KernelSpec, dominating_path, predictive_mixture, process, simulate
+from kdeproc import (
+    BandwidthSchedule,
+    DrawStreams,
+    KernelSpec,
+    dominating_path,
+    predictive_mixture,
+    process,
+    simulate,
+)
 from kdeproc import martingale as mg
 from kdeproc.cli import main as cli_main
 from kdeproc.config import ExperimentConfig
@@ -54,7 +62,7 @@ class TestCfDistance:
         cfg = ExperimentConfig(steps=20, master_seed=5)
         streams = DrawStreams.from_seed(cfg.master_seed, 0)
         traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
-        mix = predictive_mixture(traj, cfg.schedule(), cfg.kernel())
+        mix = predictive_mixture(traj, cfg.schedule().values(cfg.steps), cfg.kernel())
         assert cf_distance(mix, mix, [0.5, 1.0, 2.0]) == 0.0
 
     def test_kernel_families_closed_form(self):
@@ -176,8 +184,10 @@ class TestRunModes:
         )
         checks = {e["name"]: e for e in run(cfg, "diagnose")["bound_checks"]}
         entry = checks["cf_martingale_modulus"]
+        schedule = cfg.schedule()
+        h = schedule.values(cfg.steps + 1)
         sups = [
-            float(np.nanmax(np.abs(mg.cf_corrections(cfg.schedule(), cfg.kernel(), t,
+            float(np.nanmax(np.abs(mg.cf_corrections(schedule, h, cfg.kernel(), t,
                                                      cfg.steps, flavor)[1])))
             for t in cfg.t_grid
         ]
@@ -267,6 +277,35 @@ class TestRunModes:
         assert len(calls) == 1
         assert json_artifacts(tmp_path)
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize(
+        "mode, read",
+        [("simulate", 39), ("contrast", 39), ("posterior", 40), ("diagnose", 40),
+         ("cf-trace", 40), ("urn", None)],
+    )
+    def test_one_bandwidth_read_per_run(self, tmp_path, monkeypatch, mode, read, flavor):
+        # Every consumer slices one read h_1..h_M per run, M = N - 1 for the
+        # steps alone, N for posterior's mixtures, N + s for the CF
+        # corrections (s = 1 recursive); urn reads no bandwidth at all.
+        asked = []
+        values = BandwidthSchedule.values
+
+        def counted(schedule, n):
+            asked.append(n)
+            return values(schedule, n)
+
+        monkeypatch.setattr(BandwidthSchedule, "values", counted)
+        np.savetxt(tmp_path / "obs.txt", [0.3, -1.2, 0.8])
+        cfg = ExperimentConfig(
+            flavor=flavor, steps=40, replications=3, t_grid=(0.5, 2.0), drift_times=(10,),
+            urn_window_sizes=(2,), base_dir=str(tmp_path),
+            kernel_family="half_normal" if mode == "contrast" else "gaussian",
+            data_path="obs.txt" if mode in ("simulate", "posterior") else None,
+        )
+        run(cfg, mode)
+        shift = 1 if flavor == "recursive" and mode in ("diagnose", "cf-trace") else 0
+        assert asked == ([] if read is None else [read + shift])
+
     def test_diagnose_urn_counts_across_blocks(self, tmp_path, monkeypatch):
         # Windows 2 and 5 keep 9 ancestors per replication; a cap of 70
         # elements splits the 100 replications into blocks of 7 rows.
@@ -338,7 +377,10 @@ class TestRunModes:
         traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
         np.testing.assert_array_equal(u, dominating_path(traj))
         np.testing.assert_array_equal(j, np.cumsum(u) / np.arange(1, 151))
-        tail = mg.compensator_tails("recursive", cfg.schedule(), cfg.kernel().norm_mean, 150)
+        schedule = cfg.schedule()
+        tail = mg.compensator_tails(
+            "recursive", schedule, schedule.values(150), cfg.kernel().norm_mean, 150
+        )
         np.testing.assert_array_equal(s, j + tail)
 
     def test_unknown_mode(self, tmp_path):
@@ -375,19 +417,19 @@ class TestMultivariate:
         kernel, schedule = cfg.kernel(), cfg.schedule()
         traj = simulate(cfg.flavor, schedule, kernel, cfg.steps, DrawStreams.from_seed(37, 0))
         assert traj.points.shape == (400, 2)
-        mix = predictive_mixture(traj, schedule, kernel)
+        h = schedule.values(cfg.steps + 1)
+        mix = predictive_mixture(traj, h, kernel)
         assert mix.prob([-np.inf, -np.inf], [np.inf, np.inf]) == pytest.approx(1.0)
         t = np.array([0.8, -0.4])
         assert abs(mix.cf(t)) <= 1.0
-        _, corr, kernel_cf = mg.cf_corrections(schedule, kernel, t, cfg.steps, cfg.flavor)
+        _, corr, kernel_cf = mg.cf_corrections(schedule, h, kernel, t, cfg.steps, cfg.flavor)
         assert np.isfinite((corr * cf_path(traj, t, kernel_cf))[-1].real)
         u = dominating_path(traj)
         j = np.cumsum(u) / np.arange(1, cfg.steps + 1)
-        tail = mg.compensator_tails(cfg.flavor, schedule, kernel.norm_mean, cfg.steps)
+        tail = mg.compensator_tails(cfg.flavor, schedule, h, kernel.norm_mean, cfg.steps)
         assert np.all(j + tail >= j)
-        h = schedule.values(cfg.steps - 1)
         tail_mass = mg.dominating_tail_mass(cfg.flavor, u, h, kernel, 10 * j[-1], [100])
-        comp = mg.compensator_values(cfg.flavor, schedule, kernel.norm_mean, cfg.steps - 1)
+        comp = mg.compensator_values(cfg.flavor, h, kernel.norm_mean, cfg.steps - 1)
         bound = (j[99] + 101 * comp[99]) / (10 * j[-1])
         assert np.max(tail_mass - bound) <= mg.TAIL_BOUND_TOLERANCE
 
@@ -574,6 +616,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert needle in err
+
+    @pytest.mark.parametrize(
+        "mode, entries, err",
+        [
+            ("simulate", 19, ""),
+            ("simulate", 18, "error: table has 18 entries, asked for h_19\n"),
+            ("contrast", 19, ""),
+            ("contrast", 18, "error: table has 18 entries, asked for h_19\n"),
+            ("posterior", 20, ""),
+            ("posterior", 19, "error: table has 19 entries, asked for h_20\n"),
+        ],
+    )
+    def test_table_length_boundaries(self, tmp_path, capsys, mode, entries, err):
+        # run.steps = 20: the steps read h_1..h_19, posterior's mixtures and
+        # kernel CF rows h_1..h_20; a table that long runs, one entry
+        # shorter ends as an error before anything is written.
+        (tmp_path / "obs.txt").write_text("0.5\n" * entries)
+        (tmp_path / "data.txt").write_text("0.1\n-0.4\n")
+        extra = {
+            "simulate": "",
+            "contrast": "kernel.family = half_normal\n",
+            "posterior": "data.path = data.txt\n",
+        }[mode]
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("run.steps = 20\nrun.replications = 2\n" + extra + _TABLE)
+        assert cli_main([mode, "--config", str(cfgfile)]) == (2 if err else 0)
+        assert capsys.readouterr().err == err
+        assert any((tmp_path / "out").iterdir()) == (not err)
 
     @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
     @pytest.mark.parametrize("flavor", FLAVORS)

@@ -28,6 +28,8 @@ from kdeproc.errors import (
 from kdeproc.harness import run
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
+# One read of SCHED, sliced by every test as a run slices its own.
+H = SCHED.values(10_001)
 GAUSS = KernelSpec("gaussian")
 HALF = KernelSpec("half_normal")
 
@@ -37,7 +39,8 @@ def tightness(traj, schedule, ew1):
     the running mean of the dominating path plus the compensator tail."""
     u = dominating_path(traj)
     j = np.cumsum(u) / np.arange(1, len(traj) + 1, dtype=float)
-    tail = mg.compensator_tails(traj.flavor, schedule, ew1, len(traj))
+    tail = mg.compensator_tails(traj.flavor, schedule, schedule.values(len(traj)), ew1,
+                                len(traj))
     return u, j, tail, j + tail
 
 
@@ -48,7 +51,7 @@ def markov_excess(flavor, u, j, kernel, threshold, times=None):
     n_pts = len(u)
     times = np.arange(1, n_pts) if times is None else np.asarray(times)
     h = SCHED.values(n_pts - 1)
-    comp = mg.compensator_values(flavor, SCHED, kernel.norm_mean, n_pts - 1)
+    comp = mg.compensator_values(flavor, h, kernel.norm_mean, n_pts - 1)
     tail_mass = mg.dominating_tail_mass(flavor, u, h, kernel, threshold, times)
     bound = (j[times - 1] + (times + 1) * comp[times - 1]) / threshold
     return float(np.max(tail_mass - bound)), tail_mass, bound
@@ -82,7 +85,7 @@ class TestTightnessTrace:
         # h_n = 1/n with E[W] = 1: c_n = 1/(n(n+1)), tail = 1/n exactly; the
         # last entry is the closed-form tail past the horizon alone.
         sched = BandwidthSchedule.power(1.0, 1.0)
-        tail = mg.compensator_tails("kde", sched, 1.0, 1000)
+        tail = mg.compensator_tails("kde", sched, sched.values(1000), 1.0, 1000)
         for n in (1, 4, 33, 1000):
             assert tail[n - 1] == pytest.approx(1.0 / n, rel=1e-12)
 
@@ -91,15 +94,34 @@ class TestTightnessTrace:
         # No compensator term lies inside a one-point horizon, so the tail is
         # E[W] times the schedule's closed-form tail weight from n = 1.
         ew1 = GAUSS.norm_mean
-        weight = SCHED.tail_weight_kde if flavor == "kde" else SCHED.tail_weight_recursive
-        assert mg.compensator_values(flavor, SCHED, ew1, 0).shape == (0,)
-        tail = mg.compensator_tails(flavor, SCHED, ew1, 1)
+        if flavor == "kde":
+            weight = SCHED.tail_weight_kde(1)
+        else:
+            weight = SCHED.tail_weight_recursive(1, H[0])
+        assert mg.compensator_values(flavor, H, ew1, 0).shape == (0,)
+        tail = mg.compensator_tails(flavor, SCHED, H, ew1, 1)
         assert tail.shape == (1,)
-        assert tail[0] == ew1 * weight(1)
+        assert tail[0] == ew1 * weight
 
     def test_empty_horizon_rejected(self):
         with pytest.raises(ValueError, match="n_max >= 1"):
-            mg.compensator_tails("kde", SCHED, 1.0, 0)
+            mg.compensator_tails("kde", SCHED, H, 1.0, 0)
+
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_reads_the_head_of_a_longer_read(self, flavor):
+        # A run passes its one read h_1..h_M; the compensators up to n_max
+        # are those of a read of h_1..h_{n_max} alone, to the bit.
+        ew1 = GAUSS.norm_mean
+        for n_max in (1, 2, 77, 1000):
+            own = SCHED.values(n_max)
+            got = mg.compensator_tails(flavor, SCHED, H, ew1, n_max)
+            assert got.tobytes() == mg.compensator_tails(flavor, SCHED, own, ew1, n_max).tobytes()
+            got = mg.compensator_values(flavor, H, ew1, n_max)
+            assert got.tobytes() == mg.compensator_values(flavor, own, ew1, n_max).tobytes()
+        with pytest.raises(ValueError, match="h_1..h_10, got 9"):
+            mg.compensator_values(flavor, H[:9], ew1, 10)
+        with pytest.raises(ValueError, match="h_1..h_10, got 9"):
+            mg.compensator_tails(flavor, SCHED, H[:9], ew1, 10)
 
     def test_degenerate_path(self):
         traj = simulate("kde", SCHED, GAUSS, 6, forced_ancestors=[1] * 5, forced_draws=[0.0] * 5)
@@ -150,7 +172,7 @@ class TestTightnessTrace:
         for flavor in ("kde", "recursive"):
             traj = simulate(flavor, SCHED, GAUSS, 51, DrawStreams.from_seed(88, 0))
             _, j, _, s = tightness(traj, SCHED, GAUSS.norm_mean)
-            c = mg.compensator_values(flavor, SCHED, GAUSS.norm_mean, 50)
+            c = mg.compensator_values(flavor, H, GAUSS.norm_mean, 50)
             for n in (1, 10, 50):
                 assert j[n] - j[n - 1] - c[n - 1] == pytest.approx(s[n] - s[n - 1], abs=1e-12)
 
@@ -265,7 +287,7 @@ def oracle_start(schedule, kernel, t, n_max):
     there is none."""
     t = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
     for n in range(1, n_max + 1):
-        if abs(kernel.cf(schedule.at(n) * t)) > 0.1:
+        if abs(kernel.cf(schedule.values(n)[-1] * t)) > 0.1:
             return n
     return None
 
@@ -276,7 +298,10 @@ def oracle_factors(schedule, kernel, t, n_lo, n_hi, flavor):
     t = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
     s = 0 if flavor == "kde" else 1
     return np.array(
-        [1 + (kernel.cf(schedule.at(n + s) * t) - 1) / (n + 1) for n in range(n_lo, n_hi + 1)]
+        [
+            1 + (kernel.cf(schedule.values(n + s)[-1] * t) - 1) / (n + 1)
+            for n in range(n_lo, n_hi + 1)
+        ]
     )
 
 
@@ -287,7 +312,7 @@ def factors_of_correction(schedule, kernel, t, corr, start_n, flavor):
     prod = corr.copy()
     if flavor == "kde":
         t = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
-        prod *= [kernel.cf(schedule.at(n) * t) for n in range(1, n_max + 1)]
+        prod *= [kernel.cf(schedule.values(n)[-1] * t) for n in range(1, n_max + 1)]
     return prod[start_n - 1 : n_max - 1] / prod[start_n:]
 
 
@@ -298,7 +323,7 @@ FAMILIES = {"gaussian": {}, "laplace": {}, "student_t": {"dof": 3.0}, "half_norm
 class TestFactorValues:
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_at_zero(self, flavor):
-        start, corr, _ = mg.cf_corrections(SCHED, GAUSS, 0.0, 100, flavor)
+        start, corr, _ = mg.cf_corrections(SCHED, H, GAUSS, 0.0, 100, flavor)
         assert start == 1
         np.testing.assert_array_equal(corr, np.ones(100))
 
@@ -314,10 +339,12 @@ class TestFactorValues:
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_factor_values_vectorized(self, flavor):
         t = 1.0
-        start, corr, _ = mg.cf_corrections(SCHED, GAUSS, t, 8, flavor)
+        start, corr, _ = mg.cf_corrections(SCHED, H, GAUSS, t, 8, flavor)
         got = factors_of_correction(SCHED, GAUSS, t, corr, start, flavor)[2:]
         shift = 0 if flavor == "kde" else 1
-        expected = [1 + (GAUSS.cf(SCHED.at(n + shift) * t) - 1) / (n + 1) for n in range(3, 8)]
+        expected = [
+            1 + (GAUSS.cf(SCHED.values(n + shift)[-1] * t) - 1) / (n + 1) for n in range(3, 8)
+        ]
         np.testing.assert_allclose(got, expected, atol=1e-15)
 
     @settings(max_examples=150, deadline=None)
@@ -342,9 +369,9 @@ class TestFactorValues:
         with mock.patch.object(mg, "lemma_product_tail", return_value=unit_tail):
             if want is None:
                 with pytest.raises(ZeroDenominator, match="conditioning floor"):
-                    mg.cf_corrections(SCHED, kernel, t, n_max, flavor)
+                    mg.cf_corrections(SCHED, H, kernel, t, n_max, flavor)
                 return
-            start, corr, _ = mg.cf_corrections(SCHED, kernel, t, n_max, flavor)
+            start, corr, _ = mg.cf_corrections(SCHED, H, kernel, t, n_max, flavor)
         assert start == want
         assert np.all(np.isnan(corr[: start - 1]))
         got = factors_of_correction(SCHED, kernel, t, corr, start, flavor)
@@ -354,10 +381,10 @@ class TestFactorValues:
 
 class TestStartIndex:
     def test_gaussian_immediate(self):
-        assert mg.cf_corrections(SCHED, GAUSS, 1.0, 50, "kde")[0] == 1
+        assert mg.cf_corrections(SCHED, H, GAUSS, 1.0, 50, "kde")[0] == 1
 
     def test_half_normal_large_t(self):
-        start = mg.cf_corrections(SCHED, HALF, 15.0, 1000, "kde")[0]
+        start = mg.cf_corrections(SCHED, H, HALF, 15.0, 1000, "kde")[0]
         assert start > 1
         h = SCHED.values(start)
         mods = np.abs(HALF.cf_scaled(15.0, h))
@@ -370,12 +397,13 @@ class TestStartIndex:
         # index (n = 69 at t = 5) and past its conditioning floor (t = 10),
         # every entry is finite from n = 1, each one the suffix product.
         sched = BandwidthSchedule.default(1)
+        h = sched.values(1001)
         if t == 5.0:
-            assert mg.cf_corrections(sched, GAUSS, t, 1000, "kde")[0] == 69
+            assert mg.cf_corrections(sched, h, GAUSS, t, 1000, "kde")[0] == 69
         else:
             with pytest.raises(ZeroDenominator, match="conditioning floor"):
-                mg.cf_corrections(sched, GAUSS, t, 1000, "kde")
-        start, corr, row = mg.cf_corrections(sched, GAUSS, t, 1000, "recursive")
+                mg.cf_corrections(sched, h, GAUSS, t, 1000, "kde")
+        start, corr, row = mg.cf_corrections(sched, h, GAUSS, t, 1000, "recursive")
         assert start == 1
         assert np.all(np.isfinite(corr))
         factors = factors_of_correction(sched, GAUSS, t, corr, 1, "recursive")
@@ -411,25 +439,40 @@ class TestStartIndex:
         unit_tail = mg.ProductTail(value=1.0 + 0.0j, from_n=n_max + 1, lemma_bound=0.0,
                                    numerical_error=0.0)
         with mock.patch.object(mg, "lemma_product_tail", return_value=unit_tail):
-            start, corr, row = mg.cf_corrections(SCHED, kernel, 0.7, n_max, flavor)
+            start, corr, row = mg.cf_corrections(SCHED, H, kernel, 0.7, n_max, flavor)
         assert calls == [(n_max + shift,)]
         assert sum(elements) == (n_max + shift) * d
         assert row.shape == corr.shape == (n_max,)
 
     def test_corrections_scan_only_up_to_horizon(self, monkeypatch):
         # At t = 1000 and d = 2 no h_n up to n = 20 qualifies: the search
-        # stops at the horizon instead of reading bandwidths beyond it.
-        asked = []
-        values = BandwidthSchedule.values
+        # stops at the horizon instead of scanning the run's bandwidths
+        # beyond it, and reads none from the schedule.
+        scanned = []
+        minus_one = KernelSpec.cf_scaled_minus_one
 
-        def recording(schedule, n, start=1):
-            asked.append((start, n))
-            return values(schedule, n, start)
+        def recording(spec, t, scales):
+            scanned.append(len(scales))
+            return minus_one(spec, t, scales)
 
-        monkeypatch.setattr(BandwidthSchedule, "values", recording)
+        def refused(schedule, n):
+            raise AssertionError("cf_corrections read the schedule")
+
+        monkeypatch.setattr(KernelSpec, "cf_scaled_minus_one", recording)
+        monkeypatch.setattr(BandwidthSchedule, "values", refused)
         with pytest.raises(ZeroDenominator, match="conditioning floor"):
-            mg.cf_corrections(SCHED, KernelSpec("gaussian", dim=2), 1000.0, 20, "kde")
-        assert asked == [(1, 20)]
+            mg.cf_corrections(SCHED, H, KernelSpec("gaussian", dim=2), 1000.0, 20, "kde")
+        assert scanned == [20]
+
+    @pytest.mark.parametrize("flavor, needed", [("kde", 20), ("recursive", 21)])
+    def test_bandwidths_must_cover_the_shift(self, flavor, needed):
+        # n = 1..20 reads h_1..h_{20+s}: one past the horizon for recursive.
+        with pytest.raises(ValueError, match=f"h_1..h_{needed}, got {needed - 1}"):
+            mg.cf_corrections(SCHED, H[: needed - 1], GAUSS, 1.0, 20, flavor)
+        start, corr, row = mg.cf_corrections(SCHED, H[:needed], GAUSS, 1.0, 20, flavor)
+        want = mg.cf_corrections(SCHED, H, GAUSS, 1.0, 20, flavor)
+        assert start == want[0]
+        assert corr.tobytes() == want[1].tobytes() and row.tobytes() == want[2].tobytes()
 
 
 class TestLemmaProduct:
@@ -639,13 +682,15 @@ class TestToleranceMessage:
         assert rem_err <= mg.PRODUCT_TAIL_REL_TOL
         assert tail.numerical_error == rem_err * abs(tail.value)
         assert abs(tail.value) < 1e-3
-        start, corr, _ = mg.cf_corrections(sched, kernel, t_arr, 1000, flavor)
+        h = sched.values(1001)
+        start, corr, _ = mg.cf_corrections(sched, h, kernel, t_arr, 1000, flavor)
         assert corr[-1] != 0 and np.isfinite(corr[-1])
 
 
 def cf_martingale(traj, schedule, kernel, t):
     """(start_n, correction, phi, martingale) composed as the run modes do."""
-    start_n, corr, kernel_cf = mg.cf_corrections(schedule, kernel, t, len(traj), traj.flavor)
+    h = schedule.values(len(traj) + 1)
+    start_n, corr, kernel_cf = mg.cf_corrections(schedule, h, kernel, t, len(traj), traj.flavor)
     phi = cf_path(traj, t, kernel_cf)
     return start_n, corr, phi, corr * phi
 
@@ -677,7 +722,7 @@ class TestCfMartingaleTrace:
         assert float(np.nanmax(np.abs(mart))) <= sup_c + 1e-10
 
     def test_correction_approaches_one(self):
-        _, corr, _ = mg.cf_corrections(SCHED, GAUSS, 1.0, 5000, "recursive")
+        _, corr, _ = mg.cf_corrections(SCHED, H, GAUSS, 1.0, 5000, "recursive")
         gaps = np.abs(corr - 1.0)
         checkpoints = np.array([10, 100, 1000, 4999]) - 1
         vals = gaps[checkpoints]
@@ -690,7 +735,7 @@ class TestCfMartingaleTrace:
         # (prod a_k) phi_K(h_{M+1} t) / phi_K(h_n t); for large M this must
         # approach the stored correction within the certified bounds.
         t, n, m = 1.3, 7, 20000
-        start, corr, _ = mg.cf_corrections(SCHED, GAUSS, t, 64, "kde")
+        start, corr, _ = mg.cf_corrections(SCHED, H, GAUSS, t, 64, "kde")
         a = oracle_factors(SCHED, GAUSS, t, n, m, "kde")
         phi_h = GAUSS.cf_scaled(t, SCHED.values(m + 1))
         ratio_factors = a * phi_h[n : m + 1] / phi_h[n - 1 : m]
@@ -717,7 +762,7 @@ class TestCfMartingaleTrace:
     def test_corrections_match_suffix_loop(self, flavor, kernel, t):
         # Reference: the suffix product multiplied one factor at a time from
         # the far end, as a scalar loop, over the same factor floats.
-        start, corr, _ = mg.cf_corrections(SCHED, kernel, t, 400, flavor)
+        start, corr, _ = mg.cf_corrections(SCHED, H, kernel, t, 400, flavor)
         shift = 0 if flavor == "kde" else 1
         h = SCHED.values(400 + shift)[start - 1 + shift :]
         n = np.arange(start, 401, dtype=float)
@@ -733,19 +778,19 @@ class TestCfMartingaleTrace:
 
     def test_vanishing_growth_factor_rejected(self):
         with pytest.raises(ZeroFactor):
-            mg.cf_corrections(SCHED, _NegatingCF(), 1.0, 5, "kde")
+            mg.cf_corrections(SCHED, H, _NegatingCF(), 1.0, 5, "kde")
 
     def test_kernel_cf_zero_inside_range_rejected(self):
         # start_n = 1 and every growth factor is non-zero, but the kde
         # correction divides by phi_K(h_3 t) = 0; the recursive one does not.
         with pytest.raises(ZeroDenominator):
-            mg.cf_corrections(SCHED, _CFZeroAtH3(), 1.0, 5, "kde")
-        start, corr, _ = mg.cf_corrections(SCHED, _CFZeroAtH3(), 1.0, 5, "recursive")
+            mg.cf_corrections(SCHED, H, _CFZeroAtH3(), 1.0, 5, "kde")
+        start, corr, _ = mg.cf_corrections(SCHED, H, _CFZeroAtH3(), 1.0, 5, "recursive")
         assert start == 1 and np.all(np.isfinite(corr))
 
     def test_start_index_beyond_horizon_rejected(self):
         with pytest.raises(ZeroDenominator):
-            mg.cf_corrections(SCHED, HALF, 20.0, 5, "kde")
+            mg.cf_corrections(SCHED, H, HALF, 20.0, 5, "kde")
 
 
 class TestOneStepIdentities:
@@ -778,7 +823,7 @@ class TestOneStepIdentities:
             + next_phase * GAUSS.cf_scaled(t, np.array([h[n]]))[0]
         ) / (n + 1)
         # The production martingale c_n phi_n has this as its one-step mean.
-        _, c, _ = mg.cf_corrections(SCHED, GAUSS, t, n + 1, flavor)
+        _, c, _ = mg.cf_corrections(SCHED, H, GAUSS, t, n + 1, flavor)
         assert c[n - 1] * phi_n == pytest.approx(c[n] * expected, abs=1e-13)
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
@@ -796,7 +841,7 @@ class TestOneStepIdentities:
         else:
             expected_u = np.mean(u) + np.mean(h[:n]) * ew1
         expected_increment = (expected_u - j_n) / (n + 1)
-        comp = mg.compensator_values(flavor, SCHED, ew1, n)[n - 1]
+        comp = mg.compensator_values(flavor, h, ew1, n)[n - 1]
         assert comp == pytest.approx(expected_increment, rel=1e-13)
 
 

@@ -33,6 +33,8 @@ from kdeproc.process import (
 )
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
+# One read of SCHED, sliced by every test as a run slices its own.
+H = SCHED.values(5000)
 GAUSS = KernelSpec("gaussian")
 HALF = KernelSpec("half_normal")
 
@@ -44,7 +46,7 @@ def forward_loop(flavor, schedule, prefix, ancestors, draws):
     hs = []
     for m, y in zip(ancestors.tolist(), draws.tolist()):
         n = len(xs)
-        h = schedule.at(n) if flavor == "kde" else schedule.at(m)
+        h = schedule.values(n)[-1] if flavor == "kde" else schedule.values(m)[-1]
         xs.append([a + h * b for a, b in zip(xs[m - 1], y)])
         hs.append(h)
     return np.array(xs), np.array(hs)
@@ -244,7 +246,7 @@ class TestSimulateBatch:
         prefix = np.linspace(-1.0, 2.0, prefix_len * dim).reshape(prefix_len, dim)
         data = prefix if prefix_len else None
         reps = range(start, start + size)
-        got = list(simulate_batch(flavor, SCHED, kernel, length, seed, reps, data))
+        got = list(simulate_batch(flavor, H, kernel, length, seed, reps, data))
         assert len(got) == size
         for r, traj in zip(reps, got):
             want = simulate(flavor, SCHED, kernel, length, DrawStreams.from_seed(seed, r), data)
@@ -254,7 +256,7 @@ class TestSimulateBatch:
     def test_no_generated_points(self, length):
         # Only the origin, or a prefix as long as the run: nothing is drawn.
         data = [0.5, 1.0, 1.5] if length == 3 else None
-        (traj,) = simulate_batch("recursive", SCHED, GAUSS, length, 8, range(5, 6), data)
+        (traj,) = simulate_batch("recursive", H, GAUSS, length, 8, range(5, 6), data)
         assert_same_trajectory(traj, simulate("recursive", SCHED, GAUSS, length, None, data))
 
     def test_ancestor_block_matches_trajectories(self):
@@ -266,15 +268,19 @@ class TestSimulateBatch:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            next(simulate_batch("other", SCHED, GAUSS, 5, 0, range(1)))
+            next(simulate_batch("other", H, GAUSS, 5, 0, range(1)))
         with pytest.raises(ValueError):
-            next(simulate_batch("kde", SCHED, GAUSS, 2, 0, range(1), data_prefix=[1.0, 2.0, 3.0]))
+            next(simulate_batch("kde", H, GAUSS, 2, 0, range(1), data_prefix=[1.0, 2.0, 3.0]))
+        # The steps of a 6-point run read h_1..h_5.
+        with pytest.raises(ValueError, match=r"h_1..h_5, got 4"):
+            next(simulate_batch("kde", H[:4], GAUSS, 6, 0, range(1)))
+        assert len(next(simulate_batch("kde", H[:5], GAUSS, 6, 0, range(1)))) == 6
 
 
 class TestMixture:
     def test_single_component(self):
         traj = simulate("kde", SCHED, GAUSS, 1)
-        mix = predictive_mixture(traj, SCHED, GAUSS)
+        mix = predictive_mixture(traj, H, GAUSS)
         assert mix.n_components == 1
         assert mix.scales[0] == 1.0
         assert mix.prob(-np.inf, 0.0) == pytest.approx(0.5, abs=1e-15)
@@ -282,29 +288,41 @@ class TestMixture:
 
     def test_kde_scales_shared(self):
         traj = simulate("kde", SCHED, GAUSS, 2, forced_ancestors=[1], forced_draws=[1.0])
-        mix = predictive_mixture(traj, SCHED, GAUSS)
+        mix = predictive_mixture(traj, H, GAUSS)
         h2 = 2.0**-0.2
         np.testing.assert_allclose(mix.scales, [h2, h2], rtol=1e-15)
         np.testing.assert_allclose(mix.centers[:, 0], [0.0, 1.0])
 
     def test_recursive_scales_frozen(self):
         traj = simulate("recursive", SCHED, GAUSS, 2, forced_ancestors=[1], forced_draws=[1.0])
-        mix = predictive_mixture(traj, SCHED, GAUSS)
+        mix = predictive_mixture(traj, H, GAUSS)
         np.testing.assert_allclose(mix.scales, [1.0, 2.0**-0.2], rtol=1e-15)
 
     def test_recursive_components_never_rescaled(self):
         streams = DrawStreams.from_seed(17, 0)
         traj = simulate("recursive", SCHED, GAUSS, 200, streams)
-        early = predictive_mixture(traj, SCHED, GAUSS, at_time=120)
-        late = predictive_mixture(traj, SCHED, GAUSS, at_time=121)
+        early = predictive_mixture(traj, H, GAUSS, at_time=120)
+        late = predictive_mixture(traj, H, GAUSS, at_time=121)
         np.testing.assert_array_equal(early.centers[:119], late.centers[:119])
         np.testing.assert_array_equal(early.scales[:119], late.scales[:119])
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_reads_the_head_of_a_longer_read(self, flavor):
+        # kde scales every component by h_n, recursive each by its own h_i:
+        # the same floats from the run's longer read as from a read of h_1..h_n.
+        traj = simulate(flavor, SCHED, GAUSS, 40, DrawStreams.from_seed(3, 0))
+        for n in (1, 17, 40):
+            own = SCHED.values(n)
+            want = np.full(n, own[-1]) if flavor == "kde" else own
+            assert predictive_mixture(traj, H, GAUSS, at_time=n).scales.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="h_1..h_40, got 39"):
+            predictive_mixture(traj, H[:39], GAUSS)
 
     def test_box_probability_midpoint(self):
         mix = predictive_mixture(
             simulate("kde", BandwidthSchedule.from_table([1.0, 1.0]), GAUSS, 2,
                      forced_ancestors=[1], forced_draws=[2.0]),
-            BandwidthSchedule.from_table([1.0, 1.0]),
+            BandwidthSchedule.from_table([1.0, 1.0]).values(2),
             GAUSS,
         )
         # components (0,1) and (2,1): P(X <= 1) = (Phi(1) + Phi(-1))/2 = 1/2
@@ -312,21 +330,21 @@ class TestMixture:
 
     def test_cf_values(self):
         traj = simulate("kde", SCHED, GAUSS, 1)
-        mix = predictive_mixture(traj, SCHED, GAUSS)
+        mix = predictive_mixture(traj, H, GAUSS)
         assert mix.cf(0.0) == pytest.approx(1.0, abs=0)
         assert mix.cf(1.0) == pytest.approx(np.exp(-0.5), abs=1e-15)
 
     def test_cf_two_components(self):
         sched = BandwidthSchedule.from_table([1.0, 1.0])
         traj = simulate("kde", sched, GAUSS, 2, forced_ancestors=[1], forced_draws=[1.0])
-        mix = predictive_mixture(traj, sched, GAUSS)
+        mix = predictive_mixture(traj, sched.values(len(traj)), GAUSS)
         expected = 0.5 * (1.0 + np.exp(1j)) * np.exp(-0.5)
         assert mix.cf(1.0) == pytest.approx(expected, abs=1e-14)
 
     def test_cf_matches_empirical(self):
         streams = DrawStreams.from_seed(23, 0)
         traj = simulate("kde", SCHED, GAUSS, 30, streams)
-        mix = predictive_mixture(traj, SCHED, GAUSS)
+        mix = predictive_mixture(traj, H, GAUSS)
         rng = np.random.default_rng(4)
         n = 10**5
         draws = mix.sample(rng, n)[:, 0]
@@ -338,20 +356,20 @@ class TestMixture:
         sched = BandwidthSchedule.from_table([1.0, 1.0])
         hn = KernelSpec("half_normal")
         traj = simulate("kde", sched, hn, 2, forced_ancestors=[1], forced_draws=[1.0])
-        mix = predictive_mixture(traj, sched, hn)
+        mix = predictive_mixture(traj, sched.values(len(traj)), hn)
         expected = 0.5 + 1.0 * np.sqrt(2 / np.pi)
         assert mix.mean()[0] == pytest.approx(expected, rel=1e-14)
 
     def test_quantile_roundtrip(self):
         streams = DrawStreams.from_seed(8, 0)
         traj = simulate("kde", SCHED, GAUSS, 25, streams)
-        mix = predictive_mixture(traj, SCHED, GAUSS)
+        mix = predictive_mixture(traj, H, GAUSS)
         for q in (0.1, 0.5, 0.9):
             x = mix.quantile(q)
             assert float(mix.cdf(x)) == pytest.approx(q, abs=1e-9)
 
     def test_invalid_box(self):
-        mix = predictive_mixture(simulate("kde", SCHED, GAUSS, 1), SCHED, GAUSS)
+        mix = predictive_mixture(simulate("kde", SCHED, GAUSS, 1), H, GAUSS)
         with pytest.raises(ValueError):
             mix.prob(1.0, -1.0)
 
@@ -378,7 +396,7 @@ class TestQuantile:
         prefix_len = min(prefix_len, length)
         data = np.random.default_rng(seed).normal(size=prefix_len) if prefix_len else None
         traj = simulate(flavor, SCHED, kernel, length, DrawStreams.from_seed(seed, 0), data)
-        mix = predictive_mixture(traj, SCHED, kernel)
+        mix = predictive_mixture(traj, H, kernel)
         xs = mix.quantile(levels)
         assert xs.shape == (len(levels),)
         for q, x in zip(levels, xs):
@@ -387,7 +405,7 @@ class TestQuantile:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_single_component(self, family):
         kernel = KernelSpec(family, dof=3.0 if family == "student_t" else None)
-        mix = predictive_mixture(simulate("kde", SCHED, kernel, 1), SCHED, kernel)
+        mix = predictive_mixture(simulate("kde", SCHED, kernel, 1), H, kernel)
         for q in (1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6):
             assert_certified_quantile(mix, q, mix.quantile(q))
 
@@ -401,7 +419,7 @@ class TestQuantile:
 
     def test_scalar_and_array_agree(self):
         traj = simulate("recursive", SCHED, GAUSS, 400, DrawStreams.from_seed(12, 0))
-        mix = predictive_mixture(traj, SCHED, GAUSS)
+        mix = predictive_mixture(traj, H, GAUSS)
         levels = np.array([[1e-7, 0.05, 0.5], [0.75, 0.95, 1.0 - 1e-7]])
         xs = mix.quantile(levels)
         assert xs.shape == levels.shape
@@ -413,7 +431,7 @@ class TestQuantile:
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, np.nan])
     def test_level_outside_unit_interval(self, bad):
         traj = simulate("kde", SCHED, GAUSS, 5, DrawStreams.from_seed(2, 0))
-        mix = predictive_mixture(traj, SCHED, GAUSS)
+        mix = predictive_mixture(traj, H, GAUSS)
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             mix.quantile([0.5, bad])
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
@@ -423,7 +441,7 @@ class TestQuantile:
         # Two bracket checks and a handful of Newton rounds: a fall-back to
         # bisection would take ~40 evaluations.
         traj = simulate("recursive", SCHED, GAUSS, 5000, DrawStreams.from_seed(5, 0))
-        mix = predictive_mixture(traj, SCHED, GAUSS)
+        mix = predictive_mixture(traj, H, GAUSS)
         calls = []
         cdf1 = KernelSpec.cdf1
 
@@ -444,9 +462,9 @@ class TestMeasureRecursion:
         traj = simulate("recursive", SCHED, GAUSS, 80, streams)
         boxes = [(-np.inf, 0.3), (-1.0, 1.0), (0.0, np.inf), (-0.2, 0.1)]
         for n in (2, 17, 80):
-            cur = predictive_mixture(traj, SCHED, GAUSS, at_time=n)
-            prev = predictive_mixture(traj, SCHED, GAUSS, at_time=n - 1)
-            h_n = SCHED.at(n)
+            cur = predictive_mixture(traj, H, GAUSS, at_time=n)
+            prev = predictive_mixture(traj, H, GAUSS, at_time=n - 1)
+            h_n = SCHED.values(n)[-1]
             x_n = traj.points[n - 1, 0]
             for lo, hi in boxes:
                 fresh = float(
@@ -459,9 +477,9 @@ class TestMeasureRecursion:
         streams = DrawStreams.from_seed(62, 0)
         traj = simulate("kde", SCHED, GAUSS, 30, streams)
         for n in (5, 30):
-            mix = predictive_mixture(traj, SCHED, GAUSS, at_time=n)
+            mix = predictive_mixture(traj, H, GAUSS, at_time=n)
             direct = np.mean(
-                GAUSS.cdf1((0.5 - traj.points[:n, 0]) / SCHED.at(n))
+                GAUSS.cdf1((0.5 - traj.points[:n, 0]) / SCHED.values(n)[-1])
             )
             assert mix.prob(-np.inf, 0.5) == pytest.approx(float(direct), abs=1e-14)
 
@@ -499,7 +517,7 @@ class TestCfPath:
             for t in (0.5, 2.0):
                 path = cf_path(traj, t, kernel_cf_row(SCHED, GAUSS, t, 60))
                 for n in (1, 7, 33, 60):
-                    mix = predictive_mixture(traj, SCHED, GAUSS, at_time=n)
+                    mix = predictive_mixture(traj, H, GAUSS, at_time=n)
                     assert path[n - 1] == pytest.approx(mix.cf(t), abs=1e-12)
 
     @settings(max_examples=120, deadline=None)
@@ -521,7 +539,7 @@ class TestCfPath:
         traj = simulate(flavor, schedule, kernel, length, DrawStreams.from_seed(seed, 0))
         path = cf_path(traj, t, kernel_cf_row(schedule, kernel, t, length))
         for n in sorted({1, max(1, length // 3), length}):
-            mix = predictive_mixture(traj, schedule, kernel, at_time=n)
+            mix = predictive_mixture(traj, schedule.values(length), kernel, at_time=n)
             assert path[n - 1] == pytest.approx(mix.cf(t), abs=1e-12)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
@@ -612,7 +630,7 @@ class TestDistributionalConsistency:
     def test_next_point_law_matches_mixture(self):
         streams = DrawStreams.from_seed(41, 0)
         traj = simulate("kde", SCHED, GAUSS, 50, streams)
-        mix = predictive_mixture(traj, SCHED, GAUSS)
+        mix = predictive_mixture(traj, H, GAUSS)
         n = 10**5
         # Each call takes one step from the 50-point state, consuming one
         # uniform and one kernel variate of the shared streams.

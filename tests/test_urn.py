@@ -18,7 +18,6 @@ from kdeproc.kernels import FAMILIES
 from kdeproc.process import FLAVORS, ancestor_block, replication_blocks
 from kdeproc.urn import (
     anchor_fractions,
-    betabinom_pmf,
     betabinom_pmf_vector,
     block_roots,
     descendant_tail_bound,
@@ -87,7 +86,7 @@ class TestExactPmf:
 
     def test_three_step_example(self):
         # C(3,0) B(1,5) / B(1,2) = (1/5)/(1/2) = 2/5
-        assert betabinom_pmf(3, 0) == pytest.approx(0.4, abs=1e-14)
+        assert betabinom_pmf_vector(3)[0] == pytest.approx(0.4, abs=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_exhaustive_enumeration(self, n):
@@ -106,12 +105,9 @@ class TestExactPmf:
             np.testing.assert_allclose(got, ref, atol=1e-13)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            betabinom_pmf(1, 0)
-        with pytest.raises(DomainError):
-            betabinom_pmf(5, -1)
-        with pytest.raises(DomainError):
-            betabinom_pmf(5, 6)
+        for n in (1, 0, -3):
+            with pytest.raises(DomainError, match="window parameter must be >= 2"):
+                betabinom_pmf_vector(n)
 
 
 class TestTailBound:
