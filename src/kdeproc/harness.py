@@ -466,7 +466,7 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
     box_probs = np.empty(config.replications)
     # One read of h_1..h_N for the steps, the kernel CF rows and the mixtures.
     h = schedule.values(config.steps)
-    kernel_cfs = [kernel.cf_scaled(np.broadcast_to(t, (d,)), h) for t in config.t_grid]
+    kernel_cfs = [kernel.cf_scaled(t, h) for t in config.t_grid]
     trajectories = simulate_batch(
         config.flavor, h, kernel, config.steps, config.master_seed,
         range(config.replications), data,
@@ -556,7 +556,7 @@ _RUNNERS = {
 MODES = tuple(_RUNNERS)
 
 
-def run(config: ExperimentConfig, mode: str = "diagnose"):
+def run(config: ExperimentConfig, mode: str):
     """Execute one mode, writing its artifacts under the configured directory."""
     if mode not in _RUNNERS:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")

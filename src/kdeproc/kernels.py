@@ -6,7 +6,9 @@ univariate coordinates, so characteristic functions factor exactly and box
 probabilities reduce to products of coordinate CDFs.  The CF is written once,
 as its deviation from 1: :meth:`KernelSpec.cf_scaled_minus_one` multiplies
 the coordinate deviations phi_1 - 1 in cancellation-free form, and the CF
-itself is 1 plus that product.
+itself is 1 plus that product.  Every CF in the package reads its frequency
+t through :func:`frequency`, the one rule: a scalar or length-1 t means
+(t, ..., t) in R^d, a (d,) array is used as it is, other shapes raise.
 
 Supported families:
 
@@ -30,6 +32,14 @@ FAMILIES = ("gaussian", "half_normal", "student_t", "laplace")
 
 _SQRT_2_OVER_PI = sqrt(2.0 / pi)
 _SQRT_2PI = sqrt(2.0 * pi)
+
+
+def frequency(t, dim: int) -> np.ndarray:
+    """The point of R^dim that the frequency ``t`` names, by the rule above."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (dim,) and (t.size != 1 or t.ndim > 1):
+        raise ValueError(f"t must be a scalar or of shape ({dim},), got shape {t.shape}")
+    return t if t.shape == (dim,) else np.full(dim, t.item())
 
 
 @dataclass(frozen=True)
@@ -72,9 +82,6 @@ class KernelSpec:
 
     def cf(self, t) -> complex:
         """Characteristic function E[exp(i t'Y)] at a single point t."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.shape != (self.dim,):
-            raise ValueError(f"t must have shape ({self.dim},), got {t.shape}")
         return complex(self.cf_scaled(t, 1.0))
 
     def cf_scaled(self, t, scales) -> np.ndarray:
@@ -91,7 +98,7 @@ class KernelSpec:
         (1 + p)(1 + m) - 1 = p + m + p*m, so a deviation far below the float
         resolution of the value itself keeps its digits.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        t = frequency(t, self.dim)
         scales = np.asarray(scales, dtype=float)
         pm1 = self._cf1_m1(scales * t[0])
         for tj in t[1:]:

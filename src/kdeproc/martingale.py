@@ -51,7 +51,8 @@ from scipy import integrate
 
 from .bandwidth import BandwidthSchedule, leading
 from .errors import ToleranceNotReached, TooFewReplications, ZeroDenominator, ZeroFactor
-from .kernels import KernelSpec
+from .kernels import KernelSpec, frequency
+from .process import check_flavor
 
 DRIFT_FLAG_THRESHOLD = 4.0
 # Fewest per-replication increments a drift test (and an urn law test) reads.
@@ -70,6 +71,7 @@ TAIL_BOUND_TOLERANCE = 1e-10
 def compensator_values(flavor: str, h: np.ndarray, ew1: float, n_max: int) -> np.ndarray:
     """c_n for n = 1..n_max from the bandwidths h_1..h_{n_max} (the head of
     ``h``); empty for n_max = 0."""
+    check_flavor(flavor)
     h = leading(h, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     if flavor == "kde":
@@ -87,6 +89,7 @@ def compensator_tails(
     ``process.dominating_path``.  The terms read h_1..h_{n_max} (the head of
     ``h``), the sum past n_max the schedule's closed-form tail weights.
     """
+    check_flavor(flavor)
     if n_max < 1:
         raise ValueError(f"compensator tails need n_max >= 1, got {n_max}")
     h = leading(h, n_max)
@@ -114,6 +117,7 @@ def dominating_tail_mass(
     U_i + h * W (h = h_n shared, h_i frozen), so its tail is an average of
     norm survival values.  Markov bounds it by (J_n + (n+1) c_n) / threshold.
     """
+    check_flavor(flavor)
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     times = np.asarray(times, dtype=np.int64)
@@ -151,8 +155,7 @@ def _factor_deviation(dev: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def lemma_constant(kernel: KernelSpec, t) -> float:
     """||t|| (||E[Y]|| + 2 E||Y||), the factor in the summable product bound."""
-    t = np.asarray(t, dtype=float)
-    norm_t = float(np.linalg.norm(t))
+    norm_t = float(np.linalg.norm(frequency(t, kernel.dim)))
     return norm_t * (float(np.linalg.norm(kernel.mean_vector())) + 2.0 * kernel.norm_mean)
 
 
@@ -164,6 +167,7 @@ def product_tail_bound(
     |a_k - 1| <= h_k kappa / (k+1) (shared) or h_{k+1} kappa / (k+1)
     (frozen); both sums have closed-to-1e-12 evaluations per bandwidth form.
     """
+    check_flavor(flavor)
     kappa = lemma_constant(kernel, t)
     if flavor == "kde":
         return kappa * schedule.tail_weight_kde(from_n)
@@ -196,7 +200,6 @@ def _log1p_complex(w: np.ndarray) -> np.ndarray:
 
 
 def _log_factor_fn(schedule: BandwidthSchedule, kernel: KernelSpec, t, flavor: str):
-    t = np.asarray(t, dtype=float)
     shift = BANDWIDTH_SHIFT[flavor]
 
     def log_factor(x):
@@ -228,6 +231,7 @@ def lemma_product_tail(
     """
     if from_n < 1:
         raise ValueError(f"start must be >= 1, got {from_n}")
+    t = frequency(t, kernel.dim)
     bound = product_tail_bound(schedule, kernel, t, from_n, flavor)  # NoEnvelope if none
     f = _log_factor_fn(schedule, kernel, t, flavor)
 
@@ -247,7 +251,7 @@ def lemma_product_tail(
                 numerical_error=float(rem_err * abs(value)),
             )
         cut *= 4
-    t_text = ", ".join(f"{v:g}" for v in np.atleast_1d(np.asarray(t, dtype=float)))
+    t_text = ", ".join(f"{v:g}" for v in t)
     raise ToleranceNotReached(
         f"CF product tail at t=({t_text}), flavor {flavor}, from n={from_n}: relative "
         f"error {rem_err:.3g} (the log-sum error; |tail| {abs(value):.3g}) at the last "
@@ -327,14 +331,14 @@ def cf_corrections(
     The kde correction divides by that row, so its ``start_n`` is the first
     n with |phi_K(h_n t)| > START_INDEX_FLOOR, which keeps the division well
     conditioned, and its entries before it are NaN; the recursive correction
-    divides by nothing and starts at 1.  A scalar t is broadcast to the
-    kernel dimension, as in ``cf_path``.
+    divides by nothing and starts at 1.
     """
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
+    check_flavor(flavor)
+    t = frequency(t, kernel.dim)
     shift = BANDWIDTH_SHIFT[flavor]
     # phi_K(h_k t) - 1 for k = 1..n_max + s, the one kernel-CF evaluation;
     # the row is formed before the growth factors scale it in place.
-    dev = kernel.cf_scaled_minus_one(t_arr, leading(h, n_max + shift))
+    dev = kernel.cf_scaled_minus_one(t, leading(h, n_max + shift))
     kernel_cf = 1.0 + dev[:n_max]
     start_n = 1
     if flavor == "kde":
@@ -354,7 +358,7 @@ def cf_corrections(
     np.add(_factor_deviation(dev[start_n - 1 + shift :], n), 1.0, out=factors)
     if np.any(factors == 0):
         raise ZeroFactor("a growth factor vanished inside the traced range")
-    factors[-1] *= lemma_product_tail(schedule, kernel, t_arr, n_max + 1, flavor).value
+    factors[-1] *= lemma_product_tail(schedule, kernel, t, n_max + 1, flavor).value
     np.cumprod(factors[::-1], out=factors[::-1])
     if flavor == "kde":
         if np.any(kernel_cf[start_n - 1 :] == 0):

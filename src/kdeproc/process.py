@@ -35,25 +35,26 @@ import numpy as np
 
 from .bandwidth import BandwidthSchedule, leading
 from .errors import MissingGenealogy, NonFiniteInput, PrefixPointHasNoGenealogy
-from .kernels import KernelSpec
+from .kernels import KernelSpec, frequency
 from .streams import DrawStreams, ancestor_uniforms, replication_streams
 
 FLAVORS = ("kde", "recursive")
 
 # PredictiveMixture.quantile takes Newton steps for this many rounds and
-# plain bisection after, so every level ends within _QUANTILE_ROUNDS rounds.
+# plain bisection after, so every level ends within _QUANTILE_ROUNDS rounds,
+# in a bracket narrower than tol(1 + |x|), tol = _QUANTILE_TOL.
 _NEWTON_ROUNDS = 100
 _QUANTILE_ROUNDS = 200
+_QUANTILE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class LevelOrder:
     """The generated rows of a genealogy, stably sorted by depth below the
-    base rows: the rows of depth k are ``rows[bounds[k - 1]:bounds[k]]``,
-    with parents ``sources[...]`` and 0-based generation positions
-    ``order[...]`` (row s + i is generated at position i)."""
+    base rows: the rows of depth k are s + ``order[bounds[k - 1]:bounds[k]]``
+    (row s + i is generated at 0-based position i), with parents
+    ``sources[...]``."""
 
-    rows: np.ndarray     # (m,) int64, s + order
     sources: np.ndarray  # (m,) int64, parents[order]
     order: np.ndarray    # (m,) int64, generation positions sorted by depth
     bounds: list[int]    # [0, end of depth 1, end of depth 2, ...]
@@ -126,8 +127,8 @@ class PredictiveMixture:
 
     def cf(self, t) -> complex:
         """Mixture characteristic function at t."""
-        t = np.broadcast_to(np.asarray(t, dtype=float), (self.dim,))
-        vals = np.exp(1j * (self.centers @ t)) * self.kernel.cf_scaled(t, self.scales)
+        t = frequency(t, self.dim)
+        vals = np.exp(1j * _inner(self.centers, t)) * self.kernel.cf_scaled(t, self.scales)
         # Componentwise means: numpy's complex/real division can drop an ulp,
         # and the value at t = 0 must be exactly 1.
         return complex(np.mean(vals.real) + 1j * np.mean(vals.imag))
@@ -153,7 +154,7 @@ class PredictiveMixture:
         y = self.kernel.sample(rng, size=size)
         return self.centers[idx] + self.scales[idx, None] * y
 
-    def quantile(self, q, tol: float = 1e-10):
+    def quantile(self, q):
         """Univariate quantile: a float for a scalar level q, an array of the
         same shape for an array of levels.
 
@@ -199,7 +200,7 @@ class PredictiveMixture:
             hi[live] = np.where(below, hi[live], xl)
             lo_l, hi_l = lo[live], hi[live]
             mid = 0.5 * (lo_l + hi_l)
-            probe = 0.5 * tol * (1.0 + np.abs(xl))
+            probe = 0.5 * _QUANTILE_TOL * (1.0 + np.abs(xl))
             # A zero or subnormal density gives an infinite or NaN step,
             # which the bracket test below turns into the midpoint.
             with np.errstate(all="ignore"):
@@ -208,7 +209,7 @@ class PredictiveMixture:
                 nxt = xl + step
             inside = (nxt > lo_l) & (nxt < hi_l) & (rounds < _NEWTON_ROUNDS)
             x[live] = np.where(inside, nxt, mid)
-            live = live[hi_l - lo_l >= tol * (1.0 + np.abs(mid))]
+            live = live[hi_l - lo_l >= _QUANTILE_TOL * (1.0 + np.abs(mid))]
             if live.size == 0:
                 break
         out = (0.5 * (lo + hi)).reshape(levels.shape)
@@ -223,11 +224,16 @@ class PredictiveMixture:
 # ------------------------------------------------------------------ building
 
 
+def check_flavor(flavor: str) -> None:
+    """ValueError unless ``flavor`` names one of the two processes."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+
+
 def _start(flavor: str, data_prefix, dim: int, length: int) -> tuple[np.ndarray, int]:
     """(base points, seed_prefix_len) of a trajectory of ``length`` points:
     the data prefix as an (s, d) array, or the origin alone with length 0."""
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+    check_flavor(flavor)
     prefix = np.zeros((1, dim)) if data_prefix is None else np.asarray(data_prefix, dtype=float)
     if prefix.ndim == 1:
         prefix = prefix[:, None]
@@ -257,7 +263,9 @@ def simulate(
     Ancestor indices and kernel variates for all steps are drawn up front
     (they do not depend on realized values), then the points are accumulated
     through the sequential recurrence.  ``forced_ancestors`` / ``forced_draws``
-    replace the corresponding random draws for deterministic replay.
+    replace the corresponding random draws for deterministic replay;
+    ``streams`` draws the rest, so it may be omitted only when both are
+    forced or no step is drawn (ValueError otherwise).
     """
     prefix, seed_len = _start(flavor, data_prefix, kernel.dim, length)
     h = schedule.values(length - 1) if length > 1 else np.empty(0)
@@ -280,7 +288,7 @@ def _generate(flavor, h, kernel, length, streams, prefix, seed_len, forced_anc, 
         if np.any(anc < 1) or np.any(anc > step_idx):
             raise ValueError("forced ancestor out of range at some step")
     elif count:
-        anc = _pick_ancestors(streams.ancestors.random(count), s)
+        anc = _pick_ancestors(_stream(streams, "ancestors", count).random(count), s)
     else:
         anc = np.zeros(0, dtype=np.int64)
 
@@ -291,7 +299,7 @@ def _generate(flavor, h, kernel, length, streams, prefix, seed_len, forced_anc, 
         if y.shape != (count, d):
             raise ValueError(f"need forced draws of shape ({count}, {d}), got {y.shape}")
     elif count:
-        y = kernel.sample(streams.kernel, size=count)
+        y = kernel.sample(_stream(streams, "kernel", count), size=count)
     else:
         y = np.zeros((0, d))
 
@@ -317,6 +325,15 @@ def _generate(flavor, h, kernel, length, streams, prefix, seed_len, forced_anc, 
         seed_prefix_len=seed_len,
         levels=levels,
     )
+
+
+def _stream(streams: DrawStreams | None, name: str, count: int):
+    """``streams.<name>`` for ``count`` unforced draws; ValueError without streams."""
+    if streams is None:
+        forced = "forced_ancestors" if name == "ancestors" else "forced_draws"
+        raise ValueError(f"streams is None, but {count} steps need draws that {forced} "
+                         "does not give")
+    return getattr(streams, name)
 
 
 def _pick_ancestors(u: np.ndarray, s: int) -> np.ndarray:
@@ -417,7 +434,6 @@ def level_order(parents: np.ndarray, s: int) -> LevelOrder:
     key = key.astype(np.min_scalar_type(key.max(initial=0)))
     order = key.argsort(kind="stable")
     return LevelOrder(
-        rows=order + s,
         sources=parents[order],
         order=order,
         bounds=np.bincount(key).cumsum().tolist(),
@@ -434,9 +450,10 @@ def _sum_levels(base: np.ndarray, increments: np.ndarray, levels: LevelOrder) ->
     if flat.shape[1] == 1:
         flat = flat.reshape(-1)
     inc = increments.reshape((levels.order.size,) + flat.shape[1:])[levels.order]
-    rows, sources, bounds = levels.rows, levels.sources, levels.bounds
+    generated = flat[s:]  # a view: row s + i is generated[i]
+    order, sources, bounds = levels.order, levels.sources, levels.bounds
     for a, b in zip(bounds[:-1], bounds[1:]):
-        flat[rows[a:b]] = flat[sources[a:b]] + inc[a:b]
+        generated[order[a:b]] = flat[sources[a:b]] + inc[a:b]
     return out
 
 
@@ -476,10 +493,7 @@ def cf_path(traj: Trajectory, t, kernel_cf: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"kernel CF row has shape {np.shape(kernel_cf)}, the trajectory {n_max} points"
         )
-    t = np.broadcast_to(np.asarray(t, dtype=float), (traj.dim,))
-    # At d = 1 the product is the matmul's one term, without its BLAS call.
-    x = traj.points[:, 0] * t[0] if traj.dim == 1 else traj.points @ t
-    phi = 1j * x
+    phi = 1j * _inner(traj.points, frequency(t, traj.dim))
     np.exp(phi, out=phi)
     if traj.flavor == "kde":
         np.cumsum(phi, out=phi)
@@ -495,6 +509,12 @@ def cf_path(traj: Trajectory, t, kernel_cf: np.ndarray) -> np.ndarray:
     phi.imag /= counts
     phi += 0.0  # -0.0 parts (an underflowed kernel CF times a sum) read 0.0
     return phi
+
+
+def _inner(points: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t'x per row of ``points``, summed over coordinates in order: a matmul's
+    bits depend on the layout of t (BLAS or numpy's own loop)."""
+    return sum((points[:, j] * t[j] for j in range(1, len(t))), points[:, 0] * t[0])
 
 
 def reconstruct_from_genealogy(traj: Trajectory, n: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Bandwidth schedules and their weighted tail sums."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,23 @@ class TestTailSums:
         s = BandwidthSchedule.exponential(0.3)
         brute = _brute_tail(lambda k: np.exp(-0.3 * (k + 1.0)) / (k + 1.0), 2, 10**4)
         assert s.tail_weight_shifted(2) == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "tail, term",
+        [
+            ("tail_weight_kde", lambda k: np.exp(-1e-4 * k) / (k + 1.0)),
+            ("tail_weight_shifted", lambda k: np.exp(-1e-4 * (k + 1.0)) / (k + 1.0)),
+        ],
+        ids=["kde", "shifted"],
+    )
+    def test_exponential_tails_past_one_block(self, tail, term):
+        # At rate 1e-4 the terms shrink by 1/e per 10^4, so the sum runs over
+        # many 65 536-term blocks; 2 * 10^6 exactly rounded terms leave a
+        # remainder near e^-200.
+        k = np.arange(10, 10 + 2 * 10**6, dtype=float)
+        want = math.fsum(term(k).tolist())
+        got = getattr(BandwidthSchedule.exponential(1e-4), tail)(10)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize(
         "tail", ["tail_weight_kde", "tail_weight_shifted", "tail_weight_recursive"]

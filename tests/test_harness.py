@@ -522,6 +522,28 @@ class TestPosterior:
             spreads.append(payload["posterior_mean_spread"][0])
         assert spreads[0] > spreads[1] > spreads[2]
 
+    @pytest.mark.parametrize(
+        "checkpoints, pair",
+        [((), (10, 20)), ((7,), (10, 20)), ((4, 12, 17), (12, 17))],
+        ids=["default", "one-checkpoint", "last-two-checkpoints"],
+    )
+    def test_convergence_pair(self, tmp_path, checkpoints, pair):
+        # The gap is read between the last two checkpoints when there are
+        # two, else between N/2 and N.
+        t_grid = (0.5, 2.0)
+        cfg = self._cfg(tmp_path, [-1.0, 0.5, 2.0], steps=20, checkpoints=checkpoints,
+                        t_grid=t_grid)
+        payload = run(cfg, "posterior")
+        assert payload["convergence_checkpoints"] == list(pair)
+        h = cfg.schedule().values(cfg.steps)
+        gaps = []
+        for r in range(cfg.replications):
+            traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps,
+                            DrawStreams.from_seed(cfg.master_seed, r), [-1.0, 0.5, 2.0])
+            mixes = [predictive_mixture(traj, h, cfg.kernel(), at_time=n) for n in pair]
+            gaps.append(cf_distance(*mixes, t_grid))
+        assert payload["cf_convergence_gap_mean"] == pytest.approx(np.mean(gaps), abs=1e-14)
+
     def test_needs_data(self, tmp_path):
         cfg = ExperimentConfig(base_dir=str(tmp_path))
         with pytest.raises(ConfigError):
@@ -588,6 +610,16 @@ class TestCli:
              _FOUR_POINTS, "posterior mode needs a non-empty diagnostics.t_grid"),
             ("simulate", "data.path = obs.txt\nrun.steps = 3\n", _FOUR_POINTS,
              "run.steps=3 is shorter than the data (4 points)"),
+            ("diagnose", "diagnostics.drift_times = 20, 25\n", None,
+             "all diagnostics.drift_times lie beyond run.steps - 1"),
+            ("simulate", "run.steps = 0\n", None, "run.steps must be >= 1, got 0"),
+            ("simulate", "run.replications = 0\n", None, "run.replications must be >= 1, got 0"),
+            ("diagnose", "diagnostics.drift_times = 5, 0\n", None,
+             "diagnostics.drift_times must be >= 1"),
+            ("posterior", "posterior.quantiles = 0.5, 1\n", None,
+             "posterior.quantiles must lie in (0, 1)"),
+            ("posterior", "posterior.quantiles = 0\n", None,
+             "posterior.quantiles must lie in (0, 1)"),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
@@ -598,7 +630,8 @@ class TestCli:
             "diagnose-table", "cf-trace-table", "cf-trace-one-step", "diagnose-one-step",
             "contrast-gaussian", "contrast-two-steps", "contrast-three-steps",
             "urn-data-path", "contrast-data-path", "posterior-empty-t-grid",
-            "simulate-steps-below-data",
+            "simulate-steps-below-data", "drift-times-past-steps", "steps-0",
+            "replications-0", "drift-time-0", "quantile-1", "quantile-0",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):

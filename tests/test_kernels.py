@@ -1,5 +1,7 @@
 """Kernel distributions: sampling, characteristic functions, moments."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from kdeproc import KernelSpec
+from kdeproc.kernels import frequency
 
 T_GRID = np.arange(-5.0, 5.0 + 0.25, 0.5)
 
@@ -117,6 +120,34 @@ class TestSampling:
         spec = KernelSpec("laplace", dim=3)
         assert spec.sample(rng).shape == (3,)
         assert spec.sample(rng, size=7).shape == (7, 3)
+
+
+class TestFrequency:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("t", [-1.5, 2, np.float32(0.25), [0.75], np.array([-0.0])],
+                             ids=["float", "int", "float32", "list1", "array1"])
+    def test_scalar_means_every_coordinate(self, dim, t):
+        got = frequency(t, dim)
+        value = float(np.asarray(t).ravel()[0])
+        assert got.dtype == float and got.shape == (dim,)
+        assert got.tobytes() == np.full(dim, value).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_float_vector_is_returned_as_is(self, dim):
+        t = np.linspace(-1.0, 2.0, dim)
+        assert frequency(t, dim) is t
+        # Any other (d,) sequence is the same point as floats.
+        assert frequency(list(range(dim)), dim).tobytes() == np.arange(dim, dtype=float).tobytes()
+
+    @pytest.mark.parametrize(
+        "dim, t",
+        [(3, [1.0, 2.0]), (2, [1.0, 2.0, 3.0]), (1, [1.0, 2.0]), (2, [[1.0]]), (2, np.ones((2, 2))),
+         (3, [])],
+    )
+    def test_other_shapes_raise(self, dim, t):
+        shape = np.shape(t)
+        with pytest.raises(ValueError, match=rf"\({dim},\).*got shape {re.escape(str(shape))}"):
+            frequency(t, dim)
 
 
 class TestCharacteristicFunction:

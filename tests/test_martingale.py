@@ -1,5 +1,7 @@
 """Martingale traces: compensators, product corrections, drift tests."""
 
+import re
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from kdeproc import (
     KernelSpec,
     cf_path,
     dominating_path,
+    predictive_mixture,
     simulate,
 )
 from kdeproc import martingale as mg
@@ -26,6 +29,7 @@ from kdeproc.errors import (
     ZeroFactor,
 )
 from kdeproc.harness import run
+from kdeproc.process import FLAVORS
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
 # One read of SCHED, sliced by every test as a run slices its own.
@@ -650,13 +654,15 @@ class TestTailQuadrature:
 
 class TestToleranceMessage:
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
-    def test_names_where_and_how_far(self, flavor):
+    @pytest.mark.parametrize("t", [20.0, np.full(3, 20.0)], ids=["scalar", "vector"])
+    def test_names_where_and_how_far(self, flavor, t):
         # student_t with dof 1.5 at d = 3, t = 20 on h_n = n^(-0.05): the
-        # tail from n = 1000 does not reach the tolerance at any cut.
+        # tail from n = 1000 does not reach the tolerance at any cut.  A
+        # scalar t names the same point (20, 20, 20).
         kernel = KernelSpec("student_t", dim=3, dof=1.5)
         sched = BandwidthSchedule.power(1.0, 0.05)
         with pytest.raises(ToleranceNotReached) as info:
-            mg.lemma_product_tail(sched, kernel, np.full(3, 20.0), 1000, flavor)
+            mg.lemma_product_tail(sched, kernel, t, 1000, flavor)
         message = str(info.value)
         assert f"t=(20, 20, 20), flavor {flavor}, from n=1000" in message
         assert "at the last cut n=262144" in message
@@ -685,6 +691,95 @@ class TestToleranceMessage:
         h = sched.values(1001)
         start, corr, _ = mg.cf_corrections(sched, h, kernel, t_arr, 1000, flavor)
         assert corr[-1] != 0 and np.isfinite(corr[-1])
+
+
+def _entry_points(kernel, flavor):
+    """Every CF entry point as a function of t alone, on a fixed trajectory
+    of the kernel's dimension; each returns a tuple of its results."""
+    traj = simulate(flavor, SCHED, kernel, 40, DrawStreams.from_seed(3, 0))
+    scales = H[:40]
+    return {
+        "KernelSpec.cf": lambda t: (kernel.cf(t),),
+        "cf_scaled": lambda t: (kernel.cf_scaled(t, scales),),
+        "cf_scaled_minus_one": lambda t: (kernel.cf_scaled_minus_one(t, scales),),
+        "PredictiveMixture.cf": lambda t: (predictive_mixture(traj, H, kernel).cf(t),),
+        "cf_path": lambda t: (cf_path(traj, t, kernel.cf_scaled(t, scales)),),
+        "lemma_constant": lambda t: (mg.lemma_constant(kernel, t),),
+        "product_tail_bound": lambda t: (mg.product_tail_bound(SCHED, kernel, t, 40, flavor),),
+        "lemma_product_tail": lambda t: (mg.lemma_product_tail(SCHED, kernel, t, 41, flavor),),
+        "cf_corrections": lambda t: mg.cf_corrections(SCHED, H, kernel, t, 40, flavor),
+    }
+
+
+ENTRY_POINTS = sorted(_entry_points(GAUSS, "kde"))
+
+
+def _bits(results) -> list:
+    """The bytes of each result; of a ProductTail, its value and certificates."""
+    return [
+        np.asarray(astuple(r) if isinstance(r, mg.ProductTail) else r).tobytes()
+        for r in results
+    ]
+
+
+class TestFrequencyRule:
+    """A scalar t is the point (t, ..., t) of R^d at every CF entry point."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_scalar_is_the_diagonal_point(self, family, d, entry):
+        kernel = KernelSpec(family, dim=d, **FAMILIES[family])
+        for flavor in FLAVORS:
+            call = _entry_points(kernel, flavor)[entry]
+            for t in (0.7, -2.0):
+                want = _bits(call(np.full(d, t)))
+                assert _bits(call(t)) == want
+                assert _bits(call([t])) == want
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("d, t", [(3, [1.0, 1.0]), (1, [0.5, 0.5]), (2, [[1.0], [1.0]])])
+    def test_other_shapes_name_the_dimension(self, entry, d, t):
+        call = _entry_points(KernelSpec("half_normal", dim=d), "kde")[entry]
+        where = re.escape(f"({d},)") + ".*" + re.escape(f"got shape {np.shape(t)}")
+        with pytest.raises(ValueError, match=where):
+            call(t)
+
+    def test_gaussian_d3_values(self):
+        # phi(u) = exp(-|u|^2 / 2), so a scalar 2.0 in d = 3 gives exp(-6).
+        kernel = KernelSpec("gaussian", dim=3)
+        # 1 + (phi - 1) rounds at the scale of 1, which is 4e-14 relative to e^-6.
+        assert kernel.cf(2.0) == pytest.approx(np.exp(-6.0), rel=1e-13, abs=0.0)
+        assert kernel.cf_scaled(2.0, [1.0])[0] == kernel.cf(2.0)
+        # ||t|| (0 + 2 E||Y||) with ||(1, 1, 1)|| = sqrt(3) and E||Y|| = 2 sqrt(2/pi).
+        assert mg.lemma_constant(kernel, 1.0) == pytest.approx(
+            np.sqrt(3.0) * 4.0 * np.sqrt(2.0 / np.pi), rel=1e-14, abs=0.0
+        )
+        tail = mg.lemma_product_tail(SCHED, kernel, 1.0, 1001, "kde").value
+        assert tail == pytest.approx(0.79372, abs=5e-6)
+
+
+# Each function of a flavor, called with every other argument valid.
+FLAVORED = {
+    "compensator_values": lambda f: mg.compensator_values(f, H, 1.0, 10),
+    "compensator_tails": lambda f: mg.compensator_tails(f, SCHED, H, 1.0, 10),
+    "dominating_tail_mass": lambda f: mg.dominating_tail_mass(f, np.ones(10), H, GAUSS, 2.0, [3]),
+    "product_tail_bound": lambda f: mg.product_tail_bound(SCHED, GAUSS, 1.0, 10, f),
+    "lemma_product_tail": lambda f: mg.lemma_product_tail(SCHED, GAUSS, 1.0, 10, f),
+    "cf_corrections": lambda f: mg.cf_corrections(SCHED, H, GAUSS, 1.0, 10, f),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAVORED))
+@pytest.mark.parametrize("flavor", ["KDE", "adaptive", ""])
+def test_unknown_flavor_is_refused(name, flavor):
+    # The message simulate gives, from the one check they share.
+    with pytest.raises(ValueError, match=f"unknown flavor {flavor!r}; expected one of"):
+        FLAVORED[name](flavor)
+    with pytest.raises(ValueError, match=f"unknown flavor {flavor!r}; expected one of"):
+        simulate(flavor, SCHED, GAUSS, 1)
+    for known in FLAVORS:
+        FLAVORED[name](known)
 
 
 def cf_martingale(traj, schedule, kernel, t):

@@ -161,6 +161,27 @@ class TestStep:
             with pytest.raises(ValueError):
                 simulate("kde", SCHED, GAUSS, 2, forced_ancestors=ancestors, forced_draws=[0.0])
 
+    @pytest.mark.parametrize(
+        "forced",
+        [{}, {"forced_ancestors": [1, 2]}, {"forced_draws": [0.5, 1.0]}],
+        ids=["nothing", "ancestors", "draws"],
+    )
+    def test_drawing_needs_streams(self, forced):
+        # With nothing to draw (the origin alone, all data, or both arrays
+        # forced) no streams are needed: TestInit, test_forced_arrays and
+        # TestSimulateBatch.test_no_generated_points run those.
+        with pytest.raises(ValueError, match="streams is None, but 2 steps need draws"):
+            simulate("kde", SCHED, GAUSS, 3, **forced)
+
+    def test_forced_array_errors_come_before_streams(self):
+        # A bad forced array is named even when no streams are given.
+        with pytest.raises(ValueError, match="need 2 forced ancestors"):
+            simulate("kde", SCHED, GAUSS, 3, forced_ancestors=[1])
+        with pytest.raises(ValueError, match="forced ancestor out of range"):
+            simulate("kde", SCHED, GAUSS, 3, forced_ancestors=[1, 3])
+        with pytest.raises(ValueError, match=r"need forced draws of shape \(2, 1\)"):
+            simulate("kde", SCHED, GAUSS, 3, forced_ancestors=[1, 2], forced_draws=[0.5])
+
     def test_random_step_consumes_streams(self):
         b = simulate("kde", SCHED, GAUSS, 3, DrawStreams.from_seed(3, 0))
         assert len(b) == 3

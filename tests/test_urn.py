@@ -424,8 +424,20 @@ class TestSupportContrast:
         assert payload["z_statistic"] == float(z)
         assert payload["p_value"] == float(stats.norm.sf(z))
 
-    def test_two_proportion(self):
-        z, p = _two_proportion_one_sided(80, 100, 50, 100)
-        assert z > 4.0 and p < 1e-4
-        z2, p2 = _two_proportion_one_sided(50, 100, 50, 100)
-        assert z2 == 0.0 and p2 == pytest.approx(0.5)
+    @pytest.mark.parametrize(
+        "k1, n1, k2, n2, z_want",
+        [
+            (80, 100, 50, 100, 0.3 / np.sqrt(0.65 * 0.35 * 0.02)),
+            (50, 100, 50, 100, 0.0),
+            # Zero pooled variance: no late record on either side, or only
+            # late ones; the test then reads no evidence either way.
+            (0, 100, 0, 100, 0.0),
+            (30, 30, 70, 70, 0.0),
+        ],
+        ids=["recursive-ahead", "equal", "none-late", "all-late"],
+    )
+    def test_two_proportion(self, k1, n1, k2, n2, z_want):
+        z, p = _two_proportion_one_sided(k1, n1, k2, n2)
+        # abs=0.0: the zero-variance rows must give exactly z = 0 and p = 1/2.
+        assert z == pytest.approx(z_want, rel=1e-14, abs=0.0)
+        assert p == pytest.approx(stats.norm.sf(z_want), rel=1e-14, abs=0.0)
