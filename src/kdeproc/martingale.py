@@ -235,11 +235,19 @@ def lemma_product_tail(
     bound = product_tail_bound(schedule, kernel, t, from_n, flavor)  # NoEnvelope if none
     f = _log_factor_fn(schedule, kernel, t, flavor)
 
+    where = (f"CF product tail at t=({', '.join(f'{v:g}' for v in t)}), flavor {flavor}, "
+             f"from n={from_n}")
     cut = max(from_n, 4096)
     for _ in range(4):
         k = np.arange(from_n, cut, dtype=float)
         direct = complex(np.sum(f(k))) if k.size else 0.0 + 0.0j
-        remainder, rem_err = _euler_maclaurin_tail(f, cut, schedule)
+        try:
+            remainder, rem_err = _euler_maclaurin_tail(f, cut, schedule)
+        except OverflowError:
+            # A tiny decay exponent maps u in (0, 1] beyond the float range.
+            raise ToleranceNotReached(
+                f"{where}: the tail quadrature from the cut n={cut} leaves the float range"
+            ) from None
         value = np.exp(direct + remainder)
         # rem_err bounds the error of the log-sum L, and exp(L + e) =
         # exp(L)(1 + e + ...), so it is the tail's relative error as it stands.
@@ -251,11 +259,10 @@ def lemma_product_tail(
                 numerical_error=float(rem_err * abs(value)),
             )
         cut *= 4
-    t_text = ", ".join(f"{v:g}" for v in t)
     raise ToleranceNotReached(
-        f"CF product tail at t=({t_text}), flavor {flavor}, from n={from_n}: relative "
-        f"error {rem_err:.3g} (the log-sum error; |tail| {abs(value):.3g}) at the last "
-        f"cut n={cut // 4}, above the tolerance {PRODUCT_TAIL_REL_TOL:g}"
+        f"{where}: relative error {rem_err:.3g} (the log-sum error; |tail| "
+        f"{abs(value):.3g}) at the last cut n={cut // 4}, above the tolerance "
+        f"{PRODUCT_TAIL_REL_TOL:g}"
     )
 
 

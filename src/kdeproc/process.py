@@ -65,16 +65,18 @@ class Trajectory:
     """A realized path with its complete generative record.
 
     Point index p and step index n are 1-based as in the recursions: step n
-    consumes the state of length n and emits point p = n + 1.  Array slot
-    ``n - 1`` of the genealogy arrays belongs to step n; slots covering
-    injected data points hold 0 / NaN sentinels.
+    consumes the state of length n and emits point p = n + 1.  The first
+    b = ``root_bound`` points are the base rows, with no record; the
+    genealogy arrays hold one row per generated point, row i belonging to
+    point b + 1 + i.  That is the layout ``simulate`` takes as forced arrays
+    and ``level_order(ancestors - 1, b)`` reads, so both replay the record.
     """
 
     flavor: str
     points: np.ndarray        # (N, d) float
-    ancestors: np.ndarray     # (N-1,) int64, 1-based ancestor index, 0 = no record
-    kernel_draws: np.ndarray  # (N-1, d) float, NaN rows where no record
-    steps_h: np.ndarray       # (N-1,) float, bandwidth applied, NaN where no record
+    ancestors: np.ndarray     # (N-b,) int64, 1-based ancestor index
+    kernel_draws: np.ndarray  # (N-b, d) float
+    steps_h: np.ndarray       # (N-b,) float, bandwidth applied
     seed_prefix_len: int      # number of leading points injected as observed data
     # Depth order of the generated points below the prefix rows, shared by
     # every chain sum over this genealogy.
@@ -89,7 +91,8 @@ class Trajectory:
 
     @property
     def root_bound(self) -> int:
-        """Largest 1-based index with no generative record."""
+        """Number b of base points, which have no generative record: 1 for
+        the origin, s for an s-point data prefix."""
         return max(1, self.seed_prefix_len)
 
 
@@ -281,47 +284,39 @@ def _generate(flavor, h, kernel, length, streams, prefix, seed_len, forced_anc, 
     count = length - s
     step_idx = np.arange(s, length, dtype=np.int64)  # 1-based step indices
 
+    # Both forced arrays are checked before any draw, and copied, so a
+    # trajectory never shares its record with its caller.
     if forced_anc is not None:
-        anc = np.asarray(forced_anc, dtype=np.int64)
+        anc = np.array(forced_anc, dtype=np.int64)
         if anc.shape != (count,):
             raise ValueError(f"need {count} forced ancestors, got {anc.shape}")
         if np.any(anc < 1) or np.any(anc > step_idx):
             raise ValueError("forced ancestor out of range at some step")
-    elif count:
-        anc = _pick_ancestors(_stream(streams, "ancestors", count).random(count), s)
-    else:
-        anc = np.zeros(0, dtype=np.int64)
-
     if forced_y is not None:
-        y = np.asarray(forced_y, dtype=float)
+        y = np.array(forced_y, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
         if y.shape != (count, d):
             raise ValueError(f"need forced draws of shape ({count}, {d}), got {y.shape}")
-    elif count:
+    if forced_anc is None and count:
+        anc = _pick_ancestors(_stream(streams, "ancestors", count).random(count), s)
+    elif forced_anc is None:
+        anc = np.zeros(0, dtype=np.int64)
+    if forced_y is None and count:
         y = kernel.sample(_stream(streams, "kernel", count), size=count)
-    else:
+    elif forced_y is None:
         y = np.zeros((0, d))
 
     h_applied = h[step_idx - 1] if flavor == "kde" else h[anc - 1]
-    increments = h_applied[:, None] * y
-
     levels = level_order(anc - 1, s)
-    points = _sum_levels(prefix, increments, levels)
-
-    ancestors = np.zeros(length - 1, dtype=np.int64)
-    draws = np.full((length - 1, d), np.nan)
-    steps_h = np.full(length - 1, np.nan)
-    ancestors[s - 1 :] = anc
-    draws[s - 1 :] = y
-    steps_h[s - 1 :] = h_applied
+    points = _sum_levels(prefix, h_applied[:, None] * y, levels)
 
     return Trajectory(
         flavor=flavor,
         points=points,
-        ancestors=ancestors,
-        kernel_draws=draws,
-        steps_h=steps_h,
+        ancestors=anc,
+        kernel_draws=y,
+        steps_h=h_applied,
         seed_prefix_len=seed_len,
         levels=levels,
     )
@@ -358,11 +353,12 @@ def replication_blocks(replications: range, length: int):
 
 
 def ancestor_block(length: int, master_seed: int, replications: range) -> np.ndarray:
-    """(R, length - 1) int64 1-based ancestors of steps 1..length-1, drawn
+    """(R, length - 1) int64 1-based ancestors of points 2..length, drawn
     from each replication's ancestor substream alone.
 
     Row i is ``traj.ancestors`` of ``simulate(..., length,
-    DrawStreams.from_seed(master_seed, replications[i]))``.
+    DrawStreams.from_seed(master_seed, replications[i]))``: the generated
+    rows after the origin, column j belonging to point j + 2.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
@@ -527,28 +523,28 @@ def reconstruct_from_genealogy(traj: Trajectory, n: int) -> np.ndarray:
         raise ValueError(f"index must be in [1, {len(traj)}], got {n}")
     if 1 < n <= traj.seed_prefix_len:
         raise PrefixPointHasNoGenealogy(f"point {n} was injected as observed data")
-    root = traj.root_bound
+    b = traj.root_bound
     acc = np.zeros(traj.dim)
     p = n
-    while p > root:
-        slot = p - 2
-        acc += traj.steps_h[slot] * traj.kernel_draws[slot]
-        p = int(traj.ancestors[slot])
+    while p > b:
+        row = p - b - 1
+        acc += traj.steps_h[row] * traj.kernel_draws[row]
+        p = int(traj.ancestors[row])
     return traj.points[p - 1] + acc
 
 
 def reconstruct_all(traj: Trajectory) -> np.ndarray:
     """Genealogy reconstruction of every point at once (vectorized walk)."""
     n_pts, d = traj.points.shape
-    root = traj.root_bound
+    b = traj.root_bound
     p = np.arange(1, n_pts + 1, dtype=np.int64)
     acc = np.zeros((n_pts, d))
-    active = np.nonzero(p > root)[0]
+    active = np.nonzero(p > b)[0]
     while active.size:
-        slots = p[active] - 2
-        acc[active] += traj.steps_h[slots, None] * traj.kernel_draws[slots]
-        p[active] = traj.ancestors[slots]
-        active = active[p[active] > root]
+        rows = p[active] - b - 1
+        acc[active] += traj.steps_h[rows, None] * traj.kernel_draws[rows]
+        p[active] = traj.ancestors[rows]
+        active = active[p[active] > b]
     return traj.points[p - 1] + acc
 
 
@@ -596,16 +592,13 @@ def write_trajectory_csv(traj: Trajectory, path, version: str, config_hash: str)
     Rows for the origin / injected data carry empty ancestor, h and y fields.
     The first line records the tool version and configuration hash.
     """
-    # Slot p - 2 of the genealogy arrays belongs to point p; points up to
-    # root_bound have no record.
     gap = [None] * traj.root_bound
-    slots = slice(traj.root_bound - 1, None)
     columns = {
         "step": range(1, len(traj) + 1),
-        "ancestor": gap + traj.ancestors[slots].tolist(),
-        "h_used": gap + traj.steps_h[slots].tolist(),
+        "ancestor": gap + traj.ancestors.tolist(),
+        "h_used": gap + traj.steps_h.tolist(),
     }
-    for j, col in enumerate(traj.kernel_draws[slots].T.tolist(), start=1):
+    for j, col in enumerate(traj.kernel_draws.T.tolist(), start=1):
         columns[f"y_{j}"] = gap + col
     for j, col in enumerate(traj.points.T.tolist(), start=1):
         columns[f"x_{j}"] = col

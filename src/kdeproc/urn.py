@@ -55,8 +55,9 @@ def descendant_tail_bound(n: int, k: int) -> float:
 
 def block_roots(ancestors: np.ndarray, bound: int, upto: int) -> np.ndarray:
     """(R, upto) 0-based roots below ``bound`` of points 1..upto, for every
-    row of an (R, m) block of 1-based ancestors (slot p - 2 belongs to point p,
-    m >= upto - 1, every point above ``bound`` generated).
+    row of an (R, m) block of 1-based ancestors of the points after the origin
+    (column j belongs to point j + 2, as in ``Trajectory.ancestors`` with no
+    data prefix; m >= upto - 1, every point above ``bound`` generated).
 
     Points up to ``bound`` are their own roots and point p > bound starts from
     its ancestor; ``roots = roots[roots]`` then doubles every chain's reach

@@ -20,7 +20,7 @@ class TestValues:
 
     def test_exponential_example(self):
         s = BandwidthSchedule.exponential(1.0)
-        assert s.values(3)[-1] == pytest.approx(np.exp(-3.0), rel=1e-15)
+        assert s.values(3)[-1] == pytest.approx(np.exp(-3.0), rel=1e-15, abs=0.0)
 
     def test_table(self):
         s = BandwidthSchedule.from_table([0.5, 0.25, 0.125])
@@ -123,7 +123,7 @@ class TestTailSums:
         # h_k = 1/k gives terms 1/(k(k+1)) which telescope to 1/n exactly.
         s = BandwidthSchedule.power(1.0, 1.0)
         for n in (1, 2, 17, 1000):
-            assert s.tail_weight_kde(n) == pytest.approx(1.0 / n, rel=1e-13)
+            assert s.tail_weight_kde(n) == pytest.approx(1.0 / n, rel=1e-13, abs=0.0)
 
     def test_kde_tail_brute_force(self):
         s = BandwidthSchedule.power(2.0, 0.7)
@@ -135,13 +135,13 @@ class TestTailSums:
         integral = 2.0 * stop ** (-0.7) / 0.7
         got = s.tail_weight_kde(n)
         assert head < got < head + integral + 2.0 * stop**-1.7
-        assert got == pytest.approx(head + integral, rel=1e-7)
+        assert got == pytest.approx(head + integral, rel=1e-7, abs=0.0)
 
     def test_kde_tail_exponential(self):
         s = BandwidthSchedule.exponential(0.05)
         n = 3
         brute = _brute_tail(lambda k: np.exp(-0.05 * k) / (k + 1.0), n, 10**5)
-        assert s.tail_weight_kde(n) == pytest.approx(brute, rel=1e-12)
+        assert s.tail_weight_kde(n) == pytest.approx(brute, rel=1e-12, abs=0.0)
 
     def test_recursive_tail_brute_force(self):
         c, delta, n = 1.3, 0.45, 7
@@ -158,7 +158,7 @@ class TestTailSums:
         remainder = (prefix[-1] + h_next) / (K + 1) + c * (K + 2.0) ** (-delta) / delta
         got = s.tail_weight_recursive(n, np.sum(s.values(n)))
         assert head < got < head + remainder + 2 * h_next / K
-        assert got == pytest.approx(head + remainder, rel=1e-6)
+        assert got == pytest.approx(head + remainder, rel=1e-6, abs=0.0)
 
     def test_recursive_tail_exponential(self):
         s = BandwidthSchedule.exponential(0.2)
@@ -171,19 +171,19 @@ class TestTailSums:
         # H_inf / k^2, leaving a telescoping H_inf / (K+1) remainder.
         h_inf = np.exp(-0.2) / (1 - np.exp(-0.2))
         got = s.tail_weight_recursive(n, np.sum(s.values(n)))
-        assert got == pytest.approx(brute + h_inf / (K + 1), rel=1e-9)
+        assert got == pytest.approx(brute + h_inf / (K + 1), rel=1e-9, abs=0.0)
 
     def test_shifted_tail_power_closed_form(self):
         s = BandwidthSchedule.power(2.0, 0.5)
         n = 9
         brute = _brute_tail(lambda k: 2.0 * (k + 1.0) ** -1.5, n, 10**7)
-        assert s.tail_weight_shifted(n) == pytest.approx(brute, rel=1e-3)
+        assert s.tail_weight_shifted(n) == pytest.approx(brute, rel=1e-3, abs=0.0)
         assert s.tail_weight_shifted(n) > brute
 
     def test_shifted_tail_exponential(self):
         s = BandwidthSchedule.exponential(0.3)
         brute = _brute_tail(lambda k: np.exp(-0.3 * (k + 1.0)) / (k + 1.0), 2, 10**4)
-        assert s.tail_weight_shifted(2) == pytest.approx(brute, rel=1e-12)
+        assert s.tail_weight_shifted(2) == pytest.approx(brute, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "tail, term",

@@ -722,6 +722,25 @@ class TestCli:
         assert "relative error" in err and "above the tolerance 1e-08" in err
         assert not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_tiny_power_delta_ends_as_error(self, tmp_path, capsys, mode, flavor):
+        # h_n = n^(-0.001): the tail quadrature's substitution x = n u^(-1000)
+        # leaves the float range; the run ends as an error, not a traceback.
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            f"flavor = {flavor}\nkernel.family = gaussian\nbandwidth.delta = 1e-3\n"
+            "run.steps = 50\nrun.replications = 2\ndiagnostics.t_grid = 1\n"
+            "run.output_dir = out\n"
+        )
+        assert cli_main([mode, "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: CF product tail at t=(1), flavor {flavor}, from n=51: the tail "
+            "quadrature from the cut n=4096 leaves the float range\n"
+        )
+        assert not any((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize("d, t", [(1, 10), (3, 3)])
     def test_cf_trace_past_the_kde_floor(self, tmp_path, capsys, d, t):
         # gaussian at t = 10: the kde correction has no usable start index up

@@ -312,7 +312,7 @@ class TestCdf:
     def test_pdf_half_normal_support(self):
         spec = KernelSpec("half_normal")
         assert spec.pdf1(-1e-300) == 0.0
-        assert spec.pdf1(0.0) == pytest.approx(2.0 * stats.norm.pdf(0.0), rel=1e-15)
+        assert spec.pdf1(0.0) == pytest.approx(2.0 * stats.norm.pdf(0.0), rel=1e-15, abs=0.0)
 
     def test_norm_survival_chi(self):
         spec = KernelSpec("gaussian", dim=3)
@@ -337,11 +337,11 @@ class TestMoments:
     def test_student_t_first_closed_form(self):
         # E|T_3| = 2 sqrt(3) / pi
         assert KernelSpec("student_t", dof=3.0).norm_mean == pytest.approx(
-            2 * np.sqrt(3) / np.pi, rel=1e-12
+            2 * np.sqrt(3) / np.pi, rel=1e-12, abs=0.0
         )
 
     def test_laplace(self):
-        assert KernelSpec("laplace").norm_mean == pytest.approx(1.0, rel=1e-12)
+        assert KernelSpec("laplace").norm_mean == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_first_moment_vs_sample_mean(self, spec):
@@ -354,11 +354,11 @@ class TestMoments:
     def test_chi_moment_multivariate(self):
         # E||Z_3|| = 2 sqrt(2/pi)
         assert KernelSpec("gaussian", dim=3).norm_mean == pytest.approx(
-            2 * np.sqrt(2 / np.pi), rel=1e-12
+            2 * np.sqrt(2 / np.pi), rel=1e-12, abs=0.0
         )
         # half-normal coordinates share the chi norm law
         assert KernelSpec("half_normal", dim=3).norm_mean == pytest.approx(
-            KernelSpec("gaussian", dim=3).norm_mean, rel=1e-14
+            KernelSpec("gaussian", dim=3).norm_mean, rel=1e-14, abs=0.0
         )
 
     def test_multivariate_fractional_vs_monte_carlo(self):
@@ -379,7 +379,7 @@ class TestMoments:
     def test_student_t_multivariate_norm_mean(self, dof, dim, expected):
         # Reference values from 30-digit mpmath quadrature.
         assert KernelSpec("student_t", dim=dim, dof=dof).norm_mean == pytest.approx(
-            expected, rel=1e-8
+            expected, rel=1e-8, abs=0.0
         )
 
     @pytest.mark.parametrize("dof", [1.5, 3.0, 5.0])

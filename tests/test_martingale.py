@@ -91,7 +91,7 @@ class TestTightnessTrace:
         sched = BandwidthSchedule.power(1.0, 1.0)
         tail = mg.compensator_tails("kde", sched, sched.values(1000), 1.0, 1000)
         for n in (1, 4, 33, 1000):
-            assert tail[n - 1] == pytest.approx(1.0 / n, rel=1e-12)
+            assert tail[n - 1] == pytest.approx(1.0 / n, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_one_point_tail_is_closed_form(self, flavor):
@@ -671,6 +671,19 @@ class TestToleranceMessage:
         assert reached > mg.PRODUCT_TAIL_REL_TOL
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_substitution_out_of_float_range(self, flavor):
+        # h_n = n^(-0.001) maps u in (0, 1] to x = n u^(-1000), beyond the
+        # float range near u = 0: a ToleranceNotReached naming t, the flavor
+        # and the start, not an OverflowError.
+        sched = BandwidthSchedule.power(1.0, 1e-3)
+        with pytest.raises(ToleranceNotReached) as info:
+            mg.lemma_product_tail(sched, GAUSS, 1.0, 51, flavor)
+        assert str(info.value) == (
+            f"CF product tail at t=(1), flavor {flavor}, from n=51: the tail quadrature "
+            "from the cut n=4096 leaves the float range"
+        )
+
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     @pytest.mark.parametrize("d, t", [(2, 5.0), (3, 3.0), (3, 5.0)])
     def test_log_sum_error_is_the_relative_error(self, flavor, d, t):
         # half_normal on the default schedule from n = 1001: |tail| is as
@@ -937,7 +950,7 @@ class TestOneStepIdentities:
             expected_u = np.mean(u) + np.mean(h[:n]) * ew1
         expected_increment = (expected_u - j_n) / (n + 1)
         comp = mg.compensator_values(flavor, h, ew1, n)[n - 1]
-        assert comp == pytest.approx(expected_increment, rel=1e-13)
+        assert comp == pytest.approx(expected_increment, rel=1e-13, abs=0.0)
 
 
 class TestDriftTest:

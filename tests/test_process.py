@@ -28,6 +28,7 @@ from kdeproc.process import (
     FLAVORS,
     PredictiveMixture,
     ancestor_block,
+    chain_sum,
     simulate_batch,
     write_csv,
 )
@@ -115,8 +116,9 @@ class TestInit:
         assert len(traj) == 2
         assert traj.seed_prefix_len == 2
         np.testing.assert_allclose(traj.points[:, 0], [1.5, -2.0])
-        assert np.all(traj.ancestors == 0)
-        assert np.all(np.isnan(traj.steps_h))
+        # Both points are data: the genealogy has no rows.
+        assert traj.ancestors.shape == traj.steps_h.shape == (0,)
+        assert traj.kernel_draws.shape == (0, 1)
 
     def test_recursive_default(self):
         traj = simulate("recursive", SCHED, GAUSS, 1)
@@ -153,8 +155,8 @@ class TestStep:
 
     def test_kde_uses_current_bandwidth(self):
         out = self._second_step_from_origin("kde")
-        assert out.points[2, 0] == pytest.approx(2.0 * 2.0**-0.2, rel=1e-14)
-        assert out.steps_h[1] == pytest.approx(2.0**-0.2, rel=1e-15)
+        assert out.points[2, 0] == pytest.approx(2.0 * 2.0**-0.2, rel=1e-14, abs=0.0)
+        assert out.steps_h[1] == pytest.approx(2.0**-0.2, rel=1e-15, abs=0.0)
 
     def test_ancestor_validated(self):
         for ancestors in ([2], [0]):
@@ -181,6 +183,10 @@ class TestStep:
             simulate("kde", SCHED, GAUSS, 3, forced_ancestors=[1, 3])
         with pytest.raises(ValueError, match=r"need forced draws of shape \(2, 1\)"):
             simulate("kde", SCHED, GAUSS, 3, forced_ancestors=[1, 2], forced_draws=[0.5])
+        # Forced draws alone, of the wrong shape: their defect, not the
+        # missing streams for the ancestors, is what the error names.
+        with pytest.raises(ValueError, match=r"need forced draws of shape \(4, 1\), got \(3, 1\)"):
+            simulate("kde", SCHED, GAUSS, 5, forced_draws=np.zeros((3, 1)))
 
     def test_random_step_consumes_streams(self):
         b = simulate("kde", SCHED, GAUSS, 3, DrawStreams.from_seed(3, 0))
@@ -200,15 +206,14 @@ class TestSimulate:
         prefix = np.linspace(-1.0, 2.0, prefix_len * dim).reshape(prefix_len, dim)
         whole = simulate(flavor, SCHED, kernel, 40, DrawStreams.from_seed(11, 0),
                          data_prefix=prefix if prefix_len else None)
-        slots = slice(whole.root_bound - 1, None)
         points, steps_h = forward_loop(
             flavor, SCHED, whole.points[: whole.root_bound],
-            whole.ancestors[slots], whole.kernel_draws[slots],
+            whole.ancestors, whole.kernel_draws,
         )
         if prefix_len:
             np.testing.assert_array_equal(whole.points[:prefix_len], prefix)
         np.testing.assert_allclose(points, whole.points, atol=1e-14)
-        np.testing.assert_allclose(steps_h, whole.steps_h[slots], atol=1e-15)
+        np.testing.assert_allclose(steps_h, whole.steps_h, atol=1e-15)
 
     def test_deterministic_per_seed(self):
         a = simulate("kde", SCHED, GAUSS, 500, DrawStreams.from_seed(5, 2))
@@ -220,10 +225,12 @@ class TestSimulate:
     def test_prefix_simulation(self):
         streams = DrawStreams.from_seed(9, 0)
         traj = simulate("recursive", SCHED, GAUSS, 50, streams, data_prefix=[3.0, -1.0, 0.5])
-        assert traj.seed_prefix_len == 3
+        assert traj.seed_prefix_len == traj.root_bound == 3
         np.testing.assert_allclose(traj.points[:3, 0], [3.0, -1.0, 0.5])
-        assert np.all(traj.ancestors[:2] == 0)
-        assert np.all(traj.ancestors[2:] >= 1)
+        # One row per generated point 4..50; row i is point 4 + i.
+        assert traj.ancestors.shape == traj.steps_h.shape == (47,)
+        assert traj.kernel_draws.shape == (47, 1)
+        assert np.all((traj.ancestors >= 1) & (traj.ancestors <= np.arange(3, 50)))
 
     def test_forced_arrays(self):
         traj = simulate(
@@ -231,7 +238,7 @@ class TestSimulate:
             forced_ancestors=[1, 2], forced_draws=[1.0, 1.0],
         )
         assert traj.points[1, 0] == pytest.approx(1.0)
-        assert traj.points[2, 0] == pytest.approx(1.0 + 2.0**-0.2, rel=1e-14)
+        assert traj.points[2, 0] == pytest.approx(1.0 + 2.0**-0.2, rel=1e-14, abs=0.0)
 
     def test_multivariate(self):
         ker = KernelSpec("gaussian", dim=3)
@@ -239,6 +246,48 @@ class TestSimulate:
         assert traj.points.shape == (100, 3)
         rec = reconstruct_all(traj)
         np.testing.assert_allclose(rec, traj.points, atol=1e-12)
+
+
+class TestGenealogyRecord:
+    """A trajectory's record is one row per generated point, row i belonging
+    to point b + 1 + i after the b = root_bound base points; replay and
+    chain_sum read those rows as they are."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        flavor=st.sampled_from(FLAVORS),
+        family=st.sampled_from(FAMILIES),
+        dim=st.sampled_from([1, 3]),
+        prefix_len=st.sampled_from([0, 1, 3]),
+        extra=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_record_replays(self, flavor, family, dim, prefix_len, extra, seed, data):
+        kernel = KernelSpec(family, dim=dim, dof=5.0 if family == "student_t" else None)
+        size = prefix_len * dim
+        coords = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=size, max_size=size))
+        prefix = np.reshape(coords, (prefix_len, dim)) if prefix_len else None
+        length = max(prefix_len, 1) + extra
+        traj = simulate(flavor, SCHED, kernel, length, DrawStreams.from_seed(seed, 0), prefix)
+        b = traj.root_bound
+        assert b == max(prefix_len, 1)
+        assert traj.ancestors.shape == traj.steps_h.shape == (length - b,)
+        assert traj.kernel_draws.shape == (length - b, dim)
+        assert not np.isnan(traj.steps_h).any() and not np.isnan(traj.kernel_draws).any()
+
+        anc, draws = traj.ancestors.copy(), traj.kernel_draws.copy()
+        again = simulate(flavor, SCHED, kernel, length, data_prefix=prefix,
+                         forced_ancestors=anc, forced_draws=draws)
+        assert_same_trajectory(again, traj)
+        summed = chain_sum(traj.points[:b], traj.ancestors - 1,
+                           traj.steps_h[:, None] * traj.kernel_draws)
+        np.testing.assert_array_equal(summed, traj.points)
+        # The replay owns its record: writing to the caller's arrays
+        # afterwards changes nothing in it.
+        anc[:] = 1
+        draws[:] = np.nan
+        assert_same_trajectory(again, traj)
 
 
 def assert_same_trajectory(got, want):
@@ -379,7 +428,7 @@ class TestMixture:
         traj = simulate("kde", sched, hn, 2, forced_ancestors=[1], forced_draws=[1.0])
         mix = predictive_mixture(traj, sched.values(len(traj)), hn)
         expected = 0.5 + 1.0 * np.sqrt(2 / np.pi)
-        assert mix.mean()[0] == pytest.approx(expected, rel=1e-14)
+        assert mix.mean()[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_quantile_roundtrip(self):
         streams = DrawStreams.from_seed(8, 0)
@@ -590,7 +639,7 @@ class TestReconstruction:
     def test_hand_chain(self):
         traj = simulate("kde", SCHED, GAUSS, 3, forced_ancestors=[1, 2], forced_draws=[1.0, 1.0])
         got = reconstruct_from_genealogy(traj, 3)
-        assert got[0] == pytest.approx(1.0 + 2.0**-0.2, rel=1e-14)
+        assert got[0] == pytest.approx(1.0 + 2.0**-0.2, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_identity_long_run(self, flavor):

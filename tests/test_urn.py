@@ -47,11 +47,12 @@ def enumerate_urn_law(n: int) -> list[Fraction]:
     return pmf
 
 
-def walk_root(ancestors, p, bound):
-    """1-based root of point p: follow its recorded ancestors (slot p - 2
-    belongs to point p) until the chain reaches {1..bound}."""
+def walk_root(ancestors, p, bound, base=1):
+    """1-based root of point p: follow its recorded ancestors (row p - base - 1
+    belongs to point p, after ``base`` points with no record) until the chain
+    reaches {1..bound}."""
     while p > bound:
-        p = int(ancestors[p - 2])
+        p = int(ancestors[p - base - 1])
     return p
 
 
@@ -71,7 +72,8 @@ def fraction_path(traj, anchor, horizon):
     length) and data points are nobody's descendants."""
     bound = max(anchor, traj.seed_prefix_len)
     m = np.arange(1, horizon + 1)
-    return np.cumsum([walk_root(traj.ancestors, p, bound) == anchor for p in m]) / m
+    hits = [walk_root(traj.ancestors, p, bound, traj.root_bound) == anchor for p in m]
+    return np.cumsum(hits) / m
 
 
 def max_descendant_tail_bound(n: int, k: int) -> float:
@@ -113,8 +115,9 @@ class TestExactPmf:
 class TestTailBound:
     def test_plug_in_values(self):
         assert descendant_tail_bound(2, 0) == 3.0
-        assert descendant_tail_bound(2, 2) == pytest.approx(4.0 / 3.0, rel=1e-15)
-        assert max_descendant_tail_bound(2, 1) == pytest.approx(2 * 3 * (2 / 3), rel=1e-15)
+        assert descendant_tail_bound(2, 2) == pytest.approx(4.0 / 3.0, rel=1e-15, abs=0.0)
+        want = 2 * 3 * (2 / 3)
+        assert max_descendant_tail_bound(2, 1) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_dominates_exact_tails_up_to_100(self):
         for n in range(2, 101):
@@ -169,7 +172,8 @@ class TestSimulatedCounts:
 
 @st.composite
 def ancestor_rows(draw):
-    """(R, m) block of 1-based ancestors with ancestor[p - 2] in 1..p - 1."""
+    """(R, m) block of 1-based ancestors of points 2..m + 1, column j (point
+    j + 2) in 1..j + 1."""
     rows = draw(st.integers(1, 5))
     m = draw(st.integers(1, 40))
     raw = draw(st.lists(st.integers(0, 10**6), min_size=rows * m, max_size=rows * m))
