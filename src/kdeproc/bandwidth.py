@@ -1,4 +1,4 @@
-"""Bandwidth schedules h_n and the weighted tail sums the diagnostics need.
+"""Bandwidth schedules h_n and the weighted tail sum the diagnostics need.
 
 Three forms are supported:
 
@@ -11,15 +11,13 @@ Three forms are supported:
 The power and exponential forms are one law h(x) at a real index x
 (:meth:`BandwidthSchedule.law`); ``values`` reads it at the integers, once
 per run, and each consumer takes its :func:`leading` head.  The module also
-evaluates the schedule-weighted infinite sums feeding the martingale traces:
+evaluates the schedule-weighted infinite sum feeding the martingale traces,
 
-    sum_{k>=n} h_k / (k+1)                       (shared-bandwidth flavor)
-    sum_{k>=n} (1/(k(k+1))) * sum_{i<=k} h_i     (frozen-bandwidth flavor)
+    W_s(n) = sum_{k>=n} h_{k+s} / (k+1),    s in {0, 1},
 
-to ~1e-12 relative accuracy, using alternating Hurwitz-zeta series for power
-schedules and blockwise geometric summation for exponential ones.  A table
-ends, so it has no law past its end and none of these sums: each raises
-NoEnvelope.
+to ~1e-12 relative accuracy, using Hurwitz-zeta series for power schedules
+and blockwise geometric summation for exponential ones.  A table ends, so it
+has no law past its end and no tail sum: both raise NoEnvelope.
 """
 
 from __future__ import annotations
@@ -118,37 +116,24 @@ class BandwidthSchedule:
         return h
 
     # --------------------------------------------------------------- tail sums
-    # The exponential branches sum the law blockwise; on a table the law
-    # raises NoEnvelope at the first block.
 
-    def tail_weight_kde(self, n: int) -> float:
-        """sum_{k>=n} h_k / (k+1), the shared-bandwidth compensator weight."""
+    def tail_weight(self, n: int, shift: int) -> float:
+        """W_s(n) = sum_{k>=n} h_{k+s} / (k+1) for the index shift s = ``shift``
+        in {0, 1}.  The exponential form sums the law blockwise; on a table
+        the law raises NoEnvelope at the first block."""
         if n < 1:
             raise ValueError(f"tail start must be >= 1, got {n}")
+        if shift not in (0, 1):
+            raise ValueError(f"tail shift must be 0 or 1, got {shift}")
+        if self.form == "power" and shift:
+            # h_{k+1}/(k+1) = C (k+1)**-(1+delta) exactly.
+            return self.c * float(special.zeta(1.0 + self.delta, n + 1))
         if self.form == "power":
             start = max(n, _ZETA_SERIES_MIN_START)
             k = np.arange(n, start, dtype=float)
             head = float(np.sum(k ** (-self.delta) / (k + 1.0))) if len(k) else 0.0
             return self.c * (head + _alternating_zeta_tail(self.delta, start))
-        return _block_sum(lambda k: self.law(k) / (k + 1.0), n, self.rate)
-
-    def tail_weight_shifted(self, n: int) -> float:
-        """sum_{k>=n} h_{k+1} / (k+1), the frozen-flavor product-bound weight."""
-        if n < 1:
-            raise ValueError(f"tail start must be >= 1, got {n}")
-        if self.form == "power":
-            # h_{k+1}/(k+1) = C (k+1)**-(1+delta) exactly.
-            return self.c * float(special.zeta(1.0 + self.delta, n + 1))
-        return _block_sum(lambda k: self.law(k + 1.0) / (k + 1.0), n, self.rate)
-
-    def tail_weight_recursive(self, n: int, prefix_sum: float) -> float:
-        """sum_{k>=n} (1/(k(k+1))) * sum_{i<=k} h_i, given the bandwidth
-        prefix sum H_n = ``prefix_sum`` (the caller sums its own h_1..h_n).
-
-        Abel summation collapses it to H_n / n + sum_{k>n} h_k / k; the
-        second sum is :meth:`tail_weight_shifted` at n.
-        """
-        return self.tail_weight_shifted(n) + float(prefix_sum) / n
+        return _block_sum(lambda k: self.law(k + shift) / (k + 1.0), n, self.rate)
 
 
 def leading(h: np.ndarray, n: int) -> np.ndarray:

@@ -269,11 +269,14 @@ def _read_text(path, what: str) -> str:
 def load_bandwidth_table(path) -> list[float]:
     """One positive real per line; comments and blanks skipped."""
     values = []
-    for line in _read_text(path, "bandwidth table").splitlines():
+    for lineno, line in enumerate(_read_text(path, "bandwidth table").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        values.append(float(stripped))
+        try:
+            values.append(float(stripped))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     if not values:
         raise ConfigError(f"bandwidth table {path} has no values")
     return values

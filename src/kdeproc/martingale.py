@@ -87,16 +87,16 @@ def compensator_tails(
 
     The martingale along a trajectory is J + tail, with J the running mean of
     ``process.dominating_path``.  The terms read h_1..h_{n_max} (the head of
-    ``h``), the sum past n_max the schedule's closed-form tail weights.
+    ``h``), the sum past n_max the schedule's closed-form tail weight.
     """
     check_flavor(flavor)
     if n_max < 1:
         raise ValueError(f"compensator tails need n_max >= 1, got {n_max}")
     h = leading(h, n_max)
-    if flavor == "kde":
-        beyond = schedule.tail_weight_kde(n_max)
-    else:
-        beyond = schedule.tail_weight_recursive(n_max, np.sum(h))
+    beyond = schedule.tail_weight(n_max, BANDWIDTH_SHIFT[flavor])
+    if flavor == "recursive":
+        # Abel: sum_{k>=N} H_k / (k(k+1)) = H_N / N + sum_{k>N} h_k / k.
+        beyond += np.sum(h) / n_max
     terms = np.append(compensator_values(flavor, h, ew1, n_max - 1), ew1 * beyond)
     return np.cumsum(terms[::-1])[::-1]
 
@@ -164,14 +164,11 @@ def product_tail_bound(
 ) -> float:
     """Summable bound on sum_{k>=from_n} |factor_k - 1|.
 
-    |a_k - 1| <= h_k kappa / (k+1) (shared) or h_{k+1} kappa / (k+1)
-    (frozen); both sums have closed-to-1e-12 evaluations per bandwidth form.
+    |a_k - 1| <= h_{k+s} kappa / (k+1), with s from ``BANDWIDTH_SHIFT``; the
+    sum has a closed-to-1e-12 evaluation per bandwidth form.
     """
     check_flavor(flavor)
-    kappa = lemma_constant(kernel, t)
-    if flavor == "kde":
-        return kappa * schedule.tail_weight_kde(from_n)
-    return kappa * schedule.tail_weight_shifted(from_n)
+    return lemma_constant(kernel, t) * schedule.tail_weight(from_n, BANDWIDTH_SHIFT[flavor])
 
 
 @dataclass(frozen=True)

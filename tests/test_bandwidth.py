@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdeproc import BandwidthSchedule, default_delta
+from kdeproc import martingale as mg
 from kdeproc.bandwidth import leading
 from kdeproc.errors import IndexBeyondTable, NoEnvelope
 
@@ -123,7 +124,7 @@ class TestTailSums:
         # h_k = 1/k gives terms 1/(k(k+1)) which telescope to 1/n exactly.
         s = BandwidthSchedule.power(1.0, 1.0)
         for n in (1, 2, 17, 1000):
-            assert s.tail_weight_kde(n) == pytest.approx(1.0 / n, rel=1e-13, abs=0.0)
+            assert s.tail_weight(n, 0) == pytest.approx(1.0 / n, rel=1e-13, abs=0.0)
 
     def test_kde_tail_brute_force(self):
         s = BandwidthSchedule.power(2.0, 0.7)
@@ -133,7 +134,7 @@ class TestTailSums:
         # Remainder bracket: decreasing positive terms vs their integral,
         # int_stop^inf 2 x^(-1.7) dx = 2 stop^(-0.7) / 0.7.
         integral = 2.0 * stop ** (-0.7) / 0.7
-        got = s.tail_weight_kde(n)
+        got = s.tail_weight(n, 0)
         assert head < got < head + integral + 2.0 * stop**-1.7
         assert got == pytest.approx(head + integral, rel=1e-7, abs=0.0)
 
@@ -141,8 +142,10 @@ class TestTailSums:
         s = BandwidthSchedule.exponential(0.05)
         n = 3
         brute = _brute_tail(lambda k: np.exp(-0.05 * k) / (k + 1.0), n, 10**5)
-        assert s.tail_weight_kde(n) == pytest.approx(brute, rel=1e-12, abs=0.0)
+        assert s.tail_weight(n, 0) == pytest.approx(brute, rel=1e-12, abs=0.0)
 
+    # The recursive compensator tail sum_{k>=n} H_k / (k(k+1)) is the last
+    # entry of compensator_tails at horizon n with E[W] = 1.
     def test_recursive_tail_brute_force(self):
         c, delta, n = 1.3, 0.45, 7
         s = BandwidthSchedule.power(c, delta)
@@ -156,7 +159,7 @@ class TestTailSums:
         # integral c (K+2)^(-delta) / delta up to one extra term.
         h_next = c * (K + 1.0) ** -delta
         remainder = (prefix[-1] + h_next) / (K + 1) + c * (K + 2.0) ** (-delta) / delta
-        got = s.tail_weight_recursive(n, np.sum(s.values(n)))
+        got = mg.compensator_tails("recursive", s, s.values(n), 1.0, n)[-1]
         assert head < got < head + remainder + 2 * h_next / K
         assert got == pytest.approx(head + remainder, rel=1e-6, abs=0.0)
 
@@ -170,37 +173,46 @@ class TestTailSums:
         # Prefix sums saturate geometrically but the terms only decay like
         # H_inf / k^2, leaving a telescoping H_inf / (K+1) remainder.
         h_inf = np.exp(-0.2) / (1 - np.exp(-0.2))
-        got = s.tail_weight_recursive(n, np.sum(s.values(n)))
+        got = mg.compensator_tails("recursive", s, s.values(n), 1.0, n)[-1]
         assert got == pytest.approx(brute + h_inf / (K + 1), rel=1e-9, abs=0.0)
 
     def test_shifted_tail_power_closed_form(self):
         s = BandwidthSchedule.power(2.0, 0.5)
         n = 9
         brute = _brute_tail(lambda k: 2.0 * (k + 1.0) ** -1.5, n, 10**7)
-        assert s.tail_weight_shifted(n) == pytest.approx(brute, rel=1e-3, abs=0.0)
-        assert s.tail_weight_shifted(n) > brute
+        assert s.tail_weight(n, 1) == pytest.approx(brute, rel=1e-3, abs=0.0)
+        assert s.tail_weight(n, 1) > brute
 
     def test_shifted_tail_exponential(self):
         s = BandwidthSchedule.exponential(0.3)
         brute = _brute_tail(lambda k: np.exp(-0.3 * (k + 1.0)) / (k + 1.0), 2, 10**4)
-        assert s.tail_weight_shifted(2) == pytest.approx(brute, rel=1e-12, abs=0.0)
+        assert s.tail_weight(2, 1) == pytest.approx(brute, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
-        "tail, term",
+        "shift, term",
         [
-            ("tail_weight_kde", lambda k: np.exp(-1e-4 * k) / (k + 1.0)),
-            ("tail_weight_shifted", lambda k: np.exp(-1e-4 * (k + 1.0)) / (k + 1.0)),
+            (0, lambda k: np.exp(-1e-4 * k) / (k + 1.0)),
+            (1, lambda k: np.exp(-1e-4 * (k + 1.0)) / (k + 1.0)),
         ],
         ids=["kde", "shifted"],
     )
-    def test_exponential_tails_past_one_block(self, tail, term):
+    def test_exponential_tails_past_one_block(self, shift, term):
         # At rate 1e-4 the terms shrink by 1/e per 10^4, so the sum runs over
         # many 65 536-term blocks; 2 * 10^6 exactly rounded terms leave a
         # remainder near e^-200.
         k = np.arange(10, 10 + 2 * 10**6, dtype=float)
         want = math.fsum(term(k).tolist())
-        got = getattr(BandwidthSchedule.exponential(1e-4), tail)(10)
+        got = BandwidthSchedule.exponential(1e-4).tail_weight(10, shift)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "n, shift, message",
+        [(0, 0, "tail start must be >= 1"), (1, 2, "tail shift must be 0 or 1"),
+         (1, -1, "tail shift must be 0 or 1")],
+    )
+    def test_bad_start_or_shift(self, n, shift, message):
+        with pytest.raises(ValueError, match=message):
+            BandwidthSchedule.power(1.0, 0.2).tail_weight(n, shift)
 
     @pytest.mark.parametrize(
         "tail", ["tail_weight_kde", "tail_weight_shifted", "tail_weight_recursive"]
@@ -210,10 +222,16 @@ class TestTailSums:
         # A table ends, so nothing past it can be certified, inside or past
         # its last entry.
         s = BandwidthSchedule.from_table([1.0, 0.5, 0.25])
-        # The recursive weight takes the prefix sum H_n from its caller.
-        args = (n, 1.75) if tail == "tail_weight_recursive" else (n,)
+        tails = {
+            "tail_weight_kde": lambda: s.tail_weight(n, 0),
+            "tail_weight_shifted": lambda: s.tail_weight(n, 1),
+            # The recursive tail is the shifted weight plus H_n / n.
+            "tail_weight_recursive": lambda: mg.compensator_tails(
+                "recursive", s, np.full(n, 0.5), 1.0, n
+            ),
+        }
         with pytest.raises(NoEnvelope, match="power-law bandwidth envelope"):
-            getattr(s, tail)(*args)
+            tails[tail]()
         with pytest.raises(NoEnvelope):
             s.law(1.0)
 

@@ -85,6 +85,8 @@ class TestParsing:
             ExperimentConfig(flavor="smooth")
         with pytest.raises(ConfigError):
             ExperimentConfig(kernel_family="box")
+        with pytest.raises(ConfigError, match="unknown bandwidth.form 'cubic'"):
+            ExperimentConfig(bandwidth_form="cubic")
 
     def test_posterior_box_pairing(self):
         with pytest.raises(ConfigError):
@@ -109,6 +111,8 @@ class TestParsing:
             steps=3,
         )
         assert cfg.schedule().values(3)[-1] == 0.25
+        with pytest.raises(ConfigError, match="bandwidth.table_path required"):
+            ExperimentConfig(bandwidth_form="table", base_dir=str(tmp_path), steps=3)
 
     def test_overrides(self):
         cfg = ExperimentConfig(master_seed=1).with_overrides(master_seed=9, output_dir="x")

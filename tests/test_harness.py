@@ -597,6 +597,7 @@ class TestCli:
             ("diagnose", "diagnostics.t_grid = 1, nan\n", None, "diagnostics.t_grid"),
             ("diagnose", _TABLE, "0.5\n" * 30, _NO_ENVELOPE),
             ("cf-trace", _TABLE, "0.5\n" * 30, _NO_ENVELOPE),
+            ("simulate", _TABLE, "0.5\n0.25\nabc\n", "obs.txt:3: could not convert"),
             ("cf-trace", "run.steps = 1\n", None, "run.steps >= 2"),
             ("diagnose", "run.steps = 1\ndiagnostics.drift_times =\n", None, "run.steps >= 2"),
             ("contrast", "kernel.family = gaussian\n", None, "half_normal"),
@@ -627,7 +628,7 @@ class TestCli:
             "urn-horizon-0", "cf-start-index-out-of-scan", "bandwidth-C-nan",
             "bandwidth-delta-inf", "bandwidth-rate-nan", "student-t-dof-inf",
             "negative-tail-factor", "diagnose-laplace-d2", "box-lo-nan", "t-grid-nan",
-            "diagnose-table", "cf-trace-table", "cf-trace-one-step", "diagnose-one-step",
+            "diagnose-table", "cf-trace-table", "table-non-numeric", "cf-trace-one-step", "diagnose-one-step",
             "contrast-gaussian", "contrast-two-steps", "contrast-three-steps",
             "urn-data-path", "contrast-data-path", "posterior-empty-t-grid",
             "simulate-steps-below-data", "drift-times-past-steps", "steps-0",

@@ -315,13 +315,32 @@ class TestCdf:
         assert spec.pdf1(0.0) == pytest.approx(2.0 * stats.norm.pdf(0.0), rel=1e-15, abs=0.0)
 
     def test_norm_survival_chi(self):
-        spec = KernelSpec("gaussian", dim=3)
+        # |(|Z_1|,...,|Z_d|)| = |Z|, so both normal-based families follow chi.
         r = np.array([-1.0, 0.0, 1.0, 2.5])
-        np.testing.assert_allclose(
-            spec.norm_survival(r),
-            np.where(r < 0, 1.0, stats.chi.sf(np.maximum(r, 0), 3)),
-            atol=1e-12,
-        )
+        for family in ("gaussian", "half_normal"):
+            np.testing.assert_allclose(
+                KernelSpec(family, dim=3).norm_survival(r),
+                np.where(r < 0, 1.0, stats.chi.sf(np.maximum(r, 0), 3)),
+                atol=1e-12,
+            )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec("gaussian"),
+            KernelSpec("half_normal"),
+            KernelSpec("laplace"),
+            KernelSpec("student_t", dof=3.0),
+        ],
+        ids=str,
+    )
+    def test_norm_survival_from_cdf(self, spec):
+        # At d = 1 every family has the closed form: one tail of the
+        # coordinate CDF for half_normal, both tails for the symmetric ones.
+        r = np.array([-1.0, 0.0, 1.0, 2.5])
+        tail = 1.0 - spec.cdf1(np.maximum(r, 0.0))
+        want = tail if spec.family == "half_normal" else 2.0 * tail
+        np.testing.assert_allclose(spec.norm_survival(r), np.where(r < 0, 1.0, want), atol=1e-12)
 
     def test_norm_survival_unavailable(self):
         with pytest.raises(ValueError):

@@ -96,12 +96,12 @@ class TestTightnessTrace:
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_one_point_tail_is_closed_form(self, flavor):
         # No compensator term lies inside a one-point horizon, so the tail is
-        # E[W] times the schedule's closed-form tail weight from n = 1.
+        # E[W] times the schedule's closed-form tail weight from n = 1, plus
+        # H_1 / 1 for the recursive flavor.
         ew1 = GAUSS.norm_mean
-        if flavor == "kde":
-            weight = SCHED.tail_weight_kde(1)
-        else:
-            weight = SCHED.tail_weight_recursive(1, H[0])
+        weight = SCHED.tail_weight(1, mg.BANDWIDTH_SHIFT[flavor])
+        if flavor == "recursive":
+            weight += H[0]
         assert mg.compensator_values(flavor, H, ew1, 0).shape == (0,)
         tail = mg.compensator_tails(flavor, SCHED, H, ew1, 1)
         assert tail.shape == (1,)
