@@ -27,10 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import IndexBeyondTable, NoEnvelope
+from .errors import IndexBeyondTable, NoEnvelope, ToleranceNotReached
 
 _ZETA_SERIES_MIN_START = 64
 _BLOCK = 65536  # terms per numpy block in _block_sum
+# Blocks _block_sum reads at most: its ~36/rate terms exceed them below a
+# rate of ~5e-7, which raises instead of summing for minutes to years.
+_MAX_BLOCKS = 1024
 
 
 def _finite_positive(v) -> bool:
@@ -102,10 +105,11 @@ class BandwidthSchedule:
         raise NoEnvelope("tail certification needs a power-law bandwidth envelope")
 
     def values(self, n: int) -> np.ndarray:
-        """Read-only array [h_1, ..., h_n], clamped at the smallest positive
-        normal so every value stays > 0; its head is ``values(m)``, m < n."""
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
+        """Read-only array [h_1, ..., h_n] (empty for n = 0), clamped at the
+        smallest positive normal so every value stays > 0; its head is
+        ``values(m)``, m < n."""
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
         if self.form != "table":
             h = np.maximum(self.law(np.arange(1, n + 1, dtype=float)), np.finfo(float).tiny)
         elif n > len(self.table):
@@ -163,15 +167,18 @@ def _alternating_zeta_tail(delta: float, start: int) -> float:
 
 
 def _block_sum(term_fn, start: int, rate: float) -> float:
-    """Sum term_fn(k) for k >= start where terms decay at least like exp(-rate*k)."""
+    """Sum term_fn(k) for k >= start where terms decay at least like
+    exp(-rate*k); ToleranceNotReached past _MAX_BLOCKS blocks."""
     total = 0.0
-    k0 = start
-    while True:
-        k = np.arange(k0, k0 + _BLOCK, dtype=float)
+    for b in range(_MAX_BLOCKS):
+        k = np.arange(start + b * _BLOCK, start + (b + 1) * _BLOCK, dtype=float)
         vals = term_fn(k)
         total += float(np.sum(vals))
         # Geometric bound on everything past this block.
         remainder = vals[-1] * np.exp(-rate) / max(1.0 - np.exp(-rate), 1e-300)
         if remainder <= 1e-16 * max(total, 1e-300) or remainder == 0.0:
             return total
-        k0 += _BLOCK
+    raise ToleranceNotReached(
+        f"exponential bandwidth rate {rate:g}: the tail sum from n={start} does not "
+        f"converge within {_MAX_BLOCKS * _BLOCK} terms"
+    )

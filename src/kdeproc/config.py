@@ -274,9 +274,13 @@ def load_bandwidth_table(path) -> list[float]:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            values.append(float(stripped))
+            value = float(stripped)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"{path}:{lineno}: table values must be finite and strictly "
+                              f"positive, got {stripped!r}")
+        values.append(value)
     if not values:
         raise ConfigError(f"bandwidth table {path} has no values")
     return values

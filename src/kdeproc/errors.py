@@ -21,10 +21,6 @@ class MissingGenealogy(KdeprocError):
     """Trace needs ancestry for points that were injected as observed data."""
 
 
-class ZeroDenominator(KdeprocError, ZeroDivisionError):
-    """Kernel characteristic function vanishes where a ratio is required."""
-
-
 class ToleranceNotReached(KdeprocError, RuntimeError):
     """A certified numerical evaluation could not reach its requested accuracy."""
 

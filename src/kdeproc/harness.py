@@ -90,7 +90,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
     config_hash = config.config_hash()
     schedule, kernel, data = config.schedule(), config.kernel(), _load_data(config)
     # h_1..h_{N-1}, the bandwidths of the steps: one read per run.
-    h = schedule.values(config.steps - 1) if config.steps > 1 else np.empty(0)
+    h = schedule.values(config.steps - 1)
     trajectories = simulate_batch(
         config.flavor, h, kernel, config.steps, config.master_seed,
         range(config.replications), data,
@@ -176,8 +176,8 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     ]
     can_drift = reps >= mg.MIN_REPLICATIONS
     comp = mg.compensator_values(flavor, h, kernel.norm_mean, n_pts - 1)
-    # |S_n| = |c_n| |phi_n| <= |c_n| for either flavor.
-    cf_bound = max(float(np.nanmax(np.abs(c))) for _, c, _ in corrections)
+    # |S_n| = |P_n| |path_n| <= |P_n| for either flavor.
+    cf_bound = max(float(np.max(np.abs(corr))) for corr, _ in corrections)
 
     # Per-replication martingale increments S_{n+1} - S_n and Markov tail
     # excesses at each drift time, indexed [drift time, replication] and
@@ -202,12 +202,12 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
         dominance_violation = max(dominance_violation, float(np.max(norms - u)))
         # S_{n+1} - S_n = J_{n+1} - J_n - c_n; the common tail cancels.
         tight_inc[:, r] = j[times] - j[times - 1] - comp[times - 1]
-        phis = [cf_path(traj, t, row) for t, (_, _, row) in zip(config.t_grid, corrections)]
+        paths = [cf_path(traj, t, row) for t, (_, row) in zip(config.t_grid, corrections)]
         for k, n in enumerate(checkpoints):
-            cf_dist[k, r] = _cf_gap(phis, n, n_pts)
-        for i, ((_, corr, _), s_vals) in enumerate(zip(corrections, phis)):
-            np.multiply(corr, s_vals, out=s_vals)  # S = correction * phi, over phi
-            cf_bound_worst = max(cf_bound_worst, float(np.nanmax(np.abs(s_vals))))
+            cf_dist[k, r] = _cf_gap([phi for phi, _ in paths], n, n_pts)
+        for i, ((corr, _), (_, s_vals)) in enumerate(zip(corrections, paths)):
+            np.multiply(corr, s_vals, out=s_vals)  # S = correction * path, over the path
+            cf_bound_worst = max(cf_bound_worst, float(np.max(np.abs(s_vals))))
             cf_inc[i, :, r] = s_vals[times] - s_vals[times - 1]
         threshold = config.tail_threshold_factor * max(j[-1], 1e-12)
         tail_mass = mg.dominating_tail_mass(flavor, u, h, kernel, threshold, times)
@@ -219,12 +219,8 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     if can_drift:
         for k, n in enumerate(drift_times):
             tested = [(f"drift:tightness:n={n}", tight_inc[k])]
-            for i, (t, (start_n, _, _)) in enumerate(zip(config.t_grid, corrections)):
-                name = f"drift:cf:n={n}:t={t:g}"
-                if n < start_n:  # the correction, so S, is NaN before start_n
-                    notes[name] = f"skipped: n={n} lies before the CF start index {start_n}"
-                else:
-                    tested.append((name, cf_inc[i, k]))
+            tested += [(f"drift:cf:n={n}:t={t:g}", cf_inc[i, k])
+                       for i, t in enumerate(config.t_grid)]
             drift_tests += [
                 _bound_entry(name, threshold=mg.DRIFT_FLAG_THRESHOLD, **mg.drift_test(inc))
                 for name, inc in tested
@@ -478,7 +474,7 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
             quantiles[r] = mix.quantile(config.posterior_quantiles)
         if has_box:
             box_probs[r] = mix.prob(config.posterior_box_lo, config.posterior_box_hi)
-        phis = [cf_path(traj, t, row) for t, row in zip(config.t_grid, kernel_cfs)]
+        phis = [cf_path(traj, t, row)[0] for t, row in zip(config.t_grid, kernel_cfs)]
         conv[r] = _cf_gap(phis, *conv_pair)
 
     columns = {"replication": range(config.replications)}
@@ -519,9 +515,9 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
     tight = j + mg.compensator_tails(config.flavor, schedule, h, kernel.norm_mean, n_pts)
     summary_traces = {}
     config_hash = config.config_hash()
-    for t, (start_n, corr, row) in zip(config.t_grid, corrections):
-        phi = cf_path(traj, t, row)
-        s_vals = corr * phi
+    for t, (corr, row) in zip(config.t_grid, corrections):
+        phi, path = cf_path(traj, t, row)
+        s_vals = corr * path
         name = f"cf_trace_t{t:g}.csv"
         columns = {
             "step": range(1, n_pts + 1),
@@ -536,9 +532,8 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
         write_csv(out_dir / name, _VERSION, config_hash, columns)
         summary_traces[f"{t:g}"] = {
             "file": name,
-            "start_index": start_n,
-            "correction_sup": float(np.nanmax(np.abs(corr))),
-            "martingale_modulus_sup": float(np.nanmax(np.abs(s_vals))),
+            "correction_sup": float(np.max(np.abs(corr))),
+            "martingale_modulus_sup": float(np.max(np.abs(s_vals))),
         }
     payload = {**_artifact_header(config), "traces": summary_traces}
     _write_json(out_dir / "cf_trace_summary.json", payload)

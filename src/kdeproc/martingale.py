@@ -18,21 +18,22 @@ same path.  E[U_{n+1} | F_n] = J_n + (n+1) c_n, so Markov's inequality
 bounds the exact one-step tail mass (:func:`dominating_tail_mass`) by that
 over the threshold, from the same compensators.
 
-**Characteristic function.**  The predictive-mixture CF phi_n(t)
-(``process.cf_path``) times a correction (:func:`cf_corrections`) built
-from the infinite product of the one-step growth factors
+**Characteristic function.**  The CF martingale along a trajectory is a
+path X_n (``process.cf_path``) times the suffix product P_n(t) =
+prod_{k>=n} a_k(t) (:func:`cf_corrections`) of the one-step growth factors
 
     a_n(t) = phi_K(h_n t)/(n+1) + n/(n+1)          (shared bandwidth)
     a~_n(t) = phi_K(h_{n+1} t)/(n+1) + n/(n+1)     (frozen bandwidth)
 
-is a bounded martingale.  Each t takes one pass over the traced range: the
-kernel CF's deviation phi_K(h_n t) - 1 is evaluated once over the bandwidths
-h_1..h_{n_max+s} (s = 0 shared, 1 frozen, :data:`BANDWIDTH_SHIFT`).  One
-plus its first n_max entries is the kernel CF row that ``cf_path`` reads;
-the growth-factor deviations are the slice shifted by s, times 1/(n+1).
-Only the shared-bandwidth correction divides, by that row, so only it has a
-start index: the first n at which the row clears START_INDEX_FLOOR.  The
-frozen-bandwidth correction starts at n = 1.
+X_n is the predictive-mixture CF phi_n(t) for the frozen bandwidth, and the
+phase mean psi_n(t) = (1/n) sum_{i<=n} exp(i t'x_i), of which phi_n =
+phi_K(h_n t) psi_n, for the shared one.  E[X_{n+1} | F_n] = a_n X_n, so
+P_n X_n is a martingale from n = 1, bounded by |P_n| <= 1.
+Each t takes one pass over the traced range: the kernel CF's deviation
+phi_K(h_n t) - 1 is evaluated once over the bandwidths h_1..h_{n_max+s}
+(s = 0 shared, 1 frozen, :data:`BANDWIDTH_SHIFT`).  One plus its first
+n_max entries is the kernel CF row that ``cf_path`` reads; the
+growth-factor deviations are the slice shifted by s, times 1/(n+1).
 Products over k > n_max follow the schedule's law, through their log-sum
 with an Euler-Maclaurin tail (slow power-law decay makes naive truncation
 hopeless), and every product carries both the summable bound certifying it
@@ -50,14 +51,13 @@ import numpy as np
 from scipy import integrate
 
 from .bandwidth import BandwidthSchedule, leading
-from .errors import ToleranceNotReached, TooFewReplications, ZeroDenominator, ZeroFactor
+from .errors import ToleranceNotReached, TooFewReplications, ZeroFactor
 from .kernels import KernelSpec, frequency
 from .process import check_flavor
 
 DRIFT_FLAG_THRESHOLD = 4.0
 # Fewest per-replication increments a drift test (and an urn law test) reads.
 MIN_REPLICATIONS = 100
-START_INDEX_FLOOR = 0.1
 # Relative error the certified CF product tail must reach.
 PRODUCT_TAIL_REL_TOL = 1e-8
 # Largest excess of the dominating chain's tail mass over its Markov bound
@@ -325,17 +325,15 @@ def cf_corrections(
     t,
     n_max: int,
     flavor: str,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """(start_n, correction, kernel_cf), each array over n = 1..n_max -- the
-    deterministic parts of the CF martingale, reusable across replications,
-    from the head h_1..h_{n_max+s} of ``h`` and the schedule's law past it.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(correction, kernel_cf), both over n = 1..n_max -- the deterministic
+    parts of the CF martingale, reusable across replications, from the head
+    h_1..h_{n_max+s} of ``h`` and the schedule's law past it.
 
-    The martingale along a trajectory is ``correction * process.cf_path(traj,
-    t, kernel_cf)``, where ``kernel_cf`` is the kernel CF row phi_K(h_n t).
-    The kde correction divides by that row, so its ``start_n`` is the first
-    n with |phi_K(h_n t)| > START_INDEX_FLOOR, which keeps the division well
-    conditioned, and its entries before it are NaN; the recursive correction
-    divides by nothing and starts at 1.
+    The correction is the suffix product P_n = prod_{k>=n} a_k, and
+    ``kernel_cf`` the kernel CF row phi_K(h_n t), for either flavor.  The
+    martingale is ``correction * path``, with ``path`` the second result of
+    ``process.cf_path(traj, t, kernel_cf)``.
     """
     check_flavor(flavor)
     t = frequency(t, kernel.dim)
@@ -344,31 +342,15 @@ def cf_corrections(
     # the row is formed before the growth factors scale it in place.
     dev = kernel.cf_scaled_minus_one(t, leading(h, n_max + shift))
     kernel_cf = 1.0 + dev[:n_max]
-    start_n = 1
-    if flavor == "kde":
-        usable = np.flatnonzero(np.abs(kernel_cf) > START_INDEX_FLOOR)
-        if not usable.size:
-            raise ZeroDenominator(
-                f"kernel CF stays below the conditioning floor for every n up to {n_max}"
-            )
-        start_n = int(usable[0]) + 1
-    n = np.arange(start_n, n_max + 1, dtype=float)
-    correction = np.empty(n_max, dtype=complex)
-    correction[: start_n - 1] = np.nan
-    # The growth factors go straight into the correction array, which the
-    # reversed cumulative product then turns in place into the suffix
-    # products factors[i] * ... * factors[-1] * beyond, from the far end in.
-    factors = correction[start_n - 1 :]
-    np.add(_factor_deviation(dev[start_n - 1 + shift :], n), 1.0, out=factors)
-    if np.any(factors == 0):
+    # The growth factors a_1..a_{n_max}; with the certified tail folded into
+    # the last, the reversed cumulative product turns them in place into the
+    # suffix products P_n, from the far end in.
+    correction = 1.0 + _factor_deviation(dev[shift:], np.arange(1, n_max + 1, dtype=float))
+    if np.any(correction == 0):
         raise ZeroFactor("a growth factor vanished inside the traced range")
-    factors[-1] *= lemma_product_tail(schedule, kernel, t, n_max + 1, flavor).value
-    np.cumprod(factors[::-1], out=factors[::-1])
-    if flavor == "kde":
-        if np.any(kernel_cf[start_n - 1 :] == 0):
-            raise ZeroDenominator("kernel CF vanishes inside the traced range")
-        factors /= kernel_cf[start_n - 1 :]
-    return start_n, correction, kernel_cf
+    correction[-1] *= lemma_product_tail(schedule, kernel, t, n_max + 1, flavor).value
+    np.cumprod(correction[::-1], out=correction[::-1])
+    return correction, kernel_cf
 
 
 # -------------------------------------------------------------- drift tests

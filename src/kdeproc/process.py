@@ -271,7 +271,7 @@ def simulate(
     forced or no step is drawn (ValueError otherwise).
     """
     prefix, seed_len = _start(flavor, data_prefix, kernel.dim, length)
-    h = schedule.values(length - 1) if length > 1 else np.empty(0)
+    h = schedule.values(length - 1)
     return _generate(flavor, h, kernel, length, streams, prefix, seed_len,
                      forced_ancestors, forced_draws)
 
@@ -474,37 +474,41 @@ def predictive_mixture(
     return PredictiveMixture(centers=traj.points[:n].copy(), scales=scales, kernel=kernel)
 
 
-def cf_path(traj: Trajectory, t, kernel_cf: np.ndarray) -> np.ndarray:
-    """Predictive-mixture CF at a fixed t for every time 1..len(traj).
+def cf_path(traj: Trajectory, t, kernel_cf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, path) at a fixed t over n = 1..len(traj): the predictive-mixture
+    CF phi_n, and the path the CF correction (``martingale.cf_corrections``)
+    multiplies -- phi itself (recursive), or the phase mean psi_n = (1/n)
+    sum_{i<=n} exp(i t'x_i), of which phi_n = phi_K(h_n t) psi_n (kde).
 
-    ``kernel_cf`` is the kernel CF row phi_K(h_n t), n = 1..len(traj).  It
-    depends on no trajectory, so a run builds it once per t (the third
-    result of ``martingale.cf_corrections``).  The path is one complex
-    buffer: the phases, their cumulative sum and the division by n are
-    written in place, so a whole path costs the same as one evaluation at
-    the final time.
+    ``kernel_cf`` is the kernel CF row phi_K(h_n t), which depends on no
+    trajectory, so a run builds it once per t (``cf_corrections`` returns
+    it).  One complex buffer takes the phases, their cumulative sum and the
+    division by n in place; kde reads psi off it before the kernel multiply.
     """
     n_max = len(traj)
     if np.shape(kernel_cf) != (n_max,):
         raise ValueError(
             f"kernel CF row has shape {np.shape(kernel_cf)}, the trajectory {n_max} points"
         )
-    phi = 1j * _inner(traj.points, frequency(t, traj.dim))
+    # Componentwise division: complex/real drops an ulp and phi(0) must be 1.
+    counts = np.arange(1, n_max + 1, dtype=float)
+    phi = path = 1j * _inner(traj.points, frequency(t, traj.dim))
     np.exp(phi, out=phi)
     if traj.flavor == "kde":
         np.cumsum(phi, out=phi)
+        path = np.empty_like(phi)
+        np.divide(phi.real, counts, out=path.real)
+        np.divide(phi.imag, counts, out=path.imag)
         # kernel_cf on the left: numpy's complex multiply need not commute
         # bit for bit (it may fuse one product into the sum).
         np.multiply(kernel_cf, phi, out=phi)
     else:
         phi *= kernel_cf
         np.cumsum(phi, out=phi)
-    # Componentwise division: complex/real drops an ulp and phi(0) must be 1.
-    counts = np.arange(1, n_max + 1, dtype=float)
     phi.real /= counts
     phi.imag /= counts
     phi += 0.0  # -0.0 parts (an underflowed kernel CF times a sum) read 0.0
-    return phi
+    return phi, path
 
 
 def _inner(points: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kdeproc import BandwidthSchedule, default_delta
 from kdeproc import martingale as mg
 from kdeproc.bandwidth import leading
-from kdeproc.errors import IndexBeyondTable, NoEnvelope
+from kdeproc.errors import IndexBeyondTable, NoEnvelope, ToleranceNotReached
 
 
 class TestValues:
@@ -70,6 +70,9 @@ class TestValues:
         with pytest.raises(ValueError, match="read-only"):
             h[1:][0] = 3.0
         assert s.values(2)[1] == h[1]
+        # The steps of a one-point run read h_1..h_0: nothing.
+        empty = s.values(0)
+        assert empty.shape == (0,) and empty.dtype == float and not empty.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,10 +92,10 @@ class TestValues:
             BandwidthSchedule.from_table([])
         with pytest.raises(ValueError):
             BandwidthSchedule.from_table([1.0, -1.0])
-        for n in (0, -1):
-            with pytest.raises(ValueError, match="n >= 1"):
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="n >= 0"):
                 BandwidthSchedule.power(1.0, 0.2).values(n)
-            with pytest.raises(ValueError, match="n >= 1"):
+            with pytest.raises(ValueError, match="n >= 0"):
                 BandwidthSchedule.from_table([1.0, 0.5]).values(n)
 
     def test_monotone_non_increasing_to_1e6(self):
@@ -204,6 +207,13 @@ class TestTailSums:
         want = math.fsum(term(k).tolist())
         got = BandwidthSchedule.exponential(1e-4).tail_weight(10, shift)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_tiny_exponential_rate_is_refused(self, shift):
+        # The terms would need ~36/rate of them to fall below 1e-16 of the
+        # sum; past the block budget the sum raises, naming the rate.
+        with pytest.raises(ToleranceNotReached, match="exponential bandwidth rate 1e-09"):
+            BandwidthSchedule.exponential(1e-9).tail_weight(51, shift)
 
     @pytest.mark.parametrize(
         "n, shift, message",

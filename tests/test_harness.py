@@ -102,7 +102,7 @@ class TestDeterminism:
         traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
         from kdeproc.process import write_trajectory_csv
 
-        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.4", cfg.config_hash())
+        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.5", cfg.config_hash())
         expected = (tmp_path / "sim" / "trajectory_00002.csv").read_bytes()
         assert (tmp_path / "solo.csv").read_bytes() == expected
 
@@ -171,13 +171,13 @@ class TestRunModes:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = read_json(tmp_path / "out" / "diagnostics.json")
         assert data == payload
-        assert data["version"] == "0.1.4"
+        assert data["version"] == "0.1.5"
         assert data["config_hash"] == cfg.config_hash()
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     def test_diagnose_modulus_bound_is_correction_sup(self, tmp_path, flavor):
-        # |S_n| = |c_n| |phi_n| <= |c_n|: either flavor allows max |c_n| over
-        # the t grid, and the recursive one no longer allows 1.
+        # |S_n| = |P_n| |path_n| <= |P_n|: either flavor allows max |P_n|
+        # over the t grid.
         cfg = ExperimentConfig(
             flavor=flavor, steps=300, replications=3, master_seed=4,
             t_grid=(0.5, 2.0, 5.0), drift_times=(10,), base_dir=str(tmp_path),
@@ -187,8 +187,8 @@ class TestRunModes:
         schedule = cfg.schedule()
         h = schedule.values(cfg.steps + 1)
         sups = [
-            float(np.nanmax(np.abs(mg.cf_corrections(schedule, h, cfg.kernel(), t,
-                                                     cfg.steps, flavor)[1])))
+            float(np.max(np.abs(mg.cf_corrections(schedule, h, cfg.kernel(), t,
+                                                  cfg.steps, flavor)[0])))
             for t in cfg.t_grid
         ]
         assert entry["allowed"] == max(sups)
@@ -206,9 +206,9 @@ class TestRunModes:
         )
         assert json_artifacts(tmp_path) == {"out/diagnostics.json": payload}
 
-    def test_diagnose_skips_cf_drift_before_start_index(self, tmp_path):
-        # At t = 5 the kde correction starts at n = 69, so S is NaN at n = 10:
-        # that drift test is named in notes instead of reported as NaN.
+    def test_diagnose_tests_kde_cf_drift_from_n_1(self, tmp_path):
+        # At t = 5, phi_K(h_n t) <= 0.1 up to n = 68, but the kde martingale
+        # P_n psi_n divides by nothing: the drift at n = 10 is tested too.
         cfg = ExperimentConfig(
             flavor="kde", steps=200, replications=100, t_grid=(5.0,),
             drift_times=(10, 100), base_dir=str(tmp_path),
@@ -217,12 +217,12 @@ class TestRunModes:
         data = read_json(tmp_path / "out" / "diagnostics.json")
         assert data == payload
         tests = {e["name"]: e for e in data["drift_tests"]}
-        assert "drift:cf:n=10:t=5" not in tests
-        assert "start index 69" in data["notes"]["drift:cf:n=10:t=5"]
-        assert np.isfinite(tests["drift:cf:n=100:t=5"]["statistic"])
         assert set(tests) == {
-            "drift:tightness:n=10", "drift:tightness:n=100", "drift:cf:n=100:t=5"
+            "drift:tightness:n=10", "drift:tightness:n=100",
+            "drift:cf:n=10:t=5", "drift:cf:n=100:t=5",
         }
+        assert all(np.isfinite(e["statistic"]) for e in tests.values())
+        assert data["notes"] == {}
 
     def test_diagnose_needs_t_grid(self, tmp_path):
         cfg = ExperimentConfig(steps=60, replications=5, t_grid=(), base_dir=str(tmp_path))
@@ -422,8 +422,8 @@ class TestMultivariate:
         assert mix.prob([-np.inf, -np.inf], [np.inf, np.inf]) == pytest.approx(1.0)
         t = np.array([0.8, -0.4])
         assert abs(mix.cf(t)) <= 1.0
-        _, corr, kernel_cf = mg.cf_corrections(schedule, h, kernel, t, cfg.steps, cfg.flavor)
-        assert np.isfinite((corr * cf_path(traj, t, kernel_cf))[-1].real)
+        corr, kernel_cf = mg.cf_corrections(schedule, h, kernel, t, cfg.steps, cfg.flavor)
+        assert np.isfinite((corr * cf_path(traj, t, kernel_cf)[1])[-1].real)
         u = dominating_path(traj)
         j = np.cumsum(u) / np.arange(1, cfg.steps + 1)
         tail = mg.compensator_tails(cfg.flavor, schedule, h, kernel.norm_mean, cfg.steps)
@@ -585,7 +585,6 @@ class TestCli:
             ("urn", "urn.anchor = 5\nurn.fraction_horizon = 3\n", None, "urn.fraction_horizon"),
             ("urn", "urn.anchor = 50\n", None, "run.steps"),
             ("urn", "urn.anchor = 5\nurn.fraction_horizon = 0\n", None, "urn.fraction_horizon"),
-            ("cf-trace", "diagnostics.t_grid = 1000\n", None, "conditioning floor"),
             ("simulate", "bandwidth.C = nan\n", None, "power schedule"),
             ("simulate", "bandwidth.delta = inf\n", None, "power schedule"),
             ("simulate", "bandwidth.form = exponential\nbandwidth.rate = nan\n", None, "rate"),
@@ -598,6 +597,14 @@ class TestCli:
             ("diagnose", _TABLE, "0.5\n" * 30, _NO_ENVELOPE),
             ("cf-trace", _TABLE, "0.5\n" * 30, _NO_ENVELOPE),
             ("simulate", _TABLE, "0.5\n0.25\nabc\n", "obs.txt:3: could not convert"),
+            ("simulate", _TABLE, "0.5\n0.25\nnan\n",
+             "obs.txt:3: table values must be finite and strictly positive, got 'nan'"),
+            ("simulate", _TABLE, "0.5\n-1\n0.25\n",
+             "obs.txt:2: table values must be finite and strictly positive, got '-1'"),
+            ("cf-trace", "bandwidth.form = exponential\nbandwidth.rate = 1e-12\n", None,
+             "exponential bandwidth rate 1e-12"),
+            ("diagnose", "bandwidth.form = exponential\nbandwidth.rate = 1e-12\n", None,
+             "exponential bandwidth rate 1e-12"),
             ("cf-trace", "run.steps = 1\n", None, "run.steps >= 2"),
             ("diagnose", "run.steps = 1\ndiagnostics.drift_times =\n", None, "run.steps >= 2"),
             ("contrast", "kernel.family = gaussian\n", None, "half_normal"),
@@ -625,10 +632,11 @@ class TestCli:
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
             "urn-window-0", "urn-anchor-1", "urn-horizon-below-anchor", "urn-anchor-beyond-steps",
-            "urn-horizon-0", "cf-start-index-out-of-scan", "bandwidth-C-nan",
+            "urn-horizon-0", "bandwidth-C-nan",
             "bandwidth-delta-inf", "bandwidth-rate-nan", "student-t-dof-inf",
             "negative-tail-factor", "diagnose-laplace-d2", "box-lo-nan", "t-grid-nan",
-            "diagnose-table", "cf-trace-table", "table-non-numeric", "cf-trace-one-step", "diagnose-one-step",
+            "diagnose-table", "cf-trace-table", "table-non-numeric", "table-nan", "table-negative",
+            "cf-trace-tiny-rate", "diagnose-tiny-rate", "cf-trace-one-step", "diagnose-one-step",
             "contrast-gaussian", "contrast-two-steps", "contrast-three-steps",
             "urn-data-path", "contrast-data-path", "posterior-empty-t-grid",
             "simulate-steps-below-data", "drift-times-past-steps", "steps-0",
@@ -743,20 +751,24 @@ class TestCli:
         assert not any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("d, t", [(1, 10), (3, 3)])
-    def test_cf_trace_past_the_kde_floor(self, tmp_path, capsys, d, t):
-        # gaussian at t = 10: the kde correction has no usable start index up
-        # to n = 1000, but the recursive one divides by nothing and starts at
-        # 1.  half_normal at d = 3, t = 3: the tail from n = 1001 certifies.
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_cf_trace_past_the_kde_floor(self, tmp_path, capsys, flavor, d, t):
+        # gaussian at t = 10: phi_K(h_n t) stays below 0.1 up to n = 1000,
+        # where the kde correction used to divide by it; neither correction
+        # divides now.  half_normal at d = 3, t = 3: the tail from n = 1001
+        # certifies.
         family = "gaussian" if d == 1 else "half_normal"
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(
-            f"flavor = recursive\nkernel.family = {family}\nkernel.dimension = {d}\n"
+            f"flavor = {flavor}\nkernel.family = {family}\nkernel.dimension = {d}\n"
             f"run.steps = 1000\ndiagnostics.t_grid = {t}\nrun.output_dir = out\n"
         )
         assert cli_main(["cf-trace", "--config", str(cfgfile)]) == 0
         assert capsys.readouterr().err == ""
         summary = read_json(tmp_path / "out" / "cf_trace_summary.json")
-        assert summary["traces"][f"{t}"]["start_index"] == 1
+        assert set(summary["traces"][f"{t}"]) == {
+            "file", "correction_sup", "martingale_modulus_sup"
+        }
         rows = (tmp_path / "out" / f"cf_trace_t{t}.csv").read_text().splitlines()[2:]
         assert len(rows) == 1000
         assert all("nan" not in row for row in rows)

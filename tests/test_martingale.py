@@ -1,5 +1,6 @@
 """Martingale traces: compensators, product corrections, drift tests."""
 
+import cmath
 import re
 from dataclasses import astuple
 from unittest import mock
@@ -25,7 +26,6 @@ from kdeproc.errors import (
     NoEnvelope,
     ToleranceNotReached,
     TooFewReplications,
-    ZeroDenominator,
     ZeroFactor,
 )
 from kdeproc.harness import run
@@ -286,16 +286,6 @@ class _CFZeroAtH3(_StubKernel):
         return np.where(np.asarray(scales) == SCHED.values(3)[2], 0.0, 1.0) + 0.0j
 
 
-def oracle_start(schedule, kernel, t, n_max):
-    """First n <= n_max with |phi_K(h_n t)| > 0.1, by a plain loop; None if
-    there is none."""
-    t = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
-    for n in range(1, n_max + 1):
-        if abs(kernel.cf(schedule.values(n)[-1] * t)) > 0.1:
-            return n
-    return None
-
-
 def oracle_factors(schedule, kernel, t, n_lo, n_hi, flavor):
     """Growth factors 1 + (phi_K(h_{n+s} t) - 1)/(n + 1) for n = n_lo..n_hi,
     one scalar CF at a time (s = 0 kde, 1 recursive)."""
@@ -309,15 +299,10 @@ def oracle_factors(schedule, kernel, t, n_lo, n_hi, flavor):
     )
 
 
-def factors_of_correction(schedule, kernel, t, corr, start_n, flavor):
-    """a_n for n = start_n..len(corr) - 1 read back from a correction:
-    c_n / c_{n+1}, after undoing the kde division by phi_K(h_n t)."""
-    n_max = len(corr)
-    prod = corr.copy()
-    if flavor == "kde":
-        t = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
-        prod *= [kernel.cf(schedule.values(n)[-1] * t) for n in range(1, n_max + 1)]
-    return prod[start_n - 1 : n_max - 1] / prod[start_n:]
+def factors_of_correction(corr):
+    """a_n = P_n / P_{n+1} for n = 1..len(corr) - 1, read back from a
+    correction."""
+    return corr[:-1] / corr[1:]
 
 
 # Keyword arguments of each kernel family beyond its dimension.
@@ -327,8 +312,7 @@ FAMILIES = {"gaussian": {}, "laplace": {}, "student_t": {"dof": 3.0}, "half_norm
 class TestFactorValues:
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_at_zero(self, flavor):
-        start, corr, _ = mg.cf_corrections(SCHED, H, GAUSS, 0.0, 100, flavor)
-        assert start == 1
+        corr, _ = mg.cf_corrections(SCHED, H, GAUSS, 0.0, 100, flavor)
         np.testing.assert_array_equal(corr, np.ones(100))
 
     def test_first_factor_value(self):
@@ -343,8 +327,8 @@ class TestFactorValues:
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_factor_values_vectorized(self, flavor):
         t = 1.0
-        start, corr, _ = mg.cf_corrections(SCHED, H, GAUSS, t, 8, flavor)
-        got = factors_of_correction(SCHED, GAUSS, t, corr, start, flavor)[2:]
+        corr, _ = mg.cf_corrections(SCHED, H, GAUSS, t, 8, flavor)
+        got = factors_of_correction(corr)[2:]
         shift = 0 if flavor == "kde" else 1
         expected = [
             1 + (GAUSS.cf(SCHED.values(n + shift)[-1] * t) - 1) / (n + 1) for n in range(3, 8)
@@ -362,58 +346,60 @@ class TestFactorValues:
     def test_one_pass_matches_scalar_oracle(self, family, d, data, flavor, n_max):
         kernel = KernelSpec(family, dim=d, **FAMILIES[family])
         t = np.array(data.draw(st.lists(st.floats(-15.0, 15.0), min_size=d, max_size=d)))
-        # Only the kde correction divides by the kernel CF, so only it has a
-        # conditioning floor; the recursive one starts at n = 1.
-        want = oracle_start(SCHED, kernel, t, n_max) if flavor == "kde" else 1
         # The certified tail past n_max is stubbed to 1: it scales every
-        # entry alike, so the start index and the factor ratios read the
-        # in-range pass alone, also where the tail cannot be certified.
+        # entry alike, so the factor ratios read the in-range pass alone,
+        # also where the tail cannot be certified.
         unit_tail = mg.ProductTail(value=1.0 + 0.0j, from_n=n_max + 1, lemma_bound=0.0,
                                    numerical_error=0.0)
         with mock.patch.object(mg, "lemma_product_tail", return_value=unit_tail):
-            if want is None:
-                with pytest.raises(ZeroDenominator, match="conditioning floor"):
-                    mg.cf_corrections(SCHED, H, kernel, t, n_max, flavor)
-                return
-            start, corr, _ = mg.cf_corrections(SCHED, H, kernel, t, n_max, flavor)
-        assert start == want
-        assert np.all(np.isnan(corr[: start - 1]))
-        got = factors_of_correction(SCHED, kernel, t, corr, start, flavor)
-        expected = oracle_factors(SCHED, kernel, t, start, n_max - 1, flavor)
+            corr, _ = mg.cf_corrections(SCHED, H, kernel, t, n_max, flavor)
+        assert np.all(np.isfinite(corr))
+        got = factors_of_correction(corr)
+        expected = oracle_factors(SCHED, kernel, t, 1, n_max - 1, flavor)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
 
 
 class TestStartIndex:
+    """Either correction starts at n = 1: every entry is a finite suffix
+    product, also where the kernel CF row is near 0."""
+
     def test_gaussian_immediate(self):
-        assert mg.cf_corrections(SCHED, H, GAUSS, 1.0, 50, "kde")[0] == 1
+        # The kde path at n = 1 is the origin's phase, 1, so the martingale
+        # starts at P_1 itself; the mixture CF there is phi_K(h_1 t).
+        traj = simulate("kde", SCHED, GAUSS, 50, DrawStreams.from_seed(5, 0))
+        corr, row = mg.cf_corrections(SCHED, H, GAUSS, 1.0, 50, "kde")
+        phi, path = cf_path(traj, 1.0, row)
+        assert path[0] == 1.0 and (corr * path)[0] == corr[0]
+        assert phi[0] == row[0]
 
     def test_half_normal_large_t(self):
-        start = mg.cf_corrections(SCHED, H, HALF, 15.0, 1000, "kde")[0]
-        assert start > 1
-        h = SCHED.values(start)
-        mods = np.abs(HALF.cf_scaled(15.0, h))
-        assert mods[-1] > 0.1
-        assert np.all(mods[:-1] <= 0.1)
+        # |phi_K(h_n t)| stays at or below 0.1 for the first n, where the kde
+        # correction used to divide by it; the suffix product is finite and
+        # inside the unit disc from n = 1.
+        corr, row = mg.cf_corrections(SCHED, H, HALF, 15.0, 1000, "kde")
+        assert np.all(np.abs(row[:5]) <= 0.1)
+        assert np.all(np.isfinite(corr)) and np.all(corr != 0)
+        assert np.all(np.abs(corr) <= 1.0)
+
+    @staticmethod
+    def _starts_at_one(t, flavor):
+        sched = BandwidthSchedule.default(1)
+        corr, _ = mg.cf_corrections(sched, sched.values(1001), GAUSS, t, 1000, flavor)
+        assert np.all(np.isfinite(corr))
+        factors = factors_of_correction(corr)
+        expected = oracle_factors(sched, GAUSS, t, 1, 999, flavor)
+        np.testing.assert_allclose(factors, expected, rtol=1e-10, atol=0.0)
+        assert np.all(np.abs(corr) <= 1.0)
 
     @pytest.mark.parametrize("t", [5.0, 10.0])
     def test_recursive_starts_at_one(self, t):
-        # The recursive correction divides by nothing: past the kde start
-        # index (n = 69 at t = 5) and past its conditioning floor (t = 10),
-        # every entry is finite from n = 1, each one the suffix product.
-        sched = BandwidthSchedule.default(1)
-        h = sched.values(1001)
-        if t == 5.0:
-            assert mg.cf_corrections(sched, h, GAUSS, t, 1000, "kde")[0] == 69
-        else:
-            with pytest.raises(ZeroDenominator, match="conditioning floor"):
-                mg.cf_corrections(sched, h, GAUSS, t, 1000, "kde")
-        start, corr, row = mg.cf_corrections(sched, h, GAUSS, t, 1000, "recursive")
-        assert start == 1
-        assert np.all(np.isfinite(corr))
-        factors = factors_of_correction(sched, GAUSS, t, corr, 1, "recursive")
-        expected = oracle_factors(sched, GAUSS, t, 1, 999, "recursive")
-        np.testing.assert_allclose(factors, expected, rtol=1e-10, atol=0.0)
-        assert np.all(np.abs(corr) <= 1.0)
+        self._starts_at_one(t, "recursive")
+
+    @pytest.mark.parametrize("t", [5.0, 10.0])
+    def test_kde_starts_at_one(self, t):
+        # Where dividing by phi_K(h_n t) used to start the kde correction at
+        # n = 69 (t = 5), or nowhere up to n = 1000 (t = 10).
+        self._starts_at_one(t, "kde")
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     @pytest.mark.parametrize("d", [1, 3])
@@ -443,40 +429,19 @@ class TestStartIndex:
         unit_tail = mg.ProductTail(value=1.0 + 0.0j, from_n=n_max + 1, lemma_bound=0.0,
                                    numerical_error=0.0)
         with mock.patch.object(mg, "lemma_product_tail", return_value=unit_tail):
-            start, corr, row = mg.cf_corrections(SCHED, H, kernel, 0.7, n_max, flavor)
+            corr, row = mg.cf_corrections(SCHED, H, kernel, 0.7, n_max, flavor)
         assert calls == [(n_max + shift,)]
         assert sum(elements) == (n_max + shift) * d
         assert row.shape == corr.shape == (n_max,)
-
-    def test_corrections_scan_only_up_to_horizon(self, monkeypatch):
-        # At t = 1000 and d = 2 no h_n up to n = 20 qualifies: the search
-        # stops at the horizon instead of scanning the run's bandwidths
-        # beyond it, and reads none from the schedule.
-        scanned = []
-        minus_one = KernelSpec.cf_scaled_minus_one
-
-        def recording(spec, t, scales):
-            scanned.append(len(scales))
-            return minus_one(spec, t, scales)
-
-        def refused(schedule, n):
-            raise AssertionError("cf_corrections read the schedule")
-
-        monkeypatch.setattr(KernelSpec, "cf_scaled_minus_one", recording)
-        monkeypatch.setattr(BandwidthSchedule, "values", refused)
-        with pytest.raises(ZeroDenominator, match="conditioning floor"):
-            mg.cf_corrections(SCHED, H, KernelSpec("gaussian", dim=2), 1000.0, 20, "kde")
-        assert scanned == [20]
 
     @pytest.mark.parametrize("flavor, needed", [("kde", 20), ("recursive", 21)])
     def test_bandwidths_must_cover_the_shift(self, flavor, needed):
         # n = 1..20 reads h_1..h_{20+s}: one past the horizon for recursive.
         with pytest.raises(ValueError, match=f"h_1..h_{needed}, got {needed - 1}"):
             mg.cf_corrections(SCHED, H[: needed - 1], GAUSS, 1.0, 20, flavor)
-        start, corr, row = mg.cf_corrections(SCHED, H[:needed], GAUSS, 1.0, 20, flavor)
+        corr, row = mg.cf_corrections(SCHED, H[:needed], GAUSS, 1.0, 20, flavor)
         want = mg.cf_corrections(SCHED, H, GAUSS, 1.0, 20, flavor)
-        assert start == want[0]
-        assert corr.tobytes() == want[1].tobytes() and row.tobytes() == want[2].tobytes()
+        assert corr.tobytes() == want[0].tobytes() and row.tobytes() == want[1].tobytes()
 
 
 class TestLemmaProduct:
@@ -702,7 +667,7 @@ class TestToleranceMessage:
         assert tail.numerical_error == rem_err * abs(tail.value)
         assert abs(tail.value) < 1e-3
         h = sched.values(1001)
-        start, corr, _ = mg.cf_corrections(sched, h, kernel, t_arr, 1000, flavor)
+        corr, _ = mg.cf_corrections(sched, h, kernel, t_arr, 1000, flavor)
         assert corr[-1] != 0 and np.isfinite(corr[-1])
 
 
@@ -716,7 +681,7 @@ def _entry_points(kernel, flavor):
         "cf_scaled": lambda t: (kernel.cf_scaled(t, scales),),
         "cf_scaled_minus_one": lambda t: (kernel.cf_scaled_minus_one(t, scales),),
         "PredictiveMixture.cf": lambda t: (predictive_mixture(traj, H, kernel).cf(t),),
-        "cf_path": lambda t: (cf_path(traj, t, kernel.cf_scaled(t, scales)),),
+        "cf_path": lambda t: cf_path(traj, t, kernel.cf_scaled(t, scales)),
         "lemma_constant": lambda t: (mg.lemma_constant(kernel, t),),
         "product_tail_bound": lambda t: (mg.product_tail_bound(SCHED, kernel, t, 40, flavor),),
         "lemma_product_tail": lambda t: (mg.lemma_product_tail(SCHED, kernel, t, 41, flavor),),
@@ -796,41 +761,66 @@ def test_unknown_flavor_is_refused(name, flavor):
 
 
 def cf_martingale(traj, schedule, kernel, t):
-    """(start_n, correction, phi, martingale) composed as the run modes do."""
+    """(correction, phi, martingale) composed as the run modes do."""
     h = schedule.values(len(traj) + 1)
-    start_n, corr, kernel_cf = mg.cf_corrections(schedule, h, kernel, t, len(traj), traj.flavor)
-    phi = cf_path(traj, t, kernel_cf)
-    return start_n, corr, phi, corr * phi
+    corr, kernel_cf = mg.cf_corrections(schedule, h, kernel, t, len(traj), traj.flavor)
+    phi, path = cf_path(traj, t, kernel_cf)
+    return corr, phi, corr * path
+
+
+def oracle_cf_martingale(traj, schedule, kernel, t):
+    """P_n X_n for n = 1..N by pure-Python loops: P_n the suffix product of
+    scalar growth factors times the certified tail, X_n the explicit phase
+    sum (1/n) sum_{i<=n} w_i exp(i t'x_i), with w_i = phi_K(h_i t) for the
+    frozen bandwidth (the mixture CF) and 1 for the shared one (psi_n)."""
+    n_pts = len(traj)
+    t = np.broadcast_to(np.asarray(t, dtype=float), (kernel.dim,))
+    s = mg.BANDWIDTH_SHIFT[traj.flavor]
+    h = [float(v) for v in schedule.values(n_pts + s)]
+    running = mg.lemma_product_tail(schedule, kernel, t, n_pts + 1, traj.flavor).value
+    suffix = [0j] * n_pts
+    for n in range(n_pts, 0, -1):
+        running *= 1.0 + (complex(kernel.cf(h[n + s - 1] * t)) - 1.0) / (n + 1)
+        suffix[n - 1] = running
+    total = 0j
+    out = []
+    for n in range(1, n_pts + 1):
+        x = [float(v) for v in traj.points[n - 1]]
+        phase = cmath.exp(1j * sum(tj * xj for tj, xj in zip(t.tolist(), x)))
+        weight = 1.0 if traj.flavor == "kde" else complex(kernel.cf(h[n - 1] * t))
+        total += weight * phase
+        out.append(suffix[n - 1] * total / n)
+    return np.array(out)
 
 
 class TestCfMartingaleTrace:
     def test_t_zero_is_identically_one(self):
         streams = DrawStreams.from_seed(7, 0)
         traj = simulate("kde", SCHED, GAUSS, 50, streams)
-        _, _, _, mart = cf_martingale(traj, SCHED, GAUSS, 0.0)
+        _, _, mart = cf_martingale(traj, SCHED, GAUSS, 0.0)
         np.testing.assert_array_equal(mart, np.ones(50, dtype=complex))
 
     def test_single_point_cf(self):
         traj = simulate("kde", SCHED, GAUSS, 1)
-        _, _, phi, _ = cf_martingale(traj, SCHED, GAUSS, 1.0)
+        _, phi, _ = cf_martingale(traj, SCHED, GAUSS, 1.0)
         assert phi[0] == pytest.approx(np.exp(-0.5), abs=1e-14)
 
     def test_recursive_bounded_by_one(self):
         streams = DrawStreams.from_seed(8, 0)
         traj = simulate("recursive", SCHED, GAUSS, 10**4, streams)
-        _, corr, _, mart = cf_martingale(traj, SCHED, GAUSS, 1.0)
-        assert float(np.nanmax(np.abs(mart))) <= 1.0 + 1e-10
-        assert float(np.nanmax(np.abs(corr))) <= 1.0 + 1e-10
+        corr, _, mart = cf_martingale(traj, SCHED, GAUSS, 1.0)
+        assert float(np.max(np.abs(mart))) <= 1.0 + 1e-10
+        assert float(np.max(np.abs(corr))) <= 1.0 + 1e-10
 
     def test_kde_bounded_by_correction_sup(self):
         streams = DrawStreams.from_seed(9, 0)
         traj = simulate("kde", SCHED, GAUSS, 2000, streams)
-        _, corr, _, mart = cf_martingale(traj, SCHED, GAUSS, 2.0)
-        sup_c = float(np.nanmax(np.abs(corr)))
-        assert float(np.nanmax(np.abs(mart))) <= sup_c + 1e-10
+        corr, _, mart = cf_martingale(traj, SCHED, GAUSS, 2.0)
+        sup_c = float(np.max(np.abs(corr)))
+        assert float(np.max(np.abs(mart))) <= sup_c + 1e-10
 
     def test_correction_approaches_one(self):
-        _, corr, _ = mg.cf_corrections(SCHED, H, GAUSS, 1.0, 5000, "recursive")
+        corr, _ = mg.cf_corrections(SCHED, H, GAUSS, 1.0, 5000, "recursive")
         gaps = np.abs(corr - 1.0)
         checkpoints = np.array([10, 100, 1000, 4999]) - 1
         vals = gaps[checkpoints]
@@ -838,20 +828,18 @@ class TestCfMartingaleTrace:
         bound = mg.product_tail_bound(SCHED, GAUSS, 1.0, 5000, "recursive")
         assert vals[-1] <= np.expm1(bound) + 1e-10
 
-    def test_kde_correction_equals_telescoped_ratio_product(self):
-        # prod_{k=n}^{M} of the ratio factors telescopes to
-        # (prod a_k) phi_K(h_{M+1} t) / phi_K(h_n t); for large M this must
-        # approach the stored correction within the certified bounds.
-        t, n, m = 1.3, 7, 20000
-        start, corr, _ = mg.cf_corrections(SCHED, H, GAUSS, t, 64, "kde")
-        a = oracle_factors(SCHED, GAUSS, t, n, m, "kde")
-        phi_h = GAUSS.cf_scaled(t, SCHED.values(m + 1))
-        ratio_factors = a * phi_h[n : m + 1] / phi_h[n - 1 : m]
-        partial = complex(np.prod(ratio_factors))
-        slack = np.expm1(mg.product_tail_bound(SCHED, GAUSS, t, m + 1, "kde")) + 2 * abs(
-            phi_h[m] - 1.0
-        )
-        assert abs(corr[n - 1] - partial) <= abs(partial) * slack + 1e-12
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_martingale_matches_pure_python_oracle(self, family, d, flavor):
+        # From n = 1, for either flavor: t = 3 puts phi_K(h_n t) near or
+        # below 0.1 for the first n in every family.
+        kernel = KernelSpec(family, dim=d, **FAMILIES[family])
+        t = np.linspace(3.0, 2.0, d)
+        traj = simulate(flavor, SCHED, kernel, 120, DrawStreams.from_seed(31, d))
+        _, _, mart = cf_martingale(traj, SCHED, kernel, t)
+        np.testing.assert_allclose(mart, oracle_cf_martingale(traj, SCHED, kernel, t),
+                                   rtol=1e-10, atol=0.0)
 
     def test_laplace_traces_full_pipeline(self):
         lap = KernelSpec("laplace")
@@ -859,8 +847,8 @@ class TestCfMartingaleTrace:
         traj = simulate("recursive", SCHED, lap, 800, streams)
         u, j, _, s = tightness(traj, SCHED, lap.norm_mean)
         assert np.all(s >= j)
-        _, _, _, mart = cf_martingale(traj, SCHED, lap, 1.5)
-        assert float(np.nanmax(np.abs(mart))) <= 1.0 + 1e-10
+        _, _, mart = cf_martingale(traj, SCHED, lap, 1.5)
+        assert float(np.max(np.abs(mart))) <= 1.0 + 1e-10
         excess, _, _ = markov_excess("recursive", u, j, lap, 10 * j[-1], times=[500])
         assert excess <= mg.TAIL_BOUND_TOLERANCE
 
@@ -870,35 +858,29 @@ class TestCfMartingaleTrace:
     def test_corrections_match_suffix_loop(self, flavor, kernel, t):
         # Reference: the suffix product multiplied one factor at a time from
         # the far end, as a scalar loop, over the same factor floats.
-        start, corr, _ = mg.cf_corrections(SCHED, H, kernel, t, 400, flavor)
-        shift = 0 if flavor == "kde" else 1
-        h = SCHED.values(400 + shift)[start - 1 + shift :]
-        n = np.arange(start, 401, dtype=float)
+        corr, _ = mg.cf_corrections(SCHED, H, kernel, t, 400, flavor)
+        shift = mg.BANDWIDTH_SHIFT[flavor]
+        h = SCHED.values(400 + shift)[shift:]
+        n = np.arange(1, 401, dtype=float)
         factors = 1.0 + mg._factor_deviation(kernel.cf_scaled_minus_one(t, h), n)
         running = mg.lemma_product_tail(SCHED, kernel, t, 401, flavor).value
-        expected = np.full(400, np.nan, dtype=complex)
+        expected = np.empty(400, dtype=complex)
         for i in range(len(factors) - 1, -1, -1):
             running = factors[i] * running
-            expected[start - 1 + i] = running
-        if flavor == "kde":
-            expected[start - 1 :] /= kernel.cf_scaled(t, SCHED.values(400)[start - 1 :])
+            expected[i] = running
         np.testing.assert_array_equal(corr, expected)
 
     def test_vanishing_growth_factor_rejected(self):
         with pytest.raises(ZeroFactor):
             mg.cf_corrections(SCHED, H, _NegatingCF(), 1.0, 5, "kde")
 
-    def test_kernel_cf_zero_inside_range_rejected(self):
-        # start_n = 1 and every growth factor is non-zero, but the kde
-        # correction divides by phi_K(h_3 t) = 0; the recursive one does not.
-        with pytest.raises(ZeroDenominator):
-            mg.cf_corrections(SCHED, H, _CFZeroAtH3(), 1.0, 5, "kde")
-        start, corr, _ = mg.cf_corrections(SCHED, H, _CFZeroAtH3(), 1.0, 5, "recursive")
-        assert start == 1 and np.all(np.isfinite(corr))
-
-    def test_start_index_beyond_horizon_rejected(self):
-        with pytest.raises(ZeroDenominator):
-            mg.cf_corrections(SCHED, H, HALF, 20.0, 5, "kde")
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_kernel_cf_zero_inside_range_accepted(self, flavor):
+        # phi_K(h_3 t) = 0, but every growth factor is non-zero, and neither
+        # correction divides by the kernel CF row.
+        corr, row = mg.cf_corrections(SCHED, H, _CFZeroAtH3(), 1.0, 5, flavor)
+        assert np.all(np.isfinite(corr)) and np.all(corr != 0)
+        assert row[2] == 0.0
 
 
 class TestOneStepIdentities:
@@ -916,23 +898,23 @@ class TestOneStepIdentities:
         traj = simulate(flavor, SCHED, GAUSS, n, streams)
         h = SCHED.values(n + 1)
         phases = np.exp(1j * t * traj.points[:, 0])
-        scales_now = np.full(n, h[n - 1]) if flavor == "kde" else h[:n]
-        phi_n = np.mean(phases * GAUSS.cf_scaled(t, scales_now))
-        # E[phase of the new point | state]: average over the n ancestors,
-        # kernel draw integrated via phi_K.
+        # The path X the correction multiplies: the phase mean psi_n (kde)
+        # or the mixture CF phi_n (recursive), a mean of weighted phases.
         if flavor == "kde":
-            next_phase = np.mean(phases) * GAUSS.cf_scaled(t, np.array([h[n - 1]]))[0]
+            weighted = phases
+            new_scale = h[n - 1]
         else:
-            next_phase = np.mean(phases * GAUSS.cf_scaled(t, h[:n]))
-        # E[phi_{n+1} | state]: old components plus the integrated new one.
-        scales_next = np.full(n, h[n]) if flavor == "kde" else h[:n]
+            weighted = phases * GAUSS.cf_scaled(t, h[:n])
+            new_scale = h[n]
+        path_n = np.mean(weighted)
+        # E[X_{n+1} | state]: the old terms plus the new point's, averaged
+        # over the n ancestors with the kernel draw integrated via phi_K.
         expected = (
-            np.sum(phases * GAUSS.cf_scaled(t, scales_next))
-            + next_phase * GAUSS.cf_scaled(t, np.array([h[n]]))[0]
+            np.sum(weighted) + path_n * GAUSS.cf_scaled(t, np.array([new_scale]))[0]
         ) / (n + 1)
-        # The production martingale c_n phi_n has this as its one-step mean.
-        _, c, _ = mg.cf_corrections(SCHED, H, GAUSS, t, n + 1, flavor)
-        assert c[n - 1] * phi_n == pytest.approx(c[n] * expected, abs=1e-13)
+        # The production martingale P_n X_n has this as its one-step mean.
+        c, _ = mg.cf_corrections(SCHED, H, GAUSS, t, n + 1, flavor)
+        assert c[n - 1] * path_n == pytest.approx(c[n] * expected, abs=1e-13)
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_tightness_compensator_matches_enumeration(self, flavor):

@@ -562,7 +562,8 @@ def kernel_cf_row(schedule, kernel, t, n):
 
 def cf_path_out_of_place(traj, schedule, kernel, t):
     """Oracle for ``cf_path``: the same steps as plain numpy expressions, each
-    writing a fresh array, with the kernel CF row read inside."""
+    writing a fresh array, with the kernel CF row read inside.  Returns
+    (phi, path): the kde path is the phase mean, its parts divided apart."""
     n_max = len(traj)
     t = np.broadcast_to(np.asarray(t, dtype=float), (traj.dim,))
     phases = np.exp(1j * (traj.points @ t))
@@ -572,7 +573,13 @@ def cf_path_out_of_place(traj, schedule, kernel, t):
         sums = row * np.cumsum(phases)
     else:
         sums = np.cumsum(phases * row)
-    return sums.real / counts + 1j * (sums.imag / counts)
+    phi = sums.real / counts + 1j * (sums.imag / counts)
+    if traj.flavor == "recursive":
+        return phi, phi
+    psi = np.empty(n_max, dtype=complex)
+    psi.real = np.cumsum(phases).real / counts
+    psi.imag = np.cumsum(phases).imag / counts
+    return phi, psi
 
 
 # Keyword arguments of each kernel family beyond its dimension.
@@ -585,10 +592,10 @@ class TestCfPath:
             streams = DrawStreams.from_seed(29, 0)
             traj = simulate(flavor, SCHED, GAUSS, 60, streams)
             for t in (0.5, 2.0):
-                path = cf_path(traj, t, kernel_cf_row(SCHED, GAUSS, t, 60))
+                phi, _ = cf_path(traj, t, kernel_cf_row(SCHED, GAUSS, t, 60))
                 for n in (1, 7, 33, 60):
                     mix = predictive_mixture(traj, H, GAUSS, at_time=n)
-                    assert path[n - 1] == pytest.approx(mix.cf(t), abs=1e-12)
+                    assert phi[n - 1] == pytest.approx(mix.cf(t), abs=1e-12)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -607,10 +614,13 @@ class TestCfPath:
         schedule = BandwidthSchedule.default(d)
         t = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=d, max_size=d)))
         traj = simulate(flavor, schedule, kernel, length, DrawStreams.from_seed(seed, 0))
-        path = cf_path(traj, t, kernel_cf_row(schedule, kernel, t, length))
+        phi, path = cf_path(traj, t, kernel_cf_row(schedule, kernel, t, length))
         for n in sorted({1, max(1, length // 3), length}):
             mix = predictive_mixture(traj, schedule.values(length), kernel, at_time=n)
-            assert path[n - 1] == pytest.approx(mix.cf(t), abs=1e-12)
+            assert phi[n - 1] == pytest.approx(mix.cf(t), abs=1e-12)
+            # The kde path is the phase mean psi_n, of which phi_n = phi_K(h_n t) psi_n.
+            psi = np.mean(np.exp(1j * (traj.points[:n] @ t))) if flavor == "kde" else phi[n - 1]
+            assert path[n - 1] == pytest.approx(psi, abs=1e-12)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -622,8 +632,11 @@ class TestCfPath:
         kernel = KernelSpec(family, dim=d, **FAMILY_ARGS[family])
         for r in range(2):
             traj = simulate(flavor, SCHED, kernel, 400, DrawStreams.from_seed(17, r))
-            got = cf_path(traj, t, kernel_cf_row(SCHED, kernel, t, 400))
-            assert got.tobytes() == cf_path_out_of_place(traj, SCHED, kernel, t).tobytes()
+            phi, path = cf_path(traj, t, kernel_cf_row(SCHED, kernel, t, 400))
+            want_phi, want_path = cf_path_out_of_place(traj, SCHED, kernel, t)
+            assert phi.tobytes() == want_phi.tobytes()
+            assert path.tobytes() == want_path.tobytes()
+            assert (path is phi) == (flavor == "recursive")
 
     def test_row_must_match_trajectory(self):
         traj = simulate("kde", SCHED, GAUSS, 30, DrawStreams.from_seed(3, 0))
