@@ -10,14 +10,15 @@ Three forms are supported:
 
 The power and exponential forms are one law h(x) at a real index x
 (:meth:`BandwidthSchedule.law`); ``values`` reads it at the integers, once
-per run, and each consumer takes its :func:`leading` head.  The module also
-evaluates the schedule-weighted infinite sum feeding the martingale traces,
+per run, and each consumer takes its :func:`leading` head.  Past a horizon,
+:meth:`BandwidthSchedule.tail_sum` is the one certified sum of terms that
+decay with the law: the log-sum of the CF growth factors, and the weighted
+tail feeding the martingale traces,
 
-    W_s(n) = sum_{k>=n} h_{k+s} / (k+1),    s in {0, 1},
+    W_s(n) = sum_{k>=n} h_{k+s} / (k+1),    s in {0, 1}.
 
-to ~1e-12 relative accuracy, using Hurwitz-zeta series for power schedules
-and blockwise geometric summation for exponential ones.  A table ends, so it
-has no law past its end and no tail sum: both raise NoEnvelope.
+A table ends, so it has no law past its end and no tail sum: both raise
+NoEnvelope.
 """
 
 from __future__ import annotations
@@ -25,15 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import integrate
 
 from .errors import IndexBeyondTable, NoEnvelope, ToleranceNotReached
 
-_ZETA_SERIES_MIN_START = 64
-_BLOCK = 65536  # terms per numpy block in _block_sum
-# Blocks _block_sum reads at most: its ~36/rate terms exceed them below a
-# rate of ~5e-7, which raises instead of summing for minutes to years.
-_MAX_BLOCKS = 1024
+# Terms a tail sum adds one by one before its Euler-Maclaurin remainder.
+TAIL_CUT = 4096
+# Relative error the tail weight must reach.
+TAIL_WEIGHT_REL_TOL = 1e-12
+# Fastest exponential rate whose tail past the cut Euler-Maclaurin resolves.
+_EM_MAX_RATE = 2.5e-4
 
 
 def _finite_positive(v) -> bool:
@@ -121,23 +123,80 @@ class BandwidthSchedule:
 
     # --------------------------------------------------------------- tail sums
 
-    def tail_weight(self, n: int, shift: int) -> float:
-        """W_s(n) = sum_{k>=n} h_{k+s} / (k+1) for the index shift s = ``shift``
-        in {0, 1}.  The exponential form sums the law blockwise; on a table
-        the law raises NoEnvelope at the first block."""
+    def tail_sum(self, f, n: int, epsabs: float, epsrel: float) -> tuple:
+        """(sum_{k>=n} f(k), an error bound) for terms f(x) at real x that
+        decay with the law, such as h(x + s)/(x + 1) or log a_x(t).
+
+        The terms before the cut max(n, TAIL_CUT) are summed directly, the
+        rest by Euler-Maclaurin: int_cut^inf f + f(cut)/2 - f'(cut)/12, with
+        f' a central difference and the third difference bounding what that
+        leaves out.  The integral is mapped onto u in (0, 1] by
+        x = cut u**(-p), where quadrature resolves it to ``epsabs`` /
+        ``epsrel``: p = 1/delta makes a power law's terms bounded in u, and
+        p = 1 puts an exponential law's stretch below 1/rate, where h ~ 1 and
+        the terms fall like 1/x, on a log-uniform scale and its decay past
+        1/rate into a vanishing corner.  f is evaluated once per node, and
+        real terms take no imaginary pass.  A map that leaves the float
+        range raises ToleranceNotReached; on a table the law raises
+        NoEnvelope.
+        """
         if n < 1:
             raise ValueError(f"tail start must be >= 1, got {n}")
+        cut = max(n, TAIL_CUT)
+        if self.form == "exponential" and self.rate > _EM_MAX_RATE:
+            # A faster law leaves ~rate**4/200 of the remainder to the
+            # Euler-Maclaurin error, so the head runs on until it has
+            # fallen by e**-37, below float resolution.
+            cut = max(cut, n + int(np.ceil(37.0 / self.rate)))
+        k = np.arange(n, cut, dtype=float)
+        direct = np.sum(f(k)) if k.size else 0.0
+        # f at each node, kept for this call only.
+        seen = {}
+
+        def f_at(x):
+            value = seen.get(x)
+            if value is None:
+                value = seen[x] = f(x)
+            return value
+
+        f0, d1 = f_at(float(cut)), f_at(cut + 0.5) - f_at(cut - 0.5)
+        d3 = f_at(cut + 1.5) - 3 * f_at(cut + 0.5) + 3 * f_at(cut - 0.5) - f_at(cut - 1.5)
+        p = 1.0 / self.delta if self.form == "power" else 1.0
+        integral = err = 0.0
+        for part, unit in ((np.real, 1.0), (np.imag, 1j))[: 1 + np.iscomplexobj(f0)]:
+            try:
+                value, part_err = integrate.quad(
+                    lambda u: float(part(f_at(cut * u ** (-p)))) * (cut * p * u ** (-p - 1.0)),
+                    0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=400, full_output=1,
+                )[:2]
+            except OverflowError:
+                # A tiny decay exponent maps u near 0 beyond the float range.
+                raise ToleranceNotReached(
+                    f"the tail quadrature from the cut n={cut} leaves the float range"
+                ) from None
+            integral += unit * value
+            err += part_err
+        remainder = integral + 0.5 * f0 - d1 / 12.0
+        # The omitted term f'''/720 and the f'''/24 that d1 adds to f' make
+        # 7 f'''/1440 together.
+        err += 7.0 * abs(d3) / 1440.0 + 1e-15 * (abs(direct) + abs(remainder))
+        return direct + remainder, float(err)
+
+    def tail_weight(self, n: int, shift: int) -> float:
+        """W_s(n) = sum_{k>=n} h_{k+s} / (k+1) for the index shift s = ``shift``
+        in {0, 1}, to TAIL_WEIGHT_REL_TOL relative (ToleranceNotReached if
+        not); on a table the law raises NoEnvelope."""
         if shift not in (0, 1):
             raise ValueError(f"tail shift must be 0 or 1, got {shift}")
-        if self.form == "power" and shift:
-            # h_{k+1}/(k+1) = C (k+1)**-(1+delta) exactly.
-            return self.c * float(special.zeta(1.0 + self.delta, n + 1))
-        if self.form == "power":
-            start = max(n, _ZETA_SERIES_MIN_START)
-            k = np.arange(n, start, dtype=float)
-            head = float(np.sum(k ** (-self.delta) / (k + 1.0))) if len(k) else 0.0
-            return self.c * (head + _alternating_zeta_tail(self.delta, start))
-        return _block_sum(lambda k: self.law(k + shift) / (k + 1.0), n, self.rate)
+        value, err = self.tail_sum(
+            lambda x: self.law(x + shift) / (x + 1.0), n, 0.0, TAIL_WEIGHT_REL_TOL / 4
+        )
+        if err > TAIL_WEIGHT_REL_TOL * value:
+            raise ToleranceNotReached(
+                f"tail weight W_{shift}({n}): relative error {err / value:.3g} above "
+                f"the tolerance {TAIL_WEIGHT_REL_TOL:g}"
+            )
+        return float(value)
 
 
 def leading(h: np.ndarray, n: int) -> np.ndarray:
@@ -145,40 +204,3 @@ def leading(h: np.ndarray, n: int) -> np.ndarray:
     if len(h) < n:
         raise ValueError(f"need the bandwidths h_1..h_{n}, got {len(h)}")
     return h[:n]
-
-
-def _alternating_zeta_tail(delta: float, start: int) -> float:
-    """sum_{k>=start} k**(-delta) / (k+1) via 1/(k+1) = sum_j (-1)^(j-1) k^(-j).
-
-    Valid for start >= 2; each extra term gains a factor ~1/start, so the
-    series reaches ~1e-16 relative accuracy within a few dozen terms.
-    """
-    if start < 2:
-        raise ValueError("series expansion needs start >= 2")
-    total = 0.0
-    sign = 1.0
-    for j in range(1, 80):
-        term = float(special.zeta(delta + j, start))
-        total += sign * term
-        if term <= 1e-17 * abs(total):
-            break
-        sign = -sign
-    return total
-
-
-def _block_sum(term_fn, start: int, rate: float) -> float:
-    """Sum term_fn(k) for k >= start where terms decay at least like
-    exp(-rate*k); ToleranceNotReached past _MAX_BLOCKS blocks."""
-    total = 0.0
-    for b in range(_MAX_BLOCKS):
-        k = np.arange(start + b * _BLOCK, start + (b + 1) * _BLOCK, dtype=float)
-        vals = term_fn(k)
-        total += float(np.sum(vals))
-        # Geometric bound on everything past this block.
-        remainder = vals[-1] * np.exp(-rate) / max(1.0 - np.exp(-rate), 1e-300)
-        if remainder <= 1e-16 * max(total, 1e-300) or remainder == 0.0:
-            return total
-    raise ToleranceNotReached(
-        f"exponential bandwidth rate {rate:g}: the tail sum from n={start} does not "
-        f"converge within {_MAX_BLOCKS * _BLOCK} terms"
-    )

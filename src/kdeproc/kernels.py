@@ -216,12 +216,13 @@ class KernelSpec:
         r = np.asarray(r, dtype=float)
         rp = np.maximum(r, 0.0)
         if self.family in ("gaussian", "half_normal"):
-            # |(|Z_1|,...,|Z_d|)| equals |Z|, so both families share the chi law.
-            out = stats.chi.sf(rp, df=self.dim)
+            # |(|Z_1|,...,|Z_d|)| equals |Z|, so both families share the chi
+            # law; scipy.stats' chi.sf and t.sf are these calls plus dispatch.
+            out = special.gammaincc(0.5 * self.dim, 0.5 * rp**2)
         elif self.family == "laplace":
             out = np.exp(-rp)
         else:
-            out = 2.0 * stats.t.sf(rp, self.dof)
+            out = 2.0 * special.stdtr(self.dof, -rp)
         return np.where(r < 0.0, 1.0, out)
 
     # ------------------------------------------------------------------ moments

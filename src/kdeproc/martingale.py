@@ -34,13 +34,10 @@ phi_K(h_n t) - 1 is evaluated once over the bandwidths h_1..h_{n_max+s}
 (s = 0 shared, 1 frozen, :data:`BANDWIDTH_SHIFT`).  One plus its first
 n_max entries is the kernel CF row that ``cf_path`` reads; the
 growth-factor deviations are the slice shifted by s, times 1/(n+1).
-Products over k > n_max follow the schedule's law, through their log-sum
-with an Euler-Maclaurin tail (slow power-law decay makes naive truncation
-hopeless), and every product carries both the summable bound certifying it
-stays near 1 and a numerical remainder estimate.  The tail's quadrature
-evaluates the log-factor once at each node: the real and the imaginary
-pass and the endpoint differences read one table of complex values that
-lives for one call.
+Products over k > n_max follow the schedule's law: their log-sum is the
+schedule's certified ``tail_sum`` (slow power-law decay makes naive
+truncation hopeless), and every product carries both the summable bound
+certifying it stays near 1 and a numerical error estimate.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .bandwidth import BandwidthSchedule, leading
 from .errors import ToleranceNotReached, TooFewReplications, ZeroFactor
@@ -87,7 +83,7 @@ def compensator_tails(
 
     The martingale along a trajectory is J + tail, with J the running mean of
     ``process.dominating_path``.  The terms read h_1..h_{n_max} (the head of
-    ``h``), the sum past n_max the schedule's closed-form tail weight.
+    ``h``), the sum past n_max the schedule's certified tail weight.
     """
     check_flavor(flavor)
     if n_max < 1:
@@ -164,8 +160,8 @@ def product_tail_bound(
 ) -> float:
     """Summable bound on sum_{k>=from_n} |factor_k - 1|.
 
-    |a_k - 1| <= h_{k+s} kappa / (k+1), with s from ``BANDWIDTH_SHIFT``; the
-    sum has a closed-to-1e-12 evaluation per bandwidth form.
+    |a_k - 1| <= h_{k+s} kappa / (k+1), with s from ``BANDWIDTH_SHIFT``: kappa
+    times the schedule's tail weight.
     """
     check_flavor(flavor)
     return lemma_constant(kernel, t) * schedule.tail_weight(from_n, BANDWIDTH_SHIFT[flavor])
@@ -187,11 +183,14 @@ class ProductTail:
 
 
 def _log1p_complex(w: np.ndarray) -> np.ndarray:
-    """log(1 + w) accurate for |w| far below float epsilon."""
+    """log(1 + w) to a few ulp of |w| below |w| = 1/2, as log1p(2a + |w|^2)/2
+    + i arg(1 + w) for w = a + ib: log(1 + w), and numpy's complex log1p,
+    round 1 + w first, ~1e-16 per factor that 10^8 factors sum to ~1e-8."""
     w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 1e-8
+    small = np.abs(w) < 0.5
     out = np.empty(w.shape, dtype=complex)
-    out[small] = w[small] * (1.0 - 0.5 * w[small])
+    a, b = w.real[small], w.imag[small]
+    out[small] = 0.5 * np.log1p(2.0 * a + (a * a + b * b)) + 1j * np.arctan2(b, 1.0 + a)
     out[~small] = np.log(1.0 + w[~small])
     return out
 
@@ -221,98 +220,34 @@ def lemma_product_tail(
 ) -> ProductTail:
     """prod_{k >= from_n} growth factor, certified.
 
-    The log-sum is split into a direct part and an Euler-Maclaurin remainder
-    (integral + endpoint corrections); with decay exponents as low as 1.2 a
-    term-by-term truncation could never reach ``PRODUCT_TAIL_REL_TOL``, the
-    remainder integral can.
+    The product is exp of the log-sum of the factors, which the schedule's
+    ``tail_sum`` evaluates: with decay exponents as low as 1.2 a term-by-term
+    truncation could never reach ``PRODUCT_TAIL_REL_TOL``, its
+    Euler-Maclaurin remainder can.
     """
-    if from_n < 1:
-        raise ValueError(f"start must be >= 1, got {from_n}")
+    check_flavor(flavor)
     t = frequency(t, kernel.dim)
-    bound = product_tail_bound(schedule, kernel, t, from_n, flavor)  # NoEnvelope if none
     f = _log_factor_fn(schedule, kernel, t, flavor)
-
     where = (f"CF product tail at t=({', '.join(f'{v:g}' for v in t)}), flavor {flavor}, "
              f"from n={from_n}")
-    cut = max(from_n, 4096)
-    for _ in range(4):
-        k = np.arange(from_n, cut, dtype=float)
-        direct = complex(np.sum(f(k))) if k.size else 0.0 + 0.0j
-        try:
-            remainder, rem_err = _euler_maclaurin_tail(f, cut, schedule)
-        except OverflowError:
-            # A tiny decay exponent maps u in (0, 1] beyond the float range.
-            raise ToleranceNotReached(
-                f"{where}: the tail quadrature from the cut n={cut} leaves the float range"
-            ) from None
-        value = np.exp(direct + remainder)
-        # rem_err bounds the error of the log-sum L, and exp(L + e) =
-        # exp(L)(1 + e + ...), so it is the tail's relative error as it stands.
-        if rem_err <= PRODUCT_TAIL_REL_TOL:
-            return ProductTail(
-                value=complex(value),
-                from_n=from_n,
-                lemma_bound=bound,
-                numerical_error=float(rem_err * abs(value)),
-            )
-        cut *= 4
-    raise ToleranceNotReached(
-        f"{where}: relative error {rem_err:.3g} (the log-sum error; |tail| "
-        f"{abs(value):.3g}) at the last cut n={cut // 4}, above the tolerance "
-        f"{PRODUCT_TAIL_REL_TOL:g}"
+    try:
+        log_sum, log_err = schedule.tail_sum(f, from_n, PRODUCT_TAIL_REL_TOL / 4, 0.0)
+    except ToleranceNotReached as exc:
+        raise ToleranceNotReached(f"{where}: {exc}") from None
+    value = np.exp(log_sum)
+    # log_err bounds the error of the log-sum L, and exp(L + e) =
+    # exp(L)(1 + e + ...), so it is the tail's relative error as it stands.
+    if log_err > PRODUCT_TAIL_REL_TOL:
+        raise ToleranceNotReached(
+            f"{where}: relative error {log_err:.3g} (the log-sum error; |tail| "
+            f"{abs(value):.3g}), above the tolerance {PRODUCT_TAIL_REL_TOL:g}"
+        )
+    return ProductTail(
+        value=complex(value),
+        from_n=from_n,
+        lemma_bound=product_tail_bound(schedule, kernel, t, from_n, flavor),
+        numerical_error=float(log_err * abs(value)),
     )
-
-
-def _euler_maclaurin_tail(f, start: int, schedule: BandwidthSchedule) -> tuple[complex, float]:
-    """sum_{k>=start} f(k) ~ int_start^inf f + f(start)/2 - f'(start)/12.
-
-    The tail integral is mapped onto u in (0, 1] with a substitution matched
-    to the schedule's decay (x = start * u**(-1/delta), resp. a log map for
-    exponential decay), which turns the slow algebraic tail into a bounded
-    integrand that quadrature resolves to near machine accuracy.
-    """
-    if schedule.form == "power":
-        inv = 1.0 / schedule.delta
-
-        def x_of(u):
-            return start * u ** (-inv)
-
-        def jac(u):
-            return start * inv * u ** (-inv - 1.0)
-
-    else:
-        rate = schedule.rate
-
-        def x_of(u):
-            return start - np.log(u) / rate
-
-        def jac(u):
-            return 1.0 / (rate * u)
-
-    # f at each node, kept for this call only: the real and the imaginary
-    # quadrature and the endpoint differences evaluate f once per node.
-    seen = {}
-
-    def f_at(x):
-        value = seen.get(x)
-        if value is None:
-            value = seen[x] = f(x)
-        return value
-
-    def quad_part(part):
-        return integrate.quad(lambda u: float(part(f_at(x_of(u)))) * jac(u), 0.0, 1.0, limit=400)
-
-    re_val, re_err = quad_part(np.real)
-    im_val, im_err = quad_part(np.imag)
-    f0 = complex(f_at(float(start)))
-    d1 = complex(f_at(start + 0.5) - f_at(start - 0.5))
-    # Third difference estimates the first omitted correction term f'''/720.
-    d3 = complex(
-        f_at(start + 1.5) - 3 * f_at(start + 0.5) + 3 * f_at(start - 0.5) - f_at(start - 1.5)
-    )
-    remainder = re_val + 1j * im_val + 0.5 * f0 - d1 / 12.0
-    err = re_err + im_err + abs(d3) / 720.0 + 1e-15 * (abs(remainder) + 1.0)
-    return remainder, float(err)
 
 
 # -------------------------------------------------------- CF corrections

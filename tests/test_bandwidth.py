@@ -1,11 +1,13 @@
 """Bandwidth schedules and their weighted tail sums."""
 
+import decimal
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from kdeproc import BandwidthSchedule, default_delta
 from kdeproc import martingale as mg
@@ -200,20 +202,34 @@ class TestTailSums:
         ids=["kde", "shifted"],
     )
     def test_exponential_tails_past_one_block(self, shift, term):
-        # At rate 1e-4 the terms shrink by 1/e per 10^4, so the sum runs over
-        # many 65 536-term blocks; 2 * 10^6 exactly rounded terms leave a
-        # remainder near e^-200.
+        # At rate 1e-4 the terms shrink by 1/e per 10^4, so most of the sum
+        # lies past the directly summed head; 2 * 10^6 exactly rounded terms
+        # leave a remainder near e^-200.
         k = np.arange(10, 10 + 2 * 10**6, dtype=float)
         want = math.fsum(term(k).tolist())
         got = BandwidthSchedule.exponential(1e-4).tail_weight(10, shift)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("rate", [1e-9, 1e-12])
     @pytest.mark.parametrize("shift", [0, 1])
-    def test_tiny_exponential_rate_is_refused(self, shift):
-        # The terms would need ~36/rate of them to fall below 1e-16 of the
-        # sum; past the block budget the sum raises, naming the rate.
-        with pytest.raises(ToleranceNotReached, match="exponential bandwidth rate 1e-09"):
-            BandwidthSchedule.exponential(1e-9).tail_weight(51, shift)
+    def test_tiny_exponential_rate_matches_log_identity(self, shift, rate):
+        # A direct sum would need ~36/rate terms.  The log identity
+        # sum_{j>n} e^{-rj}/j = -ln(1 - e^{-r}) - sum_{j<=n} e^{-rj}/j gives
+        # W_1(n), and W_0(n) = e^r W_1(n); at n r <= 1 it loses nothing.
+        n = 51
+        head = math.fsum(math.exp(-rate * j) / j for j in range(1, n + 1))
+        want = -math.log(-math.expm1(-rate)) - head
+        if shift == 0:
+            want *= math.exp(rate)
+        got = BandwidthSchedule.exponential(rate).tail_weight(n, shift)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_tiny_power_delta_leaves_the_float_range(self, shift):
+        # h_n = n^(-0.005) maps u in (0, 1] to x = 4096 u^(-200), beyond the
+        # float range near u = 0: an error, where a Hurwitz zeta has a value.
+        with pytest.raises(ToleranceNotReached, match="from the cut n=4096 leaves the float range"):
+            BandwidthSchedule.power(1.0, 0.005).tail_weight(51, shift)
 
     @pytest.mark.parametrize(
         "n, shift, message",
@@ -245,3 +261,59 @@ class TestTailSums:
         with pytest.raises(NoEnvelope):
             s.law(1.0)
 
+
+
+def _log_identity(rate, n, shift):
+    """W_s(n) at an exponential rate from the log identity, in 40-digit
+    decimal arithmetic: sum_{j>n} q^j/j = -ln(1 - q) - sum_{j<=n} q^j/j with
+    q = e^{-rate}, and W_0 = W_1 / q."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        q = (-decimal.Decimal(rate)).exp()
+        head, power = decimal.Decimal(0), decimal.Decimal(1)
+        for j in range(1, n + 1):
+            power *= q
+            head += power / j
+        w1 = -(1 - q).ln() - head
+        return float(w1 if shift else w1 / q)
+
+
+class TestTailWeightOracles:
+    """tail_weight against oracles that share no code with tail_sum, to 1e-14."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(c=st.floats(0.1, 10.0), delta=st.floats(0.01, 1.0), n=st.integers(1, 10**6))
+    def test_power_shifted_is_hurwitz_zeta(self, c, delta, n):
+        # h_{k+1}/(k+1) = C (k+1)^-(1+delta), so W_1(n) = C zeta(1+delta, n+1).
+        want = c * float(special.zeta(1.0 + delta, n + 1))
+        got = BandwidthSchedule.power(c, delta).tail_weight(n, 1)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 10**6))
+    def test_harmonic_power_telescopes(self, n):
+        # h_k = 1/k: sum_{k>=n} 1/(k(k+1)) = 1/n.
+        got = BandwidthSchedule.power(1.0, 1.0).tail_weight(n, 0)
+        assert got == pytest.approx(1.0 / n, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rate=st.floats(1e-3, 0.5), n=st.integers(1, 10**5), shift=st.sampled_from([0, 1]))
+    def test_exponential_brute_sum(self, rate, n, shift):
+        # Past n + 40/rate the terms fall below 1e-17 of the first.
+        k = np.arange(n, n + int(40.0 / rate) + 1, dtype=float)
+        want = math.fsum((np.exp(-rate * (k + shift)) / (k + 1.0)).tolist())
+        got = BandwidthSchedule.exponential(rate).tail_weight(n, shift)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        log_rate=st.floats(-12.0, math.log10(0.5)),
+        fraction=st.floats(0.0, 1.0),
+        shift=st.sampled_from([0, 1]),
+    )
+    def test_exponential_log_identity(self, log_rate, fraction, shift):
+        rate = 10.0**log_rate
+        n = max(1, int(fraction * min(1.0 / rate, 2 * 10**4)))
+        want = _log_identity(rate, n, shift)
+        got = BandwidthSchedule.exponential(rate).tail_weight(n, shift)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)

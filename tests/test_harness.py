@@ -102,7 +102,7 @@ class TestDeterminism:
         traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
         from kdeproc.process import write_trajectory_csv
 
-        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.5", cfg.config_hash())
+        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.6", cfg.config_hash())
         expected = (tmp_path / "sim" / "trajectory_00002.csv").read_bytes()
         assert (tmp_path / "solo.csv").read_bytes() == expected
 
@@ -171,7 +171,7 @@ class TestRunModes:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = read_json(tmp_path / "out" / "diagnostics.json")
         assert data == payload
-        assert data["version"] == "0.1.5"
+        assert data["version"] == "0.1.6"
         assert data["config_hash"] == cfg.config_hash()
 
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -601,10 +601,6 @@ class TestCli:
              "obs.txt:3: table values must be finite and strictly positive, got 'nan'"),
             ("simulate", _TABLE, "0.5\n-1\n0.25\n",
              "obs.txt:2: table values must be finite and strictly positive, got '-1'"),
-            ("cf-trace", "bandwidth.form = exponential\nbandwidth.rate = 1e-12\n", None,
-             "exponential bandwidth rate 1e-12"),
-            ("diagnose", "bandwidth.form = exponential\nbandwidth.rate = 1e-12\n", None,
-             "exponential bandwidth rate 1e-12"),
             ("cf-trace", "run.steps = 1\n", None, "run.steps >= 2"),
             ("diagnose", "run.steps = 1\ndiagnostics.drift_times =\n", None, "run.steps >= 2"),
             ("contrast", "kernel.family = gaussian\n", None, "half_normal"),
@@ -636,7 +632,7 @@ class TestCli:
             "bandwidth-delta-inf", "bandwidth-rate-nan", "student-t-dof-inf",
             "negative-tail-factor", "diagnose-laplace-d2", "box-lo-nan", "t-grid-nan",
             "diagnose-table", "cf-trace-table", "table-non-numeric", "table-nan", "table-negative",
-            "cf-trace-tiny-rate", "diagnose-tiny-rate", "cf-trace-one-step", "diagnose-one-step",
+            "cf-trace-one-step", "diagnose-one-step",
             "contrast-gaussian", "contrast-two-steps", "contrast-three-steps",
             "urn-data-path", "contrast-data-path", "posterior-empty-t-grid",
             "simulate-steps-below-data", "drift-times-past-steps", "steps-0",
@@ -699,37 +695,62 @@ class TestCli:
         assert cli_main([mode, "--config", str(cfgfile)]) == 2
         assert capsys.readouterr().err == _NO_ENVELOPE + "\n"
 
-    def test_product_tail_tolerance_exit_code(self, tmp_path, capsys):
-        # student_t with dof 1.5 at d = 3, t = 20 on h_n = n^(-0.05): the
-        # product tail from n = 1000 cannot reach its tolerance; the run must
-        # end as an error, not a traceback.
+    @pytest.mark.parametrize("rate", ["1e-9", "1e-12"])
+    @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
+    def test_tiny_exponential_rate_certifies(self, tmp_path, capsys, mode, rate):
+        # h_n = exp(-rate n) stays ~1 for 1/rate steps, so a direct tail sum
+        # would need ~36/rate terms; the tail quadrature certifies it.
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(
+            f"bandwidth.form = exponential\nbandwidth.rate = {rate}\nrun.steps = 50\n"
+            "run.replications = 2\ndiagnostics.t_grid = 1\ndiagnostics.drift_times = 10\n"
+            "run.output_dir = out\n"
+        )
+        assert cli_main([mode, "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().err == ""
+        artifact = {"diagnose": "diagnostics.json", "cf-trace": "cf_trace_summary.json"}[mode]
+        assert read_json(tmp_path / "out" / artifact)
+
+    def test_product_tail_tolerance_exit_code(self, tmp_path, capsys, monkeypatch):
+        # student_t with dof 1.5 at d = 3, t = 20 on h_n = n^(-0.05): the
+        # product tail from n = 1000 certifies.  Under a tolerance no tail
+        # at t = 20 can reach, the run ends as an error, not a traceback.
+        text = (
             "flavor = recursive\nkernel.family = student_t\nkernel.dof = 1.5\n"
             "kernel.dimension = 3\nbandwidth.delta = 0.05\nrun.steps = 999\n"
-            "diagnostics.t_grid = 1, 20\n"
+            "diagnostics.t_grid = {}\nrun.output_dir = out\n"
         )
-        assert cli_main(["cf-trace", "--config", str(cfgfile)]) == 2
+        (tmp_path / "exp.cfg").write_text(text.format("1, 20"))
+        assert cli_main(["cf-trace", "--config", str(tmp_path / "exp.cfg")]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_json(tmp_path / "out" / "cf_trace_summary.json")
+        (tmp_path / "refused.cfg").write_text(text.format("20"))
+        monkeypatch.setattr(mg, "PRODUCT_TAIL_REL_TOL", 1e-16)
+        assert cli_main(["cf-trace", "--config", str(tmp_path / "refused.cfg")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "tolerance" in err
 
     @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
-    def test_product_tail_error_names_why(self, tmp_path, capsys, mode):
+    def test_product_tail_error_names_why(self, tmp_path, capsys, monkeypatch, mode):
         # student_t with dof 1.5 at t = 20 on h_n = n^(-0.05): the tail past
-        # run.steps = 999 misses its tolerance, and the error says where and
-        # by how much before anything is written.
+        # run.steps = 999 certifies.  Under a tolerance no tail can reach,
+        # the error says where and by how much before anything is written.
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(
             "flavor = recursive\nkernel.family = student_t\nkernel.dof = 1.5\n"
             "bandwidth.delta = 0.05\nrun.steps = 999\nrun.replications = 2\n"
             "diagnostics.t_grid = 20\nrun.output_dir = out\n"
         )
-        assert cli_main([mode, "--config", str(cfgfile)]) == 2
+        assert cli_main([mode, "--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().err == ""
+        assert any((tmp_path / "out").iterdir())
+        monkeypatch.setattr(mg, "PRODUCT_TAIL_REL_TOL", 1e-16)
+        assert cli_main([mode, "--config", str(cfgfile), "--out", "refused"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: CF product tail at t=(20), flavor recursive, from n=1000")
-        assert "relative error" in err and "above the tolerance 1e-08" in err
-        assert not any((tmp_path / "out").iterdir())
+        assert "relative error" in err and "above the tolerance 1e-16" in err
+        assert not any((tmp_path / "refused").iterdir())
 
     @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
     @pytest.mark.parametrize("flavor", FLAVORS)

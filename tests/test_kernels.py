@@ -342,6 +342,32 @@ class TestCdf:
         want = tail if spec.family == "half_normal" else 2.0 * tail
         np.testing.assert_allclose(spec.norm_survival(r), np.where(r < 0, 1.0, want), atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(["gaussian", "half_normal", "student_t"]),
+        d=st.integers(1, 8),
+        dof=st.sampled_from([1.01, 1.5, 2.0, 3.0, 4.5, 7.5, 30.0]),
+        r=st.lists(
+            st.one_of(st.floats(-5.0, 40.0), st.just(0.0), st.just(np.inf)),
+            min_size=1, max_size=50,
+        ),
+    )
+    def test_norm_survival_is_scipy_stats_bit_for_bit(self, family, d, dof, r):
+        # The chi and Student-t survival functions without scipy.stats'
+        # dispatch are the same floats as through it.
+        if family == "student_t":
+            spec, d = KernelSpec("student_t", dof=dof), 1
+        else:
+            spec = KernelSpec(family, dim=d)
+        r = np.array(r)
+        rp = np.maximum(r, 0.0)
+        if family == "student_t":
+            stats_sf = 2.0 * stats.t.sf(rp, dof)
+        else:
+            stats_sf = stats.chi.sf(rp, df=d)
+        want = np.where(r < 0.0, 1.0, stats_sf)
+        assert spec.norm_survival(r).tobytes() == want.tobytes()
+
     def test_norm_survival_unavailable(self):
         with pytest.raises(ValueError):
             KernelSpec("laplace", dim=2).norm_survival(1.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from kdeproc import (
     BandwidthSchedule,
@@ -19,6 +20,7 @@ from kdeproc import (
     predictive_mixture,
     simulate,
 )
+from kdeproc import bandwidth as bw
 from kdeproc import martingale as mg
 from kdeproc.config import ExperimentConfig
 from kdeproc.errors import (
@@ -29,6 +31,7 @@ from kdeproc.errors import (
     ZeroFactor,
 )
 from kdeproc.harness import run
+from kdeproc.kernels import frequency
 from kdeproc.process import FLAVORS
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
@@ -444,6 +447,23 @@ class TestStartIndex:
         assert corr.tobytes() == want[0].tobytes() and row.tobytes() == want[1].tobytes()
 
 
+class TestLogFactor:
+    @settings(max_examples=300, deadline=None)
+    @given(modulus=st.floats(1e-300, 1e-2), angle=st.floats(-np.pi, np.pi))
+    def test_log1p_within_ulps_of_w(self, modulus, angle):
+        # Each log growth factor is off by a few ulp of w, not of 1: a tail
+        # of 10^8 factors would otherwise gather ~1e-8.  The Taylor series,
+        # summed smallest term first, is that accurate at |w| <= 1e-2.
+        w = cmath.rect(modulus, angle)
+        want = sum((-1) ** (j + 1) * w**j / j for j in range(11, 0, -1))
+        got = complex(mg._log1p_complex(np.array([w]))[0])
+        assert abs(got - want) <= 8 * np.finfo(float).eps * abs(w)
+
+    def test_log1p_away_from_zero(self):
+        w = np.array([0.7 - 0.2j, -0.6 + 0.1j, 2.0 + 3.0j])
+        np.testing.assert_allclose(mg._log1p_complex(w), np.log(1.0 + w), rtol=1e-15, atol=0.0)
+
+
 class TestLemmaProduct:
     def test_at_zero_exactly_one(self):
         res = mg.lemma_product_tail(SCHED, GAUSS, 0.0, 5, "kde")
@@ -529,49 +549,44 @@ class TestLemmaProduct:
         assert abs(res.value - np.exp(np.sum(f(k)))) < 1e-10
 
 
-def two_pass_euler_maclaurin_tail(f, start, schedule):
-    """Oracle for ``mg._euler_maclaurin_tail``: one quadrature pass for the
-    real part and one for the imaginary part, each calling f at its own
-    nodes, then seven scalar calls at the five endpoint points."""
-    from scipy import integrate
-
-    if schedule.form == "power":
-        inv = 1.0 / schedule.delta
-
-        def x_of(u):
-            return start * u ** (-inv)
-
-        def jac(u):
-            return start * inv * u ** (-inv - 1.0)
-
-    else:
-        rate = schedule.rate
-
-        def x_of(u):
-            return start - np.log(u) / rate
-
-        def jac(u):
-            return 1.0 / (rate * u)
+def two_pass_tail_sum(schedule, f, n, epsabs, epsrel):
+    """Oracle for ``BandwidthSchedule.tail_sum``: the same cut, map and
+    tolerances, but one quadrature pass for the real part and one for the
+    imaginary part of complex terms, each calling f at its own nodes, then
+    seven scalar calls at the five endpoint points."""
+    cut = max(n, bw.TAIL_CUT)
+    if schedule.form == "exponential" and schedule.rate > bw._EM_MAX_RATE:
+        cut = max(cut, n + int(np.ceil(37.0 / schedule.rate)))
+    k = np.arange(n, cut, dtype=float)
+    direct = np.sum(f(k)) if k.size else 0.0
+    p = 1.0 / schedule.delta if schedule.form == "power" else 1.0
 
     def quad_part(g):
-        return integrate.quad(lambda u: g(x_of(u)) * jac(u), 0.0, 1.0, limit=400)
+        return integrate.quad(
+            lambda u: g(f(cut * u ** (-p))) * (cut * p * u ** (-p - 1.0)), 0.0, 1.0,
+            epsabs=epsabs, epsrel=epsrel, limit=400, full_output=1,
+        )[:2]
 
-    re_val, re_err = quad_part(lambda x: float(f(x).real))
-    im_val, im_err = quad_part(lambda x: float(f(x).imag))
-    f0 = complex(f(float(start)))
-    d1 = complex(f(start + 0.5) - f(start - 0.5))
-    d3 = complex(f(start + 1.5) - 3 * f(start + 0.5) + 3 * f(start - 0.5) - f(start - 1.5))
-    remainder = re_val + 1j * im_val + 0.5 * f0 - d1 / 12.0
-    err = re_err + im_err + abs(d3) / 720.0 + 1e-15 * (abs(remainder) + 1.0)
-    return remainder, float(err)
+    re_val, err = quad_part(lambda v: float(v.real))
+    if np.iscomplexobj(f(float(cut))):
+        im_val, im_err = quad_part(lambda v: float(v.imag))
+        integral, err = re_val + 1j * im_val, err + im_err
+    else:
+        integral = re_val
+    d1 = f(cut + 0.5) - f(cut - 0.5)
+    d3 = f(cut + 1.5) - 3 * f(cut + 0.5) + 3 * f(cut - 0.5) - f(cut - 1.5)
+    remainder = integral + 0.5 * f(float(cut)) - d1 / 12.0
+    err += 7.0 * abs(d3) / 1440.0 + 1e-15 * (abs(direct) + abs(remainder))
+    return direct + remainder, float(err)
 
 
 def counting(f):
-    """f with a record of every argument it is called at."""
+    """f with a record of every scalar argument it is called at."""
     calls = []
 
     def counted(x):
-        calls.append(float(x))
+        if np.ndim(x) == 0:
+            calls.append(float(x))
         return f(x)
 
     return counted, calls
@@ -585,36 +600,98 @@ class TestTailQuadrature:
     def test_matches_two_pass_oracle(self, family, flavor, t, from_n):
         kernel = KernelSpec(family, **FAMILIES[family])
         got = mg.lemma_product_tail(SCHED, kernel, t, from_n, flavor)
-        with mock.patch.object(mg, "_euler_maclaurin_tail", two_pass_euler_maclaurin_tail):
+        with mock.patch.object(BandwidthSchedule, "tail_sum", two_pass_tail_sum):
             want = mg.lemma_product_tail(SCHED, kernel, t, from_n, flavor)
         assert got.value == want.value
         assert got.numerical_error == want.numerical_error
         assert got.lemma_bound == want.lemma_bound
 
+    @pytest.mark.parametrize("rate", [0.01, 1e-9])
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
-    def test_matches_two_pass_oracle_exponential(self, flavor):
-        sched = BandwidthSchedule.exponential(0.01)
+    def test_matches_two_pass_oracle_exponential(self, flavor, rate):
+        # Rate 0.01 sums a longer head directly; at rate 1e-9 the map spreads
+        # the stretch below 1/rate on a log-uniform scale.
+        sched = BandwidthSchedule.exponential(rate)
         kernel = KernelSpec("half_normal", dim=2)
         got = mg.lemma_product_tail(sched, kernel, 1.5, 40, flavor)
-        with mock.patch.object(mg, "_euler_maclaurin_tail", two_pass_euler_maclaurin_tail):
+        with mock.patch.object(BandwidthSchedule, "tail_sum", two_pass_tail_sum):
             want = mg.lemma_product_tail(sched, kernel, 1.5, 40, flavor)
-        assert (got.value, got.numerical_error) == (want.value, want.numerical_error)
+        assert astuple(got) == astuple(want)
 
     @pytest.mark.parametrize(
-        "schedule", [SCHED, BandwidthSchedule.exponential(0.01)], ids=["power", "exponential"]
+        "schedule",
+        [SCHED, BandwidthSchedule.exponential(0.01), BandwidthSchedule.exponential(1e-9)],
+        ids=["power", "exponential", "slow-exponential"],
     )
     @pytest.mark.parametrize("kernel", [GAUSS, HALF], ids=["gaussian", "half_normal"])
     def test_each_node_evaluated_once(self, schedule, kernel):
         f = mg._log_factor_fn(schedule, kernel, np.array([2.0]), "kde")
+        tol = mg.PRODUCT_TAIL_REL_TOL / 4
         once, calls = counting(f)
-        got = mg._euler_maclaurin_tail(once, 4096, schedule)
+        got = schedule.tail_sum(once, 4096, tol, 0.0)
         twice, oracle_calls = counting(f)
-        want = two_pass_euler_maclaurin_tail(twice, 4096, schedule)
+        want = two_pass_tail_sum(schedule, twice, 4096, tol, 0.0)
         assert got == want
         assert len(calls) == len(set(calls))
         assert set(calls) == set(oracle_calls)
         # The two-pass form calls f more often than there are nodes.
         assert len(oracle_calls) > len(calls)
+
+    @pytest.mark.parametrize(
+        "schedule", [SCHED, BandwidthSchedule.exponential(1e-9)], ids=["power", "exponential"]
+    )
+    def test_real_terms_take_one_pass(self, schedule):
+        # The tail weight's terms are real: one quadrature pass, where
+        # complex terms with the same real part take two, to the same value.
+        weight = lambda x: schedule.law(x) / (x + 1.0)  # noqa: E731
+        with mock.patch.object(integrate, "quad", wraps=integrate.quad) as quad:
+            value, _ = schedule.tail_sum(weight, 4096, 0.0, 1e-13)
+            assert quad.call_count == 1
+            both, _ = schedule.tail_sum(lambda x: weight(x) + 0j, 4096, 0.0, 1e-13)
+            assert quad.call_count == 3
+        assert isinstance(value, float) and both == value
+
+
+def direct_product_log(schedule, kernel, t, from_n, flavor, stop):
+    """log prod_{k>=from_n} a_k without tail_sum: the terms summed directly
+    below ``stop``, the rest as the integral over x in decade segments (40
+    Gauss-Legendre nodes in ln x each) plus f(stop)/2 - f'(stop)/12."""
+    f = mg._log_factor_fn(schedule, kernel, frequency(t, kernel.dim), flavor)
+    total = 0j
+    for lo in range(from_n, stop, 10**6):
+        total += np.sum(f(np.arange(lo, min(lo + 10**6, stop), dtype=float)))
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    edges = np.log(stop) + np.log(10.0) * np.arange(0, 300)
+    mid, half = (edges[1:] + edges[:-1]) / 2, (edges[1:] - edges[:-1]) / 2
+    y = (mid[:, None] + half[:, None] * nodes).ravel()
+    x = np.exp(y)
+    total += np.sum(np.repeat(half, nodes.size) * np.tile(weights, mid.size) * f(x) * x)
+    return total + f(float(stop)) / 2 - (f(stop + 0.5) - f(stop - 0.5)) / 12
+
+
+class TestProductTailOracle:
+    """The certified product tail against a direct sum and a log-spaced
+    integral that share no code with tail_sum."""
+
+    @pytest.mark.parametrize("flavor", ["kde", "recursive"])
+    def test_slow_exponential(self, flavor):
+        # h_n = exp(-1e-9 n): the factors fall like 1/n up to n ~ 1e9.
+        sched = BandwidthSchedule.exponential(1e-9)
+        tail = mg.lemma_product_tail(sched, GAUSS, 1.0, 51, flavor)
+        want = np.exp(direct_product_log(sched, GAUSS, 1.0, 51, flavor, 10**7))
+        assert abs(tail.value - want) <= tail.numerical_error
+        assert tail.numerical_error <= mg.PRODUCT_TAIL_REL_TOL * abs(tail.value)
+
+    def test_heavy_tailed_kernel_on_slow_power(self):
+        # student_t with dof 1.5 at d = 3, t = 20 on h_n = n^(-0.05): the
+        # factors fall like n^(-1.075).  Its CF costs ~1 s per 10^6 terms,
+        # so the direct part stops at 10^6.
+        kernel = KernelSpec("student_t", dim=3, dof=1.5)
+        sched = BandwidthSchedule.power(1.0, 0.05)
+        tail = mg.lemma_product_tail(sched, kernel, 20.0, 1000, "recursive")
+        want = np.exp(direct_product_log(sched, kernel, 20.0, 1000, "recursive", 10**6))
+        assert abs(tail.value - want) <= tail.numerical_error
+        assert tail.numerical_error <= mg.PRODUCT_TAIL_REL_TOL * abs(tail.value)
 
 
 class TestToleranceMessage:
@@ -622,18 +699,23 @@ class TestToleranceMessage:
     @pytest.mark.parametrize("t", [20.0, np.full(3, 20.0)], ids=["scalar", "vector"])
     def test_names_where_and_how_far(self, flavor, t):
         # student_t with dof 1.5 at d = 3, t = 20 on h_n = n^(-0.05): the
-        # tail from n = 1000 does not reach the tolerance at any cut.  A
-        # scalar t names the same point (20, 20, 20).
+        # tail from n = 1000 certifies.  Under a tolerance no log-sum can
+        # reach, the refusal names the point (a scalar t names the same
+        # point (20, 20, 20)), the flavor, the start and the error reached.
         kernel = KernelSpec("student_t", dim=3, dof=1.5)
         sched = BandwidthSchedule.power(1.0, 0.05)
-        with pytest.raises(ToleranceNotReached) as info:
-            mg.lemma_product_tail(sched, kernel, t, 1000, flavor)
+        tail = mg.lemma_product_tail(sched, kernel, t, 1000, flavor)
+        assert 0 < abs(tail.value) < 1e-30
+        with mock.patch.object(mg, "PRODUCT_TAIL_REL_TOL", 1e-16):
+            with pytest.raises(ToleranceNotReached) as info:
+                mg.lemma_product_tail(sched, kernel, t, 1000, flavor)
         message = str(info.value)
-        assert f"t=(20, 20, 20), flavor {flavor}, from n=1000" in message
-        assert "at the last cut n=262144" in message
-        assert f"above the tolerance {mg.PRODUCT_TAIL_REL_TOL:g}" in message
+        assert message.startswith(
+            f"CF product tail at t=(20, 20, 20), flavor {flavor}, from n=1000: relative error "
+        )
+        assert message.endswith("above the tolerance 1e-16")
         reached = float(message.split("relative error ")[1].split(" ")[0])
-        assert reached > mg.PRODUCT_TAIL_REL_TOL
+        assert reached > 1e-16
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_substitution_out_of_float_range(self, flavor):
@@ -653,18 +735,21 @@ class TestToleranceMessage:
     def test_log_sum_error_is_the_relative_error(self, flavor, d, t):
         # half_normal on the default schedule from n = 1001: |tail| is as
         # small as 1e-6, and the log-sum error, which is the tail's relative
-        # error, meets the tolerance at the first cut.
+        # error, meets the tolerance at the one cut.
         kernel = KernelSpec("half_normal", dim=d)
         sched = BandwidthSchedule.default(d)
         t_arr = np.full(d, t)
-        quadrature = mg._euler_maclaurin_tail
-        with mock.patch.object(mg, "_euler_maclaurin_tail", wraps=quadrature) as spy:
+        with mock.patch.object(
+            BandwidthSchedule, "tail_sum", autospec=True, side_effect=BandwidthSchedule.tail_sum
+        ) as spy:
             tail = mg.lemma_product_tail(sched, kernel, t_arr, 1001, flavor)
-        assert spy.call_count == 1
-        assert spy.call_args.args[1] == 4096
-        remainder, rem_err = quadrature(spy.call_args.args[0], 4096, sched)
-        assert rem_err <= mg.PRODUCT_TAIL_REL_TOL
-        assert tail.numerical_error == rem_err * abs(tail.value)
+        # The log-sum, then the tail weight of the lemma bound.
+        assert spy.call_count == 2
+        log_sum = spy.call_args_list[0].args
+        assert log_sum[2:] == (1001, mg.PRODUCT_TAIL_REL_TOL / 4, 0.0)
+        _, log_err = sched.tail_sum(*log_sum[1:])
+        assert log_err <= mg.PRODUCT_TAIL_REL_TOL
+        assert tail.numerical_error == log_err * abs(tail.value)
         assert abs(tail.value) < 1e-3
         h = sched.values(1001)
         corr, _ = mg.cf_corrections(sched, h, kernel, t_arr, 1000, flavor)
