@@ -8,10 +8,7 @@ from .process import (
     cf_path,
     dominating_path,
     predictive_mixture,
-    reconstruct_all,
-    reconstruct_from_genealogy,
     simulate,
-    sup_norm_path,
 )
 from .streams import DrawStreams, substream
 
@@ -27,10 +24,7 @@ __all__ = [
     "default_delta",
     "dominating_path",
     "predictive_mixture",
-    "reconstruct_all",
-    "reconstruct_from_genealogy",
     "simulate",
     "substream",
-    "sup_norm_path",
     "__version__",
 ]

@@ -13,10 +13,6 @@ class NonFiniteInput(KdeprocError, ValueError):
     """Observed data contains NaN or infinite coordinates."""
 
 
-class PrefixPointHasNoGenealogy(KdeprocError):
-    """Reconstruction asked for an injected data point (no ancestry recorded)."""
-
-
 class MissingGenealogy(KdeprocError):
     """Trace needs ancestry for points that were injected as observed data."""
 
@@ -27,10 +23,6 @@ class ToleranceNotReached(KdeprocError, RuntimeError):
 
 class NoEnvelope(KdeprocError):
     """Schedule carries no power-law envelope, so tail certification is impossible."""
-
-
-class ZeroFactor(KdeprocError):
-    """A product factor is exactly zero; the starting index is too small."""
 
 
 class TooFewReplications(KdeprocError, ValueError):

@@ -27,7 +27,6 @@ from .process import (
     predictive_mixture,
     replication_blocks,
     simulate_batch,
-    sup_norm_path,
     write_csv,
     write_trajectory_csv,
 )
@@ -99,7 +98,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
         name = f"trajectory_{r:05d}.csv"
         write_trajectory_csv(traj, out_dir / name, _VERSION, config_hash)
         files.append(name)
-        radii.append(float(sup_norm_path(traj)[-1]))
+        radii.append(float(np.max(np.linalg.norm(traj.points, axis=1))))
         finals.append([float(v) for v in traj.points[-1]])
     payload = {
         **_artifact_header(config),

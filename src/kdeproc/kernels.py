@@ -171,11 +171,6 @@ class KernelSpec:
         )
         return float(val)
 
-    @property
-    def symmetric(self) -> bool:
-        """True when the kernel is symmetric about the origin (real CF)."""
-        return self.family != "half_normal"
-
     # -------------------------------------------------------------------- CDFs
 
     def cdf1(self, x) -> np.ndarray:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import BandwidthSchedule, leading
-from .errors import ToleranceNotReached, TooFewReplications, ZeroFactor
+from .errors import ToleranceNotReached, TooFewReplications
 from .kernels import KernelSpec, frequency
 from .process import check_flavor
 
@@ -203,8 +203,6 @@ def _log_factor_fn(schedule: BandwidthSchedule, kernel: KernelSpec, t, flavor: s
         x = np.atleast_1d(np.asarray(x, dtype=float))
         # Past the horizon, at real x, h is the unclamped law.
         w = _factor_deviation(kernel.cf_scaled_minus_one(t, schedule.law(x + shift)), x)
-        if np.any(w == -1.0):
-            raise ZeroFactor("a growth factor vanished; start the product later")
         out = _log1p_complex(w)
         return out[0] if scalar else out
 
@@ -281,8 +279,6 @@ def cf_corrections(
     # the last, the reversed cumulative product turns them in place into the
     # suffix products P_n, from the far end in.
     correction = 1.0 + _factor_deviation(dev[shift:], np.arange(1, n_max + 1, dtype=float))
-    if np.any(correction == 0):
-        raise ZeroFactor("a growth factor vanished inside the traced range")
     correction[-1] *= lemma_product_tail(schedule, kernel, t, n_max + 1, flavor).value
     np.cumprod(correction[::-1], out=correction[::-1])
     return correction, kernel_cf

@@ -21,10 +21,10 @@ Every sum along one trajectory's ancestry (the points, the dominating
 chain sums) is evaluated over its :class:`LevelOrder`: the generated points
 grouped by depth below the roots, found once by :func:`level_order` and
 carried by the trajectory, then summed one depth level at a time
-(:func:`chain_sum` does both for any genealogy).  Chain roots for the urn
-laws come from ``urn.block_roots``.  :func:`reconstruct_from_genealogy` and
-:func:`reconstruct_all` walk the chains separately on purpose: they are the
-independent oracles the simulated points are tested against.
+(:func:`chain_sum` does both for any genealogy).  :func:`simulate_batch`
+draws a block of replications' ancestors at once, as :func:`ancestor_block`
+does for the urn laws, whose chain roots ``urn.block_roots`` finds.  The
+chain-walking oracles of these sums live with the tests.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandwidth import BandwidthSchedule, leading
-from .errors import MissingGenealogy, NonFiniteInput, PrefixPointHasNoGenealogy
+from .errors import MissingGenealogy, NonFiniteInput
 from .kernels import KernelSpec, frequency
-from .streams import DrawStreams, ancestor_uniforms, replication_streams
+from .streams import DrawStreams, ancestor_uniforms, kernel_streams
 
 FLAVORS = ("kde", "recursive")
 
@@ -150,12 +150,6 @@ class PredictiveMixture:
     def mean(self) -> np.ndarray:
         """Exact mixture mean: average center plus average scale times E[Y]."""
         return self.centers.mean(axis=0) + self.scales.mean() * self.kernel.mean_vector()
-
-    def sample(self, rng, size: int) -> np.ndarray:
-        """iid draws from the mixture, shape (size, d)."""
-        idx = rng.integers(0, self.n_components, size=size)
-        y = self.kernel.sample(rng, size=size)
-        return self.centers[idx] + self.scales[idx, None] * y
 
     def quantile(self, q):
         """Univariate quantile: a float for a scalar level q, an array of the
@@ -271,46 +265,41 @@ def simulate(
     forced or no step is drawn (ValueError otherwise).
     """
     prefix, seed_len = _start(flavor, data_prefix, kernel.dim, length)
-    h = schedule.values(length - 1)
-    return _generate(flavor, h, kernel, length, streams, prefix, seed_len,
-                     forced_ancestors, forced_draws)
-
-
-def _generate(flavor, h, kernel, length, streams, prefix, seed_len, forced_anc, forced_y):
-    """The one generator behind ``simulate`` and ``simulate_batch``, from the
-    checked base points and bandwidths covering h_1..h_{length-1}."""
-    d = kernel.dim
-    s = prefix.shape[0]
+    s, d = prefix.shape
     count = length - s
-    step_idx = np.arange(s, length, dtype=np.int64)  # 1-based step indices
-
     # Both forced arrays are checked before any draw, and copied, so a
     # trajectory never shares its record with its caller.
-    if forced_anc is not None:
-        anc = np.array(forced_anc, dtype=np.int64)
+    if forced_ancestors is not None:
+        anc = np.array(forced_ancestors, dtype=np.int64)
         if anc.shape != (count,):
             raise ValueError(f"need {count} forced ancestors, got {anc.shape}")
-        if np.any(anc < 1) or np.any(anc > step_idx):
+        if np.any(anc < 1) or np.any(anc > np.arange(s, length)):
             raise ValueError("forced ancestor out of range at some step")
-    if forced_y is not None:
-        y = np.array(forced_y, dtype=float)
+    if forced_draws is not None:
+        y = np.array(forced_draws, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
         if y.shape != (count, d):
             raise ValueError(f"need forced draws of shape ({count}, {d}), got {y.shape}")
-    if forced_anc is None and count:
+    if forced_ancestors is None and count:
         anc = _pick_ancestors(_stream(streams, "ancestors", count).random(count), s)
-    elif forced_anc is None:
+    elif forced_ancestors is None:
         anc = np.zeros(0, dtype=np.int64)
-    if forced_y is None and count:
+    if forced_draws is None and count:
         y = kernel.sample(_stream(streams, "kernel", count), size=count)
-    elif forced_y is None:
+    elif forced_draws is None:
         y = np.zeros((0, d))
+    return _generate(flavor, schedule.values(length - 1), prefix, seed_len, anc, y)
 
-    h_applied = h[step_idx - 1] if flavor == "kde" else h[anc - 1]
+
+def _generate(flavor, h, prefix, seed_len, anc, y):
+    """The one generator behind ``simulate`` and ``simulate_batch``, from the
+    checked base points, the generated points' own record (1-based ancestors
+    ``anc``, kernel draws ``y``) and bandwidths covering h_1..h_{length-1}."""
+    s = prefix.shape[0]
+    h_applied = h[s - 1 : s - 1 + anc.size].copy() if flavor == "kde" else h[anc - 1]
     levels = level_order(anc - 1, s)
     points = _sum_levels(prefix, h_applied[:, None] * y, levels)
-
     return Trajectory(
         flavor=flavor,
         points=points,
@@ -379,15 +368,24 @@ def simulate_batch(
 
     The steps read the head h_1..h_{length-1} of the run's bandwidths ``h``.
     The trajectory of replication r is ``simulate(flavor, schedule, kernel,
-    length, DrawStreams.from_seed(master_seed, r), data_prefix)``, drawn from
-    re-keyed streams instead of two freshly seeded generators.  Draws are
-    consumed in step order, so the first m points of a longer trajectory are
-    the m-point trajectory of the same replication.
+    length, DrawStreams.from_seed(master_seed, r), data_prefix)``.  Each
+    block of ``replication_blocks`` draws its ancestors at once, as
+    ``ancestor_block`` does, and each replication its kernel variates from
+    its own re-keyed kernel stream, keyed block by block so memory stays
+    bounded by ``BLOCK_ELEMENTS``.  Draws are consumed in step order, so
+    the first m points of a longer trajectory are the m-point trajectory of
+    the same replication.
     """
     prefix, seed_len = _start(flavor, data_prefix, kernel.dim, length)
     h = leading(h, length - 1)
-    for streams in replication_streams(master_seed, replications):
-        yield _generate(flavor, h, kernel, length, streams, prefix, seed_len, None, None)
+    s = prefix.shape[0]
+    for block in replication_blocks(replications, length):
+        ancestors = _pick_ancestors(ancestor_uniforms(master_seed, block, length - s), s)
+        for row, gen in zip(ancestors, kernel_streams(master_seed, block)):
+            # Draw before the generator is re-keyed for the next replication;
+            # the copy gives every trajectory a record of its own.
+            y = kernel.sample(gen, size=length - s)
+            yield _generate(flavor, h, prefix, seed_len, row.copy(), y)
 
 
 def chain_sum(base: np.ndarray, parents: np.ndarray, increments: np.ndarray) -> np.ndarray:
@@ -515,46 +513,6 @@ def _inner(points: np.ndarray, t: np.ndarray) -> np.ndarray:
     """t'x per row of ``points``, summed over coordinates in order: a matmul's
     bits depend on the layout of t (BLAS or numpy's own loop)."""
     return sum((points[:, j] * t[j] for j in range(1, len(t))), points[:, 0] * t[0])
-
-
-def reconstruct_from_genealogy(traj: Trajectory, n: int) -> np.ndarray:
-    """Rebuild point n by summing scaled kernel draws along its ancestry.
-
-    Walks the recorded chain back to a root (the origin or an injected data
-    point); never reads the stored value of any generated point.
-    """
-    if not 1 <= n <= len(traj):
-        raise ValueError(f"index must be in [1, {len(traj)}], got {n}")
-    if 1 < n <= traj.seed_prefix_len:
-        raise PrefixPointHasNoGenealogy(f"point {n} was injected as observed data")
-    b = traj.root_bound
-    acc = np.zeros(traj.dim)
-    p = n
-    while p > b:
-        row = p - b - 1
-        acc += traj.steps_h[row] * traj.kernel_draws[row]
-        p = int(traj.ancestors[row])
-    return traj.points[p - 1] + acc
-
-
-def reconstruct_all(traj: Trajectory) -> np.ndarray:
-    """Genealogy reconstruction of every point at once (vectorized walk)."""
-    n_pts, d = traj.points.shape
-    b = traj.root_bound
-    p = np.arange(1, n_pts + 1, dtype=np.int64)
-    acc = np.zeros((n_pts, d))
-    active = np.nonzero(p > b)[0]
-    while active.size:
-        rows = p[active] - b - 1
-        acc[active] += traj.steps_h[rows, None] * traj.kernel_draws[rows]
-        p[active] = traj.ancestors[rows]
-        active = active[p[active] > b]
-    return traj.points[p - 1] + acc
-
-
-def sup_norm_path(traj: Trajectory) -> np.ndarray:
-    """Running maximum of the point norms; non-decreasing by construction."""
-    return np.maximum.accumulate(np.linalg.norm(traj.points, axis=1))
 
 
 def dominating_path(traj: Trajectory) -> np.ndarray:

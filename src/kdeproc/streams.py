@@ -10,7 +10,9 @@ A substream is ``Philox(SeedSequence([master_seed, replication, purpose]))``.
 :func:`stream_keys` derives the Philox keys of a whole block of replications
 at once with numpy's uint32 arithmetic, and one private Philox per purpose
 is re-keyed to each replication in turn (counter 0, empty buffer), so the
-draws of replication i are exactly those of its own fresh substreams.
+draws of replication i are exactly those of its own fresh substreams:
+:func:`ancestor_uniforms` fills a block's ancestor uniforms that way, and
+:func:`kernel_streams` yields each replication's kernel stream.
 """
 
 from __future__ import annotations
@@ -176,16 +178,8 @@ def ancestor_uniforms(master_seed: int, replications, count: int) -> np.ndarray:
     return out
 
 
-def replication_streams(master_seed: int, replications):
-    """Yield, replication by replication, the ``DrawStreams`` of
-    ``DrawStreams.from_seed(master_seed, r)`` at their first draw.
-
-    Every yielded pair holds the same two private generators, re-keyed for
-    the next replication when it is yielded: draw from a pair before asking
-    for the next one.
-    """
-    for ancestors, kernel in zip(
-        _keyed(master_seed, replications, _PURPOSE_ANCESTOR),
-        _keyed(master_seed, replications, _PURPOSE_KERNEL),
-    ):
-        yield DrawStreams(ancestors=ancestors, kernel=kernel)
+def kernel_streams(master_seed: int, replications):
+    """Yield each replication's ``DrawStreams.from_seed(master_seed, r).kernel``
+    at its first draw: one private generator, re-keyed when it is yielded, so
+    draw from it before asking for the next."""
+    return _keyed(master_seed, replications, _PURPOSE_KERNEL)

@@ -59,25 +59,22 @@ def block_roots(ancestors: np.ndarray, bound: int, upto: int) -> np.ndarray:
     (column j belongs to point j + 2, as in ``Trajectory.ancestors`` with no
     data prefix; m >= upto - 1, every point above ``bound`` generated).
 
-    Points up to ``bound`` are their own roots and point p > bound starts from
-    its ancestor; ``roots = roots[roots]`` then doubles every chain's reach
-    until nothing changes.  Integer indexing, so the result is exact.
+    Laid out column-major, point j + 1 of row r at entry j R + r, the
+    R bound base points come first, as their own roots, and every generated
+    point starts from its ancestor; ``up = up[up]`` then doubles each chain's
+    reach until it points at a base point, as in ``process.level_order``.
     """
     rows = ancestors.shape[0]
     if ancestors.shape[1] < upto - 1:
         raise TrajectoryTooShort(
             f"need at least {upto} points, the ancestors cover {ancestors.shape[1] + 1}"
         )
-    offsets = np.arange(rows, dtype=np.int64)[:, None] * upto
-    roots = np.empty((rows, upto), dtype=np.int64)
-    roots[:, :bound] = np.arange(bound)
-    roots[:, bound:] = ancestors[:, bound - 1 : upto - 1] - 1
-    flat = (roots + offsets).ravel()
-    while True:
-        jumped = flat[flat]
-        if np.array_equal(jumped, flat):
-            return flat.reshape(rows, upto) - offsets
-        flat = jumped
+    generated = (ancestors[:, bound - 1 : upto - 1].T - 1) * rows + np.arange(rows)
+    s = bound * rows
+    up = np.concatenate((np.arange(s), generated.ravel()))
+    while up[s:].max(initial=0) >= s:
+        up = up[up]
+    return up.reshape(upto, rows).T // rows
 
 
 def window_roots(ancestors: np.ndarray, n: int) -> np.ndarray:

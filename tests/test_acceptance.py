@@ -17,8 +17,6 @@ from kdeproc import (
     KernelSpec,
     cf_path,
     dominating_path,
-    reconstruct_all,
-    reconstruct_from_genealogy,
     simulate,
 )
 from kdeproc import martingale as mg
@@ -31,6 +29,7 @@ from kdeproc.urn import (
     descendant_tail_bound,
     window_roots,
 )
+from oracles import reconstruct_all, reconstruct_from_genealogy
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
 GAUSS = KernelSpec("gaussian")

@@ -152,6 +152,26 @@ class TestRunModes:
         lines = (tmp_path / "o" / "trajectory_00000.csv").read_text().splitlines()
         assert len(lines) == 3  # header comment + column row + single point
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_simulate_radius_is_max_norm(self, tmp_path, dim):
+        # Each replication's radius is its trajectory CSV's largest row norm,
+        # read back from the x_1..x_d columns.
+        cfg = ExperimentConfig(
+            steps=60, replications=4, master_seed=9, kernel_dimension=dim,
+            base_dir=str(tmp_path), output_dir="o",
+        )
+        payload = run(cfg, "simulate")
+        radii = []
+        for name in payload["trajectory_files"]:
+            header, *rows = (tmp_path / "o" / name).read_text().splitlines()[1:]
+            cols = [i for i, c in enumerate(header.split(",")) if c.startswith("x_")]
+            points = np.array([[float(row.split(",")[i]) for i in cols] for row in rows])
+            assert points.shape == (60, dim)
+            radii.append(float(np.max(np.linalg.norm(points, axis=1))))
+        assert payload["support_radius_per_replication"] == radii
+        assert payload["support_radius_estimate"] == max(radii)
+        assert min(radii) > 0.0
+
     def test_diagnose_report_structure(self, tmp_path):
         cfg = ExperimentConfig(
             steps=120,

@@ -28,7 +28,6 @@ from kdeproc.errors import (
     NoEnvelope,
     ToleranceNotReached,
     TooFewReplications,
-    ZeroFactor,
 )
 from kdeproc.harness import run
 from kdeproc.kernels import frequency
@@ -272,14 +271,6 @@ class _StubKernel:
         return np.zeros(1)
 
     norm_mean = 1.0
-
-
-class _NegatingCF(_StubKernel):
-    """Stub with CF identically -1: the only way a growth factor can vanish
-    (it needs phi = -n at time n, possible only at n = 1)."""
-
-    def cf_scaled(self, t, scales):
-        return np.full(np.shape(scales), -1.0 + 0.0j)
 
 
 class _CFZeroAtH3(_StubKernel):
@@ -536,10 +527,6 @@ class TestLemmaProduct:
         sched = BandwidthSchedule.from_table([0.5] * 100)
         with pytest.raises(NoEnvelope):
             mg.lemma_product_tail(sched, GAUSS, 1.0, 5, "kde")
-
-    def test_zero_factor_guard(self):
-        with pytest.raises(ZeroFactor):
-            mg.lemma_product_tail(SCHED, _NegatingCF(), 1.0, 1, "kde")
 
     def test_exponential_schedule_supported(self):
         sched = BandwidthSchedule.exponential(0.5)
@@ -954,10 +941,6 @@ class TestCfMartingaleTrace:
             running = factors[i] * running
             expected[i] = running
         np.testing.assert_array_equal(corr, expected)
-
-    def test_vanishing_growth_factor_rejected(self):
-        with pytest.raises(ZeroFactor):
-            mg.cf_corrections(SCHED, H, _NegatingCF(), 1.0, 5, "kde")
 
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_kernel_cf_zero_inside_range_accepted(self, flavor):

@@ -16,13 +16,11 @@ from kdeproc import (
     cf_path,
     dominating_path,
     predictive_mixture,
-    reconstruct_all,
-    reconstruct_from_genealogy,
     simulate,
-    sup_norm_path,
 )
+from kdeproc import process
 from kdeproc.config import ExperimentConfig
-from kdeproc.errors import NonFiniteInput, PrefixPointHasNoGenealogy
+from kdeproc.errors import NonFiniteInput
 from kdeproc.kernels import FAMILIES
 from kdeproc.process import (
     FLAVORS,
@@ -31,6 +29,12 @@ from kdeproc.process import (
     chain_sum,
     simulate_batch,
     write_csv,
+)
+from oracles import (
+    PrefixPointHasNoGenealogy,
+    mixture_sample,
+    reconstruct_all,
+    reconstruct_from_genealogy,
 )
 
 SCHED = BandwidthSchedule.power(1.0, 0.2)
@@ -329,6 +333,27 @@ class TestSimulateBatch:
         (traj,) = simulate_batch("recursive", H, GAUSS, length, 8, range(5, 6), data)
         assert_same_trajectory(traj, simulate("recursive", SCHED, GAUSS, length, None, data))
 
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("prefix_len", [0, 3], ids=["origin", "data3"])
+    def test_rows_match_simulate_across_blocks(self, monkeypatch, flavor, prefix_len):
+        # A cap of 60 elements on 20-point runs gives blocks of 3 rows, so
+        # the 8 replications span 3 blocks, the last one short.
+        monkeypatch.setattr(process, "BLOCK_ELEMENTS", 60)
+        kernel = KernelSpec("laplace", dim=2)
+        data = np.linspace(-1.0, 2.0, 2 * prefix_len).reshape(prefix_len, 2) if prefix_len else None
+        reps = range(40, 48)
+        assert [len(b) for b in process.replication_blocks(reps, 20)] == [3, 3, 2]
+        got = list(simulate_batch(flavor, H, kernel, 20, 13, reps, data))
+        assert len(got) == len(reps)
+        for r, traj in zip(reps, got):
+            want = simulate(flavor, SCHED, kernel, 20, DrawStreams.from_seed(13, r), data)
+            assert_same_trajectory(traj, want)
+        # Every trajectory owns its record, not a view of the block's rows.
+        for i, a in enumerate(got):
+            assert a.ancestors.flags.owndata
+            for b in got[i + 1 :]:
+                assert not np.shares_memory(a.ancestors, b.ancestors)
+
     def test_ancestor_block_matches_trajectories(self):
         block = ancestor_block(30, 6, range(3, 9))
         assert block.shape == (6, 29) and block.dtype == np.int64
@@ -417,7 +442,7 @@ class TestMixture:
         mix = predictive_mixture(traj, H, GAUSS)
         rng = np.random.default_rng(4)
         n = 10**5
-        draws = mix.sample(rng, n)[:, 0]
+        draws = mixture_sample(mix, rng, n)[:, 0]
         for t in np.arange(-5, 5.5, 0.5):
             emp = np.exp(1j * t * draws).mean()
             assert abs(mix.cf(t) - emp) < 5 * (2 / np.sqrt(n))
@@ -674,6 +699,24 @@ class TestReconstruction:
         assert reconstruct_from_genealogy(traj, 1)[0] == 1.0
         np.testing.assert_allclose(reconstruct_from_genealogy(traj, 7), traj.points[6], atol=1e-12)
 
+    @pytest.mark.parametrize("prefix", [None, [[1.0, 0.0], [2.0, -1.0], [3.0, 0.5]]],
+                             ids=["origin", "data3"])
+    def test_oracles_need_no_level_order(self, monkeypatch, prefix):
+        # The oracles walk the record alone: with the level order and its
+        # sums unavailable they still rebuild every point.
+        traj = simulate("recursive", SCHED, KernelSpec("gaussian", dim=2), 3000,
+                        DrawStreams.from_seed(5, 0), prefix)
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("an oracle reached the level order")
+
+        monkeypatch.setattr(process, "level_order", unavailable)
+        monkeypatch.setattr(process, "_sum_levels", unavailable)
+        assert np.max(np.abs(reconstruct_all(traj) - traj.points)) <= 1e-12
+        for n in (1, 4, 1500, 3000):
+            err = np.max(np.abs(reconstruct_from_genealogy(traj, n) - traj.points[n - 1]))
+            assert err <= 1e-12
+
     def test_reconstruct_all_with_prefix(self):
         streams = DrawStreams.from_seed(2, 1)
         traj = simulate("recursive", SCHED, GAUSS, 50, streams, data_prefix=[1.0, 2.0, 3.0])
@@ -682,15 +725,6 @@ class TestReconstruction:
 
 
 class TestPaths:
-    def test_sup_norm_examples(self):
-        traj = simulate("kde", SCHED, GAUSS, 1)
-        np.testing.assert_allclose(sup_norm_path(traj), [0.0])
-        t2 = simulate(
-            "kde", BandwidthSchedule.from_table([1.0, 1.0]), GAUSS, 3,
-            forced_ancestors=[1, 1], forced_draws=[2.0, -1.0],
-        )
-        np.testing.assert_allclose(sup_norm_path(t2), [0.0, 2.0, 2.0])
-
     @pytest.mark.parametrize("flavor", ["kde", "recursive"])
     def test_dominating_path_bounds_norms(self, flavor):
         streams = DrawStreams.from_seed(37, 0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kdeproc import DrawStreams, KernelSpec
 from kdeproc.kernels import FAMILIES
-from kdeproc.streams import ancestor_uniforms, replication_streams, stream_keys
+from kdeproc.streams import ancestor_uniforms, kernel_streams, stream_keys
 
 SEEDS = st.integers(0, 2**64 - 1)
 
@@ -55,20 +55,16 @@ def test_ancestor_uniforms_match_fresh_streams(seed, start, size, count):
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("d", [1, 3])
-def test_replication_streams_match_fresh_streams(family, d):
+def test_kernel_streams_match_fresh_streams(family, d):
     kernel = KernelSpec(family, dim=d, dof=5.0 if family == "student_t" else None)
     for count in (1, 3, 17):  # odd counts leave Philox buffer words unread
         reps = range(7, 19)
         seen = 0
-        for r, streams in zip(reps, replication_streams(2**40 + 5, reps)):
-            fresh = DrawStreams.from_seed(2**40 + 5, r)
+        for r, gen in zip(reps, kernel_streams(2**40 + 5, reps)):
+            fresh = DrawStreams.from_seed(2**40 + 5, r).kernel
             for _ in range(2):  # a second draw continues each stream
                 np.testing.assert_array_equal(
-                    streams.ancestors.random(count), fresh.ancestors.random(count)
-                )
-                np.testing.assert_array_equal(
-                    kernel.sample(streams.kernel, size=count),
-                    kernel.sample(fresh.kernel, size=count),
+                    kernel.sample(gen, size=count), kernel.sample(fresh, size=count)
                 )
             seen += 1
         assert seen == len(reps)
