@@ -40,6 +40,11 @@ def _parse_float_list(v: str) -> tuple:
     return tuple(float(x.strip()) for x in v.split(",") if x.strip())
 
 
+def artifact_label(value: float) -> str:
+    """The name of a t value or quantile level in artifact files, columns and keys."""
+    return f"{value:g}"
+
+
 # config key -> (ExperimentConfig field, value parser)
 _KEY_PARSERS = {
     "flavor": ("flavor", _parse_str),
@@ -130,6 +135,17 @@ class ExperimentConfig:
             raise ConfigError("posterior.quantiles must lie in (0, 1)")
         if not all(np.isfinite(self.t_grid)):
             raise ConfigError("diagnostics.t_grid values must be finite")
+        for key, values, label in (
+            ("diagnostics.t_grid", self.t_grid, artifact_label),
+            ("posterior.quantiles", self.posterior_quantiles, artifact_label),
+            ("diagnostics.drift_times", self.drift_times, str),
+            ("urn.window_sizes", self.urn_window_sizes, str),
+        ):
+            labels = [label(v) for v in values]
+            for i, name in enumerate(labels):
+                if name in labels[:i]:
+                    raise ConfigError(f"{key} values {values[labels.index(name)]!r} and "
+                                      f"{values[i]!r} share the artifact label {name!r}")
         if (self.posterior_box_lo is None) != (self.posterior_box_hi is None):
             raise ConfigError("posterior.box_lo and posterior.box_hi must be set together")
         for key, side in (("box_lo", self.posterior_box_lo), ("box_hi", self.posterior_box_hi)):
@@ -297,10 +313,10 @@ def load_data_points(path, dim: int = 1) -> np.ndarray:
             rows.append([float(p) for p in stripped.replace(",", " ").split()])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise ConfigError(f"{path}:{lineno}: rows with different numbers of coordinates")
     if not rows:
         raise EmptyData(f"data file {path} contains no points")
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ConfigError(f"data file {path} has rows with different numbers of coordinates")
     arr = np.asarray(rows, dtype=float)
     if arr.shape[1] != dim:
         raise ConfigError(f"data file {path} has dimension {arr.shape[1]}, expected {dim}")

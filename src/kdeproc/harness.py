@@ -16,16 +16,15 @@ from scipy import special, stats
 
 from . import __version__ as _VERSION
 from . import martingale as mg
-from .config import ExperimentConfig, load_data_points
+from .config import ExperimentConfig, artifact_label, load_data_points
 from .errors import ConfigError
 from .process import (
     FLAVORS,
     Trajectory,
-    ancestor_block,
+    ancestor_blocks,
     cf_path,
     dominating_path,
     predictive_mixture,
-    replication_blocks,
     simulate_batch,
     write_csv,
     write_trajectory_csv,
@@ -218,7 +217,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     if can_drift:
         for k, n in enumerate(drift_times):
             tested = [(f"drift:tightness:n={n}", tight_inc[k])]
-            tested += [(f"drift:cf:n={n}:t={t:g}", cf_inc[i, k])
+            tested += [(f"drift:cf:n={n}:t={artifact_label(t)}", cf_inc[i, k])
                        for i, t in enumerate(config.t_grid)]
             drift_tests += [
                 _bound_entry(name, threshold=mg.DRIFT_FLAG_THRESHOLD, **mg.drift_test(inc))
@@ -277,30 +276,22 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
     return payload
 
 
-def _point_one_histogram(ancestors: np.ndarray, n: int) -> np.ndarray:
-    """Histogram over k = 0..n of point 1's descendant count in the window
-    (n, 2n], one count per row of an ancestor block."""
-    counts = np.count_nonzero(window_roots(ancestors, n) == 0, axis=1)
-    return np.bincount(counts, minlength=n + 1)
-
-
 def _urn_tallies(config: ExperimentConfig, windows, anchor=None, horizon=None):
-    """Point 1's descendant-count histogram per window, as (n, counts)
-    pairs, and, given an anchor, each replication's anchor fraction at the
-    horizon.
+    """Point 1's descendant-count histogram over k = 0..n per window n, as
+    (n, counts) pairs, and, given an anchor, each replication's anchor
+    fraction at the horizon.
 
-    Read off the ancestor streams alone, one block of replications at a
-    time, so memory stays bounded by ``BLOCK_ELEMENTS``.  One genealogy per
-    replication serves every window and the fraction.
+    Read off the ancestor streams alone, one ``ancestor_blocks`` block of
+    replications at a time, so memory stays bounded by ``BLOCK_ELEMENTS``.
+    One genealogy per replication serves every window and the fraction.
     """
     reps = config.replications
     length = max([2 * n for n in windows] + [1 if anchor is None else horizon])
     counts = [(n, np.zeros(n + 1, dtype=np.int64)) for n in windows]
     finals = np.empty(reps)
-    for block in replication_blocks(range(reps), length):
-        anc = ancestor_block(length, config.master_seed, block)
+    for block, anc in ancestor_blocks(length, config.master_seed, range(reps)):
         for n, hist in counts:
-            hist += _point_one_histogram(anc, n)
+            hist += np.bincount((window_roots(anc, n) == 0).sum(axis=1), minlength=n + 1)
         if anchor is not None:
             finals[block.start : block.stop] = anchor_fractions(anc, anchor, horizon)
     return counts, finals
@@ -404,6 +395,9 @@ def run_contrast(config: ExperimentConfig, out_dir: Path) -> dict:
 
     ``p_value`` is the one-sided two-proportion test of the frozen-bandwidth
     flavor producing late records more often than the shared-bandwidth one.
+    Replication r of both flavors shares its ancestors and kernel draws, so
+    (Y >= 0, h_A >= h_n) each recursive point is at least its kde twin: the
+    maxima are ordered by construction, no evidence about the supports.
     The first half must reach past the origin, whose norm 0 would make the
     support ratio infinite, so the run needs at least 4 steps.
     """
@@ -481,7 +475,7 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
         columns[f"mean_{jdx}"] = col
     if d == 1:
         for q, col in zip(config.posterior_quantiles, quantiles.T.tolist()):
-            columns[f"q{q:g}"] = col
+            columns[f"q{artifact_label(q)}"] = col
     if has_box:
         columns["box_prob"] = box_probs.tolist()
     columns["cf_convergence_gap"] = conv.tolist()
@@ -517,7 +511,7 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
     for t, (corr, row) in zip(config.t_grid, corrections):
         phi, path = cf_path(traj, t, row)
         s_vals = corr * path
-        name = f"cf_trace_t{t:g}.csv"
+        name = f"cf_trace_t{artifact_label(t)}.csv"
         columns = {
             "step": range(1, n_pts + 1),
             "U": u.tolist(),
@@ -529,7 +523,7 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
             "S_im": s_vals.imag.tolist(),
         }
         write_csv(out_dir / name, _VERSION, config_hash, columns)
-        summary_traces[f"{t:g}"] = {
+        summary_traces[artifact_label(t)] = {
             "file": name,
             "correction_sup": float(np.max(np.abs(corr))),
             "martingale_modulus_sup": float(np.max(np.abs(s_vals))),

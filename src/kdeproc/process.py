@@ -21,10 +21,11 @@ Every sum along one trajectory's ancestry (the points, the dominating
 chain sums) is evaluated over its :class:`LevelOrder`: the generated points
 grouped by depth below the roots, found once by :func:`level_order` and
 carried by the trajectory, then summed one depth level at a time
-(:func:`chain_sum` does both for any genealogy).  :func:`simulate_batch`
-draws a block of replications' ancestors at once, as :func:`ancestor_block`
-does for the urn laws, whose chain roots ``urn.block_roots`` finds.  The
-chain-walking oracles of these sums live with the tests.
+(:func:`chain_sum` does both for any genealogy).  :func:`ancestor_blocks`
+is the one loop over replication blocks: it draws each block's ancestors at
+once for :func:`simulate_batch` and for the urn laws, whose chain roots
+``urn.block_roots`` finds.  The chain-walking oracles of these sums live
+with the tests.
 """
 
 from __future__ import annotations
@@ -333,25 +334,21 @@ def _pick_ancestors(u: np.ndarray, s: int) -> np.ndarray:
 BLOCK_ELEMENTS = 1 << 17
 
 
-def replication_blocks(replications: range, length: int):
-    """Split ``replications`` into consecutive ranges of at most
-    max(1, BLOCK_ELEMENTS // length) replications."""
-    size = max(1, BLOCK_ELEMENTS // max(length, 1))
-    for i in range(0, len(replications), size):
-        yield replications[i : i + size]
-
-
-def ancestor_block(length: int, master_seed: int, replications: range) -> np.ndarray:
-    """(R, length - 1) int64 1-based ancestors of points 2..length, drawn
-    from each replication's ancestor substream alone.
-
-    Row i is ``traj.ancestors`` of ``simulate(..., length,
-    DrawStreams.from_seed(master_seed, replications[i]))``: the generated
-    rows after the origin, column j belonging to point j + 2.
+def ancestor_blocks(length: int, master_seed: int, replications: range, s: int = 1):
+    """Yield ``(block, ancestors)`` per consecutive range ``block`` of
+    max(1, BLOCK_ELEMENTS // length) replications, the last maybe short: the
+    one loop over replication blocks.  Row i of the int64 (len(block),
+    length - s) ``ancestors`` is ``traj.ancestors`` of ``simulate(...,
+    length, DrawStreams.from_seed(master_seed, block[i]), prefix)`` for an
+    s-point prefix (s = 1: the origin), read off that replication's ancestor
+    substream alone.  ValueError if length < s.
     """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    return _pick_ancestors(ancestor_uniforms(master_seed, replications, length - 1), 1)
+    if length < s:
+        raise ValueError(f"length {length} is shorter than the {s} base points")
+    size = max(1, BLOCK_ELEMENTS // length)
+    for i in range(0, len(replications), size):
+        block = replications[i : i + size]
+        yield block, _pick_ancestors(ancestor_uniforms(master_seed, block, length - s), s)
 
 
 def simulate_batch(
@@ -368,19 +365,17 @@ def simulate_batch(
 
     The steps read the head h_1..h_{length-1} of the run's bandwidths ``h``.
     The trajectory of replication r is ``simulate(flavor, schedule, kernel,
-    length, DrawStreams.from_seed(master_seed, r), data_prefix)``.  Each
-    block of ``replication_blocks`` draws its ancestors at once, as
-    ``ancestor_block`` does, and each replication its kernel variates from
-    its own re-keyed kernel stream, keyed block by block so memory stays
-    bounded by ``BLOCK_ELEMENTS``.  Draws are consumed in step order, so
-    the first m points of a longer trajectory are the m-point trajectory of
-    the same replication.
+    length, DrawStreams.from_seed(master_seed, r), data_prefix)``: its
+    ancestors are its row of an ``ancestor_blocks`` block, and its kernel
+    variates come from its own re-keyed kernel stream, keyed block by block
+    so memory stays bounded by ``BLOCK_ELEMENTS``.  Draws are consumed in
+    step order, so the first m points of a longer trajectory are the m-point
+    trajectory of the same replication.
     """
     prefix, seed_len = _start(flavor, data_prefix, kernel.dim, length)
     h = leading(h, length - 1)
     s = prefix.shape[0]
-    for block in replication_blocks(replications, length):
-        ancestors = _pick_ancestors(ancestor_uniforms(master_seed, block, length - s), s)
+    for block, ancestors in ancestor_blocks(length, master_seed, replications, s):
         for row, gen in zip(ancestors, kernel_streams(master_seed, block)):
             # Draw before the generator is re-keyed for the next replication;
             # the copy gives every trajectory a record of its own.

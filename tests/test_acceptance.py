@@ -22,7 +22,7 @@ from kdeproc import (
 from kdeproc import martingale as mg
 from kdeproc.config import ExperimentConfig
 from kdeproc.harness import run
-from kdeproc.process import ancestor_block, replication_blocks
+from kdeproc.process import ancestor_blocks
 from kdeproc.urn import (
     anchor_fractions,
     betabinom_pmf_vector,
@@ -112,8 +112,8 @@ def test_criterion_3_genealogy_urn_embedding():
         counts = np.zeros(n + 1, dtype=np.int64)
         # Replication r's genealogy comes from its DrawStreams.from_seed(300 + n, r)
         # ancestor stream, a block of replications at a time.
-        for block in replication_blocks(range(reps), 2 * n):
-            roots = window_roots(ancestor_block(2 * n, 300 + n, block), n)
+        for _, anc in ancestor_blocks(2 * n, 300 + n, range(reps)):
+            roots = window_roots(anc, n)
             counts += np.bincount(np.count_nonzero(roots == 0, axis=1), minlength=n + 1)
         expected = betabinom_pmf_vector(n) * reps
         # merge sparse tail bins for chi-square validity
@@ -297,9 +297,11 @@ def test_criterion_8_support_dichotomy(tmp_path):
     record streams share their dominant mechanism.  Measured across 1000
     replications per flavor, the proportion difference is about 0.005, an
     order of magnitude below what a p < 0.01 two-proportion test at R = 200
-    can detect, so this check fails by construction.  The mean final maximum
-    (printed below, roughly 5.1 vs 6.0) is the statistic that does separate
-    the flavors decisively at this scale; see README for details.
+    can detect, so this check fails by construction.  The mean final maxima
+    printed below (roughly 5.1 vs 6.0) are no evidence either: both flavors
+    run from one master seed, so replication r of each shares its ancestors
+    and kernel draws, and with Y >= 0 and a non-increasing schedule every
+    recursive point is at least its kde twin.  See README for details.
     """
     start = time.perf_counter()
     cfg = ExperimentConfig(
@@ -344,8 +346,7 @@ def test_criterion_9_beta_limit():
     finals = np.empty(reps)
     # Replication r's genealogy comes from its DrawStreams.from_seed(900, r)
     # ancestor stream, a block of replications at a time.
-    for block in replication_blocks(range(reps), horizon):
-        anc = ancestor_block(horizon, 900, block)
+    for block, anc in ancestor_blocks(horizon, 900, range(reps)):
         finals[block.start : block.stop] = anchor_fractions(anc, anchor, horizon)
     res = stats.kstest(finals, stats.beta(1, anchor - 1).cdf)
     elapsed = time.perf_counter() - start

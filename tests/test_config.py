@@ -2,7 +2,12 @@
 
 import pytest
 
-from kdeproc.config import ExperimentConfig, load_bandwidth_table, load_data_points
+from kdeproc.config import (
+    ExperimentConfig,
+    artifact_label,
+    load_bandwidth_table,
+    load_data_points,
+)
 from kdeproc.errors import ConfigError, EmptyData, NonFiniteInput
 
 
@@ -117,6 +122,34 @@ class TestParsing:
     def test_overrides(self):
         cfg = ExperimentConfig(master_seed=1).with_overrides(master_seed=9, output_dir="x")
         assert cfg.master_seed == 9 and cfg.output_dir == "x"
+
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("t_grid", (1.0, 1.0000001),
+             "diagnostics.t_grid values 1.0 and 1.0000001 share the artifact label '1'"),
+            ("t_grid", (0.5, 2.0, 0.5), "diagnostics.t_grid values 0.5 and 0.5"),
+            ("posterior_quantiles", (0.25, 0.5, 0.5000001),
+             "posterior.quantiles values 0.5 and 0.5000001 share the artifact label '0.5'"),
+            ("drift_times", (10, 100, 10), "diagnostics.drift_times values 10 and 10"),
+            ("urn_window_sizes", (2, 2, 5), "urn.window_sizes values 2 and 2"),
+        ],
+        ids=["t-grid-7-digits", "t-grid-repeat", "quantile-7-digits", "drift-time-repeat",
+             "urn-window-repeat"],
+    )
+    def test_artifact_label_collisions_refused(self, field, values, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**{field: values})
+
+    def test_distinct_labels_accepted(self):
+        # Values 6 significant digits apart keep their own labels; integers
+        # are compared whole, however many digits they have.
+        cfg = ExperimentConfig(
+            t_grid=(1.0, 1.00001, -1.0), posterior_quantiles=(0.5, 0.500001),
+            drift_times=(1234567, 1234568), urn_window_sizes=(2, 3),
+        )
+        assert [artifact_label(t) for t in cfg.t_grid] == ["1", "1.00001", "-1"]
+        assert [artifact_label(q) for q in cfg.posterior_quantiles] == ["0.5", "0.500001"]
 
 
 class TestHash:
@@ -257,6 +290,10 @@ class TestLoaders:
         nf.write_text("nan\n")
         with pytest.raises(NonFiniteInput):
             load_data_points(nf, 1)
+        ragged = tmp_path / "r.txt"
+        ragged.write_text("1.0 2.0\n# note\n\n3.0, 4.0\n5.0\n6.0 7.0 8.0\n")
+        with pytest.raises(ConfigError, match=r"r\.txt:5: rows with different numbers of coord"):
+            load_data_points(ragged, 2)
         wrongdim = tmp_path / "w.txt"
         wrongdim.write_text("1.0 2.0\n")
         with pytest.raises(ConfigError):

@@ -24,7 +24,7 @@ from kdeproc.cli import main as cli_main
 from kdeproc.config import ExperimentConfig
 from kdeproc.errors import ConfigError
 from kdeproc.harness import _bound_entry, _chi_square, run
-from kdeproc.process import FLAVORS
+from kdeproc.process import FLAVORS, simulate_batch
 
 
 def cf_distance(mix_a, mix_b, t_grid) -> float:
@@ -335,7 +335,7 @@ class TestRunModes:
         )
         whole = run(cfg.with_overrides(output_dir="whole"), "diagnose")
         monkeypatch.setattr(process, "BLOCK_ELEMENTS", 70)
-        assert [len(b) for b in process.replication_blocks(range(100), 10)][-2:] == [7, 2]
+        assert [len(b) for b, _ in process.ancestor_blocks(10, 4, range(100))][-2:] == [7, 2]
         blocked = run(cfg.with_overrides(output_dir="blocked"), "diagnose")
         assert blocked["urn_tests"] == whole["urn_tests"]
         assert len(whole["urn_tests"]) == 2
@@ -374,6 +374,27 @@ class TestRunModes:
         payload = run(cfg, "contrast")
         assert set(payload) >= {"kde", "recursive", "z_statistic", "p_value"}
         assert json_artifacts(tmp_path) == {"out/contrast.json": payload}
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [BandwidthSchedule.power(1.0, 0.3), BandwidthSchedule.exponential(0.01)],
+        ids=["power", "exponential"],
+    )
+    def test_contrast_flavors_are_coupled_and_ordered(self, schedule):
+        # The contrast runs both flavors from one master seed, so replication
+        # r of each shares its ancestors and kernel draws.  With Y >= 0 and
+        # h_A >= h_n for every ancestor A <= n, every recursive point is at
+        # least its kde twin (rounding is monotone too): the flavors' maxima
+        # are ordered by construction, whatever the support.
+        kernel = KernelSpec("half_normal")
+        h = schedule.values(299)
+        kde_runs, rec_runs = (
+            simulate_batch(flavor, h, kernel, 300, 20260810, range(40)) for flavor in FLAVORS
+        )
+        for kde, rec in zip(kde_runs, rec_runs, strict=True):
+            np.testing.assert_array_equal(rec.ancestors, kde.ancestors)
+            np.testing.assert_array_equal(rec.kernel_draws, kde.kernel_draws)
+            assert np.all(rec.points >= kde.points)
 
     def test_cf_trace_mode(self, tmp_path):
         cfg = ExperimentConfig(
@@ -644,6 +665,17 @@ class TestCli:
              "posterior.quantiles must lie in (0, 1)"),
             ("posterior", "posterior.quantiles = 0\n", None,
              "posterior.quantiles must lie in (0, 1)"),
+            ("cf-trace", "diagnostics.t_grid = 1, 1.0000001\n", None,
+             "diagnostics.t_grid values 1.0 and 1.0000001 share the artifact label '1'"),
+            ("diagnose", "diagnostics.t_grid = 1, 1.0000001\ndiagnostics.drift_times = 10\n", None,
+             "diagnostics.t_grid values 1.0 and 1.0000001"),
+            ("diagnose", "diagnostics.drift_times = 10, 10\n", None,
+             "diagnostics.drift_times values 10 and 10 share the artifact label '10'"),
+            ("posterior", "data.path = obs.txt\nposterior.quantiles = 0.5, 0.5000001\n",
+             _FOUR_POINTS, "posterior.quantiles values 0.5 and 0.5000001"),
+            ("urn", "urn.window_sizes = 2, 2, 5\n", None, "urn.window_sizes values 2 and 2"),
+            ("simulate", "data.path = obs.txt\n", "0.1 0.2\n0.3\n",
+             "obs.txt:2: rows with different numbers of coordinates"),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
@@ -657,6 +689,8 @@ class TestCli:
             "urn-data-path", "contrast-data-path", "posterior-empty-t-grid",
             "simulate-steps-below-data", "drift-times-past-steps", "steps-0",
             "replications-0", "drift-time-0", "quantile-1", "quantile-0",
+            "cf-trace-t-label-collision", "diagnose-t-label-collision", "drift-time-repeated",
+            "quantile-label-collision", "urn-window-repeated", "ragged-data-line",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):
@@ -674,6 +708,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert needle in err
+        assert not any(tmp_path.glob("out/*"))
 
     @pytest.mark.parametrize(
         "mode, entries, err",

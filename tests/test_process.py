@@ -2,6 +2,7 @@
 
 import csv
 import io
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from kdeproc.kernels import FAMILIES
 from kdeproc.process import (
     FLAVORS,
     PredictiveMixture,
-    ancestor_block,
+    ancestor_blocks,
     chain_sum,
     simulate_batch,
     write_csv,
@@ -342,7 +343,7 @@ class TestSimulateBatch:
         kernel = KernelSpec("laplace", dim=2)
         data = np.linspace(-1.0, 2.0, 2 * prefix_len).reshape(prefix_len, 2) if prefix_len else None
         reps = range(40, 48)
-        assert [len(b) for b in process.replication_blocks(reps, 20)] == [3, 3, 2]
+        assert [len(b) for b, _ in ancestor_blocks(20, 13, reps)] == [3, 3, 2]
         got = list(simulate_batch(flavor, H, kernel, 20, 13, reps, data))
         assert len(got) == len(reps)
         for r, traj in zip(reps, got):
@@ -355,9 +356,9 @@ class TestSimulateBatch:
                 assert not np.shares_memory(a.ancestors, b.ancestors)
 
     def test_ancestor_block_matches_trajectories(self):
-        block = ancestor_block(30, 6, range(3, 9))
-        assert block.shape == (6, 29) and block.dtype == np.int64
-        for r, row in zip(range(3, 9), block):
+        ((reps, block),) = ancestor_blocks(30, 6, range(3, 9))
+        assert reps == range(3, 9) and block.shape == (6, 29) and block.dtype == np.int64
+        for r, row in zip(reps, block):
             traj = simulate("kde", SCHED, GAUSS, 30, DrawStreams.from_seed(6, r))
             np.testing.assert_array_equal(row, traj.ancestors)
 
@@ -370,6 +371,44 @@ class TestSimulateBatch:
         with pytest.raises(ValueError, match=r"h_1..h_5, got 4"):
             next(simulate_batch("kde", H[:4], GAUSS, 6, 0, range(1)))
         assert len(next(simulate_batch("kde", H[:5], GAUSS, 6, 0, range(1)))) == 6
+
+
+class TestAncestorBlocks:
+    """``ancestor_blocks`` splits a range by the block cap, and each row is
+    the replication's own ``simulate`` genealogy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        length=st.integers(1, 60),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**40),
+        count=st.integers(0, 12),
+        cap=st.sampled_from([1, 7, 60, 2**17]),
+    )
+    def test_blocks_match_simulate(self, data, length, seed, start, count, cap):
+        s = data.draw(st.integers(1, min(3, length)), label="s")
+        reps = range(start, start + count)
+        # Patched here, not by a fixture, so each example sees its own cap.
+        with patch.object(process, "BLOCK_ELEMENTS", cap):
+            blocks = list(ancestor_blocks(length, seed, reps, s))
+        size = max(1, cap // length)
+        assert [b for b, _ in blocks] == [reps[i : i + size] for i in range(0, count, size)]
+        assert all(len(b) == size for b, _ in blocks[:-1])
+        assert sum(len(b) for b, _ in blocks) == count
+        prefix = np.linspace(-1.0, 2.0, s)[:, None] if s > 1 else None
+        for block, anc in blocks:
+            assert anc.dtype == np.int64 and anc.shape == (len(block), length - s)
+            for r, row in zip(block, anc):
+                traj = simulate("kde", SCHED, GAUSS, length, DrawStreams.from_seed(seed, r), prefix)
+                np.testing.assert_array_equal(row, traj.ancestors)
+
+    @pytest.mark.parametrize("length, s", [(0, 1), (1, 2), (2, 3)])
+    def test_length_below_base_points(self, length, s):
+        # The generator is lazy: the check runs at the first next().
+        blocks = ancestor_blocks(length, 0, range(4), s)
+        with pytest.raises(ValueError, match="shorter than"):
+            next(blocks)
 
 
 class TestMixture:

@@ -15,7 +15,7 @@ from kdeproc.config import ExperimentConfig
 from kdeproc.errors import ConfigError, DomainError, TrajectoryTooShort
 from kdeproc.harness import _two_proportion_one_sided, run
 from kdeproc.kernels import FAMILIES
-from kdeproc.process import FLAVORS, ancestor_block, replication_blocks
+from kdeproc.process import FLAVORS, ancestor_blocks
 from kdeproc.urn import (
     anchor_fractions,
     betabinom_pmf_vector,
@@ -163,7 +163,8 @@ class TestSimulatedCounts:
 
     def test_empirical_law_small_window(self):
         reps = 20000
-        roots = window_roots(ancestor_block(4, 77, range(reps)), 2)
+        ((_, anc),) = ancestor_blocks(4, 77, range(reps))
+        roots = window_roots(anc, 2)
         counts = np.bincount(np.count_nonzero(roots == 0, axis=1), minlength=3)
         # multinomial 3-sigma bands around 1/3 each
         se = np.sqrt(reps * (1 / 3) * (2 / 3))
@@ -264,8 +265,7 @@ class TestFractionPath:
     def test_beta_limit_mini(self):
         reps, horizon, anchor = 800, 3000, 5
         finals = np.empty(reps)
-        for block in replication_blocks(range(reps), horizon):
-            anc = ancestor_block(horizon, 404, block)
+        for block, anc in ancestor_blocks(horizon, 404, range(reps)):
             finals[block.start : block.stop] = anchor_fractions(anc, anchor, horizon)
         res = stats.kstest(finals, stats.beta(1, anchor - 1).cdf)
         assert res.pvalue > 0.001
