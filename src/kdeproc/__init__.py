@@ -12,7 +12,7 @@ from .process import (
 )
 from .streams import DrawStreams, substream
 
-__version__ = "0.1.6"
+__version__ = "0.1.7"
 
 __all__ = [
     "BandwidthSchedule",

@@ -124,21 +124,21 @@ class BandwidthSchedule:
     # --------------------------------------------------------------- tail sums
 
     def tail_sum(self, f, n: int, epsabs: float, epsrel: float) -> tuple:
-        """(sum_{k>=n} f(k), an error bound) for terms f(x) at real x that
+        """(sum_{k>=n} f(k), an error estimate) for terms f(x) at real x that
         decay with the law, such as h(x + s)/(x + 1) or log a_x(t).
 
         The terms before the cut max(n, TAIL_CUT) are summed directly, the
         rest by Euler-Maclaurin: int_cut^inf f + f(cut)/2 - f'(cut)/12, with
-        f' a central difference and the third difference bounding what that
-        leaves out.  The integral is mapped onto u in (0, 1] by
-        x = cut u**(-p), where quadrature resolves it to ``epsabs`` /
-        ``epsrel``: p = 1/delta makes a power law's terms bounded in u, and
-        p = 1 puts an exponential law's stretch below 1/rate, where h ~ 1 and
-        the terms fall like 1/x, on a log-uniform scale and its decay past
-        1/rate into a vanishing corner.  f is evaluated once per node, and
-        real terms take no imaginary pass.  A map that leaves the float
-        range raises ToleranceNotReached; on a table the law raises
-        NoEnvelope.
+        f' a central difference and the third difference estimating what that
+        leaves out (quad's error is an estimate too).  The integral is mapped
+        onto u in (0, 1] by x = cut u**(-p), where quadrature resolves it to
+        ``epsabs`` / ``epsrel``: p = 1/delta makes a power law's terms
+        bounded in u, and p = 1 puts an exponential law's stretch below
+        1/rate, where h ~ 1 and the terms fall like 1/x, on a log-uniform
+        scale and its decay past 1/rate into a vanishing corner.  f is
+        evaluated once per node, and real terms take no imaginary pass.  A
+        map that leaves the float range raises ToleranceNotReached; on a
+        table the law raises NoEnvelope.
         """
         if n < 1:
             raise ValueError(f"tail start must be >= 1, got {n}")
@@ -188,12 +188,13 @@ class BandwidthSchedule:
 
     def tail_weight(self, n: int, shift: int) -> float:
         """W_s(n) = sum_{k>=n} h_{k+s} / (k+1) for the index shift s = ``shift``
-        in {0, 1}, to TAIL_WEIGHT_REL_TOL relative (ToleranceNotReached if
-        not); on a table the law raises NoEnvelope."""
+        in {0, 1}, to TAIL_WEIGHT_REL_TOL relative by tail_sum's error estimate
+        (ToleranceNotReached if not), asking quad for 1/40 of that, since
+        its estimate can fall short; on a table the law raises NoEnvelope."""
         if shift not in (0, 1):
             raise ValueError(f"tail shift must be 0 or 1, got {shift}")
         value, err = self.tail_sum(
-            lambda x: self.law(x + shift) / (x + 1.0), n, 0.0, TAIL_WEIGHT_REL_TOL / 4
+            lambda x: self.law(x + shift) / (x + 1.0), n, 0.0, TAIL_WEIGHT_REL_TOL / 40
         )
         if err > TAIL_WEIGHT_REL_TOL * value:
             raise ToleranceNotReached(

@@ -63,6 +63,7 @@ def _artifact_header(config: ExperimentConfig) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -223,18 +224,14 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
                 _bound_entry(name, threshold=mg.DRIFT_FLAG_THRESHOLD, **mg.drift_test(inc))
                 for name, inc in tested
             ]
+        # R >= 100 expects R/3 to R/2 at k = 0 and the rest past it, so
+        # bins >= 2 and the critical value is finite.
         for size, hist in _urn_tallies(config, config.urn_window_sizes)[0]:
             chi = _chi_square_merged(hist, betabinom_pmf_vector(size) * reps)
-            urn_tests.append(
-                {
-                    "name": f"urn_descendant_law:n={size}",
-                    "statistic": chi["p_value"],
-                    "threshold": 0.001,
-                    "passed": chi["p_value"] > 0.001,
-                    "chi_square": chi["statistic"],
-                    "bins": chi["bins"],
-                }
-            )
+            urn_tests.append(_bound_entry(
+                f"urn_descendant_law:n={size}", chi["statistic"],
+                special.chdtri(chi["bins"] - 1, 0.001), p_value=chi["p_value"], bins=chi["bins"],
+            ))
     else:
         skipped = f"skipped: replications={reps} below the minimum of {mg.MIN_REPLICATIONS}"
         notes["drift_tests"] = skipped
@@ -301,6 +298,8 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
     _refuse_data(config, "urn", "the descendant laws hold for a fully generated genealogy")
     reps = config.replications
     anchor = config.urn_anchor
+    if not config.urn_window_sizes and anchor is None:
+        raise ConfigError("urn mode needs urn.window_sizes or urn.anchor")
     horizon = config.steps if config.urn_fraction_horizon is None else config.urn_fraction_horizon
     # The urn laws read no point, so no kernel variate is drawn.
     counts, finals = _urn_tallies(config, config.urn_window_sizes, anchor, horizon)
@@ -545,9 +544,8 @@ MODES = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig, mode: str):
-    """Execute one mode, writing its artifacts under the configured directory."""
+    """Execute one mode, writing its artifacts under the configured directory,
+    which the first artifact write makes: a refused run leaves none."""
     if mode not in _RUNNERS:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    out_dir = Path(config.base_dir) / config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[mode](config, out_dir)
+    return _RUNNERS[mode](config, Path(config.base_dir) / config.output_dir)

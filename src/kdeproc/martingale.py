@@ -172,8 +172,8 @@ class ProductTail:
     """Value of prod_{k>=from_n} factor_k with its certificates.
 
     ``lemma_bound`` bounds sum |factor_k - 1| from ``from_n`` on (so the value
-    lies within exp(lemma_bound) - 1 of 1), and ``numerical_error`` bounds the
-    truncation/quadrature error of the evaluation itself.
+    lies within exp(lemma_bound) - 1 of 1), and ``numerical_error`` estimates
+    the truncation/quadrature error of the evaluation itself.
     """
 
     value: complex
@@ -233,8 +233,8 @@ def lemma_product_tail(
     except ToleranceNotReached as exc:
         raise ToleranceNotReached(f"{where}: {exc}") from None
     value = np.exp(log_sum)
-    # log_err bounds the error of the log-sum L, and exp(L + e) =
-    # exp(L)(1 + e + ...), so it is the tail's relative error as it stands.
+    # log_err estimates the error of the log-sum L, and exp(L + e) =
+    # exp(L)(1 + e + ...), so it estimates the tail's relative error as well.
     if log_err > PRODUCT_TAIL_REL_TOL:
         raise ToleranceNotReached(
             f"{where}: relative error {log_err:.3g} (the log-sum error; |tail| "

@@ -31,6 +31,7 @@ with the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -49,7 +50,7 @@ _QUANTILE_ROUNDS = 200
 _QUANTILE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelOrder:
     """The generated rows of a genealogy, stably sorted by depth below the
     base rows: the rows of depth k are s + ``order[bounds[k - 1]:bounds[k]]``
@@ -61,7 +62,7 @@ class LevelOrder:
     bounds: list[int]    # [0, end of depth 1, end of depth 2, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A realized path with its complete generative record.
 
@@ -81,7 +82,7 @@ class Trajectory:
     seed_prefix_len: int      # number of leading points injected as observed data
     # Depth order of the generated points below the prefix rows, shared by
     # every chain sum over this genealogy.
-    levels: LevelOrder = field(compare=False, repr=False)
+    levels: LevelOrder = field(repr=False)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -97,7 +98,7 @@ class Trajectory:
         return max(1, self.seed_prefix_len)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictiveMixture:
     """Exact uniform-weight mixture form of the predictive law at some time.
 
@@ -475,8 +476,9 @@ def cf_path(traj: Trajectory, t, kernel_cf: np.ndarray) -> tuple[np.ndarray, np.
 
     ``kernel_cf`` is the kernel CF row phi_K(h_n t), which depends on no
     trajectory, so a run builds it once per t (``cf_corrections`` returns
-    it).  One complex buffer takes the phases, their cumulative sum and the
-    division by n in place; kde reads psi off it before the kernel multiply.
+    it).  One complex buffer takes the phases (times the row, recursive),
+    their cumulative sum and the division by n in place: that running mean
+    is the path, and kde's phi is the row times it.
     """
     n_max = len(traj)
     if np.shape(kernel_cf) != (n_max,):
@@ -485,22 +487,17 @@ def cf_path(traj: Trajectory, t, kernel_cf: np.ndarray) -> tuple[np.ndarray, np.
         )
     # Componentwise division: complex/real drops an ulp and phi(0) must be 1.
     counts = np.arange(1, n_max + 1, dtype=float)
-    phi = path = 1j * _inner(traj.points, frequency(t, traj.dim))
-    np.exp(phi, out=phi)
-    if traj.flavor == "kde":
-        np.cumsum(phi, out=phi)
-        path = np.empty_like(phi)
-        np.divide(phi.real, counts, out=path.real)
-        np.divide(phi.imag, counts, out=path.imag)
-        # kernel_cf on the left: numpy's complex multiply need not commute
-        # bit for bit (it may fuse one product into the sum).
-        np.multiply(kernel_cf, phi, out=phi)
-    else:
-        phi *= kernel_cf
-        np.cumsum(phi, out=phi)
-    phi.real /= counts
-    phi.imag /= counts
-    phi += 0.0  # -0.0 parts (an underflowed kernel CF times a sum) read 0.0
+    path = 1j * _inner(traj.points, frequency(t, traj.dim))
+    np.exp(path, out=path)
+    if traj.flavor == "recursive":
+        path *= kernel_cf
+    np.cumsum(path, out=path)
+    path.real /= counts
+    path.imag /= counts
+    # kernel_cf on the left: numpy's complex multiply need not commute bit
+    # for bit (it may fuse one product into the sum).
+    phi = kernel_cf * path if traj.flavor == "kde" else path
+    phi += 0.0  # -0.0 parts (an underflowed kernel CF times a mean) read 0.0
     return phi, path
 
 
@@ -530,9 +527,11 @@ def write_csv(path, version: str, config_hash: str, columns) -> None:
 
     ``columns`` maps each header name, in order, to an equal-length sequence
     of Python scalars (the ``.tolist()`` of an array); every cell is written
-    as its ``repr``, and ``None`` as an empty cell.  Rows are streamed.
+    as its ``repr``, and ``None`` as an empty cell.  Rows are streamed.  The
+    file's directory is made if missing.
     """
     cells = [map(_csv_cell, col) for col in columns.values()]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# kdeproc {version} config={config_hash}\n")
         fh.write(",".join(columns) + "\r\n")

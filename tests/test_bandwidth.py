@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 from kdeproc import BandwidthSchedule, default_delta
 from kdeproc import martingale as mg
-from kdeproc.bandwidth import leading
+from kdeproc.bandwidth import TAIL_WEIGHT_REL_TOL, leading
 from kdeproc.errors import IndexBeyondTable, NoEnvelope, ToleranceNotReached
 
 
@@ -279,15 +279,19 @@ def _log_identity(rate, n, shift):
 
 
 class TestTailWeightOracles:
-    """tail_weight against oracles that share no code with tail_sum, to 1e-14."""
+    """tail_weight against oracles that share no code with tail_sum, to 1e-14
+    (the Hurwitz zeta oracle to the accuracy tail_weight asks quad for)."""
 
     @settings(max_examples=150, deadline=None)
     @given(c=st.floats(0.1, 10.0), delta=st.floats(0.01, 1.0), n=st.integers(1, 10**6))
+    @example(c=8.127020000605611, delta=0.011867927631978522, n=288719)
     def test_power_shifted_is_hurwitz_zeta(self, c, delta, n):
         # h_{k+1}/(k+1) = C (k+1)^-(1+delta), so W_1(n) = C zeta(1+delta, n+1).
+        # Near delta = 0.01 quad's answer sits ~1e-14 off at every tolerance
+        # down to its 50 eps floor: the test holds it to the accuracy asked.
         want = c * float(special.zeta(1.0 + delta, n + 1))
         got = BandwidthSchedule.power(c, delta).tail_weight(n, 1)
-        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert got == pytest.approx(want, rel=TAIL_WEIGHT_REL_TOL / 40, abs=0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 10**6))
@@ -311,6 +315,8 @@ class TestTailWeightOracles:
         fraction=st.floats(0.0, 1.0),
         shift=st.sampled_from([0, 1]),
     )
+    @example(log_rate=-9.665108108095936, fraction=0.3095402156781804, shift=0)
+    @example(log_rate=-9.786823799734952, fraction=0.0, shift=0)
     def test_exponential_log_identity(self, log_rate, fraction, shift):
         rate = 10.0**log_rate
         n = max(1, int(fraction * min(1.0 / rate, 2 * 10**4)))

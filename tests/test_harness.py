@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from kdeproc import (
     BandwidthSchedule,
@@ -102,7 +102,7 @@ class TestDeterminism:
         traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
         from kdeproc.process import write_trajectory_csv
 
-        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.6", cfg.config_hash())
+        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.7", cfg.config_hash())
         expected = (tmp_path / "sim" / "trajectory_00002.csv").read_bytes()
         assert (tmp_path / "solo.csv").read_bytes() == expected
 
@@ -191,7 +191,7 @@ class TestRunModes:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = read_json(tmp_path / "out" / "diagnostics.json")
         assert data == payload
-        assert data["version"] == "0.1.6"
+        assert data["version"] == "0.1.7"
         assert data["config_hash"] == cfg.config_hash()
 
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -275,9 +275,13 @@ class TestRunModes:
             "urn_descendant_law:n=2", "urn_descendant_law:n=11"
         ]
         for entry, n in zip(diag["urn_tests"], (2, 11)):
-            assert entry["chi_square"] == urn["chi_square"][str(n)]["statistic"]
-            assert entry["statistic"] == urn["chi_square"][str(n)]["p_value"]
-            assert entry["bins"] == urn["chi_square"][str(n)]["bins"]
+            chi = urn["chi_square"][str(n)]
+            assert entry["statistic"] == chi["statistic"]
+            assert entry["p_value"] == chi["p_value"]
+            assert entry["bins"] == chi["bins"]
+            # chi-square at most its 0.001 critical value: p above 0.001.
+            assert entry["threshold"] == special.chdtri(chi["bins"] - 1, 0.001)
+            assert entry["passed"] == (chi["p_value"] > 0.001)
 
     @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
     def test_first_moment_evaluated_once_per_run(self, tmp_path, monkeypatch, mode):
@@ -676,6 +680,7 @@ class TestCli:
             ("urn", "urn.window_sizes = 2, 2, 5\n", None, "urn.window_sizes values 2 and 2"),
             ("simulate", "data.path = obs.txt\n", "0.1 0.2\n0.3\n",
              "obs.txt:2: rows with different numbers of coordinates"),
+            ("urn", "urn.window_sizes =\n", None, "urn mode needs urn.window_sizes or urn.anchor"),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
@@ -691,6 +696,7 @@ class TestCli:
             "replications-0", "drift-time-0", "quantile-1", "quantile-0",
             "cf-trace-t-label-collision", "diagnose-t-label-collision", "drift-time-repeated",
             "quantile-label-collision", "urn-window-repeated", "ragged-data-line",
+            "urn-nothing-to-test",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):
@@ -708,7 +714,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert needle in err
-        assert not any(tmp_path.glob("out/*"))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "mode, entries, err",
@@ -736,7 +742,7 @@ class TestCli:
         cfgfile.write_text("run.steps = 20\nrun.replications = 2\n" + extra + _TABLE)
         assert cli_main([mode, "--config", str(cfgfile)]) == (2 if err else 0)
         assert capsys.readouterr().err == err
-        assert any((tmp_path / "out").iterdir()) == (not err)
+        assert any(tmp_path.glob("out/*")) == (tmp_path / "out").exists() == (not err)
 
     @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -805,7 +811,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: CF product tail at t=(20), flavor recursive, from n=1000")
         assert "relative error" in err and "above the tolerance 1e-16" in err
-        assert not any((tmp_path / "refused").iterdir())
+        assert not (tmp_path / "refused").exists()
 
     @pytest.mark.parametrize("mode", ["diagnose", "cf-trace"])
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -824,7 +830,7 @@ class TestCli:
             f"error: CF product tail at t=(1), flavor {flavor}, from n=51: the tail "
             "quadrature from the cut n=4096 leaves the float range\n"
         )
-        assert not any((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("d, t", [(1, 10), (3, 3)])
     @pytest.mark.parametrize("flavor", FLAVORS)

@@ -294,6 +294,22 @@ class TestGenealogyRecord:
         draws[:] = np.nan
         assert_same_trajectory(again, traj)
 
+    def test_records_compare_by_identity(self):
+        # An array has no truth value, so a trajectory, its level order and a
+        # mixture compare and hash as objects: equal only to themselves.
+        traj = simulate("kde", SCHED, GAUSS, 40, DrawStreams.from_seed(5, 0))
+        twin = simulate("kde", SCHED, GAUSS, 40, DrawStreams.from_seed(5, 0))
+        assert_same_trajectory(twin, traj)
+        pairs = [
+            (traj, twin),
+            (traj.levels, twin.levels),
+            (predictive_mixture(traj, H, GAUSS), predictive_mixture(twin, H, GAUSS)),
+        ]
+        for record, other in pairs:
+            assert record == record
+            assert record != other
+            assert len({record, other, record}) == 2
+
 
 def assert_same_trajectory(got, want):
     assert (got.flavor, got.seed_prefix_len) == (want.flavor, want.seed_prefix_len)
@@ -627,23 +643,18 @@ def kernel_cf_row(schedule, kernel, t, n):
 def cf_path_out_of_place(traj, schedule, kernel, t):
     """Oracle for ``cf_path``: the same steps as plain numpy expressions, each
     writing a fresh array, with the kernel CF row read inside.  Returns
-    (phi, path): the kde path is the phase mean, its parts divided apart."""
+    (phi, path): the running mean, its parts divided apart, of the phases
+    (times the row, recursive) and, for kde, phi = row * path + 0.0."""
     n_max = len(traj)
     t = np.broadcast_to(np.asarray(t, dtype=float), (traj.dim,))
     phases = np.exp(1j * (traj.points @ t))
     row = kernel.cf_scaled(t, schedule.values(n_max))
     counts = np.arange(1, n_max + 1, dtype=float)
-    if traj.flavor == "kde":
-        sums = row * np.cumsum(phases)
-    else:
-        sums = np.cumsum(phases * row)
-    phi = sums.real / counts + 1j * (sums.imag / counts)
+    sums = np.cumsum(phases if traj.flavor == "kde" else phases * row)
+    path = sums.real / counts + 1j * (sums.imag / counts)
     if traj.flavor == "recursive":
-        return phi, phi
-    psi = np.empty(n_max, dtype=complex)
-    psi.real = np.cumsum(phases).real / counts
-    psi.imag = np.cumsum(phases).imag / counts
-    return phi, psi
+        return path, path
+    return row * path + 0.0, path
 
 
 # Keyword arguments of each kernel family beyond its dimension.
@@ -672,7 +683,7 @@ class TestCfPath:
     )
     def test_matches_mixture_cf_every_family(self, family, d, flavor, length, seed, data):
         # half_normal's complex kernel CF tells the kde order (multiply the
-        # cumulative sum by phi_K(h_n t)) from the recursive one (sum the
+        # running mean by phi_K(h_n t)) from the recursive one (sum the
         # products), which a real CF would not.
         kernel = KernelSpec(family, dim=d, **FAMILY_ARGS[family])
         schedule = BandwidthSchedule.default(d)
