@@ -19,6 +19,9 @@ tail feeding the martingale traces,
 
 A table ends, so it has no law past its end and no tail sum: both raise
 NoEnvelope.
+
+SciPy is imported as the bare package, so ``scipy.integrate`` loads at the
+first tail quadrature, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from .errors import IndexBeyondTable, NoEnvelope, ToleranceNotReached
 
@@ -165,7 +168,7 @@ class BandwidthSchedule:
         integral = err = 0.0
         for part, unit in ((np.real, 1.0), (np.imag, 1j))[: 1 + np.iscomplexobj(f0)]:
             try:
-                value, part_err = integrate.quad(
+                value, part_err = scipy.integrate.quad(
                     lambda u: float(part(f_at(cut * u ** (-p)))) * (cut * p * u ** (-p - 1.0)),
                     0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=400, full_output=1,
                 )[:2]

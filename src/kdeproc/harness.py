@@ -4,6 +4,10 @@ Every run mode is a pure function of the configuration: replication r draws
 its two substreams from (master_seed, r), artifacts carry the tool version
 and the configuration hash, and re-running any subset of replications
 reproduces their outputs byte for byte.
+
+SciPy is imported as the bare package and each subpackage is named at its
+call, so a mode loads only the subpackages it evaluates: ``simulate`` none,
+and only an anchored urn run loads ``scipy.stats``, for its KS test.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy import special, stats
+import scipy
 
 from . import __version__ as _VERSION
 from . import martingale as mg
@@ -228,9 +232,10 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
         # bins >= 2 and the critical value is finite.
         for size, hist in _urn_tallies(config, config.urn_window_sizes)[0]:
             chi = _chi_square_merged(hist, betabinom_pmf_vector(size) * reps)
+            threshold = scipy.special.chdtri(chi["bins"] - 1, 0.001)
             urn_tests.append(_bound_entry(
-                f"urn_descendant_law:n={size}", chi["statistic"],
-                special.chdtri(chi["bins"] - 1, 0.001), p_value=chi["p_value"], bins=chi["bins"],
+                f"urn_descendant_law:n={size}", chi["statistic"], threshold,
+                p_value=chi["p_value"], bins=chi["bins"],
             ))
     else:
         skipped = f"skipped: replications={reps} below the minimum of {mg.MIN_REPLICATIONS}"
@@ -317,7 +322,7 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
         chi_results[str(n)] = _chi_square_merged(hist, pmf * reps)
     payload = {**_artifact_header(config), "chi_square": chi_results}
     if anchor is not None:
-        ks = stats.kstest(finals, stats.beta(1, anchor - 1).cdf)
+        ks = scipy.stats.kstest(finals, scipy.stats.beta(1, anchor - 1).cdf)
         payload["fraction_limit"] = {
             "anchor": anchor,
             "horizon": horizon,
@@ -362,7 +367,7 @@ def _chi_square(observed: np.ndarray, expected: np.ndarray) -> tuple[float, floa
             f"which differ by more than {rtol:.3g} relative"
         )
     statistic = np.sum((observed - expected) ** 2 / expected)
-    return float(statistic), float(special.chdtrc(len(observed) - 1, statistic))
+    return float(statistic), float(scipy.special.chdtrc(len(observed) - 1, statistic))
 
 
 def _record_stats(traj: Trajectory) -> tuple[int, float, float]:
@@ -385,7 +390,8 @@ def _two_proportion_one_sided(k1: int, n1: int, k2: int, n2: int) -> tuple[float
     if var == 0.0:
         return 0.0, 0.5
     z = (p1 - p2) / np.sqrt(var)
-    return float(z), float(stats.norm.sf(z))
+    # The upper normal tail: scipy.stats' norm.sf is this call plus dispatch.
+    return float(z), float(scipy.special.ndtr(-z))
 
 
 def run_contrast(config: ExperimentConfig, out_dir: Path) -> dict:

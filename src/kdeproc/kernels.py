@@ -17,6 +17,11 @@ Supported families:
 * ``student_t``   -- Student-t coordinates with a finite ``dof > 1``, so the
   first absolute moment is finite.
 * ``laplace``     -- standard Laplace coordinates (scale 1).
+
+SciPy is imported as the bare package and each subpackage is named at its
+call (``scipy.special.ndtr``), so a run loads ``scipy.special`` or
+``scipy.integrate`` only when it first evaluates one of their functions, and
+no call here needs ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -26,12 +31,22 @@ from functools import cached_property
 from math import pi, sqrt
 
 import numpy as np
-from scipy import integrate, special, stats
+import scipy
 
 FAMILIES = ("gaussian", "half_normal", "student_t", "laplace")
 
 _SQRT_2_OVER_PI = sqrt(2.0 / pi)
 _SQRT_2PI = sqrt(2.0 * pi)
+
+
+def _student_t_pdf(x, dof: float):
+    """Student-t density at ``x``: scipy.stats' t.pdf, written as its own
+    t._logpdf so that the floats are the same without its dispatch."""
+    return np.exp(
+        np.log(scipy.special.poch(0.5 * dof, 0.5))
+        - 0.5 * (np.log(dof) + np.log(np.pi))
+        - (dof + 1) / 2 * np.log1p(x * x / dof)
+    )
 
 
 def frequency(t, dim: int) -> np.ndarray:
@@ -116,7 +131,8 @@ class KernelSpec:
         if self.family == "half_normal":
             # E[exp(iu|Z|)] = exp(-u^2/2) + i * (2/sqrt(pi)) * dawsn(u/sqrt(2));
             # the Dawson form keeps the imaginary part stable for large |u|.
-            return np.expm1(-0.5 * u * u) + 1j * (2.0 / sqrt(pi)) * special.dawsn(u / sqrt(2.0))
+            dawson = scipy.special.dawsn(u / sqrt(2.0))
+            return np.expm1(-0.5 * u * u) + 1j * (2.0 / sqrt(pi)) * dawson
         return self._cf1_m1_student_t(u)
 
     def _cf1_m1_student_t(self, u: np.ndarray) -> np.ndarray:
@@ -132,15 +148,15 @@ class KernelSpec:
         live = z > 1e-12  # below this the deviation is < 1e-12 for any dof
         # kve representability: small-z magnitude estimate of log kv.
         with np.errstate(divide="ignore"):
-            log_kv_est = special.gammaln(a) + a * np.log(2.0 / np.maximum(z, 1e-300))
+            log_kv_est = scipy.special.gammaln(a) + a * np.log(2.0 / np.maximum(z, 1e-300))
         bessel = live & (log_kv_est < 690.0)
         zz = z[bessel]
         if zz.size:
             log_phi = (
-                np.log(special.kve(a, zz))
+                np.log(scipy.special.kve(a, zz))
                 - zz
                 + a * np.log(zz)
-                - special.gammaln(a)
+                - scipy.special.gammaln(a)
                 - (a - 1.0) * np.log(2.0)
             )
             out[bessel] = np.expm1(log_phi)
@@ -161,8 +177,8 @@ class KernelSpec:
         return out[0] if scalar else out
 
     def _cf1_m1_student_t_quad(self, u: float) -> float:
-        val, _ = integrate.quad(
-            lambda x: 2.0 * stats.t.pdf(x, self.dof) * (np.cos(u * x) - 1.0),
+        val, _ = scipy.integrate.quad(
+            lambda x: 2.0 * _student_t_pdf(x, self.dof) * (np.cos(u * x) - 1.0),
             0.0,
             np.inf,
             limit=400,
@@ -177,12 +193,12 @@ class KernelSpec:
         """Coordinate CDF, vectorized; used for box probabilities of mixtures."""
         x = np.asarray(x, dtype=float)
         if self.family == "gaussian":
-            return special.ndtr(x)
+            return scipy.special.ndtr(x)
         if self.family == "half_normal":
-            return np.where(x < 0.0, 0.0, special.erf(np.maximum(x, 0.0) / sqrt(2.0)))
+            return np.where(x < 0.0, 0.0, scipy.special.erf(np.maximum(x, 0.0) / sqrt(2.0)))
         if self.family == "laplace":
             return np.where(x < 0.0, 0.5 * np.exp(np.minimum(x, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(x, 0.0)))
-        return stats.t.cdf(x, self.dof)
+        return scipy.special.stdtr(self.dof, x)
 
     def pdf1(self, x) -> np.ndarray:
         """Coordinate density, vectorized; the derivative of :meth:`cdf1`
@@ -194,7 +210,7 @@ class KernelSpec:
             return np.where(x < 0.0, 0.0, 2.0 * np.exp(-0.5 * x * x) / _SQRT_2PI)
         if self.family == "laplace":
             return 0.5 * np.exp(-np.abs(x))
-        return stats.t.pdf(x, self.dof)
+        return _student_t_pdf(x, self.dof)
 
     @property
     def has_norm_survival(self) -> bool:
@@ -212,12 +228,13 @@ class KernelSpec:
         rp = np.maximum(r, 0.0)
         if self.family in ("gaussian", "half_normal"):
             # |(|Z_1|,...,|Z_d|)| equals |Z|, so both families share the chi
-            # law; scipy.stats' chi.sf and t.sf are these calls plus dispatch.
-            out = special.gammaincc(0.5 * self.dim, 0.5 * rp**2)
+            # law.  Here and in cdf1 and pdf1, scipy.stats' chi.sf, t.sf,
+            # t.cdf and t.pdf are these calls plus dispatch.
+            out = scipy.special.gammaincc(0.5 * self.dim, 0.5 * rp**2)
         elif self.family == "laplace":
             out = np.exp(-rp)
         else:
-            out = 2.0 * special.stdtr(self.dof, -rp)
+            out = 2.0 * scipy.special.stdtr(self.dof, -rp)
         return np.where(r < 0.0, 1.0, out)
 
     # ------------------------------------------------------------------ moments
@@ -238,23 +255,23 @@ class KernelSpec:
             return float(
                 np.exp(
                     0.5 * np.log(2.0)
-                    + special.gammaln(0.5 * (self.dim + 1.0))
-                    - special.gammaln(0.5 * self.dim)
+                    + scipy.special.gammaln(0.5 * (self.dim + 1.0))
+                    - scipy.special.gammaln(0.5 * self.dim)
                 )
             )
         if self.dim == 1:
             # E|Y|^p at p = 1: Gamma(p + 1) for laplace; for student_t,
             # nu^(p/2) Gamma((p+1)/2) Gamma((nu-p)/2) / (sqrt(pi) Gamma(nu/2)).
             if self.family == "laplace":
-                return float(special.gamma(2.0))
+                return float(scipy.special.gamma(2.0))
             nu = float(self.dof)
             return float(
                 np.exp(
                     0.5 * np.log(nu)
-                    + special.gammaln(1.0)
-                    + special.gammaln(0.5 * (nu - 1.0))
+                    + scipy.special.gammaln(1.0)
+                    + scipy.special.gammaln(0.5 * (nu - 1.0))
                     - 0.5 * np.log(pi)
-                    - special.gammaln(0.5 * nu)
+                    - scipy.special.gammaln(0.5 * nu)
                 )
             )
         # Heavy-tailed multivariate norms by the Gamma representation
@@ -264,9 +281,9 @@ class KernelSpec:
         def integrand(s):
             return (1.0 - lap(s) ** self.dim) * s ** (-1.5)
 
-        i1, _ = integrate.quad(integrand, 0.0, 1.0, limit=200)
-        i2, _ = integrate.quad(integrand, 1.0, np.inf, limit=200)
-        return float(0.5 / special.gamma(0.5) * (i1 + i2))
+        i1, _ = scipy.integrate.quad(integrand, 0.0, 1.0, limit=200)
+        i2, _ = scipy.integrate.quad(integrand, 1.0, np.inf, limit=200)
+        return float(0.5 / scipy.special.gamma(0.5) * (i1 + i2))
 
     def _squared_coord_laplace_transform(self, s: float) -> float:
         """E[exp(-s Y_1^2)] for the heavy-tailed families, in closed form."""
@@ -274,9 +291,10 @@ class KernelSpec:
             return 1.0
         if self.family == "laplace":
             x = 1.0 / (2.0 * sqrt(s))
-            return float(0.5 * sqrt(pi / s) * special.erfcx(x))
+            return float(0.5 * sqrt(pi / s) * scipy.special.erfcx(x))
         # student_t: Gamma((nu+1)/2) / Gamma(nu/2) * U(1/2, 1 - nu/2, nu s),
         # with U Tricomi's confluent hypergeometric function.
         nu = float(self.dof)
-        ratio = np.exp(special.gammaln(0.5 * (nu + 1.0)) - special.gammaln(0.5 * nu))
-        return float(ratio * special.hyperu(0.5, 1.0 - 0.5 * nu, nu * s))
+        gammaln = scipy.special.gammaln
+        ratio = np.exp(gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu))
+        return float(ratio * scipy.special.hyperu(0.5, 1.0 - 0.5 * nu, nu * s))

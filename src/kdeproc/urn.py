@@ -6,12 +6,15 @@ of a reinforced urn.  This module provides the exact beta-binomial law and
 geometric tail bound for descendant counts over a doubling window, the
 empirical counterparts read off blocks of simulated genealogies, and the
 long-run descendant fraction whose limit is a Beta law.
+
+SciPy is imported as the bare package, so ``scipy.special`` loads when an
+exact law is first evaluated, not when this module is imported.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .errors import DomainError, TrajectoryTooShort
 
@@ -33,11 +36,10 @@ def betabinom_pmf_vector(n: int) -> np.ndarray:
     if n < 2:
         raise DomainError(f"window parameter must be >= 2, got {n}")
     k = np.arange(n + 1)
-    log_binom = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
-    log_beta_num = (
-        special.gammaln(k + 1.0) + special.gammaln(2.0 * n - k - 1.0) - special.gammaln(2.0 * n)
-    )
-    log_beta_den = special.gammaln(1.0) + special.gammaln(n - 1.0) - special.gammaln(float(n))
+    gammaln = scipy.special.gammaln
+    log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    log_beta_num = gammaln(k + 1.0) + gammaln(2.0 * n - k - 1.0) - gammaln(2.0 * n)
+    log_beta_den = gammaln(1.0) + gammaln(n - 1.0) - gammaln(float(n))
     return np.exp(log_binom + log_beta_num - log_beta_den)
 
 

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+import kdeproc
 from kdeproc import (
     BandwidthSchedule,
     DrawStreams,
@@ -860,3 +864,64 @@ class TestCli:
         bad.write_text("run.steps = many\n")
         assert cli_main(["simulate", "--config", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# Runs the CLI in this interpreter, then prints its exit status and which of
+# SciPy's heavy subpackages it left loaded.
+_IMPORT_PROBE = """
+import json, sys
+from kdeproc.cli import main
+try:
+    status = main(sys.argv[1:]) if sys.argv[1:] else 0
+except SystemExit as exc:
+    status = exc.code
+loaded = [m for m in ("scipy.special", "scipy.integrate", "scipy.stats") if m in sys.modules]
+print(json.dumps([status, loaded]))
+"""
+_SMALL = "run.steps = 30\nrun.replications = 2\n"
+
+
+class TestImportBudget:
+    """A run loads only the SciPy subpackages its mode evaluates: none to
+    simulate, and scipy.stats only for an anchored urn run's KS test.  Each
+    case starts a fresh interpreter, which inherits PYTHONPATH, so a
+    subpackage imported at module level anywhere in the package fails every
+    case."""
+
+    # The directory this suite imported kdeproc from goes first, so the child
+    # imports the same package although it runs in tmp_path.
+    ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(kdeproc.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    )}
+
+    @pytest.mark.parametrize(
+        "argv, config_text, loaded",
+        [
+            ([], None, []),
+            (["--version"], None, []),
+            (["simulate"], _SMALL, []),
+            (["urn"], _SMALL + "urn.window_sizes = 2, 5\n", ["scipy.special"]),
+            (["posterior"], _SMALL + "data.path = obs.txt\n", ["scipy.special"]),
+            (["contrast"], _SMALL + "kernel.family = half_normal\n", ["scipy.special"]),
+            (["diagnose"], _SMALL, ["scipy.special", "scipy.integrate"]),
+            (["cf-trace"], _SMALL, ["scipy.special", "scipy.integrate"]),
+            (["urn"], _SMALL + "urn.window_sizes = 2\nurn.anchor = 5\n",
+             ["scipy.special", "scipy.integrate", "scipy.stats"]),
+        ],
+        ids=[
+            "import-only", "version", "simulate", "urn-windows", "posterior", "contrast",
+            "diagnose", "cf-trace", "urn-anchor",
+        ],
+    )
+    def test_mode_loads_only_what_it_uses(self, tmp_path, argv, config_text, loaded):
+        if config_text is not None:
+            (tmp_path / "exp.cfg").write_text(config_text)
+            (tmp_path / "obs.txt").write_text("0.1\n-0.4\n0.7\n")
+            argv = argv + ["--config", str(tmp_path / "exp.cfg")]
+        probe = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *argv],
+            cwd=tmp_path, env=self.ENV, capture_output=True, text=True, check=True,
+        )
+        status, got = json.loads(probe.stdout.splitlines()[-1])
+        assert status == 0, probe.stderr
+        assert got == loaded

@@ -1,6 +1,7 @@
 """Kernel distributions: sampling, characteristic functions, moments."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,29 @@ class TestCharacteristicFunction:
             assert spec.cf(u).real == pytest.approx(2 * val, abs=2e-9)
             assert spec.cf(u).imag == 0.0
 
+    @settings(max_examples=30, deadline=None)
+    @given(dof=st.floats(30.0, 1e6), u=st.floats(1e-6, 10.0))
+    def test_student_t_quadrature_is_scipy_stats_bit_for_bit(self, dof, u):
+        # The quadrature's integrand evaluates the density without
+        # scipy.stats; with stats.t.pdf in its place, quad must visit the
+        # same nodes and return the same float.  At dof >= 30 and u <= 10
+        # it reaches its tolerance; any warning must match as well.
+        def stats_quad():
+            val, _ = integrate.quad(
+                lambda x: 2.0 * stats.t.pdf(x, dof) * (np.cos(u * x) - 1.0),
+                0.0, np.inf, limit=400, epsabs=1e-12, epsrel=1e-12,
+            )
+            return float(val)
+
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = KernelSpec("student_t", dof=dof)._cf1_m1_student_t_quad(u)
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = stats_quad()
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+
     @pytest.mark.parametrize("dof", [1.5, 30.0, 250.0, 500.0])
     def test_student_t_small_arguments_against_mpmath(self, dof):
         mp = pytest.importorskip("mpmath")
@@ -367,6 +391,30 @@ class TestCdf:
             stats_sf = stats.chi.sf(rp, df=d)
         want = np.where(r < 0.0, 1.0, stats_sf)
         assert spec.norm_survival(r).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dof=st.floats(1.0, 1e6, exclude_min=True),
+        x=st.lists(
+            # |x| <= 1e150 keeps x * x finite: past it both sides warn of
+            # overflow, an error under the suite's warning filters.
+            st.one_of(
+                st.floats(-1e150, 1e150),
+                st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+            ),
+            min_size=1, max_size=50,
+        ),
+    )
+    def test_student_t_cdf_and_pdf_are_scipy_stats_bit_for_bit(self, dof, x):
+        # cdf1 and pdf1 call scipy.special without scipy.stats' dispatch,
+        # which the package never imports for them; they are its floats.
+        spec = KernelSpec("student_t", dof=dof)
+        x = np.array(x)
+        assert spec.cdf1(x).tobytes() == stats.t.cdf(x, dof).tobytes()
+        assert spec.pdf1(x).tobytes() == stats.t.pdf(x, dof).tobytes()
+        scalar = float(x[0])
+        assert spec.cdf1(scalar).tobytes() == stats.t.cdf(scalar, dof).tobytes()
+        assert spec.pdf1(scalar).tobytes() == stats.t.pdf(scalar, dof).tobytes()
 
     def test_norm_survival_unavailable(self):
         with pytest.raises(ValueError):

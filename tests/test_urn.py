@@ -445,3 +445,13 @@ class TestSupportContrast:
         # abs=0.0: the zero-variance rows must give exactly z = 0 and p = 1/2.
         assert z == pytest.approx(z_want, rel=1e-14, abs=0.0)
         assert p == pytest.approx(stats.norm.sf(z_want), rel=1e-14, abs=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n1=st.integers(1, 10**6), n2=st.integers(1, 10**6), data=st.data())
+    def test_two_proportion_p_value_is_scipy_stats_bit_for_bit(self, n1, n2, data):
+        # The p-value is scipy.special.ndtr(-z), which the package calls
+        # without scipy.stats' dispatch; it is the same float as norm.sf.
+        k1 = data.draw(st.integers(0, n1))
+        k2 = data.draw(st.integers(0, n2))
+        z, p = _two_proportion_one_sided(k1, n1, k2, n2)
+        assert np.float64(p).tobytes() == np.float64(stats.norm.sf(z)).tobytes()
