@@ -1,9 +1,12 @@
 """Experiment orchestration: seeded runs, diagnostics reports, artifacts.
 
 Every run mode is a pure function of the configuration: replication r draws
-its two substreams from (master_seed, r), artifacts carry the tool version
-and the configuration hash, and re-running any subset of replications
-reproduces their outputs byte for byte.
+its two substreams from (master_seed, r), and re-running any subset of
+replications reproduces their outputs byte for byte.  Every artifact is
+written here, by ``_write_csv`` (trajectories through
+``_write_trajectory_csv``) or ``_write_json``, which stamp it with the tool
+version and the configuration hash and put it under the run's output
+directory: a run mode takes the configuration alone.
 
 SciPy is imported as the bare package and each subpackage is named at its
 call, so a mode loads only the subpackages it evaluates: ``simulate`` none,
@@ -30,8 +33,6 @@ from .process import (
     dominating_path,
     predictive_mixture,
     simulate_batch,
-    write_csv,
-    write_trajectory_csv,
 )
 from .urn import (
     anchor_fractions,
@@ -56,19 +57,66 @@ def _load_data(config: ExperimentConfig) -> np.ndarray | None:
 # ------------------------------------------------------------------ reports
 
 
-def _artifact_header(config: ExperimentConfig) -> dict:
-    """The provenance keys every JSON artifact starts from."""
-    return {
+def _open_artifact(config: ExperimentConfig, name: str):
+    """Artifact ``name`` under ``Path(config.base_dir) / config.output_dir``,
+    opened for writing; the directory is made at the first write.  A
+    directory that cannot be made or a file that cannot be opened is a
+    ConfigError naming the path."""
+    path = Path(config.base_dir) / config.output_dir / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}: {exc.filename}") from None
+
+
+def _write_json(config: ExperimentConfig, name: str, body: dict) -> dict:
+    """Write the JSON artifact ``name``: the provenance keys (tool, version,
+    config hash and the echoed config), then ``body``.  Returns the payload."""
+    payload = {
         "tool": "kdeproc",
         "version": _VERSION,
         "config_hash": config.config_hash(),
         "config": config.to_echo(),
+        **body,
     }
+    with _open_artifact(config, name) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return payload
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_csv(config: ExperimentConfig, name: str, columns) -> None:
+    """Write the CSV artifact ``name``: the banner ``# kdeproc <version>
+    config=<hash>``, then the header row and the data rows, each ending in
+    ``\\r\\n``.
+
+    ``columns`` maps each header name, in order, to an equal-length sequence
+    of numbers (the ``.tolist()`` of an array) or ``""`` for an empty cell;
+    every cell is written as its ``str``.  Rows are streamed.
+    """
+    cells = [map(str, col) for col in columns.values()]
+    with _open_artifact(config, name) as fh:
+        fh.write(f"# kdeproc {_VERSION} config={config.config_hash()}\n")
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(map("{}\r\n".format, map(",".join, zip(*cells, strict=True))))
+
+
+def _write_trajectory_csv(config: ExperimentConfig, name: str, traj: Trajectory) -> None:
+    """Dump a trajectory: step, ancestor, h_used, y_1..y_d, x_1..x_d.
+
+    Rows for the origin / injected data carry empty ancestor, h and y fields.
+    """
+    gap = [""] * traj.root_bound
+    columns = {
+        "step": range(1, len(traj) + 1),
+        "ancestor": gap + traj.ancestors.tolist(),
+        "h_used": gap + traj.steps_h.tolist(),
+    }
+    for j, col in enumerate(traj.kernel_draws.T.tolist(), start=1):
+        columns[f"y_{j}"] = gap + col
+    for j, col in enumerate(traj.points.T.tolist(), start=1):
+        columns[f"x_{j}"] = col
+    _write_csv(config, name, columns)
 
 
 def _bound_entry(name: str, statistic: float, threshold: float, **details) -> dict:
@@ -86,11 +134,10 @@ def _bound_entry(name: str, statistic: float, threshold: float, **details) -> di
 # ---------------------------------------------------------------- run modes
 
 
-def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
+def run_simulate(config: ExperimentConfig) -> dict:
     radii = []
     finals = []
     files = []
-    config_hash = config.config_hash()
     schedule, kernel, data = config.schedule(), config.kernel(), _load_data(config)
     # h_1..h_{N-1}, the bandwidths of the steps: one read per run.
     h = schedule.values(config.steps - 1)
@@ -100,19 +147,16 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> dict:
     )
     for r, traj in enumerate(trajectories):
         name = f"trajectory_{r:05d}.csv"
-        write_trajectory_csv(traj, out_dir / name, _VERSION, config_hash)
+        _write_trajectory_csv(config, name, traj)
         files.append(name)
         radii.append(float(np.max(np.linalg.norm(traj.points, axis=1))))
         finals.append([float(v) for v in traj.points[-1]])
-    payload = {
-        **_artifact_header(config),
+    return _write_json(config, "run_summary.json", {
         "trajectory_files": files,
         "support_radius_per_replication": radii,
         "support_radius_estimate": max(radii),
         "final_points": finals,
-    }
-    _write_json(out_dir / "run_summary.json", payload)
-    return payload
+    })
 
 
 def _refuse_data(config: ExperimentConfig, mode: str, reason: str) -> None:
@@ -161,7 +205,7 @@ def _dominating_mean(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return u, np.cumsum(u) / np.arange(1, len(u) + 1, dtype=float)
 
 
-def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
+def run_diagnose(config: ExperimentConfig) -> dict:
     if not config.kernel().has_norm_survival:
         raise ConfigError(
             "diagnose mode needs the norm law of the kernel for its tail bound check; "
@@ -208,8 +252,8 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
         paths = [cf_path(traj, t, row) for t, (_, row) in zip(config.t_grid, corrections)]
         for k, n in enumerate(checkpoints):
             cf_dist[k, r] = _cf_gap([phi for phi, _ in paths], n, n_pts)
-        for i, ((corr, _), (_, s_vals)) in enumerate(zip(corrections, paths)):
-            np.multiply(corr, s_vals, out=s_vals)  # S = correction * path, over the path
+        for i, ((corr, _), (_, path)) in enumerate(zip(corrections, paths)):
+            s_vals = corr * path
             cf_bound_worst = max(cf_bound_worst, float(np.max(np.abs(s_vals))))
             cf_inc[i, :, r] = s_vals[times] - s_vals[times - 1]
         threshold = config.tail_threshold_factor * max(j[-1], 1e-12)
@@ -244,8 +288,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
             notes["urn_tests"] = skipped
     means = [float(np.mean(dist)) for dist in cf_dist]
     increases = [b - a for a, b in zip(means, means[1:])]
-    payload = {
-        **_artifact_header(config),
+    return _write_json(config, "diagnostics.json", {
         "drift_tests": drift_tests,
         "bound_checks": [
             _bound_entry("pathwise_dominance", dominance_violation, 1e-12),
@@ -273,9 +316,7 @@ def run_diagnose(config: ExperimentConfig, out_dir: Path) -> dict:
         "support_radius_estimate": float(np.max(radii)),
         "support_radius_mean": float(np.mean(radii)),
         "notes": notes,
-    }
-    _write_json(out_dir / "diagnostics.json", payload)
-    return payload
+    })
 
 
 def _urn_tallies(config: ExperimentConfig, windows, anchor=None, horizon=None):
@@ -299,7 +340,7 @@ def _urn_tallies(config: ExperimentConfig, windows, anchor=None, horizon=None):
     return counts, finals
 
 
-def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
+def run_urn(config: ExperimentConfig) -> dict:
     _refuse_data(config, "urn", "the descendant laws hold for a fully generated genealogy")
     reps = config.replications
     anchor = config.urn_anchor
@@ -320,18 +361,17 @@ def run_urn(config: ExperimentConfig, out_dir: Path) -> dict:
         table["tail_exact"] += np.cumsum(pmf[::-1])[::-1].tolist()
         table["tail_bound"] += [descendant_tail_bound(n, k) for k in range(n + 1)]
         chi_results[str(n)] = _chi_square_merged(hist, pmf * reps)
-    payload = {**_artifact_header(config), "chi_square": chi_results}
+    body = {"chi_square": chi_results}
     if anchor is not None:
         ks = scipy.stats.kstest(finals, scipy.stats.beta(1, anchor - 1).cdf)
-        payload["fraction_limit"] = {
+        body["fraction_limit"] = {
             "anchor": anchor,
             "horizon": horizon,
             "ks_statistic": float(ks.statistic),
             "p_value": float(ks.pvalue),
         }
-    write_csv(out_dir / "urn.csv", _VERSION, config.config_hash(), table)
-    _write_json(out_dir / "urn_summary.json", payload)
-    return payload
+    _write_csv(config, "urn.csv", table)
+    return _write_json(config, "urn_summary.json", body)
 
 
 def _chi_square_merged(counts: np.ndarray, expected: np.ndarray) -> dict:
@@ -394,7 +434,7 @@ def _two_proportion_one_sided(k1: int, n1: int, k2: int, n2: int) -> tuple[float
     return float(z), float(scipy.special.ndtr(-z))
 
 
-def run_contrast(config: ExperimentConfig, out_dir: Path) -> dict:
+def run_contrast(config: ExperimentConfig) -> dict:
     """Run both flavors on the non-negative kernel and compare how often the
     running maximum still sets records in the second half of the run.
 
@@ -435,12 +475,10 @@ def run_contrast(config: ExperimentConfig, out_dir: Path) -> dict:
         sides["recursive"]["last_half_record_count"], reps,
         sides["kde"]["last_half_record_count"], reps,
     )
-    payload = {**_artifact_header(config), **sides, "z_statistic": z, "p_value": p}
-    _write_json(out_dir / "contrast.json", payload)
-    return payload
+    return _write_json(config, "contrast.json", {**sides, "z_statistic": z, "p_value": p})
 
 
-def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
+def run_posterior(config: ExperimentConfig) -> dict:
     if config.data_path is None:
         raise ConfigError("posterior mode needs data.path")
     _require_t_grid(config, "posterior")
@@ -484,10 +522,9 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
     if has_box:
         columns["box_prob"] = box_probs.tolist()
     columns["cf_convergence_gap"] = conv.tolist()
-    write_csv(out_dir / "posterior.csv", _VERSION, config.config_hash(), columns)
+    _write_csv(config, "posterior.csv", columns)
 
-    payload = {
-        **_artifact_header(config),
+    body = {
         "data_points": len(data),
         "posterior_mean": [float(v) for v in means.mean(axis=0)],
         "posterior_mean_spread": [float(v) for v in means.std(axis=0, ddof=1)]
@@ -497,22 +534,20 @@ def run_posterior(config: ExperimentConfig, out_dir: Path) -> dict:
         "convergence_checkpoints": list(conv_pair),
     }
     if d == 1:
-        payload["quantile_levels"] = list(config.posterior_quantiles)
-        payload["quantile_means"] = [float(v) for v in quantiles.mean(axis=0)]
+        body["quantile_levels"] = list(config.posterior_quantiles)
+        body["quantile_means"] = [float(v) for v in quantiles.mean(axis=0)]
         if config.replications > 1:
-            payload["quantile_spreads"] = [float(v) for v in quantiles.std(axis=0, ddof=1)]
-    _write_json(out_dir / "posterior_summary.json", payload)
-    return payload
+            body["quantile_spreads"] = [float(v) for v in quantiles.std(axis=0, ddof=1)]
+    return _write_json(config, "posterior_summary.json", body)
 
 
-def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
+def run_cf_trace(config: ExperimentConfig) -> dict:
     schedule, h, kernel, corrections = _martingale_setup(config, "cf-trace")
     n_pts = config.steps
     traj = next(simulate_batch(config.flavor, h, kernel, n_pts, config.master_seed, range(1)))
     u, j = _dominating_mean(traj)
     tight = j + mg.compensator_tails(config.flavor, schedule, h, kernel.norm_mean, n_pts)
     summary_traces = {}
-    config_hash = config.config_hash()
     for t, (corr, row) in zip(config.t_grid, corrections):
         phi, path = cf_path(traj, t, row)
         s_vals = corr * path
@@ -527,15 +562,13 @@ def run_cf_trace(config: ExperimentConfig, out_dir: Path) -> dict:
             "S_re": s_vals.real.tolist(),
             "S_im": s_vals.imag.tolist(),
         }
-        write_csv(out_dir / name, _VERSION, config_hash, columns)
+        _write_csv(config, name, columns)
         summary_traces[artifact_label(t)] = {
             "file": name,
             "correction_sup": float(np.max(np.abs(corr))),
             "martingale_modulus_sup": float(np.max(np.abs(s_vals))),
         }
-    payload = {**_artifact_header(config), "traces": summary_traces}
-    _write_json(out_dir / "cf_trace_summary.json", payload)
-    return payload
+    return _write_json(config, "cf_trace_summary.json", {"traces": summary_traces})
 
 
 _RUNNERS = {
@@ -550,8 +583,10 @@ MODES = tuple(_RUNNERS)
 
 
 def run(config: ExperimentConfig, mode: str):
-    """Execute one mode, writing its artifacts under the configured directory,
-    which the first artifact write makes: a refused run leaves none."""
+    """Execute one mode and return its summary payload.  Its artifacts go
+    under ``Path(config.base_dir) / config.output_dir``, which the first
+    artifact write makes: a refused run leaves none, and an output directory
+    that cannot be made or written ends as a ConfigError naming the path."""
     if mode not in _RUNNERS:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return _RUNNERS[mode](config, Path(config.base_dir) / config.output_dir)
+    return _RUNNERS[mode](config)

@@ -31,7 +31,6 @@ with the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -519,43 +518,3 @@ def dominating_path(traj: Trajectory) -> np.ndarray:
         raise MissingGenealogy("dominating path needs ancestry for every point")
     norm_inc = traj.steps_h * np.linalg.norm(traj.kernel_draws, axis=1)
     return _sum_levels(np.zeros(1), norm_inc, traj.levels)
-
-
-def write_csv(path, version: str, config_hash: str, columns) -> None:
-    """Write one CSV artifact: the banner ``# kdeproc <version> config=<hash>``,
-    then the header row and the data rows, each ending in ``\\r\\n``.
-
-    ``columns`` maps each header name, in order, to an equal-length sequence
-    of Python scalars (the ``.tolist()`` of an array); every cell is written
-    as its ``repr``, and ``None`` as an empty cell.  Rows are streamed.  The
-    file's directory is made if missing.
-    """
-    cells = [map(_csv_cell, col) for col in columns.values()]
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# kdeproc {version} config={config_hash}\n")
-        fh.write(",".join(columns) + "\r\n")
-        fh.writelines(map("{}\r\n".format, map(",".join, zip(*cells, strict=True))))
-
-
-def _csv_cell(v) -> str:
-    return "" if v is None else repr(v)
-
-
-def write_trajectory_csv(traj: Trajectory, path, version: str, config_hash: str) -> None:
-    """Dump a trajectory: step, ancestor, h_used, y_1..y_d, x_1..x_d.
-
-    Rows for the origin / injected data carry empty ancestor, h and y fields.
-    The first line records the tool version and configuration hash.
-    """
-    gap = [None] * traj.root_bound
-    columns = {
-        "step": range(1, len(traj) + 1),
-        "ancestor": gap + traj.ancestors.tolist(),
-        "h_used": gap + traj.steps_h.tolist(),
-    }
-    for j, col in enumerate(traj.kernel_draws.T.tolist(), start=1):
-        columns[f"y_{j}"] = gap + col
-    for j, col in enumerate(traj.points.T.tolist(), start=1):
-        columns[f"x_{j}"] = col
-    write_csv(path, version, config_hash, columns)

@@ -1,6 +1,8 @@
 """Harness orchestration: determinism, run modes, posterior resampling, CLI."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -27,7 +29,14 @@ from kdeproc import martingale as mg
 from kdeproc.cli import main as cli_main
 from kdeproc.config import ExperimentConfig
 from kdeproc.errors import ConfigError
-from kdeproc.harness import _bound_entry, _chi_square, run
+from kdeproc.harness import (
+    MODES,
+    _bound_entry,
+    _chi_square,
+    _write_csv,
+    _write_trajectory_csv,
+    run,
+)
 from kdeproc.process import FLAVORS, simulate_batch
 
 
@@ -104,11 +113,9 @@ class TestDeterminism:
         # SeedSequence, not by the batch engine that wrote the run.
         streams = DrawStreams.from_seed(cfg.master_seed, 2)
         traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
-        from kdeproc.process import write_trajectory_csv
-
-        write_trajectory_csv(traj, tmp_path / "solo.csv", "0.1.7", cfg.config_hash())
+        _write_trajectory_csv(cfg.with_overrides(output_dir="solo"), "solo.csv", traj)
         expected = (tmp_path / "sim" / "trajectory_00002.csv").read_bytes()
-        assert (tmp_path / "solo.csv").read_bytes() == expected
+        assert (tmp_path / "solo" / "solo.csv").read_bytes() == expected
 
 
 class TestCheckEntries:
@@ -451,6 +458,97 @@ class TestRunModes:
         for line in text.splitlines()[2:]:
             for cell in line.split(",")[2:]:
                 float(cell)  # must parse
+
+
+class TestCsvDump:
+    def test_roundtrip_fields(self, tmp_path):
+        cfg = ExperimentConfig(base_dir=str(tmp_path), output_dir="o")
+        streams = DrawStreams.from_seed(47, 0)
+        traj = simulate("kde", cfg.schedule(), KernelSpec("gaussian"), 5, streams,
+                        data_prefix=[1.0, 2.0])
+        _write_trajectory_csv(cfg, "traj.csv", traj)
+        lines = (tmp_path / "o" / "traj.csv").read_text().splitlines()
+        assert lines[0] == f"# kdeproc {kdeproc.__version__} config={cfg.config_hash()}"
+        assert lines[1] == "step,ancestor,h_used,y_1,x_1"
+        assert len(lines) == 2 + 5
+        # prefix rows carry empty ancestor/h/y fields
+        assert lines[2].split(",")[1:4] == ["", "", ""]
+        assert lines[3].split(",")[1:4] == ["", "", ""]
+        assert lines[4].split(",")[1] != ""
+        # points column reproduces exactly through repr
+        assert float(lines[4].split(",")[4]) == traj.points[2, 0]
+
+    def test_numpy_scalars_are_plain_numbers(self, tmp_path):
+        # str of a NumPy 2 scalar is its plain number, where repr would
+        # write np.float64(0.1).
+        cfg = ExperimentConfig(base_dir=str(tmp_path))
+        _write_csv(cfg, "np.csv", {"a": [np.float64(0.1)], "b": [np.int64(3)]})
+        assert (tmp_path / "out" / "np.csv").read_bytes().split(b"\n", 1)[1] == b"a,b\r\n0.1,3\r\n"
+
+
+def csv_module_reference(version, config_hash, columns) -> bytes:
+    """The artifact as the csv module writes it from repr cells."""
+    buf = io.StringIO()
+    buf.write(f"# kdeproc {version} config={config_hash}\n")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in zip(*columns.values()):
+        writer.writerow([v if isinstance(v, str) else repr(v) for v in row])
+    return buf.getvalue().encode()
+
+
+SPECIAL_FLOATS = st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")])
+CSV_CELLS = st.one_of(st.just(""), st.integers(), st.floats(), SPECIAL_FLOATS)
+
+
+@st.composite
+def csv_tables(draw):
+    names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
+                          min_size=2, max_size=6, unique=True))
+    rows = draw(st.integers(0, 30))
+    return {name: draw(st.lists(CSV_CELLS, min_size=rows, max_size=rows)) for name in names}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=csv_tables())
+def test_write_csv_matches_csv_module(tmp_path, columns):
+    cfg = ExperimentConfig(base_dir=str(tmp_path))
+    _write_csv(cfg, "table.csv", columns)
+    expected = csv_module_reference(kdeproc.__version__, cfg.config_hash(), columns)
+    assert (tmp_path / "out" / "table.csv").read_bytes() == expected
+
+
+# Each mode at a small size, with the number of CSV artifacts it writes.
+_PROVENANCE_RUNS = {
+    "simulate": (dict(steps=30, replications=2), 2),
+    "diagnose": (dict(steps=120, replications=3, drift_times=(10,)), 0),
+    "urn": (dict(steps=20, replications=50, urn_window_sizes=(2,)), 1),
+    "contrast": (dict(kernel_family="half_normal", steps=20, replications=4), 0),
+    "posterior": (dict(steps=20, replications=2, data_path="obs.txt"), 1),
+    "cf-trace": (dict(steps=30, t_grid=(0.5, 2.0)), 2),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_artifact_provenance(tmp_path, mode):
+    # Every artifact is stamped from the run's config: the JSON one is the
+    # returned payload with its provenance keys, every CSV opens with the
+    # banner.
+    kwargs, csv_count = _PROVENANCE_RUNS[mode]
+    (tmp_path / "obs.txt").write_text("0.1\n-0.4\n0.7\n")
+    cfg = ExperimentConfig(master_seed=3, base_dir=str(tmp_path), **kwargs)
+    payload = run(cfg, mode)
+    assert list(json_artifacts(tmp_path / "out").values()) == [payload]
+    assert payload["tool"] == "kdeproc"
+    assert payload["version"] == kdeproc.__version__
+    assert payload["config_hash"] == cfg.config_hash()
+    assert payload["config"] == cfg.to_echo()
+    csvs = sorted((tmp_path / "out").glob("*.csv"))
+    assert len(csvs) == csv_count
+    banner = f"# kdeproc {kdeproc.__version__} config={cfg.config_hash()}\n".encode()
+    for path in csvs:
+        assert path.read_bytes().split(b"\n", 1)[0] + b"\n" == banner
 
 
 class TestMultivariate:
@@ -858,6 +956,28 @@ class TestCli:
         rows = (tmp_path / "out" / f"cf_trace_t{t}.csv").read_text().splitlines()[2:]
         assert len(rows) == 1000
         assert all("nan" not in row for row in rows)
+
+    @pytest.mark.parametrize(
+        "mode, config_text",
+        [("simulate", ""), ("contrast", "kernel.family = half_normal\n")],
+    )
+    @pytest.mark.parametrize("output_dir", ["out", "out/sub"])
+    def test_unwritable_output_dir(self, tmp_path, capsys, mode, config_text, output_dir):
+        # An output directory that is, or lies under, an existing file ends as
+        # a config error naming that path, whether a CSV (simulate) or the
+        # JSON summary (contrast) is the first artifact written.
+        blocker = tmp_path / "out"
+        blocker.write_text("not a directory\n")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(
+            f"run.steps = 20\nrun.replications = 2\n{config_text}run.output_dir = {output_dir}\n"
+        )
+        assert cli_main([mode, "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ")
+        assert str(blocker) in err.splitlines()[0]
+        assert "Traceback" not in err
+        assert blocker.read_text() == "not a directory\n"
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

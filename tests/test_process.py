@@ -1,12 +1,10 @@
 """Trajectory simulation, mixtures, genealogy reconstruction."""
 
-import csv
-import io
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -29,7 +27,6 @@ from kdeproc.process import (
     ancestor_blocks,
     chain_sum,
     simulate_batch,
-    write_csv,
 )
 from oracles import (
     PrefixPointHasNoGenealogy,
@@ -808,54 +805,3 @@ class TestDistributionalConsistency:
         res = stats.kstest(draws, lambda x: mix.cdf(x))
         assert res.pvalue > 0.001
 
-
-class TestCsvDump:
-    def test_roundtrip_fields(self, tmp_path):
-        from kdeproc.process import write_trajectory_csv
-
-        streams = DrawStreams.from_seed(47, 0)
-        traj = simulate("kde", SCHED, GAUSS, 5, streams, data_prefix=[1.0, 2.0])
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path, "0.1.0", "deadbeef")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# kdeproc 0.1.0 config=deadbeef"
-        assert lines[1] == "step,ancestor,h_used,y_1,x_1"
-        assert len(lines) == 2 + 5
-        # prefix rows carry empty ancestor/h/y fields
-        assert lines[2].split(",")[1:4] == ["", "", ""]
-        assert lines[3].split(",")[1:4] == ["", "", ""]
-        assert lines[4].split(",")[1] != ""
-        # points column reproduces exactly through repr
-        assert float(lines[4].split(",")[4]) == traj.points[2, 0]
-
-
-def csv_module_reference(version, config_hash, columns) -> bytes:
-    """The artifact as the csv module writes it from repr cells."""
-    buf = io.StringIO()
-    buf.write(f"# kdeproc {version} config={config_hash}\n")
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in zip(*columns.values()):
-        writer.writerow(["" if v is None else repr(v) for v in row])
-    return buf.getvalue().encode()
-
-
-SPECIAL_FLOATS = st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan")])
-CSV_CELLS = st.one_of(st.none(), st.integers(), st.floats(), SPECIAL_FLOATS)
-
-
-@st.composite
-def csv_tables(draw):
-    names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
-                          min_size=2, max_size=6, unique=True))
-    rows = draw(st.integers(0, 30))
-    return {name: draw(st.lists(CSV_CELLS, min_size=rows, max_size=rows)) for name in names}
-
-
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(columns=csv_tables())
-def test_write_csv_matches_csv_module(tmp_path, columns):
-    path = tmp_path / "table.csv"
-    write_csv(path, "9.9.9", "cafe", columns)
-    assert path.read_bytes() == csv_module_reference("9.9.9", "cafe", columns)
