@@ -215,6 +215,7 @@ def run_diagnose(config: ExperimentConfig) -> dict:
     n_pts = config.steps
     reps = config.replications
     drift_times = [n for n in config.drift_times if n < n_pts]
+    dropped = ", ".join(str(n) for n in config.drift_times if n >= n_pts)
     if config.drift_times and not drift_times:
         raise ConfigError("all diagnostics.drift_times lie beyond run.steps - 1")
     _, h, kernel, corrections = _martingale_setup(config, "diagnose")
@@ -263,6 +264,8 @@ def run_diagnose(config: ExperimentConfig) -> dict:
     drift_tests = []
     urn_tests = []
     notes = {}
+    if dropped:
+        notes["drift_times"] = f"skipped: {dropped} beyond run.steps - 1 = {n_pts - 1}"
     if can_drift:
         for k, n in enumerate(drift_times):
             tested = [(f"drift:tightness:n={n}", tight_inc[k])]
@@ -585,8 +588,13 @@ MODES = tuple(_RUNNERS)
 def run(config: ExperimentConfig, mode: str):
     """Execute one mode and return its summary payload.  Its artifacts go
     under ``Path(config.base_dir) / config.output_dir``, which the first
-    artifact write makes: a refused run leaves none, and an output directory
-    that cannot be made or written ends as a ConfigError naming the path."""
+    artifact write makes, so a refused run leaves none.  An output directory
+    that is or lies under a file is refused before any work, and one that
+    cannot be written otherwise fails at the first write."""
     if mode not in _RUNNERS:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+    out = Path(config.base_dir) / config.output_dir
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot write {out}: Not a directory: {existing}")
     return _RUNNERS[mode](config)

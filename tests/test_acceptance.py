@@ -295,10 +295,12 @@ def test_criterion_8_support_dichotomy(tmp_path):
     children set records at rate 1/n under either bandwidth rule, and the
     non-negative kernel makes every such child a strict record, so the two
     record streams share their dominant mechanism.  Measured across 1000
-    replications per flavor, the proportion difference is about 0.005, an
-    order of magnitude below what a p < 0.01 two-proportion test at R = 200
-    can detect, so this check fails by construction.  The mean final maxima
-    printed below (roughly 5.1 vs 6.0) are no evidence either: both flavors
+    replications per flavor, the proportion difference is about 0.01 (0.005
+    and 0.011 under two stream derivations), nearly an order of magnitude
+    below what a p < 0.01 two-proportion test at R = 200 can detect, so this
+    check fails by construction: this run gives kde 0.855 against recursive
+    0.865, p = 0.387.  The mean final maxima printed below (5.16 vs 6.02)
+    are no evidence either: both flavors
     run from one master seed, so replication r of each shares its ancestors
     and kernel draws, and with Y >= 0 and a non-increasing schedule every
     recursive point is at least its kde twin.  See README for details.
@@ -330,7 +332,7 @@ def test_criterion_8_support_dichotomy(tmp_path):
         "record-proportion direction did not materialize at this scale"
     )
     assert rep["p_value"] < 0.01, (
-        "the record-occurrence proportions differ by ~0.005 at this scale, so a "
+        "the record-occurrence proportions differ by ~0.01 at this scale, so a "
         "p < 0.01 two-proportion test at R = 200 is unreachable; see this test's "
         "docstring and README"
     )

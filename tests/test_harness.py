@@ -21,6 +21,7 @@ from kdeproc import (
     DrawStreams,
     KernelSpec,
     dominating_path,
+    harness,
     predictive_mixture,
     process,
     simulate,
@@ -109,8 +110,8 @@ class TestDeterminism:
         )
         run(cfg, "simulate")
         assert set(json_artifacts(tmp_path)) == {"sim/run_summary.json"}
-        # The reference path: replication 2's streams built from its own
-        # SeedSequence, not by the batch engine that wrote the run.
+        # The reference path: replication 2's streams built by numpy's own
+        # Philox constructor, not re-keyed by the batch engine that wrote the run.
         streams = DrawStreams.from_seed(cfg.master_seed, 2)
         traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
         _write_trajectory_csv(cfg.with_overrides(output_dir="solo"), "solo.csv", traj)
@@ -202,7 +203,7 @@ class TestRunModes:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = read_json(tmp_path / "out" / "diagnostics.json")
         assert data == payload
-        assert data["version"] == "0.1.7"
+        assert data["version"] == "0.2.0"
         assert data["config_hash"] == cfg.config_hash()
 
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -236,6 +237,17 @@ class TestRunModes:
             f"skipped: replications=5 below the minimum of {mg.MIN_REPLICATIONS}"
         )
         assert json_artifacts(tmp_path) == {"out/diagnostics.json": payload}
+
+    def test_diagnose_names_dropped_drift_times(self, tmp_path):
+        # A drift time at or past run.steps has no increment to test: the
+        # notes name each one dropped (with none dropped they stay empty, as
+        # test_diagnose_tests_kde_cf_drift_from_n_1 checks).
+        cfg = ExperimentConfig(
+            steps=60, replications=5, master_seed=2, drift_times=(10, 60, 100),
+            base_dir=str(tmp_path),
+        )
+        notes = run(cfg, "diagnose")["notes"]
+        assert notes["drift_times"] == "skipped: 60, 100 beyond run.steps - 1 = 59"
 
     def test_diagnose_tests_kde_cf_drift_from_n_1(self, tmp_path):
         # At t = 5, phi_K(h_n t) <= 0.1 up to n = 68, but the kde martingale
@@ -962,10 +974,17 @@ class TestCli:
         [("simulate", ""), ("contrast", "kernel.family = half_normal\n")],
     )
     @pytest.mark.parametrize("output_dir", ["out", "out/sub"])
-    def test_unwritable_output_dir(self, tmp_path, capsys, mode, config_text, output_dir):
+    def test_unwritable_output_dir(
+        self, tmp_path, capsys, monkeypatch, mode, config_text, output_dir
+    ):
         # An output directory that is, or lies under, an existing file ends as
-        # a config error naming that path, whether a CSV (simulate) or the
-        # JSON summary (contrast) is the first artifact written.
+        # a config error naming that path before any replication runs, whether
+        # a CSV (simulate) or the JSON summary (contrast) is the first
+        # artifact the run would write.
+        def no_replications(*args, **kwargs):
+            raise AssertionError("a replication ran before the refusal")
+
+        monkeypatch.setattr(harness, "simulate_batch", no_replications)
         blocker = tmp_path / "out"
         blocker.write_text("not a directory\n")
         cfgfile = tmp_path / "exp.cfg"

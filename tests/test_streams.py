@@ -1,4 +1,5 @@
-"""Block stream keys and draws against numpy's SeedSequence and fresh generators."""
+"""Streams against numpy's own Philox(key=(seed, r), counter=(0, 0, 0, purpose)),
+and block draws against fresh streams."""
 
 import numpy as np
 import pytest
@@ -7,41 +8,53 @@ from hypothesis import strategies as st
 
 from kdeproc import DrawStreams, KernelSpec
 from kdeproc.kernels import FAMILIES
-from kdeproc.streams import ancestor_uniforms, kernel_streams, stream_keys
+from kdeproc.streams import ancestor_uniforms, kernel_streams
 
 SEEDS = st.integers(0, 2**64 - 1)
+# Seeds and replications at the edges of 32- and 64-bit words.
+EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 + 3, 2**64 - 1]
 
 
-def seed_sequence_key(seed, r, purpose):
-    return np.random.SeedSequence([seed, r, purpose]).generate_state(2, np.uint64)
+def numpy_stream(seed, r, purpose):
+    # uint64 arrays: numpy reads a list holding 2^63 or more as float64.
+    key = np.array([seed, r], dtype=np.uint64)
+    counter = np.array([0, 0, 0, purpose], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=SEEDS,
-    start=st.integers(0, 2**32),
-    size=st.integers(1, 6),
-    purpose=st.sampled_from([0, 1]),
-)
-def test_keys_match_seed_sequence(seed, start, size, purpose):
-    reps = range(start, start + size)
-    got = stream_keys(seed, reps, purpose)
-    want = np.array([seed_sequence_key(seed, r, purpose) for r in reps])
-    np.testing.assert_array_equal(got, want)
+@pytest.mark.parametrize("seed", EDGES)
+def test_from_seed_matches_numpy_philox(seed):
+    for r in EDGES:
+        streams = DrawStreams.from_seed(seed, r)
+        for purpose, gen in enumerate((streams.ancestors, streams.kernel)):
+            want = numpy_stream(seed, r, purpose)
+            np.testing.assert_array_equal(gen.random(9), want.random(9))
+            assert gen.integers(2**64, dtype=np.uint64) == want.integers(2**64, dtype=np.uint64)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 5, 2**64 - 1])
-def test_keys_at_word_boundaries(seed):
-    # Seeds and replications of 2^32 or more enter SeedSequence as two words.
-    reps = [0, 1, 299, 12345678, 2**32 - 1, 2**32, 2**32 + 7, 2**63 + 3, 2**64 - 1]
-    for purpose in (0, 1):
-        want = np.array([seed_sequence_key(seed, r, purpose) for r in reps])
-        np.testing.assert_array_equal(stream_keys(seed, reps, purpose), want)
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_out_of_range_seed_or_replication_rejected(bad):
+    calls = [
+        lambda seed, r: DrawStreams.from_seed(seed, r),
+        lambda seed, r: ancestor_uniforms(seed, [0, r], 3),
+        lambda seed, r: kernel_streams(seed, [0, r]),
+    ]
+    for call in calls:
+        for seed, r in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+                call(seed, r)
 
 
-def test_negative_seed_rejected():
-    with pytest.raises(ValueError):
-        stream_keys(-1, range(3), 0)
+def test_neighbouring_streams_uncorrelated():
+    # First uniforms over 20 000 replications at seed 0: replication r
+    # against r + 1, and the ancestor stream against the kernel stream,
+    # each within four standard errors of zero correlation.
+    reps = range(20_000)
+    ancestor = ancestor_uniforms(0, reps, 1)[:, 0]
+    kernel = np.array([gen.random() for gen in kernel_streams(0, reps)])
+    bound = 4 / np.sqrt(len(reps))
+    assert abs(np.corrcoef(ancestor[:-1], ancestor[1:])[0, 1]) < bound
+    assert abs(np.corrcoef(ancestor, kernel)[0, 1]) < bound
 
 
 @settings(max_examples=50, deadline=None)
