@@ -12,7 +12,7 @@ from .process import (
 )
 from .streams import DrawStreams, substream
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 __all__ = [
     "BandwidthSchedule",

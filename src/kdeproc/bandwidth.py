@@ -39,6 +39,18 @@ TAIL_CUT = 4096
 TAIL_WEIGHT_REL_TOL = 1e-12
 # Fastest exponential rate whose tail past the cut Euler-Maclaurin resolves.
 _EM_MAX_RATE = 2.5e-4
+# quad's first interval is (0, 1), where QUADPACK's qk21 (Piessens, de
+# Doncker-Kapenga, Ueberhuber & Kahaner 1983) asks for f at 0.5 and at
+# 0.5 -+ 0.5 xgk, in these floats: xgk are its 21-point Gauss-Kronrod
+# abscissae on [-1, 1] without the centre.
+_QK21_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_FIRST_INTERVAL = (0.5, *(0.5 - 0.5 * x for x in _QK21_XGK), *(0.5 + 0.5 * x for x in _QK21_XGK))
 
 
 def _finite_positive(v) -> bool:
@@ -139,9 +151,13 @@ class BandwidthSchedule:
         bounded in u, and p = 1 puts an exponential law's stretch below
         1/rate, where h ~ 1 and the terms fall like 1/x, on a log-uniform
         scale and its decay past 1/rate into a vanishing corner.  f is
-        evaluated once per node, and real terms take no imaginary pass.  A
-        map that leaves the float range raises ToleranceNotReached; on a
-        table the law raises NoEnvelope.
+        called with float arrays only, once per point: the direct terms, then
+        one array of the five difference points and the 21 nodes of quad's
+        first interval, mapped by the integrand's own arithmetic so that quad
+        finds them in that table, then a length-1 array per node of each
+        interval quad subdivides.  Real terms take no imaginary pass.  A map
+        that leaves the float range raises ToleranceNotReached; on a table
+        the law raises NoEnvelope.
         """
         if n < 1:
             raise ValueError(f"tail start must be >= 1, got {n}")
@@ -153,36 +169,39 @@ class BandwidthSchedule:
             cut = max(cut, n + int(np.ceil(37.0 / self.rate)))
         k = np.arange(n, cut, dtype=float)
         direct = np.sum(f(k)) if k.size else 0.0
-        # f at each node, kept for this call only.
-        seen = {}
+        p = 1.0 / self.delta if self.form == "power" else 1.0
+        # f at the difference points and at every node quad evaluates, kept
+        # for this call only.
+        points = [float(cut), cut + 0.5, cut - 0.5, cut + 1.5, cut - 1.5]
 
         def f_at(x):
             value = seen.get(x)
             if value is None:
-                value = seen[x] = f(x)
+                value = seen[x] = f(np.array([x]))[0]
             return value
 
-        f0, d1 = f_at(float(cut)), f_at(cut + 0.5) - f_at(cut - 0.5)
-        d3 = f_at(cut + 1.5) - 3 * f_at(cut + 0.5) + 3 * f_at(cut - 0.5) - f_at(cut - 1.5)
-        p = 1.0 / self.delta if self.form == "power" else 1.0
         integral = err = 0.0
-        for part, unit in ((np.real, 1.0), (np.imag, 1j))[: 1 + np.iscomplexobj(f0)]:
-            try:
+        try:
+            nodes = [cut * u ** (-p) for u in _FIRST_INTERVAL]
+            seen = dict(zip(points + nodes, f(np.array(points + nodes))))
+            f0, up1, down1, up3, down3 = (seen[x] for x in points)
+            for part, unit in ((np.real, 1.0), (np.imag, 1j))[: 1 + np.iscomplexobj(f0)]:
                 value, part_err = scipy.integrate.quad(
                     lambda u: float(part(f_at(cut * u ** (-p)))) * (cut * p * u ** (-p - 1.0)),
                     0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=400, full_output=1,
                 )[:2]
-            except OverflowError:
-                # x = cut u**(-1/delta) overflows for u < u* = (cut/1.8e308)**delta:
-                # 0.496 at delta = 1e-3, 0.030 at 0.005 (cut = 4096).  The mapped
-                # tail-weight integrand is ~constant in u, so that stretch holds
-                # ~u* of the integral (~u*^2 of a gaussian product tail): not a
-                # zero term, and far above the 1e-12 and 1e-8 tolerances there.
-                raise ToleranceNotReached(
-                    f"the tail quadrature from the cut n={cut} leaves the float range"
-                ) from None
-            integral += unit * value
-            err += part_err
+                integral += unit * value
+                err += part_err
+        except OverflowError:
+            # x = cut u**(-1/delta) overflows for u < u* = (cut/1.8e308)**delta:
+            # 0.496 at delta = 1e-3, 0.030 at 0.005 (cut = 4096).  The mapped
+            # tail-weight integrand is ~constant in u, so that stretch holds
+            # ~u* of the integral (~u*^2 of a gaussian product tail): not a
+            # zero term, and far above the 1e-12 and 1e-8 tolerances there.
+            raise ToleranceNotReached(
+                f"the tail quadrature from the cut n={cut} leaves the float range"
+            ) from None
+        d1, d3 = up1 - down1, up3 - 3 * up1 + 3 * down1 - down3
         remainder = integral + 0.5 * f0 - d1 / 12.0
         # The omitted term f'''/720 and the f'''/24 that d1 adds to f' make
         # 7 f'''/1440 together.

@@ -230,7 +230,9 @@ class KernelSpec:
             # |(|Z_1|,...,|Z_d|)| equals |Z|, so both families share the chi
             # law.  Here and in cdf1 and pdf1, scipy.stats' chi.sf, t.sf,
             # t.cdf and t.pdf are these calls plus dispatch.
-            out = scipy.special.gammaincc(0.5 * self.dim, 0.5 * rp**2)
+            # rp**2 overflows to inf only where the survival is exactly 0.
+            with np.errstate(over="ignore"):
+                out = scipy.special.gammaincc(0.5 * self.dim, 0.5 * rp**2)
         elif self.family == "laplace":
             out = np.exp(-rp)
         else:

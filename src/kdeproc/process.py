@@ -124,8 +124,10 @@ class PredictiveMixture:
         if np.any(lo > hi):
             raise ValueError("box must satisfy lo <= hi per coordinate")
         s = self.scales[:, None]
-        upper = self.kernel.cdf1((hi[None, :] - self.centers) / s)
-        lower = self.kernel.cdf1((lo[None, :] - self.centers) / s)
+        # On a tiny scale a side standardizes to +-inf, where the CDF is 0 or 1.
+        with np.errstate(over="ignore"):
+            upper = self.kernel.cdf1((hi[None, :] - self.centers) / s)
+            lower = self.kernel.cdf1((lo[None, :] - self.centers) / s)
         per_component = np.prod(upper - lower, axis=1)
         return float(np.mean(per_component))
 
@@ -169,6 +171,9 @@ class PredictiveMixture:
           stalls at float resolution.
 
         The result is the midpoint of a bracket narrower than tol(1 + |mid|).
+        Float overflow is ignored: on a tiny scale a point standardizes to
+        +-inf, where the CDF is 0 or 1 and the density 0, and an infinite
+        density gives a zero step, which becomes a probe.
         """
         if self.dim != 1:
             raise ValueError("quantile is only defined for dimension 1")
@@ -176,40 +181,41 @@ class PredictiveMixture:
         if not np.all((levels > 0.0) & (levels < 1.0)):
             raise ValueError(f"quantile levels must be in (0, 1), got {q}")
         qs = levels.ravel()
-        span = np.full(qs.shape, 10.0 * float(np.max(self.scales)) + 1.0)
-        lo = float(np.min(self.centers)) - span
-        hi = float(np.max(self.centers)) + span
-        while np.any(short := self._cdf_distinct(lo) >= qs):
-            lo[short] -= span[short]
-            span[short] *= 2.0
-        while np.any(short := self._cdf_distinct(hi) < qs):
-            hi[short] += span[short]
-            span[short] *= 2.0
+        with np.errstate(over="ignore"):
+            span = np.full(qs.shape, 10.0 * float(np.max(self.scales)) + 1.0)
+            lo = float(np.min(self.centers)) - span
+            hi = float(np.max(self.centers)) + span
+            while np.any(short := self._cdf_distinct(lo) >= qs):
+                lo[short] -= span[short]
+                span[short] *= 2.0
+            while np.any(short := self._cdf_distinct(hi) < qs):
+                hi[short] += span[short]
+                span[short] *= 2.0
 
-        x = np.clip(np.quantile(self.centers[:, 0], qs), lo, hi)
-        live = np.arange(qs.size)
-        for rounds in range(_QUANTILE_ROUNDS):
-            xl, ql = x[live], qs[live]
-            z = self._standardized(xl)
-            cdf = np.mean(self.kernel.cdf1(z), axis=-1)
-            density = np.mean(self.kernel.pdf1(z) / self.scales, axis=-1)
-            below = cdf < ql
-            lo[live] = np.where(below, xl, lo[live])
-            hi[live] = np.where(below, hi[live], xl)
-            lo_l, hi_l = lo[live], hi[live]
-            mid = 0.5 * (lo_l + hi_l)
-            probe = 0.5 * _QUANTILE_TOL * (1.0 + np.abs(xl))
-            # A zero or subnormal density gives an infinite or NaN step,
-            # which the bracket test below turns into the midpoint.
-            with np.errstate(all="ignore"):
-                step = (ql - cdf) / density
-                step = np.where(np.abs(step) < probe, np.where(below, probe, -probe), step)
-                nxt = xl + step
-            inside = (nxt > lo_l) & (nxt < hi_l) & (rounds < _NEWTON_ROUNDS)
-            x[live] = np.where(inside, nxt, mid)
-            live = live[hi_l - lo_l >= _QUANTILE_TOL * (1.0 + np.abs(mid))]
-            if live.size == 0:
-                break
+            x = np.clip(np.quantile(self.centers[:, 0], qs), lo, hi)
+            live = np.arange(qs.size)
+            for rounds in range(_QUANTILE_ROUNDS):
+                xl, ql = x[live], qs[live]
+                z = self._standardized(xl)
+                cdf = np.mean(self.kernel.cdf1(z), axis=-1)
+                density = np.mean(self.kernel.pdf1(z) / self.scales, axis=-1)
+                below = cdf < ql
+                lo[live] = np.where(below, xl, lo[live])
+                hi[live] = np.where(below, hi[live], xl)
+                lo_l, hi_l = lo[live], hi[live]
+                mid = 0.5 * (lo_l + hi_l)
+                probe = 0.5 * _QUANTILE_TOL * (1.0 + np.abs(xl))
+                # A zero or subnormal density gives an infinite or NaN step,
+                # which the bracket test below turns into the midpoint.
+                with np.errstate(all="ignore"):
+                    step = (ql - cdf) / density
+                    step = np.where(np.abs(step) < probe, np.where(below, probe, -probe), step)
+                    nxt = xl + step
+                inside = (nxt > lo_l) & (nxt < hi_l) & (rounds < _NEWTON_ROUNDS)
+                x[live] = np.where(inside, nxt, mid)
+                live = live[hi_l - lo_l >= _QUANTILE_TOL * (1.0 + np.abs(mid))]
+                if live.size == 0:
+                    break
         out = (0.5 * (lo + hi)).reshape(levels.shape)
         return float(out) if out.ndim == 0 else out
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,7 @@ class TestRunModes:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = read_json(tmp_path / "out" / "diagnostics.json")
         assert data == payload
-        assert data["version"] == "0.2.0"
+        assert data["version"] == "0.2.1"
         assert data["config_hash"] == cfg.config_hash()
 
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -470,6 +471,38 @@ class TestRunModes:
         for line in text.splitlines()[2:]:
             for cell in line.split(",")[2:]:
                 float(cell)  # must parse
+
+    @pytest.mark.parametrize(
+        "family, dof", [("gaussian", None), ("half_normal", None), ("laplace", None),
+                        ("student_t", 3.0)],
+    )
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("mode", ["diagnose", "posterior"])
+    def test_clamped_bandwidths_run_without_overflow_warnings(
+        self, tmp_path, mode, flavor, family, dof
+    ):
+        # h_n = exp(-5 n) reaches the clamp at the smallest normal float by
+        # n = 142.  Dividing by it, or squaring a distance over it, overflows
+        # to inf, where each survival, CDF and density is at its exact
+        # limit; the run must say nothing about it.
+        np.savetxt(tmp_path / "obs.txt", [0.1, -3.3, 0.7, 5.2, -0.8])
+        cfg = ExperimentConfig(
+            flavor=flavor, kernel_family=family, kernel_dof=dof,
+            bandwidth_form="exponential", bandwidth_rate=5.0, steps=300,
+            data_path="obs.txt" if mode == "posterior" else None,
+            posterior_box_lo=-1.0, posterior_box_hi=1.0, base_dir=str(tmp_path),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload = run(cfg, mode)
+        summary = {"diagnose": "diagnostics.json", "posterior": "posterior_summary.json"}
+        assert json_artifacts(tmp_path) == {f"out/{summary[mode]}": payload}
+        if mode == "posterior":
+            quantiles = payload["quantile_means"]
+            assert np.all(np.isfinite(quantiles)) and quantiles == sorted(quantiles)
+            rows = (tmp_path / "out" / "posterior.csv").read_text().splitlines()
+            box = rows[1].split(",").index("box_prob")
+            assert 0.0 <= float(rows[2].split(",")[box]) <= 1.0
 
 
 class TestCsvDump:

@@ -568,15 +568,20 @@ def two_pass_tail_sum(schedule, f, n, epsabs, epsrel):
 
 
 def counting(f):
-    """f with a record of every scalar argument it is called at."""
+    """f with a record of every call: the points it was called at, as one
+    flat float array per call (a scalar call records one point)."""
     calls = []
 
     def counted(x):
-        if np.ndim(x) == 0:
-            calls.append(float(x))
+        calls.append(np.array(x, dtype=float).ravel())
         return f(x)
 
     return counted, calls
+
+
+def points(calls) -> list:
+    """Every point of every recorded call, in call order."""
+    return np.concatenate(calls).tolist()
 
 
 class TestTailQuadrature:
@@ -618,11 +623,60 @@ class TestTailQuadrature:
         got = schedule.tail_sum(once, 4096, tol, 0.0)
         twice, oracle_calls = counting(f)
         want = two_pass_tail_sum(schedule, twice, 4096, tol, 0.0)
+        nodes, oracle_nodes = points(calls), points(oracle_calls)
         assert got == want
-        assert len(calls) == len(set(calls))
-        assert set(calls) == set(oracle_calls)
-        # The two-pass form calls f more often than there are nodes.
-        assert len(oracle_calls) > len(calls)
+        assert len(nodes) == len(set(nodes))
+        assert set(nodes) == set(oracle_nodes)
+        # The two-pass form calls f at more points than there are nodes.
+        assert len(oracle_nodes) > len(nodes)
+
+    @pytest.mark.parametrize("family", ["gaussian", "half_normal", "laplace"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("from_n", [1001, 25_001])
+    def test_one_array_call_past_the_head(self, family, flavor, t, from_n):
+        # quad resolves these tails on its first interval, whose 21 nodes
+        # tail_sum evaluates with the five difference points as one array:
+        # past the direct head (from_n up to the cut), no call of length 1.
+        schedule = BandwidthSchedule.default(1)
+        f = mg._log_factor_fn(schedule, KernelSpec(family), frequency(t, 1), flavor)
+        counted, calls = counting(f)
+        schedule.tail_sum(counted, from_n, mg.PRODUCT_TAIL_REL_TOL / 4, 0.0)
+        head = [bw.TAIL_CUT - from_n] if from_n < bw.TAIL_CUT else []
+        assert [c.size for c in calls] == head + [26]
+
+    @pytest.mark.parametrize("shift", [0, 1])
+    @pytest.mark.parametrize("from_n", [1001, 25_001])
+    def test_tail_weight_one_array_call_past_the_head(self, shift, from_n):
+        schedule = BandwidthSchedule.default(1)
+        with mock.patch.object(
+            BandwidthSchedule, "law", autospec=True, side_effect=BandwidthSchedule.law
+        ) as law:
+            schedule.tail_weight(from_n, shift)
+        head = [bw.TAIL_CUT - from_n] if from_n < bw.TAIL_CUT else []
+        assert [np.size(c.args[1]) for c in law.call_args_list] == head + [26]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["gaussian", "half_normal", "laplace"]),
+        d=st.integers(1, 3),
+        t=st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+        n=st.integers(1, 30_000),
+        flavor=st.sampled_from(FLAVORS),
+        schedule=st.one_of(
+            st.floats(0.05, 0.5).map(lambda delta: BandwidthSchedule.power(1.0, delta)),
+            st.floats(-9.0, -3.0).map(lambda e: BandwidthSchedule.exponential(10.0**e)),
+        ),
+    )
+    def test_matches_scalar_node_oracle(self, family, d, t, signs, n, flavor, schedule):
+        # Bit for bit against the oracle that calls f one scalar at a time,
+        # on tails quad resolves on its first interval and on tails it
+        # subdivides (the slow exponential rates), whose nodes miss the table.
+        t = np.array(t[:d]) * np.array(signs[:d])
+        f = mg._log_factor_fn(schedule, KernelSpec(family, dim=d), t, flavor)
+        tol = mg.PRODUCT_TAIL_REL_TOL / 4
+        assert schedule.tail_sum(f, n, tol, 0.0) == two_pass_tail_sum(schedule, f, n, tol, 0.0)
 
     @pytest.mark.parametrize(
         "schedule", [SCHED, BandwidthSchedule.exponential(1e-9)], ids=["power", "exponential"]
