@@ -156,7 +156,7 @@ class BandwidthSchedule:
         first interval, mapped by the integrand's own arithmetic so that quad
         finds them in that table, then a length-1 array per node of each
         interval quad subdivides.  Real terms take no imaginary pass.  A map
-        that leaves the float range raises ToleranceNotReached; on a table
+        or sum leaving the float range raises ToleranceNotReached; on a table
         the law raises NoEnvelope.
         """
         if n < 1:
@@ -198,9 +198,13 @@ class BandwidthSchedule:
             # tail-weight integrand is ~constant in u, so that stretch holds
             # ~u* of the integral (~u*^2 of a gaussian product tail): not a
             # zero term, and far above the 1e-12 and 1e-8 tolerances there.
+            integral = np.inf
+        # The Jacobian cut p u**(-p-1) can overflow where x does not, silently
+        # (delta near 1/115): quad then returns inf, which no tolerance refuses.
+        if not (np.isfinite(integral) and np.isfinite(err)):
             raise ToleranceNotReached(
                 f"the tail quadrature from the cut n={cut} leaves the float range"
-            ) from None
+            )
         d1, d3 = up1 - down1, up3 - 3 * up1 + 3 * down1 - down3
         remainder = integral + 0.5 * f0 - d1 / 12.0
         # The omitted term f'''/720 and the f'''/24 that d1 adds to f' make

@@ -4,12 +4,17 @@ The config format is one ``key = value`` per line, ``#`` comment lines and
 blank lines allowed, list values comma-separated.  Unknown keys are errors
 (typo safety).  The configuration hash covers the fully resolved values, so
 identical effective configs always produce identical artifact headers.
+
+A config builds its kernel and schedule once, when it is made, and reads
+``data.path`` at its first use; the config, table and data files share one
+line reader, ``_content_lines``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -171,8 +176,7 @@ class ExperimentConfig:
             if horizon < self.urn_anchor:
                 raise ConfigError(f"urn.anchor={self.urn_anchor} exceeds {key}")
         try:
-            self.kernel()
-            self.schedule()
+            self.kernel, self.schedule  # built once, here, for every run mode
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -196,34 +200,29 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         path = Path(path)
         raw = {}
-        for lineno, line in enumerate(_read_text(path, "config file").splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
+        for lineno, line in _content_lines(path, "config file"):
+            if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
+            key, value = map(str.strip, line.split("=", 1))
             if key in raw:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key}")
-            raw[key] = value.strip()
+            raw[key] = value
         return cls.from_mapping(raw, base_dir=str(path.parent))
 
     def with_overrides(self, master_seed: int | None = None, output_dir: str | None = None):
-        cfg = self
-        if master_seed is not None:
-            cfg = replace(cfg, master_seed=master_seed)
-        if output_dir is not None:
-            cfg = replace(cfg, output_dir=output_dir)
-        return cfg
+        overrides = {"master_seed": master_seed, "output_dir": output_dir}
+        changes = {name: v for name, v in overrides.items() if v is not None}
+        return replace(self, **changes) if changes else self
 
     # ------------------------------------------------------------- components
 
+    @cached_property
     def kernel(self) -> KernelSpec:
         return KernelSpec(
             family=self.kernel_family, dim=self.kernel_dimension, dof=self.kernel_dof
         )
 
+    @cached_property
     def schedule(self) -> BandwidthSchedule:
         if self.bandwidth_form == "power":
             return BandwidthSchedule.power(self.bandwidth_c, self._delta())
@@ -245,10 +244,19 @@ class ExperimentConfig:
             return default_delta(self.kernel_dimension)
         return self.bandwidth_delta
 
-    def resolved_data_path(self) -> Path | None:
+    @cached_property
+    def data(self) -> np.ndarray | None:
+        """The observed-data prefix, or None, read at first use: a mode that
+        refuses data.path never reads the file.  Every run starts from all of it."""
         if self.data_path is None:
             return None
-        return Path(self.base_dir) / self.data_path
+        data = load_data_points(Path(self.base_dir) / self.data_path, self.kernel_dimension)
+        if self.steps < len(data):
+            raise ConfigError(
+                f"run.steps={self.steps} is shorter than the data ({len(data)} points)"
+            )
+        data.flags.writeable = False  # every run of this config shares it
+        return data
 
     # ------------------------------------------------------------------- echo
 
@@ -275,27 +283,28 @@ class ExperimentConfig:
 # --------------------------------------------------------------- file loaders
 
 
-def _read_text(path, what: str) -> str:
+def _content_lines(path, what: str):
+    """(line number, stripped line) of each non-blank, non-``#`` line of a file."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if (stripped := line.strip()) and not stripped.startswith("#"):
+            yield lineno, stripped
 
 
 def load_bandwidth_table(path) -> list[float]:
     """One positive real per line; comments and blanks skipped."""
     values = []
-    for lineno, line in enumerate(_read_text(path, "bandwidth table").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in _content_lines(path, "bandwidth table"):
         try:
-            value = float(stripped)
+            value = float(line)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         if not 0.0 < value < np.inf:
             raise ConfigError(f"{path}:{lineno}: table values must be finite and strictly "
-                              f"positive, got {stripped!r}")
+                              f"positive, got {line!r}")
         values.append(value)
     if not values:
         raise ConfigError(f"bandwidth table {path} has no values")
@@ -305,12 +314,9 @@ def load_bandwidth_table(path) -> list[float]:
 def load_data_points(path, dim: int = 1) -> np.ndarray:
     """Observed points, one per line, coordinates comma/whitespace separated."""
     rows = []
-    for lineno, line in enumerate(_read_text(path, "data file").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in _content_lines(path, "data file"):
         try:
-            rows.append([float(p) for p in stripped.replace(",", " ").split()])
+            rows.append([float(p) for p in line.replace(",", " ").split()])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         if len(rows[-1]) != len(rows[0]):

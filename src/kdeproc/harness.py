@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__ as _VERSION
 from . import martingale as mg
-from .config import ExperimentConfig, artifact_label, load_data_points
+from .config import ExperimentConfig, artifact_label
 from .errors import ConfigError
 from .process import (
     FLAVORS,
@@ -40,18 +40,6 @@ from .urn import (
     descendant_tail_bound,
     window_roots,
 )
-
-
-def _load_data(config: ExperimentConfig) -> np.ndarray | None:
-    """The observed-data prefix, or None; every run starts from all of it."""
-    if config.data_path is None:
-        return None
-    data = load_data_points(config.resolved_data_path(), config.kernel_dimension)
-    if config.steps < len(data):
-        raise ConfigError(
-            f"run.steps={config.steps} is shorter than the data ({len(data)} points)"
-        )
-    return data
 
 
 # ------------------------------------------------------------------ reports
@@ -138,11 +126,11 @@ def run_simulate(config: ExperimentConfig) -> dict:
     radii = []
     finals = []
     files = []
-    schedule, kernel, data = config.schedule(), config.kernel(), _load_data(config)
+    data = config.data
     # h_1..h_{N-1}, the bandwidths of the steps: one read per run.
-    h = schedule.values(config.steps - 1)
+    h = config.schedule.values(config.steps - 1)
     trajectories = simulate_batch(
-        config.flavor, h, kernel, config.steps, config.master_seed,
+        config.flavor, h, config.kernel, config.steps, config.master_seed,
         range(config.replications), data,
     )
     for r, traj in enumerate(trajectories):
@@ -178,25 +166,23 @@ def _cf_gap(phis, a: int, b: int) -> float:
 
 
 def _martingale_setup(config: ExperimentConfig, mode: str):
-    """Schedule, its one read h_1..h_{N+s}, kernel and each t's
-    ``cf_corrections`` for the martingale modes, after the guards both share."""
+    """The schedule's one read h_1..h_{N+s} and each t's ``cf_corrections``
+    for the martingale modes, after the guards both share."""
     _require_t_grid(config, mode)
     _refuse_data(
         config, mode, "injected data points carry no ancestry for the dominating-chain traces"
     )
     if config.steps < 2:
         raise ConfigError(f"{mode} mode needs run.steps >= 2, got {config.steps}")
-    schedule = config.schedule()
-    kernel = config.kernel()
     # The CF product past N follows the bandwidth law: a table, which has
     # none, raises NoEnvelope here, before any of its entries is read.
-    schedule.law(config.steps + 1.0)
-    h = schedule.values(config.steps + mg.BANDWIDTH_SHIFT[config.flavor])
+    config.schedule.law(config.steps + 1.0)
+    h = config.schedule.values(config.steps + mg.BANDWIDTH_SHIFT[config.flavor])
     corrections = [
-        mg.cf_corrections(schedule, h, kernel, t, config.steps, config.flavor)
+        mg.cf_corrections(config.schedule, h, config.kernel, t, config.steps, config.flavor)
         for t in config.t_grid
     ]
-    return schedule, h, kernel, corrections
+    return h, corrections
 
 
 def _dominating_mean(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +192,8 @@ def _dominating_mean(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_diagnose(config: ExperimentConfig) -> dict:
-    if not config.kernel().has_norm_survival:
+    kernel = config.kernel
+    if not kernel.has_norm_survival:
         raise ConfigError(
             "diagnose mode needs the norm law of the kernel for its tail bound check; "
             f"{config.kernel_family} has one only at kernel.dimension = 1"
@@ -218,7 +205,7 @@ def run_diagnose(config: ExperimentConfig) -> dict:
     dropped = ", ".join(str(n) for n in config.drift_times if n >= n_pts)
     if config.drift_times and not drift_times:
         raise ConfigError("all diagnostics.drift_times lie beyond run.steps - 1")
-    _, h, kernel, corrections = _martingale_setup(config, "diagnose")
+    h, corrections = _martingale_setup(config, "diagnose")
     checkpoints = list(config.checkpoints) or [
         max(1, n_pts // 10), max(1, n_pts // 4), max(1, n_pts // 2)
     ]
@@ -450,12 +437,12 @@ def run_contrast(config: ExperimentConfig) -> dict:
     support ratio infinite, so the run needs at least 4 steps.
     """
     _refuse_data(config, "contrast", "both flavors run from the origin alone")
-    schedule, kernel = config.schedule(), config.kernel()
+    kernel = config.kernel
     if kernel.family != "half_normal":
         raise ConfigError("the support contrast is defined for the half_normal kernel")
     if config.steps < 4:
         raise ConfigError(f"the support contrast needs run.steps >= 4, got {config.steps}")
-    h = schedule.values(config.steps - 1)  # both flavors step with h_1..h_{N-1}
+    h = config.schedule.values(config.steps - 1)  # both flavors step with h_1..h_{N-1}
     reps = config.replications
     sides = {}
     for flavor in FLAVORS:
@@ -485,9 +472,8 @@ def run_posterior(config: ExperimentConfig) -> dict:
     if config.data_path is None:
         raise ConfigError("posterior mode needs data.path")
     _require_t_grid(config, "posterior")
-    data = _load_data(config)
-    schedule = config.schedule()
-    kernel = config.kernel()
+    data = config.data
+    kernel = config.kernel
     d = config.kernel_dimension
     has_box = config.posterior_box_lo is not None and config.posterior_box_hi is not None
     if len(config.checkpoints) >= 2:
@@ -500,7 +486,7 @@ def run_posterior(config: ExperimentConfig) -> dict:
     quantiles = np.empty((config.replications, len(config.posterior_quantiles)))
     box_probs = np.empty(config.replications)
     # One read of h_1..h_N for the steps, the kernel CF rows and the mixtures.
-    h = schedule.values(config.steps)
+    h = config.schedule.values(config.steps)
     kernel_cfs = [kernel.cf_scaled(t, h) for t in config.t_grid]
     trajectories = simulate_batch(
         config.flavor, h, kernel, config.steps, config.master_seed,
@@ -545,11 +531,12 @@ def run_posterior(config: ExperimentConfig) -> dict:
 
 
 def run_cf_trace(config: ExperimentConfig) -> dict:
-    schedule, h, kernel, corrections = _martingale_setup(config, "cf-trace")
+    h, corrections = _martingale_setup(config, "cf-trace")
     n_pts = config.steps
+    kernel = config.kernel
     traj = next(simulate_batch(config.flavor, h, kernel, n_pts, config.master_seed, range(1)))
     u, j = _dominating_mean(traj)
-    tight = j + mg.compensator_tails(config.flavor, schedule, h, kernel.norm_mean, n_pts)
+    tight = j + mg.compensator_tails(config.flavor, config.schedule, h, kernel.norm_mean, n_pts)
     summary_traces = {}
     for t, (corr, row) in zip(config.t_grid, corrections):
         phi, path = cf_path(traj, t, row)

@@ -143,7 +143,9 @@ class PredictiveMixture:
         """Univariate mixture CDF, vectorized over x (dimension 1 only)."""
         if self.dim != 1:
             raise ValueError("cdf is only defined for dimension 1")
-        return np.mean(self.kernel.cdf1(self._standardized(x)), axis=-1)
+        # On a tiny scale a point standardizes to +-inf, where the CDF is 0 or 1.
+        with np.errstate(over="ignore"):
+            return np.mean(self.kernel.cdf1(self._standardized(x)), axis=-1)
 
     def _standardized(self, x) -> np.ndarray:
         """z[..., k] = (x - centers[k]) / scales[k], for dimension 1."""

@@ -231,6 +231,19 @@ class TestTailSums:
         with pytest.raises(ToleranceNotReached, match="from the cut n=4096 leaves the float range"):
             BandwidthSchedule.power(1.0, 0.005).tail_weight(51, shift)
 
+    @pytest.mark.parametrize("n", [1001, 4096, 25001])
+    @pytest.mark.parametrize("k", np.arange(100.0, 120.5, 0.5).tolist())
+    def test_weight_near_the_float_range_is_finite_or_refused(self, k, n):
+        # Near delta = 1/115 the node x = cut u^(-1/delta) stays finite while
+        # its Jacobian overflows in a float multiply, which raises nothing:
+        # quad then returned inf, which no tolerance test refused.
+        schedule = BandwidthSchedule.power(1.0, 1.0 / k)
+        for shift in (0, 1):
+            try:
+                assert math.isfinite(schedule.tail_weight(n, shift))
+            except ToleranceNotReached as exc:
+                assert "leaves the float range" in str(exc)
+
     @pytest.mark.parametrize(
         "n, shift, message",
         [(0, 0, "tail start must be >= 1"), (1, 2, "tail shift must be 0 or 1"),

@@ -1,7 +1,10 @@
 """Configuration parsing, validation and hashing."""
 
+import re
+
 import pytest
 
+from kdeproc import config
 from kdeproc.config import (
     ExperimentConfig,
     artifact_label,
@@ -47,15 +50,15 @@ class TestParsing:
         assert cfg.kernel_dof == 7.0
         assert cfg.master_seed == 0xDEADBEEF
         assert cfg.checkpoints == (40, 100, 200)
-        assert cfg.kernel().family == "student_t"
-        assert cfg.schedule().values(1)[-1] == 2.0
-        assert cfg.resolved_data_path() == tmp_path / "obs.txt"
+        assert cfg.kernel.family == "student_t"
+        assert cfg.schedule.values(1)[-1] == 2.0
+        assert cfg.data.tolist() == [[0.0]]
 
     def test_defaults(self):
         cfg = ExperimentConfig()
         assert cfg.flavor == "kde"
         assert cfg.t_grid == (0.5, 1.0, 2.0)
-        assert cfg.schedule().delta == pytest.approx(0.2)
+        assert cfg.schedule.delta == pytest.approx(0.2)
 
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -105,7 +108,7 @@ class TestParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig(bandwidth_form="exponential")
         cfg = ExperimentConfig(bandwidth_form="exponential", bandwidth_rate=0.5)
-        assert cfg.schedule().rate == 0.5
+        assert cfg.schedule.rate == 0.5
 
     def test_table_from_file(self, tmp_path):
         (tmp_path / "h.txt").write_text("# widths\n1.0\n0.5\n0.25\n")
@@ -115,13 +118,15 @@ class TestParsing:
             base_dir=str(tmp_path),
             steps=3,
         )
-        assert cfg.schedule().values(3)[-1] == 0.25
+        assert cfg.schedule.values(3)[-1] == 0.25
         with pytest.raises(ConfigError, match="bandwidth.table_path required"):
             ExperimentConfig(bandwidth_form="table", base_dir=str(tmp_path), steps=3)
 
     def test_overrides(self):
-        cfg = ExperimentConfig(master_seed=1).with_overrides(master_seed=9, output_dir="x")
+        base = ExperimentConfig(master_seed=1)
+        cfg = base.with_overrides(master_seed=9, output_dir="x")
         assert cfg.master_seed == 9 and cfg.output_dir == "x"
+        assert base.with_overrides() is base
 
     @pytest.mark.parametrize(
         "field, values, message",
@@ -264,6 +269,38 @@ class TestHash:
 
 
 class TestLoaders:
+    @pytest.mark.parametrize(
+        "read, good, bad",
+        [
+            (ExperimentConfig.from_file, "flavor = kde", "flavor kde"),
+            (load_bandwidth_table, "0.5", "abc"),
+            (lambda path: load_data_points(path, 1), "0.5", "abc"),
+        ],
+        ids=["config", "table", "data"],
+    )
+    def test_bad_line_named_after_skipped_lines(self, tmp_path, read, good, bad):
+        # Lines 2-5 are blank or comments: the reader skips them, yet still
+        # names the bad line by its number in the file.
+        path = tmp_path / "input.txt"
+        path.write_text(f"{good}\n\n# a comment\n   \n  # indented\n{bad}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:6: ")):
+            read(path)
+
+    def test_data_read_once_at_first_use(self, tmp_path, monkeypatch):
+        reads = []
+        load = config.load_data_points
+        monkeypatch.setattr(
+            config, "load_data_points", lambda *args: reads.append(args) or load(*args)
+        )
+        (tmp_path / "obs.txt").write_text("0.1\n-0.4\n")
+        cfg = ExperimentConfig(data_path="obs.txt", base_dir=str(tmp_path), steps=10)
+        assert reads == []
+        data = cfg.data
+        assert data.tolist() == [[0.1], [-0.4]]
+        assert cfg.data is data
+        assert len(reads) == 1
+        assert not data.flags.writeable
+
     def test_bandwidth_table_rejects_empty(self, tmp_path):
         p = tmp_path / "h.txt"
         p.write_text("# nothing\n")

@@ -76,8 +76,8 @@ class TestCfDistance:
     def test_identical_mixtures(self):
         cfg = ExperimentConfig(steps=20, master_seed=5)
         streams = DrawStreams.from_seed(cfg.master_seed, 0)
-        traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
-        mix = predictive_mixture(traj, cfg.schedule().values(cfg.steps), cfg.kernel())
+        traj = simulate(cfg.flavor, cfg.schedule, cfg.kernel, cfg.steps, streams)
+        mix = predictive_mixture(traj, cfg.schedule.values(cfg.steps), cfg.kernel)
         assert cf_distance(mix, mix, [0.5, 1.0, 2.0]) == 0.0
 
     def test_kernel_families_closed_form(self):
@@ -114,7 +114,7 @@ class TestDeterminism:
         # The reference path: replication 2's streams built by numpy's own
         # Philox constructor, not re-keyed by the batch engine that wrote the run.
         streams = DrawStreams.from_seed(cfg.master_seed, 2)
-        traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
+        traj = simulate(cfg.flavor, cfg.schedule, cfg.kernel, cfg.steps, streams)
         _write_trajectory_csv(cfg.with_overrides(output_dir="solo"), "solo.csv", traj)
         expected = (tmp_path / "sim" / "trajectory_00002.csv").read_bytes()
         assert (tmp_path / "solo" / "solo.csv").read_bytes() == expected
@@ -204,7 +204,7 @@ class TestRunModes:
             assert {"name", "statistic", "threshold", "passed"} <= set(entry)
         data = read_json(tmp_path / "out" / "diagnostics.json")
         assert data == payload
-        assert data["version"] == "0.2.1"
+        assert data["version"] == kdeproc.__version__
         assert data["config_hash"] == cfg.config_hash()
 
     @pytest.mark.parametrize("flavor", FLAVORS)
@@ -217,10 +217,10 @@ class TestRunModes:
         )
         checks = {e["name"]: e for e in run(cfg, "diagnose")["bound_checks"]}
         entry = checks["cf_martingale_modulus"]
-        schedule = cfg.schedule()
+        schedule = cfg.schedule
         h = schedule.values(cfg.steps + 1)
         sups = [
-            float(np.max(np.abs(mg.cf_corrections(schedule, h, cfg.kernel(), t,
+            float(np.max(np.abs(mg.cf_corrections(schedule, h, cfg.kernel, t,
                                                   cfg.steps, flavor)[0])))
             for t in cfg.t_grid
         ]
@@ -324,6 +324,59 @@ class TestRunModes:
         run(cfg, mode)
         assert len(calls) == 1
         assert json_artifacts(tmp_path)
+
+    def test_diagnose_builds_one_kernel(self, tmp_path, monkeypatch):
+        # The config builds its kernel when it is made; no mode builds another.
+        built = []
+        post_init = KernelSpec.__post_init__
+        monkeypatch.setattr(
+            KernelSpec, "__post_init__", lambda kernel: built.append(kernel) or post_init(kernel)
+        )
+        cfg = ExperimentConfig(
+            steps=40, replications=100, drift_times=(10,), urn_window_sizes=(2,),
+            base_dir=str(tmp_path),
+        )
+        run(cfg, "diagnose")
+        assert len(built) == 1
+
+    def test_table_read_once_per_config(self, tmp_path, monkeypatch):
+        # The schedule is built when the config is made, so the table is read
+        # then; an override makes one more config, and no run reads it again.
+        reads = []
+        load = kdeproc.config.load_bandwidth_table
+        monkeypatch.setattr(
+            kdeproc.config, "load_bandwidth_table", lambda path: reads.append(path) or load(path)
+        )
+        (tmp_path / "h.txt").write_text("0.5\n0.25\n0.125\n")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("bandwidth.form = table\nbandwidth.table_path = h.txt\nrun.steps = 4\n")
+        cfg = ExperimentConfig.from_file(cfgfile)
+        assert len(reads) == 1
+        run(cfg, "simulate")
+        assert len(reads) == 1
+        moved = cfg.with_overrides(master_seed=3, output_dir="alt")
+        assert len(reads) == 2
+        run(moved, "simulate")
+        assert len(reads) == 2
+        # The command line reads it once for the file and once for both overrides.
+        assert cli_main(["simulate", "--config", str(cfgfile), "--seed", "3", "--out", "cli"]) == 0
+        assert len(reads) == 4
+        assert (tmp_path / "cli" / "trajectory_00000.csv").read_bytes() == (
+            tmp_path / "alt" / "trajectory_00000.csv"
+        ).read_bytes()
+
+    def test_config_that_ran_equals_a_fresh_one(self, tmp_path):
+        # The kernel, schedule and data a config holds are no fields of it:
+        # they take no part in its equality, hash or config hash.
+        (tmp_path / "obs.txt").write_text("0.3\n-1.2\n")
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("data.path = obs.txt\nrun.steps = 20\nrun.replications = 2\n")
+        ran = ExperimentConfig.from_file(cfgfile)
+        run(ran, "posterior")
+        fresh = ExperimentConfig.from_file(cfgfile)
+        assert "data" in vars(ran) and "data" not in vars(fresh)
+        assert ran == fresh and hash(ran) == hash(fresh)
+        assert ran.config_hash() == fresh.config_hash()
 
     @pytest.mark.parametrize("flavor", FLAVORS)
     @pytest.mark.parametrize(
@@ -443,12 +496,12 @@ class TestRunModes:
         # path U plus the deterministic compensator tail.
         u, j, s = np.array([[float(c) for c in line.split(",")[1:4]] for line in lines[2:]]).T
         streams = DrawStreams.from_seed(cfg.master_seed, 0)
-        traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps, streams)
+        traj = simulate(cfg.flavor, cfg.schedule, cfg.kernel, cfg.steps, streams)
         np.testing.assert_array_equal(u, dominating_path(traj))
         np.testing.assert_array_equal(j, np.cumsum(u) / np.arange(1, 151))
-        schedule = cfg.schedule()
+        schedule = cfg.schedule
         tail = mg.compensator_tails(
-            "recursive", schedule, schedule.values(150), cfg.kernel().norm_mean, 150
+            "recursive", schedule, schedule.values(150), cfg.kernel.norm_mean, 150
         )
         np.testing.assert_array_equal(s, j + tail)
 
@@ -509,7 +562,7 @@ class TestCsvDump:
     def test_roundtrip_fields(self, tmp_path):
         cfg = ExperimentConfig(base_dir=str(tmp_path), output_dir="o")
         streams = DrawStreams.from_seed(47, 0)
-        traj = simulate("kde", cfg.schedule(), KernelSpec("gaussian"), 5, streams,
+        traj = simulate("kde", cfg.schedule, KernelSpec("gaussian"), 5, streams,
                         data_prefix=[1.0, 2.0])
         _write_trajectory_csv(cfg, "traj.csv", traj)
         lines = (tmp_path / "o" / "traj.csv").read_text().splitlines()
@@ -606,7 +659,7 @@ class TestMultivariate:
         cfg = ExperimentConfig(
             kernel_dimension=2, steps=400, replications=2, master_seed=37, base_dir=str(tmp_path)
         )
-        kernel, schedule = cfg.kernel(), cfg.schedule()
+        kernel, schedule = cfg.kernel, cfg.schedule
         traj = simulate(cfg.flavor, schedule, kernel, cfg.steps, DrawStreams.from_seed(37, 0))
         assert traj.points.shape == (400, 2)
         h = schedule.values(cfg.steps + 1)
@@ -727,12 +780,12 @@ class TestPosterior:
                         t_grid=t_grid)
         payload = run(cfg, "posterior")
         assert payload["convergence_checkpoints"] == list(pair)
-        h = cfg.schedule().values(cfg.steps)
+        h = cfg.schedule.values(cfg.steps)
         gaps = []
         for r in range(cfg.replications):
-            traj = simulate(cfg.flavor, cfg.schedule(), cfg.kernel(), cfg.steps,
+            traj = simulate(cfg.flavor, cfg.schedule, cfg.kernel, cfg.steps,
                             DrawStreams.from_seed(cfg.master_seed, r), [-1.0, 0.5, 2.0])
-            mixes = [predictive_mixture(traj, h, cfg.kernel(), at_time=n) for n in pair]
+            mixes = [predictive_mixture(traj, h, cfg.kernel, at_time=n) for n in pair]
             gaps.append(cf_distance(*mixes, t_grid))
         assert payload["cf_convergence_gap_mean"] == pytest.approx(np.mean(gaps), abs=1e-14)
 

@@ -233,7 +233,7 @@ class TestTailProbBound:
             drift_times=(1, 10, 100, 399), base_dir=str(tmp_path),
         )
         checks = {e["name"]: e for e in run(cfg, "diagnose")["bound_checks"]}
-        schedule, kernel = cfg.schedule(), cfg.kernel()
+        schedule, kernel = cfg.schedule, cfg.kernel
         worst, scale = -np.inf, 0.0
         for r in range(cfg.replications):
             traj = simulate(flavor, schedule, kernel, cfg.steps, DrawStreams.from_seed(31, r))

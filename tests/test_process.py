@@ -520,6 +520,15 @@ class TestMixture:
         with pytest.raises(ValueError):
             mix.prob(1.0, -1.0)
 
+    def test_cdf_at_the_bandwidth_clamp(self):
+        # Scales at the smallest normal float standardize a point a few units
+        # from a centre to +-inf, where the CDF is exactly 0 or 1; under the
+        # suite's error::RuntimeWarning filter an overflow warning would fail.
+        tiny = np.finfo(float).tiny
+        mix = process.PredictiveMixture(np.array([[0.0], [5.0]]), np.full(2, tiny), GAUSS)
+        assert mix.cdf(1.0) == 0.5
+        assert mix.cdf([-1.0, 1.0, 6.0]).tolist() == [0.0, 0.5, 1.0]
+
 
 LEVELS_NEAR_EDGES = st.one_of(
     st.floats(1e-9, 1e-3), st.floats(1e-3, 1.0 - 1e-3), st.floats(1.0 - 1e-3, 1.0 - 1e-9)

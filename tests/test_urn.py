@@ -331,7 +331,7 @@ class TestUrnModeOracle:
             base_dir=str(tmp_path),
         )
         payload = run(cfg, "urn")
-        schedule, kernel, reps = cfg.schedule(), cfg.kernel(), cfg.replications
+        schedule, kernel, reps = cfg.schedule, cfg.kernel, cfg.replications
         with open(tmp_path / "out" / "urn.csv", newline="") as fh:
             fh.readline()
             rows = list(csv.DictReader(fh))
@@ -406,7 +406,7 @@ class TestSupportContrast:
         for flavor in FLAVORS:
             rows = [
                 record_stats(simulate(
-                    flavor, cfg.schedule(), cfg.kernel(), 200, DrawStreams.from_seed(5, r)
+                    flavor, cfg.schedule, cfg.kernel, 200, DrawStreams.from_seed(5, r)
                 ).points)
                 for r in range(30)
             ]
