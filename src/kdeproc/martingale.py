@@ -120,9 +120,12 @@ def dominating_tail_mass(
     if times.size and (times.min() < 1 or times.max() > min(len(dominating) - 1, len(h))):
         raise ValueError("check times must lie in [1, length - 1] and within the bandwidths")
     tail_mass = np.empty(times.size)
-    for i, n in enumerate(times):
-        scales = h[n - 1] if flavor == "kde" else h[:n]
-        tail_mass[i] = float(np.mean(kernel.norm_survival((threshold - dominating[:n]) / scales)))
+    # On a tiny scale a distance standardizes to +inf, where the survival is 0.
+    with np.errstate(over="ignore"):
+        for i, n in enumerate(times):
+            scales = h[n - 1] if flavor == "kde" else h[:n]
+            z = (threshold - dominating[:n]) / scales
+            tail_mass[i] = float(np.mean(kernel.norm_survival(z)))
     return tail_mass
 
 
