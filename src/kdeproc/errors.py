@@ -13,10 +13,6 @@ class NonFiniteInput(KdeprocError, ValueError):
     """Observed data contains NaN or infinite coordinates."""
 
 
-class MissingGenealogy(KdeprocError):
-    """Trace needs ancestry for points that were injected as observed data."""
-
-
 class ToleranceNotReached(KdeprocError, RuntimeError):
     """A certified numerical evaluation could not reach its requested accuracy."""
 

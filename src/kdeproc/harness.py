@@ -148,8 +148,8 @@ def run_simulate(config: ExperimentConfig) -> dict:
 
 
 def _refuse_data(config: ExperimentConfig, mode: str, reason: str) -> None:
-    """Modes that need fully generated genealogies end with a config error
-    on ``data.path`` rather than ignore it."""
+    """Modes that run from the origin alone end with a config error on
+    ``data.path`` rather than ignore it."""
     if config.data_path is not None:
         raise ConfigError(f"{mode} mode takes no data.path: {reason}")
 
@@ -169,9 +169,7 @@ def _martingale_setup(config: ExperimentConfig, mode: str):
     """The schedule's one read h_1..h_{N+s} and each t's ``cf_corrections``
     for the martingale modes, after the guards both share."""
     _require_t_grid(config, mode)
-    _refuse_data(
-        config, mode, "injected data points carry no ancestry for the dominating-chain traces"
-    )
+    _refuse_data(config, mode, "its compensators and CF corrections are written from n = 1")
     if config.steps < 2:
         raise ConfigError(f"{mode} mode needs run.steps >= 2, got {config.steps}")
     # The CF product past N follows the bandwidth law: a table, which has

@@ -37,6 +37,11 @@ FAMILIES = ("gaussian", "half_normal", "student_t", "laplace")
 
 _SQRT_2_OVER_PI = sqrt(2.0 / pi)
 _SQRT_2PI = sqrt(2.0 * pi)
+# |u| past which a square could overflow: the CF deviations square u clipped here.
+_SQUARE_CLIP = 1e150
+# z = sqrt(dof)|u| from which student_t's deviation reads -1.0: SciPy's kve
+# is NaN past z = 2^30 - 1/2.
+_KVE_Z_MAX = 2.0**30 - 1.0
 
 
 def _student_t_pdf(x, dof: float):
@@ -122,18 +127,23 @@ class KernelSpec:
         return pm1
 
     def _cf1_m1(self, u: np.ndarray) -> np.ndarray:
-        """Coordinate CF minus one, cancellation-free near zero."""
+        """Coordinate CF minus one, finite for every finite u; cancellation-free
+        near zero, except that student_t's Bessel form rounds there (~1e-13)."""
         u = np.asarray(u, dtype=float)
+        if self.family == "student_t":
+            return self._cf1_m1_student_t(u)
+        # The squares below read u clipped to +-1e150, so they cannot
+        # overflow; past the clip every real part is -1.0 at u and at the
+        # clip alike, so no finite deviation changes.
+        c = np.clip(u, -_SQUARE_CLIP, _SQUARE_CLIP)
         if self.family == "gaussian":
-            return np.expm1(-0.5 * u * u) + 0j
+            return np.expm1(-0.5 * c * c) + 0j
         if self.family == "laplace":
-            return -u * u / (1.0 + u * u) + 0j
-        if self.family == "half_normal":
-            # E[exp(iu|Z|)] = exp(-u^2/2) + i * (2/sqrt(pi)) * dawsn(u/sqrt(2));
-            # the Dawson form keeps the imaginary part stable for large |u|.
-            dawson = scipy.special.dawsn(u / sqrt(2.0))
-            return np.expm1(-0.5 * u * u) + 1j * (2.0 / sqrt(pi)) * dawson
-        return self._cf1_m1_student_t(u)
+            return -c * c / (1.0 + c * c) + 0j
+        # E[exp(iu|Z|)] = exp(-u^2/2) + i * (2/sqrt(pi)) * dawsn(u/sqrt(2));
+        # the Dawson form keeps the imaginary part stable for large |u|.
+        dawson = scipy.special.dawsn(u / sqrt(2.0))
+        return np.expm1(-0.5 * c * c) + 1j * (2.0 / sqrt(pi)) * dawson
 
     def _cf1_m1_student_t(self, u: np.ndarray) -> np.ndarray:
         # Bessel-K representation in log space via the scaled kve.  Large
@@ -142,7 +152,9 @@ class KernelSpec:
         nu = float(self.dof)
         a = 0.5 * nu
         scalar = np.isscalar(u) or np.ndim(u) == 0
-        z = np.atleast_1d(sqrt(nu) * np.abs(np.asarray(u, dtype=float)))
+        # A z that overflows to inf lands in the far band below.
+        with np.errstate(over="ignore"):
+            z = np.atleast_1d(sqrt(nu) * np.abs(np.asarray(u, dtype=float)))
         out = np.zeros(z.shape, dtype=complex)
 
         live = z > 1e-12  # below this the deviation is < 1e-12 for any dof
@@ -150,16 +162,28 @@ class KernelSpec:
         with np.errstate(divide="ignore"):
             log_kv_est = scipy.special.gammaln(a) + a * np.log(2.0 / np.maximum(z, 1e-300))
         bessel = live & (log_kv_est < 690.0)
-        zz = z[bessel]
+        # kve is NaN past z = 2^30 - 1/2.  At z = 2^30 - 1, phi < 2^-54 for
+        # every order this branch admits there (a < 1.46e9), and |phi| falls
+        # as z grows (the t law is a normal scale mixture), so from there on
+        # the deviation is -1.0.
+        far = bessel & (z >= _KVE_Z_MAX)
+        out[far] = -1.0
+        near = bessel & ~far
+        zz = z[near]
         if zz.size:
+            kve = scipy.special.kve(a, zz)
             log_phi = (
-                np.log(scipy.special.kve(a, zz))
+                np.log(kve)
                 - zz
                 + a * np.log(zz)
                 - scipy.special.gammaln(a)
                 - (a - 1.0) * np.log(2.0)
             )
-            out[bessel] = np.expm1(log_phi)
+            out[near] = np.expm1(log_phi)
+            # From order a ~ 237 on, kve overflows at moderate z, where the
+            # small-z estimate above reads it as representable; those points
+            # take the series or quadrature below.
+            bessel[np.flatnonzero(near)[np.isinf(kve)]] = False
 
         rest = live & ~bessel
         if np.any(rest):

@@ -154,7 +154,14 @@ def _factor_deviation(dev: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def lemma_constant(kernel: KernelSpec, t) -> float:
     """||t|| (||E[Y]|| + 2 E||Y||), the factor in the summable product bound."""
-    norm_t = float(np.linalg.norm(frequency(t, kernel.dim)))
+    t = frequency(t, kernel.dim)
+    # sqrt(t't), or where t't overflows (|t| past ~1e154), the norm of t
+    # scaled by max |t|, which stays finite wherever ||t|| is.
+    with np.errstate(over="ignore"):
+        norm_t = float(np.linalg.norm(t))
+    if np.isinf(norm_t):
+        scale = float(np.max(np.abs(t)))
+        norm_t = scale * float(np.linalg.norm(t / scale))
     return norm_t * (float(np.linalg.norm(kernel.mean_vector())) + 2.0 * kernel.norm_mean)
 
 

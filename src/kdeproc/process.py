@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bandwidth import BandwidthSchedule, leading
-from .errors import MissingGenealogy, NonFiniteInput
+from .errors import NonFiniteInput
 from .kernels import KernelSpec, frequency
 from .streams import DrawStreams, ancestor_uniforms, kernel_streams
 
@@ -78,8 +78,7 @@ class Trajectory:
     ancestors: np.ndarray     # (N-b,) int64, 1-based ancestor index
     kernel_draws: np.ndarray  # (N-b, d) float
     steps_h: np.ndarray       # (N-b,) float, bandwidth applied
-    seed_prefix_len: int      # number of leading points injected as observed data
-    # Depth order of the generated points below the prefix rows, shared by
+    # Depth order of the generated points below the base rows, shared by
     # every chain sum over this genealogy.
     levels: LevelOrder = field(repr=False)
 
@@ -94,7 +93,7 @@ class Trajectory:
     def root_bound(self) -> int:
         """Number b of base points, which have no generative record: 1 for
         the origin, s for an s-point data prefix."""
-        return max(1, self.seed_prefix_len)
+        return len(self.points) - len(self.ancestors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,9 +235,9 @@ def check_flavor(flavor: str) -> None:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
 
 
-def _start(flavor: str, data_prefix, dim: int, length: int) -> tuple[np.ndarray, int]:
-    """(base points, seed_prefix_len) of a trajectory of ``length`` points:
-    the data prefix as an (s, d) array, or the origin alone with length 0."""
+def _start(flavor: str, data_prefix, dim: int, length: int) -> np.ndarray:
+    """The base points of a trajectory of ``length`` points: the data prefix
+    as an (s, d) array, or the origin as the one-point base at 0."""
     check_flavor(flavor)
     prefix = np.zeros((1, dim)) if data_prefix is None else np.asarray(data_prefix, dtype=float)
     if prefix.ndim == 1:
@@ -251,7 +250,7 @@ def _start(flavor: str, data_prefix, dim: int, length: int) -> tuple[np.ndarray,
         raise NonFiniteInput("data prefix contains NaN or infinite coordinates")
     if length < len(prefix):
         raise ValueError(f"length {length} shorter than the prefix ({len(prefix)} points)")
-    return prefix, 0 if data_prefix is None else len(prefix)
+    return prefix
 
 
 def simulate(
@@ -273,7 +272,7 @@ def simulate(
     ``streams`` draws the rest, so it may be omitted only when both are
     forced or no step is drawn (ValueError otherwise).
     """
-    prefix, seed_len = _start(flavor, data_prefix, kernel.dim, length)
+    prefix = _start(flavor, data_prefix, kernel.dim, length)
     s, d = prefix.shape
     count = length - s
     # Both forced arrays are checked before any draw, and copied, so a
@@ -298,10 +297,10 @@ def simulate(
         y = kernel.sample(_stream(streams, "kernel", count), size=count)
     elif forced_draws is None:
         y = np.zeros((0, d))
-    return _generate(flavor, schedule.values(length - 1), prefix, seed_len, anc, y)
+    return _generate(flavor, schedule.values(length - 1), prefix, anc, y)
 
 
-def _generate(flavor, h, prefix, seed_len, anc, y):
+def _generate(flavor, h, prefix, anc, y):
     """The one generator behind ``simulate`` and ``simulate_batch``, from the
     checked base points, the generated points' own record (1-based ancestors
     ``anc``, kernel draws ``y``) and bandwidths covering h_1..h_{length-1}."""
@@ -315,7 +314,6 @@ def _generate(flavor, h, prefix, seed_len, anc, y):
         ancestors=anc,
         kernel_draws=y,
         steps_h=h_applied,
-        seed_prefix_len=seed_len,
         levels=levels,
     )
 
@@ -380,7 +378,7 @@ def simulate_batch(
     step order, so the first m points of a longer trajectory are the m-point
     trajectory of the same replication.
     """
-    prefix, seed_len = _start(flavor, data_prefix, kernel.dim, length)
+    prefix = _start(flavor, data_prefix, kernel.dim, length)
     h = leading(h, length - 1)
     s = prefix.shape[0]
     for block, ancestors in ancestor_blocks(length, master_seed, replications, s):
@@ -388,7 +386,7 @@ def simulate_batch(
             # Draw before the generator is re-keyed for the next replication;
             # the copy gives every trajectory a record of its own.
             y = kernel.sample(gen, size=length - s)
-            yield _generate(flavor, h, prefix, seed_len, row.copy(), y)
+            yield _generate(flavor, h, prefix, row.copy(), y)
 
 
 def chain_sum(base: np.ndarray, parents: np.ndarray, increments: np.ndarray) -> np.ndarray:
@@ -515,14 +513,13 @@ def _inner(points: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def dominating_path(traj: Trajectory) -> np.ndarray:
-    """Pathwise dominating process: chain sums of h * ||kernel draw||.
+    """Pathwise dominating process: chain sums of h * ||kernel draw||, each
+    chain started at its root's norm ||x_root|| (0 at the origin).
 
     Entry p bounds ||point p|| from above (triangle inequality along the
-    ancestry).  Requires full genealogy, so any trajectory with injected
-    data points is rejected: even one data point roots the chains away from
-    the origin.  The sums run over the level order the trajectory carries.
+    ancestry), for a data prefix as for the origin.  The sums run over the
+    level order the trajectory carries.
     """
-    if traj.seed_prefix_len:
-        raise MissingGenealogy("dominating path needs ancestry for every point")
+    base = np.linalg.norm(traj.points[: traj.root_bound], axis=1)
     norm_inc = traj.steps_h * np.linalg.norm(traj.kernel_draws, axis=1)
-    return _sum_levels(np.zeros(1), norm_inc, traj.levels)
+    return _sum_levels(base, norm_inc, traj.levels)

@@ -22,7 +22,7 @@ def reconstruct_from_genealogy(traj, n: int) -> np.ndarray:
     """
     if not 1 <= n <= len(traj):
         raise ValueError(f"index must be in [1, {len(traj)}], got {n}")
-    if 1 < n <= traj.seed_prefix_len:
+    if 1 < n <= traj.root_bound:
         raise PrefixPointHasNoGenealogy(f"point {n} was injected as observed data")
     b = traj.root_bound
     acc = np.zeros(traj.dim)

@@ -279,10 +279,12 @@ class TestRunModes:
         cfg = ExperimentConfig(
             steps=60, replications=5, data_path="obs.txt", base_dir=str(tmp_path)
         )
-        with pytest.raises(ConfigError, match="ancestry"):
-            run(cfg, "diagnose")
-        with pytest.raises(ConfigError, match="ancestry"):
-            run(cfg, "cf-trace")
+        # Their compensators and CF corrections start at n = 1, not at the
+        # data prefix's n = s.
+        for mode in ("diagnose", "cf-trace"):
+            with pytest.raises(ConfigError, match=f"^{mode} mode takes no data.path: its "
+                               "compensators and CF corrections are written from n = 1$"):
+                run(cfg, mode)
 
     def test_diagnose_urn_statistics_match_urn_mode(self, tmp_path):
         # Both modes count windows on the ancestor streams alone, so a window
@@ -544,8 +546,9 @@ class TestRunModes:
             ("diagnose", {}),
             ("diagnose", {"tail_threshold_factor": 1000.0, "drift_times": (10, 200)}),
             ("posterior", {}),
+            ("cf-trace", {"t_grid": (1e155,)}),
         ],
-        ids=["diagnose", "diagnose-far-threshold", "posterior"],
+        ids=["diagnose", "diagnose-far-threshold", "posterior", "cf-trace-far-t"],
     )
     def test_clamped_bandwidths_run_without_overflow_warnings(
         self, tmp_path, mode, diagnostics, flavor, family, dof
@@ -554,7 +557,10 @@ class TestRunModes:
         # n = 142.  Dividing by it, or squaring a distance over it, overflows
         # to inf, where each survival, CDF and density is at its exact
         # limit; the run must say nothing about it.  A far tail threshold
-        # puts a distance > 4 over the clamp at drift time 200.
+        # puts a distance > 4 over the clamp at drift time 200.  At t = 1e155
+        # each kernel CF deviation squares h t ~ 1e152 and ||t|| squares t;
+        # on these bandwidths that tail certifies (on a power law it ends as
+        # an error, test_bad_input_files_exit_code).
         np.savetxt(tmp_path / "obs.txt", [0.1, -3.3, 0.7, 5.2, -0.8])
         cfg = ExperimentConfig(
             flavor=flavor, kernel_family=family, kernel_dof=dof,
@@ -566,7 +572,8 @@ class TestRunModes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             payload = run(cfg, mode)
-        summary = {"diagnose": "diagnostics.json", "posterior": "posterior_summary.json"}
+        summary = {"diagnose": "diagnostics.json", "posterior": "posterior_summary.json",
+                   "cf-trace": "cf_trace_summary.json"}
         assert json_artifacts(tmp_path) == {f"out/{summary[mode]}": payload}
         if mode == "posterior":
             quantiles = payload["quantile_means"]
@@ -900,6 +907,11 @@ class TestCli:
              "obs.txt:2: rows with different numbers of coordinates"),
             ("urn", "urn.window_sizes =\n", None, "urn mode needs urn.window_sizes or urn.anchor"),
             ("simulate", "run.steps = many\n", None, "run.steps"),
+            ("cf-trace", "kernel.family = laplace\ndiagnostics.t_grid = 1e155\n", None,
+             "CF product tail at t=(1e+155, 1e+155), flavor kde, from n=21: the tail "
+             "quadrature from the cut n=4096 leaves the float range"),
+            ("cf-trace", "kernel.family = gaussian\ndiagnostics.t_grid = 1e155\n", None,
+             "leaves the float range"),
         ],
         ids=[
             "ragged-data", "non-numeric-data", "missing-config", "missing-data",
@@ -915,7 +927,7 @@ class TestCli:
             "replications-0", "drift-time-0", "quantile-1", "quantile-0",
             "cf-trace-t-label-collision", "diagnose-t-label-collision", "drift-time-repeated",
             "quantile-label-collision", "urn-window-repeated", "ragged-data-line",
-            "urn-nothing-to-test", "steps-not-a-number",
+            "urn-nothing-to-test", "steps-not-a-number", "laplace-far-t", "gaussian-far-t",
         ],
     )
     def test_bad_input_files_exit_code(self, tmp_path, capsys, mode, config_text, data_text, needle):
@@ -995,6 +1007,24 @@ class TestCli:
         assert capsys.readouterr().err == ""
         artifact = {"diagnose": "diagnostics.json", "cf-trace": "cf_trace_summary.json"}[mode]
         assert read_json(tmp_path / "out" / artifact)
+
+    @pytest.mark.parametrize(
+        "mode, extra",
+        [("posterior", "bandwidth.C = 1e10\ndata.path = obs.txt\nrun.steps = 50\n"
+                       "run.replications = 3\ndiagnostics.t_grid = 0.5\n"),
+         ("cf-trace", "run.steps = 200\ndiagnostics.t_grid = 1e10\n")],
+        ids=["posterior", "cf-trace"],
+    )
+    def test_student_t_past_the_kve_range(self, tmp_path, capsys, mode, extra):
+        # sqrt(3) h t passes 2^30, where SciPy's kve is NaN: the posterior
+        # writes no NaN, and the kde tail from n = 201 certifies.
+        (tmp_path / "obs.txt").write_text("0.1\n-3.3\n0.7\n5.2\n-0.8\n")
+        (tmp_path / "exp.cfg").write_text("kernel.family = student_t\nkernel.dof = 3\n" + extra)
+        assert cli_main([mode, "--config", str(tmp_path / "exp.cfg")]) == 0
+        assert capsys.readouterr().err == ""
+        assert json_artifacts(tmp_path)  # read_json rejects NaN
+        for csv in (tmp_path / "out").glob("*.csv"):
+            assert "nan" not in csv.read_text(), csv.name
 
     def test_product_tail_tolerance_exit_code(self, tmp_path, capsys, monkeypatch):
         # student_t with dof 1.5 at d = 3, t = 20 on h_n = n^(-0.05): the

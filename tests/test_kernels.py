@@ -22,6 +22,20 @@ ALL_SPECS = [
     KernelSpec("student_t", dof=1.5),
 ]
 
+# Every family, and student_t from heavy tails to nearly normal.
+FINITE_SPECS = [
+    KernelSpec("gaussian"),
+    KernelSpec("half_normal"),
+    KernelSpec("laplace"),
+    *(KernelSpec("student_t", dof=dof) for dof in (1.01, 3.0, 30.0, 1e4)),
+]
+
+
+def phi_bound(spec) -> float:
+    """Largest |phi| a coordinate CF may read: 1, except that student_t's
+    Bessel form rounds log phi at small u, up to ~7e-14 above 0 (dof 30)."""
+    return 1.0 + 1e-12 if spec.family == "student_t" else 1.0
+
 # Keyword arguments of each kernel family beyond its dimension.
 FAMILY_ARGS = {"gaussian": {}, "half_normal": {}, "laplace": {}, "student_t": {"dof": 3.0}}
 # Largest |cf_scaled_minus_one - oracle| allowed for the closed-form
@@ -59,6 +73,27 @@ def coordinate_cf_oracle(spec, u: float) -> complex:
         return complex(1.0 + 2.0 * dev)
     val, _ = integrate.quad(density, 0.0, np.inf, weight="cos", wvar=abs(u), limlst=100)
     return complex(2.0 * val)
+
+
+def student_t_cf_mpmath(dof: float, u: float):
+    """The Student-t CF at u as a normal scale mixture, E[exp(-u^2 dof / (2V))]
+    with V ~ chi^2_dof, integrated by mpmath at 30 digits in pieces around
+    the integrand's peak; an mpf.  Uses no Bessel function."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    nu, u = mp.mpf(dof), mp.mpf(u)
+    c, k = u * u * nu / 2, nu / 2 - 1
+
+    def log_integrand(v):
+        return -c / v + k * mp.log(v) - v / 2
+
+    peak = k + mp.sqrt(k * k + 2 * c)  # the root of c/v^2 + k/v - 1/2
+    width = mp.sqrt(2 * peak + 1)
+    top = log_integrand(peak)
+    cuts = {peak + j * width for j in (-60, -20, -6, -2, 0, 2, 6, 20, 60)}
+    pieces = sorted({mp.mpf(0), mp.inf} | {v for v in cuts if v > 0})
+    mass = mp.quad(lambda v: mp.exp(log_integrand(v) - top), pieces)
+    return mp.exp(top - (nu / 2) * mp.log(2) - mp.loggamma(nu / 2)) * mass
 
 
 class ForcedStream:
@@ -238,6 +273,76 @@ class TestCharacteristicFunction:
             z = mp.sqrt(dof) * abs(mp.mpf(u))
             exact = float(z**a * mp.besselk(a, z) * 2 ** (1 - a) / mp.gamma(a))
             assert spec.cf(u).real == pytest.approx(exact, abs=1e-10)
+
+    @pytest.mark.parametrize("dof", [1.01, 3.0, 30.0, 1e4])
+    def test_student_t_past_the_kve_range_against_mpmath(self, dof):
+        # SciPy's kve is NaN past z = sqrt(dof)|u| = 2^30 - 1/2; on either
+        # side of 2^30, phi < 2^-54, so the deviation is -1.0.
+        spec = KernelSpec("student_t", dof=dof)
+        for z in (2.0**30 - 1.0, 2.0**30 + 1.0):
+            u = z / np.sqrt(dof)
+            phi = student_t_cf_mpmath(dof, u)
+            assert phi < 2.0**-54
+            assert spec.cf_scaled_minus_one(1.0, [u, -u]).tolist() == [float(phi - 1)] * 2
+
+    @pytest.mark.parametrize(
+        "dof, u", [(500.0, 0.5183), (1000.0, 2.95), (1000.0, 3.2), (2000.0, 8.3), (1e4, 40.0)]
+    )
+    def test_student_t_where_kve_overflows_against_mpmath(self, dof, u):
+        # From dof ~ 474 on, kve overflows at moderate z although its
+        # small-z estimate reads it as representable; the deviation there
+        # comes from the moment series or quadrature, whose requested 1e-12
+        # QUADPACK misses by up to 2.1e-12 at dof 1e4.
+        a, z = dof / 2, np.sqrt(dof) * u
+        assert special.gammaln(a) + a * np.log(2.0 / z) < 690.0
+        assert np.isinf(special.kve(a, z))
+        got = KernelSpec("student_t", dof=dof).cf_scaled_minus_one(1.0, [u])[0]
+        assert got.imag == 0.0
+        assert got.real == pytest.approx(float(student_t_cf_mpmath(dof, u) - 1), rel=0.0, abs=5e-12)
+
+    @pytest.mark.parametrize("spec", FINITE_SPECS, ids=str)
+    def test_minus_one_finite_over_the_float_range(self, spec):
+        # Every order of magnitude of |u|, both signs: the deviation is
+        # finite, warns nothing (RuntimeWarning is an error here) and
+        # keeps |phi| <= 1 up to rounding.
+        u = np.geomspace(1e-300, 1e308, 1500)
+        dev = spec.cf_scaled_minus_one(1.0, np.concatenate((-u[::-1], [0.0], u)))
+        assert np.all(np.isfinite(dev))
+        assert np.all(np.abs(1.0 + dev) <= phi_bound(spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(FINITE_SPECS),
+        u=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=10),
+    )
+    def test_minus_one_finite_for_every_finite_u(self, spec, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dev = spec.cf_scaled_minus_one(1.0, np.array(u))
+        assert np.all(np.isfinite(dev))
+        assert np.all(np.abs(1.0 + dev) <= phi_bound(spec))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(["gaussian", "half_normal", "laplace"]),
+        u=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=10),
+    )
+    def test_squares_clip_keeps_every_finite_deviation(self, family, u):
+        # The square of u unclipped, overflow and all: wherever that
+        # deviation is finite, the clipped one has its bits.
+        u = np.array(u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if family == "laplace":
+                want = -u * u / (1.0 + u * u) + 0j
+            elif family == "gaussian":
+                want = np.expm1(-0.5 * u * u) + 0j
+            else:
+                dawson = special.dawsn(u / np.sqrt(2.0))
+                want = np.expm1(-0.5 * u * u) + 1j * (2.0 / np.sqrt(np.pi)) * dawson
+        got = KernelSpec(family)._cf1_m1(u)
+        finite = np.isfinite(want)
+        assert got[finite].tobytes() == want[finite].tobytes()
+        assert np.all(got.real[np.abs(u) > 1e150] == -1.0)
 
     def test_product_structure_multivariate(self):
         spec = KernelSpec("half_normal", dim=3)

@@ -1,5 +1,7 @@
 """Trajectory simulation, mixtures, genealogy reconstruction."""
 
+import dataclasses
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -56,17 +58,19 @@ def forward_loop(flavor, schedule, prefix, ancestors, draws):
 
 
 def dominating_walk(traj):
-    """Reference U: walk each point's chain back to the origin, as
-    reconstruct_from_genealogy does, then add h * ||y|| from the root down."""
+    """Reference U: walk each point's chain back to its root, as
+    reconstruct_from_genealogy does, then add h * ||y|| to the root's norm
+    from the root down."""
+    b = traj.root_bound
     terms = (traj.steps_h * np.linalg.norm(traj.kernel_draws, axis=1)).tolist()
     ancestors = traj.ancestors.tolist()
     u = []
     for n in range(1, len(traj) + 1):
         chain = []
-        while n > 1:
-            chain.append(terms[n - 2])
-            n = ancestors[n - 2]
-        acc = 0.0
+        while n > b:
+            chain.append(terms[n - b - 1])
+            n = ancestors[n - b - 1]
+        acc = math.sqrt(sum(v * v for v in traj.points[n - 1].tolist()))
         for term in reversed(chain):
             acc += term
         u.append(acc)
@@ -110,13 +114,13 @@ class TestInit:
         traj = simulate("kde", SCHED, GAUSS, 1)
         assert len(traj) == 1
         assert traj.points[0, 0] == 0.0
-        assert traj.seed_prefix_len == 0
+        assert traj.root_bound == 1
         assert traj.steps_h.size == 0
 
     def test_data_prefix(self):
         traj = simulate("kde", SCHED, GAUSS, 2, data_prefix=[1.5, -2.0])
         assert len(traj) == 2
-        assert traj.seed_prefix_len == 2
+        assert traj.root_bound == 2
         np.testing.assert_allclose(traj.points[:, 0], [1.5, -2.0])
         # Both points are data: the genealogy has no rows.
         assert traj.ancestors.shape == traj.steps_h.shape == (0,)
@@ -126,6 +130,22 @@ class TestInit:
         traj = simulate("recursive", SCHED, GAUSS, 1)
         assert traj.points[0, 0] == 0.0
         assert traj.steps_h.size == 0
+
+    @pytest.mark.parametrize("dim", [1, 3], ids=["d1", "d3"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_origin_is_the_one_point_base_at_zero(self, flavor, dim):
+        # The origin is the data prefix of one row of zeros, field for field.
+        kernel = KernelSpec("laplace", dim=dim)
+        zero = np.zeros((1, dim))
+        assert_same_trajectory(
+            simulate(flavor, SCHED, kernel, 40, DrawStreams.from_seed(3, 1)),
+            simulate(flavor, SCHED, kernel, 40, DrawStreams.from_seed(3, 1), zero),
+        )
+        origin, based = (list(simulate_batch(flavor, H, kernel, 40, 3, range(1, 4), data))
+                         for data in (None, zero))
+        assert len(origin) == len(based) == 3
+        for got, want in zip(origin, based):
+            assert_same_trajectory(got, want)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteInput):
@@ -227,7 +247,7 @@ class TestSimulate:
     def test_prefix_simulation(self):
         streams = DrawStreams.from_seed(9, 0)
         traj = simulate("recursive", SCHED, GAUSS, 50, streams, data_prefix=[3.0, -1.0, 0.5])
-        assert traj.seed_prefix_len == traj.root_bound == 3
+        assert traj.root_bound == 3
         np.testing.assert_allclose(traj.points[:3, 0], [3.0, -1.0, 0.5])
         # One row per generated point 4..50; row i is point 4 + i.
         assert traj.ancestors.shape == traj.steps_h.shape == (47,)
@@ -309,10 +329,17 @@ class TestGenealogyRecord:
 
 
 def assert_same_trajectory(got, want):
-    assert (got.flavor, got.seed_prefix_len) == (want.flavor, want.seed_prefix_len)
-    for field in ("points", "ancestors", "kernel_draws", "steps_h"):
-        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
-        assert getattr(got, field).dtype == getattr(want, field).dtype
+    """Field for field, into the level order (so root_bound too): arrays bit
+    for bit and by dtype."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if dataclasses.is_dataclass(b):
+            assert_same_trajectory(a, b)
+        elif isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+            assert a.dtype == b.dtype, f.name
+        else:
+            assert a == b, f.name
 
 
 class TestSimulateBatch:
@@ -797,6 +824,20 @@ class TestPaths:
         traj = simulate(flavor, SCHED, KernelSpec("laplace"), n, DrawStreams.from_seed(38, 0),
                         forced_ancestors=forced)
         assert np.array_equal(dominating_path(traj), dominating_walk(traj))
+
+    @pytest.mark.parametrize("prefix_len", [1, 3], ids=["data1", "data3"])
+    @pytest.mark.parametrize("dim", [1, 3], ids=["d1", "d3"])
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_dominating_path_under_data_prefix(self, flavor, dim, prefix_len):
+        # Each chain starts at its root's norm, so U_p still bounds ||x_p||
+        # when the roots are data points away from the origin.
+        kernel = KernelSpec("gaussian", dim=dim)
+        prefix = np.random.default_rng(prefix_len * dim).normal(3.0, 2.0, (prefix_len, dim))
+        traj = simulate(flavor, SCHED, kernel, 1500, DrawStreams.from_seed(39, 0), prefix)
+        u = dominating_path(traj)
+        assert np.array_equal(u, dominating_walk(traj))
+        np.testing.assert_array_equal(u[:prefix_len], np.linalg.norm(prefix, axis=1))
+        assert np.all(np.linalg.norm(traj.points, axis=1) <= u * (1 + 1e-12))
 
 
 class TestDistributionalConsistency:

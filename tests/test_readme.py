@@ -2,8 +2,10 @@
 the package's version, as written."""
 
 import re
+import sys
 from pathlib import Path
 
+import kdeproc
 from kdeproc import __version__
 from kdeproc.config import ExperimentConfig
 
@@ -27,7 +29,15 @@ def test_example_config_parses(tmp_path):
 
 
 def test_one_version_everywhere():
-    # pyproject.toml, the package and the README's "(now X)" name one version.
-    pyproject = (README.parent / "pyproject.toml").read_text()
-    assert re.search(r'^version = "([^"]+)"', pyproject, flags=re.M).group(1) == __version__
+    # pyproject.toml takes the version from the package, which assigns it as
+    # a literal so that a build reads it without importing numpy; the
+    # README's "(now X)" names the same version.
+    assert f'__version__ = "{__version__}"' in Path(kdeproc.__file__).read_text().splitlines()
     assert re.findall(r"\(now ([0-9.]+)\)", README.read_text()) == [__version__]
+    if sys.version_info >= (3, 11):  # tomllib joined the standard library in 3.11
+        import tomllib
+
+        with open(README.parent / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)
+        assert "version" not in project["project"] and "version" in project["project"]["dynamic"]
+        assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "kdeproc.__version__"}

@@ -67,10 +67,10 @@ def window_counts(ancestors, n):
 
 def fraction_path(traj, anchor, horizon):
     """Running fraction of points 1..m in the anchor's subtree (anchor
-    included) for m = 1..horizon, by walking each point's chain.  Injected
-    data points have no ancestry, so chains stop at max(anchor, data prefix
-    length) and data points are nobody's descendants."""
-    bound = max(anchor, traj.seed_prefix_len)
+    included) for m = 1..horizon, by walking each point's chain.  Base
+    points have no ancestry, so chains stop at max(anchor, root_bound) and
+    base points are nobody's descendants."""
+    bound = max(anchor, traj.root_bound)
     m = np.arange(1, horizon + 1)
     hits = [walk_root(traj.ancestors, p, bound, traj.root_bound) == anchor for p in m]
     return np.cumsum(hits) / m
