@@ -10,9 +10,9 @@ from .process import (
     predictive_mixture,
     simulate,
 )
-from .streams import DrawStreams, substream
+from .streams import DrawStreams
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"
 
 __all__ = [
     "BandwidthSchedule",
@@ -25,6 +25,5 @@ __all__ = [
     "dominating_path",
     "predictive_mixture",
     "simulate",
-    "substream",
     "__version__",
 ]

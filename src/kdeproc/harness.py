@@ -1,7 +1,7 @@
 """Experiment orchestration: seeded runs, diagnostics reports, artifacts.
 
 Every run mode is a pure function of the configuration: replication r draws
-its two substreams from (master_seed, r), and re-running any subset of
+its two streams from (master_seed, r), and re-running any subset of
 replications reproduces their outputs byte for byte.  Every artifact is
 written here, by ``_write_csv`` (trajectories through
 ``_write_trajectory_csv``) or ``_write_json``, which stamp it with the tool
@@ -466,6 +466,14 @@ def run_contrast(config: ExperimentConfig) -> dict:
     return _write_json(config, "contrast.json", {**sides, "z_statistic": z, "p_value": p})
 
 
+def _spreads(values: np.ndarray) -> list:
+    """Column std (ddof 1), taken on each column scaled by an exact power of
+    two to a largest |value| in [1/2, 1), so no square overflows and every
+    finite spread keeps its bytes."""
+    _, exponent = np.frexp(np.abs(values).max(axis=0))
+    return [float(v) for v in np.ldexp(np.ldexp(values, -exponent).std(axis=0, ddof=1), exponent)]
+
+
 def run_posterior(config: ExperimentConfig) -> dict:
     if config.data_path is None:
         raise ConfigError("posterior mode needs data.path")
@@ -514,9 +522,7 @@ def run_posterior(config: ExperimentConfig) -> dict:
     body = {
         "data_points": len(data),
         "posterior_mean": [float(v) for v in means.mean(axis=0)],
-        "posterior_mean_spread": [float(v) for v in means.std(axis=0, ddof=1)]
-        if config.replications > 1
-        else [0.0] * d,
+        "posterior_mean_spread": _spreads(means) if config.replications > 1 else [0.0] * d,
         "cf_convergence_gap_mean": float(conv.mean()),
         "convergence_checkpoints": list(conv_pair),
     }
@@ -524,7 +530,7 @@ def run_posterior(config: ExperimentConfig) -> dict:
         body["quantile_levels"] = list(config.posterior_quantiles)
         body["quantile_means"] = [float(v) for v in quantiles.mean(axis=0)]
         if config.replications > 1:
-            body["quantile_spreads"] = [float(v) for v in quantiles.std(axis=0, ddof=1)]
+            body["quantile_spreads"] = _spreads(quantiles)
     return _write_json(config, "posterior_summary.json", body)
 
 

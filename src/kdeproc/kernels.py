@@ -128,7 +128,7 @@ class KernelSpec:
 
     def _cf1_m1(self, u: np.ndarray) -> np.ndarray:
         """Coordinate CF minus one, finite for every finite u; cancellation-free
-        near zero, except that student_t's Bessel form rounds there (~1e-13)."""
+        near zero, except student_t's Bessel form at dof <= 6 (~2e-14)."""
         u = np.asarray(u, dtype=float)
         if self.family == "student_t":
             return self._cf1_m1_student_t(u)
@@ -146,11 +146,15 @@ class KernelSpec:
         return np.expm1(-0.5 * c * c) + 1j * (2.0 / sqrt(pi)) * dawson
 
     def _cf1_m1_student_t(self, u: np.ndarray) -> np.ndarray:
-        # Bessel-K representation in log space via the scaled kve.  Large
-        # order with small argument overflows kve, so a moment series (and,
-        # in the rare uncovered band, direct quadrature) takes over there.
+        # Bessel-K representation in log space via the scaled kve, whose log
+        # phi is rounding noise at small z: the moment series -m2 u^2/2 +
+        # m4 u^4/24 takes over where it is exact, and where large order with
+        # small argument overflows kve (with quadrature in the rare gap).
         nu = float(self.dof)
         a = 0.5 * nu
+        m2 = nu / (nu - 2.0) if nu > 2 else np.inf
+        m4 = 3.0 * nu * nu / ((nu - 2.0) * (nu - 4.0)) if nu > 4 else np.inf
+        m6 = m4 * 5.0 * nu / (nu - 6.0) if nu > 6 else np.inf
         scalar = np.isscalar(u) or np.ndim(u) == 0
         # A z that overflows to inf lands in the far band below.
         with np.errstate(over="ignore"):
@@ -158,10 +162,13 @@ class KernelSpec:
         out = np.zeros(z.shape, dtype=complex)
 
         live = z > 1e-12  # below this the deviation is < 1e-12 for any dof
+        # Up to z_exact, m6 u^6/720 <= 2^-53 m2 u^2/2 bounds the truncation.
+        z_exact = sqrt(nu) * (2.0**-53 * 360.0 * m2 / m6) ** 0.25 if nu > 6 else 0.0
+        series = live & (z <= z_exact)
         # kve representability: small-z magnitude estimate of log kv.
         with np.errstate(divide="ignore"):
             log_kv_est = scipy.special.gammaln(a) + a * np.log(2.0 / np.maximum(z, 1e-300))
-        bessel = live & (log_kv_est < 690.0)
+        bessel = live & ~series & (log_kv_est < 690.0)
         # kve is NaN past z = 2^30 - 1/2.  At z = 2^30 - 1, phi < 2^-54 for
         # every order this branch admits there (a < 1.46e9), and |phi| falls
         # as z grows (the t law is a normal scale mixture), so from there on
@@ -185,19 +192,15 @@ class KernelSpec:
             # take the series or quadrature below.
             bessel[np.flatnonzero(near)[np.isinf(kve)]] = False
 
-        rest = live & ~bessel
-        if np.any(rest):
-            uu = z[rest] / sqrt(nu)
-            m2 = nu / (nu - 2.0)
-            m4 = 3.0 * nu * nu / ((nu - 2.0) * (nu - 4.0)) if nu > 4 else np.inf
-            m6 = m4 * 5.0 * nu / (nu - 6.0) if nu > 6 else np.inf
-            series_err = m6 * uu**6 / 720.0
-            ok = series_err < 1e-11
-            vals = np.empty(uu.shape, dtype=complex)
-            vals[ok] = -0.5 * m2 * uu[ok] ** 2 + m4 * uu[ok] ** 4 / 24.0
-            for i in np.flatnonzero(~ok):
-                vals[i] = self._cf1_m1_student_t_quad(float(uu[i]))
-            out[rest] = vals
+        # Elsewhere the series serves within 1e-11, and quadrature beyond.
+        rest = np.flatnonzero(live & ~series & ~bessel)
+        if rest.size:
+            tight = m6 * (z[rest] / sqrt(nu)) ** 6 / 720.0 < 1e-11
+            series[rest[tight]] = True
+            for i in rest[~tight]:
+                out[i] = self._cf1_m1_student_t_quad(float(z[i] / sqrt(nu)))
+        uu = z[series] / sqrt(nu)
+        out[series] = -0.5 * m2 * uu**2 + m4 * uu**4 / 24.0
         return out[0] if scalar else out
 
     def _cf1_m1_student_t_quad(self, u: float) -> float:

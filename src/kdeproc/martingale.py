@@ -209,12 +209,10 @@ def _log_factor_fn(schedule: BandwidthSchedule, kernel: KernelSpec, t, flavor: s
     shift = BANDWIDTH_SHIFT[flavor]
 
     def log_factor(x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        # Past the horizon, at real x, h is the unclamped law.
+        # x is a float array (``tail_sum`` passes no scalars).  Past the
+        # horizon, at real x, h is the unclamped law.
         w = _factor_deviation(kernel.cf_scaled_minus_one(t, schedule.law(x + shift)), x)
-        out = _log1p_complex(w)
-        return out[0] if scalar else out
+        return _log1p_complex(w)
 
     return log_factor
 

@@ -347,7 +347,7 @@ def ancestor_blocks(length: int, master_seed: int, replications: range, s: int =
     length - s) ``ancestors`` is ``traj.ancestors`` of ``simulate(...,
     length, DrawStreams.from_seed(master_seed, block[i]), prefix)`` for an
     s-point prefix (s = 1: the origin), read off that replication's ancestor
-    substream alone.  ValueError if length < s.
+    stream alone.  ValueError if length < s.
     """
     if length < s:
         raise ValueError(f"length {length} is shorter than the {s} base points")

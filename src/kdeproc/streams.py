@@ -4,9 +4,10 @@ Replication r owns two disjoint Philox streams, purpose 0 for the ancestor
 picks and purpose 1 for the kernel draws: the stream for purpose p is keyed
 by (master_seed, r) and starts at counter (0, 0, 0, p), with master_seed and
 r in [0, 2^64).  Identical keys reproduce the identical stream in any
-execution order, which makes whole runs byte-reproducible.  For a block of
-replications one private Philox per purpose is re-keyed to each replication
-in turn, so replication r draws exactly its own fresh stream.
+execution order, which makes whole runs byte-reproducible.  Every stream is
+made the same way: one private Philox per purpose is re-keyed to each
+replication in turn, so replication r draws exactly numpy's own Philox for
+that key and counter.
 """
 
 from __future__ import annotations
@@ -28,17 +29,6 @@ def _uint64(name: str, value) -> int:
     return value
 
 
-def substream(master_seed: int, replication: int, purpose: int) -> np.random.Generator:
-    """Philox generator keyed by (master_seed, replication) at counter
-    (0, 0, 0, purpose), built by numpy's own constructor."""
-    key = [_uint64("master_seed", master_seed), _uint64("replication", replication)]
-    # uint64 arrays: numpy may read a list holding 2^63 or more as float64.
-    return np.random.Generator(np.random.Philox(
-        key=np.array(key, dtype=np.uint64),
-        counter=np.array([0, 0, 0, purpose], dtype=np.uint64),
-    ))
-
-
 @dataclass
 class DrawStreams:
     """Pair of generators owned by a single trajectory simulation."""
@@ -48,10 +38,9 @@ class DrawStreams:
 
     @classmethod
     def from_seed(cls, master_seed: int, replication: int = 0) -> "DrawStreams":
-        return cls(
-            ancestors=substream(master_seed, replication, _PURPOSE_ANCESTOR),
-            kernel=substream(master_seed, replication, _PURPOSE_KERNEL),
-        )
+        (ancestors,) = _keyed(master_seed, [replication], _PURPOSE_ANCESTOR)
+        (kernel,) = _keyed(master_seed, [replication], _PURPOSE_KERNEL)
+        return cls(ancestors=ancestors, kernel=kernel)
 
 
 # ------------------------------------------------------------- block streams
@@ -60,8 +49,9 @@ class DrawStreams:
 def _keyed(master_seed: int, replications, purpose: int):
     """Iterator of one generator per replication: a single private Philox
     set to key (master_seed, r) and counter (0, 0, 0, purpose) with an empty
-    buffer, so each draw matches ``substream(master_seed, r, purpose)``.
-    Every key is checked before the first is set."""
+    buffer, so each draw matches numpy's own ``Philox(key=[master_seed, r],
+    counter=[0, 0, 0, purpose])``.  Every key is checked before the first
+    is set."""
     seed = _uint64("master_seed", master_seed)
     keys = [(seed, _uint64("replication", r)) for r in replications]
     bitgen = np.random.Philox(0)

@@ -11,18 +11,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kdeproc import (
-    BandwidthSchedule,
-    DrawStreams,
-    KernelSpec,
-    cf_path,
-    dominating_path,
-    simulate,
-)
+from kdeproc import BandwidthSchedule, KernelSpec, cf_path, dominating_path
 from kdeproc import martingale as mg
 from kdeproc.config import ExperimentConfig
 from kdeproc.harness import run
-from kdeproc.process import ancestor_blocks
+from kdeproc.process import ancestor_blocks, simulate_batch
 from kdeproc.urn import (
     anchor_fractions,
     betabinom_pmf_vector,
@@ -46,9 +39,9 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 def test_criterion_1_genealogy_identity():
     start = time.perf_counter()
     worst = 0.0
+    h = SCHED.values(10**4)
     for flavor in FLAVORS:
-        for r in range(100):
-            traj = simulate(flavor, SCHED, GAUSS, 10**4, DrawStreams.from_seed(101, r))
+        for traj in simulate_batch(flavor, h, GAUSS, 10**4, 101, range(100)):
             worst = max(worst, float(np.max(np.abs(reconstruct_all(traj) - traj.points))))
         # spot-check the single-index walker on the last trajectory
         for n in (1, 2, 5000, 10**4):
@@ -110,8 +103,8 @@ def test_criterion_3_genealogy_urn_embedding():
     p_values = {}
     for n in (2, 5, 10):
         counts = np.zeros(n + 1, dtype=np.int64)
-        # Replication r's genealogy comes from its DrawStreams.from_seed(300 + n, r)
-        # ancestor stream, a block of replications at a time.
+        # Replication r's genealogy comes from its ancestor stream, keyed by
+        # (300 + n, r), a block of replications at a time.
         for _, anc in ancestor_blocks(2 * n, 300 + n, range(reps)):
             roots = window_roots(anc, n)
             counts += np.bincount(np.count_nonzero(roots == 0, axis=1), minlength=n + 1)
@@ -164,8 +157,8 @@ def drift_data():
         tight = {n: np.empty(R_DRIFT) for n in TIGHT_TIMES}
         cf_inc = {(t, n): np.empty(R_DRIFT, dtype=complex) for t in T_GRID for n in CF_TIMES}
         sup_mod = 0.0
-        for r in range(R_DRIFT):
-            traj = simulate(flavor, SCHED, GAUSS, DRIFT_LENGTH, DrawStreams.from_seed(45000, r))
+        trajectories = simulate_batch(flavor, h, GAUSS, DRIFT_LENGTH, 45000, range(R_DRIFT))
+        for r, traj in enumerate(trajectories):
             u = dominating_path(traj)
             j = np.cumsum(u) / np.arange(1, DRIFT_LENGTH + 1, dtype=float)
             for n in TIGHT_TIMES:
@@ -266,11 +259,11 @@ def test_criterion_7_convergence_proxy():
     checkpoints = (10**4, 25 * 10**3, 5 * 10**4)
     means = {}
     ok = True
-    kernel_cfs = {t: GAUSS.cf_scaled(t, SCHED.values(n_final)) for t in T_GRID}
+    h = SCHED.values(n_final)
+    kernel_cfs = {t: GAUSS.cf_scaled(t, h) for t in T_GRID}
     for flavor in FLAVORS:
         dists = {n: np.empty(50) for n in checkpoints}
-        for r in range(50):
-            traj = simulate(flavor, SCHED, GAUSS, n_final, DrawStreams.from_seed(700, r))
+        for r, traj in enumerate(simulate_batch(flavor, h, GAUSS, n_final, 700, range(50))):
             phis = {t: cf_path(traj, t, kernel_cfs[t])[0] for t in T_GRID}
             for n in checkpoints:
                 dists[n][r] = max(abs(phis[t][n - 1] - phis[t][n_final - 1]) for t in T_GRID)
@@ -346,8 +339,8 @@ def test_criterion_9_beta_limit():
     start = time.perf_counter()
     anchor, horizon, reps = 5, 10**4, 2000
     finals = np.empty(reps)
-    # Replication r's genealogy comes from its DrawStreams.from_seed(900, r)
-    # ancestor stream, a block of replications at a time.
+    # Replication r's genealogy comes from its ancestor stream, keyed by
+    # (900, r), a block of replications at a time.
     for block, anc in ancestor_blocks(horizon, 900, range(reps)):
         finals[block.start : block.stop] = anchor_fractions(anc, anchor, horizon)
     res = stats.kstest(finals, stats.beta(1, anchor - 1).cdf)

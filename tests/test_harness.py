@@ -546,9 +546,12 @@ class TestRunModes:
             ("diagnose", {}),
             ("diagnose", {"tail_threshold_factor": 1000.0, "drift_times": (10, 200)}),
             ("posterior", {}),
+            ("posterior", {"bandwidth_form": "power", "bandwidth_c": 1e160,
+                           "bandwidth_rate": None, "replications": 3}),
             ("cf-trace", {"t_grid": (1e155,)}),
         ],
-        ids=["diagnose", "diagnose-far-threshold", "posterior", "cf-trace-far-t"],
+        ids=["diagnose", "diagnose-far-threshold", "posterior", "posterior-wide",
+             "cf-trace-far-t"],
     )
     def test_clamped_bandwidths_run_without_overflow_warnings(
         self, tmp_path, mode, diagnostics, flavor, family, dof
@@ -560,14 +563,16 @@ class TestRunModes:
         # puts a distance > 4 over the clamp at drift time 200.  At t = 1e155
         # each kernel CF deviation squares h t ~ 1e152 and ||t|| squares t;
         # on these bandwidths that tail certifies (on a power law it ends as
-        # an error, test_bad_input_files_exit_code).
+        # an error, test_bad_input_files_exit_code).  Bandwidths of 1e160
+        # put the posterior's points past 1e154, where their squares, and
+        # so the spreads' variances, overflow.
         np.savetxt(tmp_path / "obs.txt", [0.1, -3.3, 0.7, 5.2, -0.8])
+        settings = {"bandwidth_form": "exponential", "bandwidth_rate": 5.0, **diagnostics}
         cfg = ExperimentConfig(
-            flavor=flavor, kernel_family=family, kernel_dof=dof,
-            bandwidth_form="exponential", bandwidth_rate=5.0, steps=300,
+            flavor=flavor, kernel_family=family, kernel_dof=dof, steps=300,
             data_path="obs.txt" if mode == "posterior" else None,
             posterior_box_lo=-1.0, posterior_box_hi=1.0, base_dir=str(tmp_path),
-            **diagnostics,
+            **settings,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -578,6 +583,8 @@ class TestRunModes:
         if mode == "posterior":
             quantiles = payload["quantile_means"]
             assert np.all(np.isfinite(quantiles)) and quantiles == sorted(quantiles)
+            spreads = payload["posterior_mean_spread"] + payload.get("quantile_spreads", [])
+            assert np.all(np.isfinite(spreads))
             rows = (tmp_path / "out" / "posterior.csv").read_text().splitlines()
             box = rows[1].split(",").index("box_prob")
             assert 0.0 <= float(rows[2].split(",")[box]) <= 1.0

@@ -530,7 +530,11 @@ def two_pass_tail_sum(schedule, f, n, epsabs, epsrel):
     """Oracle for ``BandwidthSchedule.tail_sum``: the same cut, map and
     tolerances, but one quadrature pass for the real part and one for the
     imaginary part of complex terms, each calling f at its own nodes, then
-    seven scalar calls at the five endpoint points."""
+    seven calls at the five endpoint points, one length-1 array a call."""
+
+    def at(x):
+        return f(np.array([x], dtype=float))[0]
+
     cut = max(n, bw.TAIL_CUT)
     if schedule.form == "exponential" and schedule.rate > bw._EM_MAX_RATE:
         cut = max(cut, n + int(np.ceil(37.0 / schedule.rate)))
@@ -540,26 +544,26 @@ def two_pass_tail_sum(schedule, f, n, epsabs, epsrel):
 
     def quad_part(g):
         return integrate.quad(
-            lambda u: g(f(cut * u ** (-p))) * (cut * p * u ** (-p - 1.0)), 0.0, 1.0,
+            lambda u: g(at(cut * u ** (-p))) * (cut * p * u ** (-p - 1.0)), 0.0, 1.0,
             epsabs=epsabs, epsrel=epsrel, limit=400, full_output=1,
         )[:2]
 
     re_val, err = quad_part(lambda v: float(v.real))
-    if np.iscomplexobj(f(float(cut))):
+    if np.iscomplexobj(at(cut)):
         im_val, im_err = quad_part(lambda v: float(v.imag))
         integral, err = re_val + 1j * im_val, err + im_err
     else:
         integral = re_val
-    d1 = f(cut + 0.5) - f(cut - 0.5)
-    d3 = f(cut + 1.5) - 3 * f(cut + 0.5) + 3 * f(cut - 0.5) - f(cut - 1.5)
-    remainder = integral + 0.5 * f(float(cut)) - d1 / 12.0
+    d1 = at(cut + 0.5) - at(cut - 0.5)
+    d3 = at(cut + 1.5) - 3 * at(cut + 0.5) + 3 * at(cut - 0.5) - at(cut - 1.5)
+    remainder = integral + 0.5 * at(cut) - d1 / 12.0
     err += 7.0 * abs(d3) / 1440.0 + 1e-15 * (abs(direct) + abs(remainder))
     return direct + remainder, float(err)
 
 
 def counting(f):
     """f with a record of every call: the points it was called at, as one
-    flat float array per call (a scalar call records one point)."""
+    flat float array per call."""
     calls = []
 
     def counted(x):
@@ -697,7 +701,8 @@ def direct_product_log(schedule, kernel, t, from_n, flavor, stop):
     y = (mid[:, None] + half[:, None] * nodes).ravel()
     x = np.exp(y)
     total += np.sum(np.repeat(half, nodes.size) * np.tile(weights, mid.size) * f(x) * x)
-    return total + f(float(stop)) / 2 - (f(stop + 0.5) - f(stop - 0.5)) / 12
+    ends = f(np.array([stop, stop + 0.5, stop - 0.5], dtype=float))
+    return total + ends[0] / 2 - (ends[1] - ends[2]) / 12
 
 
 class TestProductTailOracle:

@@ -1,5 +1,6 @@
-"""Streams against numpy's own Philox(key=(seed, r), counter=(0, 0, 0, purpose)),
-and block draws against fresh streams."""
+"""Streams against numpy's own Philox(key=(seed, r), counter=(0, 0, 0, purpose)):
+``numpy_stream`` is the one reference for ``DrawStreams.from_seed`` and for the
+block draws alike."""
 
 import numpy as np
 import pytest
@@ -62,19 +63,20 @@ def test_neighbouring_streams_uncorrelated():
 def test_ancestor_uniforms_match_fresh_streams(seed, start, size, count):
     got = ancestor_uniforms(seed, range(start, start + size), count)
     for i, row in enumerate(got):
-        want = DrawStreams.from_seed(seed, start + i).ancestors.random(count)
+        want = numpy_stream(seed, start + i, 0).random(count)
         np.testing.assert_array_equal(row, want)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("d", [1, 3])
 def test_kernel_streams_match_fresh_streams(family, d):
+    seed = 2**40 + 5
     kernel = KernelSpec(family, dim=d, dof=5.0 if family == "student_t" else None)
     for count in (1, 3, 17):  # odd counts leave Philox buffer words unread
         reps = range(7, 19)
         seen = 0
-        for r, gen in zip(reps, kernel_streams(2**40 + 5, reps)):
-            fresh = DrawStreams.from_seed(2**40 + 5, r).kernel
+        for r, gen in zip(reps, kernel_streams(seed, reps)):
+            fresh = numpy_stream(seed, r, 1)
             for _ in range(2):  # a second draw continues each stream
                 np.testing.assert_array_equal(
                     kernel.sample(gen, size=count), kernel.sample(fresh, size=count)
