@@ -12,7 +12,7 @@ from .process import (
 )
 from .streams import DrawStreams
 
-__version__ = "0.2.2"
+__version__ = "0.2.3"
 
 __all__ = [
     "BandwidthSchedule",

@@ -20,8 +20,8 @@ tail feeding the martingale traces,
 A table ends, so it has no law past its end and no tail sum: both raise
 NoEnvelope.
 
-SciPy is imported as the bare package, so ``scipy.integrate`` loads at the
-first tail quadrature, not when this module is imported.
+The integral past the cut is the package's own vectorised adaptive
+Gauss-Kronrod rule, :func:`gauss_kronrod`; this module uses no SciPy.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import IndexBeyondTable, NoEnvelope, ToleranceNotReached
 
@@ -39,18 +38,59 @@ TAIL_CUT = 4096
 TAIL_WEIGHT_REL_TOL = 1e-12
 # Fastest exponential rate whose tail past the cut Euler-Maclaurin resolves.
 _EM_MAX_RATE = 2.5e-4
-# quad's first interval is (0, 1), where QUADPACK's qk21 (Piessens, de
-# Doncker-Kapenga, Ueberhuber & Kahaner 1983) asks for f at 0.5 and at
-# 0.5 -+ 0.5 xgk, in these floats: xgk are its 21-point Gauss-Kronrod
-# abscissae on [-1, 1] without the centre.
-_QK21_XGK = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-)
-_FIRST_INTERVAL = (0.5, *(0.5 - 0.5 * x for x in _QK21_XGK), *(0.5 + 0.5 * x for x in _QK21_XGK))
+# QUADPACK's 21-point Gauss-Kronrod rule qk21 (Piessens, de Doncker-Kapenga,
+# Ueberhuber & Kahaner 1983) on [-1, 1], its tables as floats: the abscissae
+# without the centre, the Kronrod weights (the centre's last), and the Gauss
+# weights of the second, fourth, ..., tenth abscissa.
+_QK21_XGK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+             0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+             0.2943928627014602, 0.14887433898163122)
+_QK21_WGK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+             0.07503967481091996, 0.0931254545836976, 0.10938715880229764, 0.12349197626206584,
+             0.13470921731147334, 0.14277593857706009, 0.14773910490133849, 0.1494455540029169)
+_QK21_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+            0.26926671930999635, 0.29552422471475287)
+# The 21 nodes in ascending order, the 10 Gauss nodes every other one from the second.
+_GK_X = np.concatenate((np.negative(_QK21_XGK), [0.0], _QK21_XGK[::-1]))
+_GK_W = np.array(_QK21_WGK + _QK21_WGK[-2::-1])
+_GAUSS_W = np.zeros(21)
+_GAUSS_W[1::2] = _QK21_WG + _QK21_WG[::-1]
+
+
+def gauss_kronrod(g, epsabs: float, epsrel: float) -> tuple:
+    """(int_0^1 g, an error estimate) for real or complex g, by adaptive qk21.
+
+    Each round calls g once, on a flat float array of the 21 nodes of every
+    new interval, and takes each interval's error by qk21's own formula.  It
+    returns when the summed error meets tol = max(epsabs, epsrel |I|) or is
+    not finite, or when bisecting every interval whose error passes tol/m (m
+    intervals) would make more than 400; else it bisects those.
+    Float warnings are silenced, g's too: a non-finite value of g makes a
+    non-finite sum, and the caller judges what it returns.
+    """
+    lo, width, value, error = np.zeros(1), np.ones(1), np.zeros(0), np.zeros(0)
+    while True:
+        half = 0.5 * width[len(value):]
+        nodes = (lo[len(value):] + half)[:, None] + half[:, None] * _GK_X
+        with np.errstate(all="ignore"):
+            fx = g(nodes.ravel()).reshape(nodes.shape)
+            kronrod = fx @ _GK_W
+            resabs = half * (np.abs(fx) @ _GK_W)
+            resasc = half * (np.abs(fx - 0.5 * kronrod[:, None]) @ _GK_W)
+            err = half * np.abs(kronrod - fx @ _GAUSS_W)
+            # Where resasc = 0, g is flat to the bit and the 50 eps floor decides.
+            err = resasc * np.fmin(1.0, (200.0 * err / resasc) ** 1.5)
+            err = np.maximum(50.0 * 2.0**-52 * resabs, err)
+            value, error = np.concatenate((value, half * kronrod)), np.concatenate((error, err))
+            total, total_err = np.sum(value), np.sum(error)
+            tol = max(epsabs, epsrel * abs(total))
+        split = error > tol / len(error)
+        if not tol < total_err < np.inf or not split.any() or len(error) + split.sum() > 400:
+            return total, float(total_err)
+        half = 0.5 * width[split]
+        lo = np.concatenate((lo[~split], lo[split], lo[split] + half))
+        width = np.concatenate((width[~split], half, half))
+        value, error = value[~split], error[~split]
 
 
 def _finite_positive(v) -> bool:
@@ -142,22 +182,18 @@ class BandwidthSchedule:
         """(sum_{k>=n} f(k), an error estimate) for terms f(x) at real x that
         decay with the law, such as h(x + s)/(x + 1) or log a_x(t).
 
-        The terms before the cut max(n, TAIL_CUT) are summed directly, the
-        rest by Euler-Maclaurin: int_cut^inf f + f(cut)/2 - f'(cut)/12, with
-        f' a central difference and the third difference estimating what that
-        leaves out (quad's error is an estimate too).  The integral is mapped
-        onto u in (0, 1] by x = cut u**(-p), where quadrature resolves it to
-        ``epsabs`` / ``epsrel``: p = 1/delta makes a power law's terms
-        bounded in u, and p = 1 puts an exponential law's stretch below
-        1/rate, where h ~ 1 and the terms fall like 1/x, on a log-uniform
-        scale and its decay past 1/rate into a vanishing corner.  f is
-        called with float arrays only, once per point: the direct terms, then
-        one array of the five difference points and the 21 nodes of quad's
-        first interval, mapped by the integrand's own arithmetic so that quad
-        finds them in that table, then a length-1 array per node of each
-        interval quad subdivides.  Real terms take no imaginary pass.  A map
-        or sum leaving the float range raises ToleranceNotReached; on a table
-        the law raises NoEnvelope.
+        The terms before the cut max(n, TAIL_CUT) are summed directly, the rest
+        by Euler-Maclaurin: int_cut^inf f + f(cut)/2 - f'(cut)/12, with f' a
+        central difference and the third difference estimating what that
+        leaves out.  The integral is mapped onto u in (0, 1] by x = cut u**(-p)
+        and resolved to ``epsabs`` / ``epsrel`` by :func:`gauss_kronrod`: p =
+        1/delta makes a power law's terms bounded in u, and p = 1 puts an
+        exponential law's stretch below 1/rate, where h ~ 1 and the terms fall
+        like 1/x, on a log-uniform scale and its decay past 1/rate into a
+        vanishing corner.  f is called with float arrays only: the direct
+        terms with the five difference points, then once per quadrature round.
+        A map or sum leaving the float range raises ToleranceNotReached; on a
+        table the law raises NoEnvelope.
         """
         if n < 1:
             raise ValueError(f"tail start must be >= 1, got {n}")
@@ -167,40 +203,20 @@ class BandwidthSchedule:
             # Euler-Maclaurin error, so the head runs on until it has
             # fallen by e**-37, below float resolution.
             cut = max(cut, n + int(np.ceil(37.0 / self.rate)))
-        k = np.arange(n, cut, dtype=float)
-        direct = np.sum(f(k)) if k.size else 0.0
+        points = [cut, cut + 0.5, cut - 0.5, cut + 1.5, cut - 1.5]
+        terms = f(np.concatenate((np.arange(n, cut, dtype=float), points)))
+        direct = np.sum(terms[:-5])
+        f0, up1, down1, up3, down3 = terms[-5:]
         p = 1.0 / self.delta if self.form == "power" else 1.0
-        # f at the difference points and at every node quad evaluates, kept
-        # for this call only.
-        points = [float(cut), cut + 0.5, cut - 0.5, cut + 1.5, cut - 1.5]
-
-        def f_at(x):
-            value = seen.get(x)
-            if value is None:
-                value = seen[x] = f(np.array([x]))[0]
-            return value
-
-        integral = err = 0.0
-        try:
-            nodes = [cut * u ** (-p) for u in _FIRST_INTERVAL]
-            seen = dict(zip(points + nodes, f(np.array(points + nodes))))
-            f0, up1, down1, up3, down3 = (seen[x] for x in points)
-            for part, unit in ((np.real, 1.0), (np.imag, 1j))[: 1 + np.iscomplexobj(f0)]:
-                value, part_err = scipy.integrate.quad(
-                    lambda u: float(part(f_at(cut * u ** (-p)))) * (cut * p * u ** (-p - 1.0)),
-                    0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=400, full_output=1,
-                )[:2]
-                integral += unit * value
-                err += part_err
-        except OverflowError:
-            # x = cut u**(-1/delta) overflows for u < u* = (cut/1.8e308)**delta:
-            # 0.496 at delta = 1e-3, 0.030 at 0.005 (cut = 4096).  The mapped
-            # tail-weight integrand is ~constant in u, so that stretch holds
-            # ~u* of the integral (~u*^2 of a gaussian product tail): not a
-            # zero term, and far above the 1e-12 and 1e-8 tolerances there.
-            integral = np.inf
-        # The Jacobian cut p u**(-p-1) can overflow where x does not, silently
-        # (delta near 1/115): quad then returns inf, which no tolerance refuses.
+        integral, err = gauss_kronrod(
+            lambda u: f(cut * u ** (-p)) * (cut * p * u ** (-p - 1.0)), epsabs, epsrel
+        )
+        # x = cut u**(-1/delta) overflows for u < u* = (cut/1.8e308)**delta:
+        # 0.496 at delta = 1e-3, 0.030 at 0.005 (cut = 4096), and the Jacobian
+        # cut p u**(-p-1) can overflow where x does not (delta near 1/115).
+        # The mapped tail-weight integrand is ~constant in u, so that stretch
+        # holds ~u* of the integral (~u*^2 of a gaussian product tail): not a
+        # zero term, and far above the 1e-12 and 1e-8 tolerances there.
         if not (np.isfinite(integral) and np.isfinite(err)):
             raise ToleranceNotReached(
                 f"the tail quadrature from the cut n={cut} leaves the float range"
@@ -215,7 +231,7 @@ class BandwidthSchedule:
     def tail_weight(self, n: int, shift: int) -> float:
         """W_s(n) = sum_{k>=n} h_{k+s} / (k+1) for the index shift s = ``shift``
         in {0, 1}, to TAIL_WEIGHT_REL_TOL relative by tail_sum's error estimate
-        (ToleranceNotReached if not), asking quad for 1/40 of that, since
+        (ToleranceNotReached if not), asking the quadrature for 1/40 of that, since
         its estimate can fall short; on a table the law raises NoEnvelope."""
         if shift not in (0, 1):
             raise ValueError(f"tail shift must be 0 or 1, got {shift}")

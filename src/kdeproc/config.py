@@ -276,8 +276,16 @@ class ExperimentConfig:
         return echo
 
     def config_hash(self) -> str:
+        """The echo's digest, extended by the float64 bytes of the bandwidth
+        table and of the data where the config reads them: the files' paths
+        alone would not tell two of their contents apart."""
         lines = [f"{k} = {v!r}" for k, v in sorted(self.to_echo().items())]
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        digest = hashlib.sha256("\n".join(lines).encode())
+        if self.bandwidth_form == "table":
+            digest.update(np.asarray(self.schedule.table, dtype=float).tobytes())
+        if self.data_path is not None:
+            digest.update(self.data.tobytes())
+        return digest.hexdigest()[:16]
 
 
 # --------------------------------------------------------------- file loaders

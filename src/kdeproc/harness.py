@@ -16,6 +16,7 @@ and only an anchored urn run loads ``scipy.stats``, for its KS test.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -580,12 +581,15 @@ def run(config: ExperimentConfig, mode: str):
     """Execute one mode and return its summary payload.  Its artifacts go
     under ``Path(config.base_dir) / config.output_dir``, which the first
     artifact write makes, so a refused run leaves none.  An output directory
-    that is or lies under a file is refused before any work, and one that
-    cannot be written otherwise fails at the first write."""
+    that is or lies under a file, or whose nearest existing directory this
+    process cannot write into, is refused before any work; one that cannot be
+    written for another reason fails at the first write."""
     if mode not in _RUNNERS:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     out = Path(config.base_dir) / config.output_dir
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
         raise ConfigError(f"cannot write {out}: Not a directory: {existing}")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {out}: Permission denied: {existing}")
     return _RUNNERS[mode](config)

@@ -19,9 +19,10 @@ Supported families:
 * ``laplace``     -- standard Laplace coordinates (scale 1).
 
 SciPy is imported as the bare package and each subpackage is named at its
-call (``scipy.special.ndtr``), so a run loads ``scipy.special`` or
-``scipy.integrate`` only when it first evaluates one of their functions, and
-no call here needs ``scipy.stats``.
+call (``scipy.special.ndtr``), so a run loads ``scipy.special`` only when it
+first evaluates one of its functions.  Only ``norm_mean`` at d >= 2 for laplace
+and student_t loads ``scipy.integrate``: student_t's CF takes the package's
+own :func:`~kdeproc.bandwidth.gauss_kronrod`.  No call needs ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from math import pi, sqrt
 
 import numpy as np
 import scipy
+
+from .bandwidth import gauss_kronrod
 
 FAMILIES = ("gaussian", "half_normal", "student_t", "laplace")
 
@@ -161,10 +164,11 @@ class KernelSpec:
             z = np.atleast_1d(sqrt(nu) * np.abs(np.asarray(u, dtype=float)))
         out = np.zeros(z.shape, dtype=complex)
 
-        live = z > 1e-12  # below this the deviation is < 1e-12 for any dof
-        # Up to z_exact, m6 u^6/720 <= 2^-53 m2 u^2/2 bounds the truncation.
-        z_exact = sqrt(nu) * (2.0**-53 * 360.0 * m2 / m6) ** 0.25 if nu > 6 else 0.0
-        series = live & (z <= z_exact)
+        # Up to z_exact, m6 u^6/720 <= 2^-53 m2 u^2/2 bounds the truncation.  At
+        # dof <= 6 no series is exact, and below z = 1e-12 the deviation reads 0.
+        z_exact = sqrt(nu) * (2.0**-53 * 360.0 * m2 / m6) ** 0.25 if nu > 6 else -1.0
+        series = z <= z_exact
+        live = z > 1e-12
         # kve representability: small-z magnitude estimate of log kv.
         with np.errstate(divide="ignore"):
             log_kv_est = scipy.special.gammaln(a) + a * np.log(2.0 / np.maximum(z, 1e-300))
@@ -179,13 +183,8 @@ class KernelSpec:
         zz = z[near]
         if zz.size:
             kve = scipy.special.kve(a, zz)
-            log_phi = (
-                np.log(kve)
-                - zz
-                + a * np.log(zz)
-                - scipy.special.gammaln(a)
-                - (a - 1.0) * np.log(2.0)
-            )
+            log_phi = (np.log(kve) - zz + a * np.log(zz) - scipy.special.gammaln(a)
+                       - (a - 1.0) * np.log(2.0))
             out[near] = np.expm1(log_phi)
             # From order a ~ 237 on, kve overflows at moderate z, where the
             # small-z estimate above reads it as representable; those points
@@ -204,15 +203,11 @@ class KernelSpec:
         return out[0] if scalar else out
 
     def _cf1_m1_student_t_quad(self, u: float) -> float:
-        val, _ = scipy.integrate.quad(
-            lambda x: 2.0 * _student_t_pdf(x, self.dof) * (np.cos(u * x) - 1.0),
-            0.0,
-            np.inf,
-            limit=400,
-            epsabs=1e-12,
-            epsrel=1e-12,
-        )
-        return float(val)
+        def mapped(v):  # 2 int_0^inf pdf(x) (cos ux - 1) dx at x = (1 - v)/v
+            x = (1.0 - v) / v
+            return 2.0 * _student_t_pdf(x, self.dof) * (np.cos(u * x) - 1.0) / (v * v)
+
+        return float(gauss_kronrod(mapped, 1e-12, 1e-12)[0])
 
     # -------------------------------------------------------------------- CDFs
 
@@ -279,30 +274,19 @@ class KernelSpec:
         """E||Y||, the first absolute moment of the norm; computed once per
         kernel object, since the multivariate heavy-tailed families need
         quadrature."""
+        gammaln = scipy.special.gammaln
         if self.family in ("gaussian", "half_normal"):
             # ||Y|| follows the chi distribution with `dim` degrees of freedom.
-            return float(
-                np.exp(
-                    0.5 * np.log(2.0)
-                    + scipy.special.gammaln(0.5 * (self.dim + 1.0))
-                    - scipy.special.gammaln(0.5 * self.dim)
-                )
-            )
+            return float(np.exp(0.5 * np.log(2.0) + gammaln(0.5 * (self.dim + 1.0))
+                                - gammaln(0.5 * self.dim)))
         if self.dim == 1:
             # E|Y|^p at p = 1: Gamma(p + 1) for laplace; for student_t,
-            # nu^(p/2) Gamma((p+1)/2) Gamma((nu-p)/2) / (sqrt(pi) Gamma(nu/2)).
+            # nu^(p/2) Gamma((p+1)/2) Gamma((nu-p)/2) / (sqrt(pi) Gamma(nu/2)), Gamma(1) = 1.
             if self.family == "laplace":
                 return float(scipy.special.gamma(2.0))
             nu = float(self.dof)
-            return float(
-                np.exp(
-                    0.5 * np.log(nu)
-                    + scipy.special.gammaln(1.0)
-                    + scipy.special.gammaln(0.5 * (nu - 1.0))
-                    - 0.5 * np.log(pi)
-                    - scipy.special.gammaln(0.5 * nu)
-                )
-            )
+            return float(np.exp(0.5 * np.log(nu) + gammaln(0.5 * (nu - 1.0))
+                                - 0.5 * np.log(pi) - gammaln(0.5 * nu)))
         # Heavy-tailed multivariate norms by the Gamma representation
         # r = c * int_0^inf (1 - exp(-s r^2)) s^(-3/2) ds, c = 1 / (2 Gamma(1/2)).
         lap = self._squared_coord_laplace_transform

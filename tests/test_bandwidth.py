@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from kdeproc import BandwidthSchedule, default_delta
+from kdeproc import bandwidth as bw
 from kdeproc import martingale as mg
-from kdeproc.bandwidth import TAIL_WEIGHT_REL_TOL, leading
+from kdeproc.bandwidth import TAIL_WEIGHT_REL_TOL, gauss_kronrod, leading
 from kdeproc.errors import IndexBeyondTable, NoEnvelope, ToleranceNotReached
 
 
@@ -236,7 +237,7 @@ class TestTailSums:
     def test_weight_near_the_float_range_is_finite_or_refused(self, k, n):
         # Near delta = 1/115 the node x = cut u^(-1/delta) stays finite while
         # its Jacobian overflows in a float multiply, which raises nothing:
-        # quad then returned inf, which no tolerance test refused.
+        # the integral is then inf, which only the finiteness check refuses.
         schedule = BandwidthSchedule.power(1.0, 1.0 / k)
         for shift in (0, 1):
             try:
@@ -293,15 +294,17 @@ def _log_identity(rate, n, shift):
 
 class TestTailWeightOracles:
     """tail_weight against oracles that share no code with tail_sum, to 1e-14
-    (the Hurwitz zeta oracle to the accuracy tail_weight asks quad for)."""
+    (the Hurwitz zeta oracle to the accuracy tail_weight asks its quadrature
+    for)."""
 
     @settings(max_examples=150, deadline=None)
     @given(c=st.floats(0.1, 10.0), delta=st.floats(0.01, 1.0), n=st.integers(1, 10**6))
     @example(c=8.127020000605611, delta=0.011867927631978522, n=288719)
     def test_power_shifted_is_hurwitz_zeta(self, c, delta, n):
         # h_{k+1}/(k+1) = C (k+1)^-(1+delta), so W_1(n) = C zeta(1+delta, n+1).
-        # Near delta = 0.01 quad's answer sits ~1e-14 off at every tolerance
-        # down to its 50 eps floor: the test holds it to the accuracy asked.
+        # Near delta = 0.01 the quadrature's answer sits ~1e-14 off at every
+        # tolerance down to its 50 eps floor: the test holds it to the
+        # accuracy asked.
         want = c * float(special.zeta(1.0 + delta, n + 1))
         got = BandwidthSchedule.power(c, delta).tail_weight(n, 1)
         assert got == pytest.approx(want, rel=TAIL_WEIGHT_REL_TOL / 40, abs=0.0)
@@ -336,3 +339,101 @@ class TestTailWeightOracles:
         want = _log_identity(rate, n, shift)
         got = BandwidthSchedule.exponential(rate).tail_weight(n, shift)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def sizes_of(g):
+    """g with a record of the size of the array of every call."""
+    sizes = []
+
+    def counted(u):
+        sizes.append(u.size)
+        return g(u)
+
+    return counted, sizes
+
+
+class TestGaussKronrod:
+    """The package's adaptive qk21 rule on (0, 1) against exact integrals and
+    QUADPACK's quad."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        degree=st.integers(0, 31),
+        re=st.lists(st.floats(-100.0, 100.0), min_size=32, max_size=32),
+        im=st.lists(st.floats(-100.0, 100.0), min_size=32, max_size=32),
+    )
+    def test_one_interval_is_exact_to_degree_31(self, degree, re, im):
+        # 21 Kronrod nodes integrate every polynomial of degree <= 31
+        # exactly: one interval, to rounding, whatever its error estimate.
+        c = np.array(re[: degree + 1]) + 1j * np.array(im[: degree + 1])
+        g, sizes = sizes_of(lambda u: np.polynomial.polynomial.polyval(u, c))
+        got, _ = gauss_kronrod(g, np.inf, 0.0)
+        k = np.arange(degree + 1)
+        want = np.sum(c / (k + 1))
+        assert sizes == [21]
+        assert abs(got - want) <= 1e-14 * np.sum(np.abs(c) / (k + 1))
+
+    def test_tables_are_qk21s(self):
+        # The Kronrod weights make the rule exact on the Legendre polynomials
+        # to degree 20; the Gauss nodes and weights are leggauss(10)'s, and
+        # the Kronrod-only nodes carry no Gauss weight.
+        legendre = np.polynomial.legendre
+        solved = np.linalg.solve(legendre.legvander(bw._GK_X, 20).T, np.eye(21)[0] * 2.0)
+        nodes, weights = legendre.leggauss(10)
+        np.testing.assert_allclose(bw._GK_W, solved, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(bw._GK_X[1::2], nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(bw._GAUSS_W[1::2], weights, rtol=0.0, atol=1e-15)
+        assert not bw._GAUSS_W[::2].any()
+
+    def test_degree_32_is_not_exact(self):
+        # The exactness above is the rule's own: u^32 is off by ~1e-12.
+        got, _ = gauss_kronrod(lambda u: (2.0 * u - 1.0) ** 32, np.inf, 0.0)
+        assert abs(got - 1.0 / 66.0) > 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 3.0),
+        rate=st.floats(0.0, 20.0),
+        freq=st.floats(0.0, 60.0),
+        centre=st.floats(0.01, 0.99),
+        width=st.floats(1e-3, 1.0),
+        is_complex=st.booleans(),
+    )
+    def test_matches_quad(self, alpha, rate, freq, centre, width, is_complex):
+        # u^alpha e^(-rate u) e^(i freq u) / ((u - centre)^2 + width^2): an
+        # endpoint singularity of a derivative, decay, oscillation and a
+        # peak; quad integrates the real and imaginary parts apart, told
+        # where the peak is (unaided, it can miss a narrow one).
+        def g(u):
+            wave = np.exp(1j * freq * u) if is_complex else np.cos(freq * u)
+            return u**alpha * np.exp(-rate * u) * wave / ((u - centre) ** 2 + width**2)
+
+        # |g| <= 1/width^2: both tolerances scale with it, quad's 10x finer.
+        tol = 1e-11 / width**2
+        got, err = gauss_kronrod(g, tol, 0.0)
+        parts = [np.real, np.imag] if is_complex else [np.real]
+        want = sum(
+            unit * integrate.quad(lambda u: part(g(u)), 0.0, 1.0, epsabs=tol / 10, epsrel=0.0,
+                                  limit=400, points=[centre])[0]
+            for part, unit in zip(parts, [1.0, 1j])
+        )
+        assert err <= tol
+        assert np.iscomplexobj(got) == is_complex
+        assert abs(got - want) <= 1.1 * len(parts) * tol
+
+    def test_returns_at_the_interval_limit(self):
+        # 1/u is not integrable: every split halves the interval at 0 and
+        # leaves its error, so the rule stops short of 400 intervals and
+        # returns an error above the tolerance for the caller to refuse.
+        g, sizes = sizes_of(lambda u: 1.0 / u)
+        value, err = gauss_kronrod(g, 1e-10, 0.0)
+        intervals = 1 + sum(sizes[1:]) // 42
+        assert 300 < intervals <= 400
+        assert np.isfinite(value) and err > 1e-10
+
+    def test_returns_a_non_finite_sum_at_once(self):
+        g, sizes = sizes_of(lambda u: np.where(u < 0.1, np.inf, 1.0))
+        value, err = gauss_kronrod(g, 1e-10, 0.0)
+        assert sizes == [21]
+        assert value == np.inf and not np.isfinite(err)
+

@@ -165,6 +165,26 @@ class TestHash:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
+    @pytest.mark.parametrize(
+        "raw, name, before, after",
+        [
+            ({"bandwidth.form": "table", "bandwidth.table_path": "in.txt", "run.steps": "2"},
+             "in.txt", "0.5\n0.25\n", "0.5\n0.125\n"),
+            ({"data.path": "in.txt"}, "in.txt", "0.1\n-0.4\n", "0.1\n-0.5\n"),
+        ],
+        ids=["table", "data"],
+    )
+    def test_sensitive_to_file_contents(self, tmp_path, raw, name, before, after):
+        # The same path with other values hashes apart; the same values
+        # written differently (a comment, another float spelling) do not.
+        def digest(text):
+            (tmp_path / name).write_text(text)
+            return ExperimentConfig.from_mapping(raw, base_dir=str(tmp_path)).config_hash()
+
+        first = digest(before)
+        assert digest(after) != first
+        assert digest("# the same values\n" + before.replace("0.1", "1e-1")) == first
+
     def test_echo_roundtrip_keys(self):
         echo = ExperimentConfig().to_echo()
         assert echo["flavor"] == "kde"
@@ -205,7 +225,7 @@ class TestHash:
                 {"bandwidth.form": "table", "bandwidth.table_path": "h.txt", "run.steps": "2"},
                 {"bandwidth.form": "table", "bandwidth.table_path": "h.txt", "run.steps": 2},
                 NOT_POWER,
-                "e1288ac4dc2c68af",
+                "addd0682680766bb",
             ),
             (
                 {"kernel.family": "student_t", "kernel.dof": "5", "kernel.dimension": "2"},
@@ -233,7 +253,7 @@ class TestHash:
                 },
                 {"data.path": "obs.txt", "posterior.box_lo": -1.0, "posterior.box_hi": 2.5},
                 (),
-                "235e7c55a7cce203",
+                "807b4f21664eeb8f",
             ),
             (
                 {
@@ -258,7 +278,10 @@ class TestHash:
         ],
     )
     def test_echo_pinned(self, tmp_path, raw, changed, dropped, digest):
+        # The hash reads the table's and the data's values, not only their
+        # paths: both files are written here.
         (tmp_path / "h.txt").write_text("0.5\n0.25\n")
+        (tmp_path / "obs.txt").write_text("0.1\n-0.4\n0.7\n")
         cfg = ExperimentConfig.from_mapping(raw, base_dir=str(tmp_path))
         expected = {k: v for k, v in self.DEFAULT_ECHO.items() if k not in dropped}
         expected.update(changed)

@@ -1124,29 +1124,42 @@ class TestCli:
         [("simulate", ""), ("contrast", "kernel.family = half_normal\n")],
     )
     @pytest.mark.parametrize("output_dir", ["out", "out/sub"])
+    @pytest.mark.parametrize("blocker_kind", ["file", "read-only-dir"])
     def test_unwritable_output_dir(
-        self, tmp_path, capsys, monkeypatch, mode, config_text, output_dir
+        self, tmp_path, capsys, monkeypatch, mode, config_text, output_dir, blocker_kind
     ):
-        # An output directory that is, or lies under, an existing file ends as
-        # a config error naming that path before any replication runs, whether
-        # a CSV (simulate) or the JSON summary (contrast) is the first
-        # artifact the run would write.
+        # An output directory that is, or lies under, an existing file, or
+        # whose nearest existing directory is read-only, ends as a config
+        # error naming that path before any replication runs, whether a CSV
+        # (simulate) or the JSON summary (contrast) is the first artifact the
+        # run would write.
+        if blocker_kind == "read-only-dir" and os.geteuid() == 0:
+            pytest.skip("permission bits do not bind the superuser")
+
         def no_replications(*args, **kwargs):
             raise AssertionError("a replication ran before the refusal")
 
         monkeypatch.setattr(harness, "simulate_batch", no_replications)
         blocker = tmp_path / "out"
-        blocker.write_text("not a directory\n")
+        if blocker_kind == "file":
+            blocker.write_text("not a directory\n")
+        else:
+            blocker.mkdir()
+            blocker.chmod(0o500)
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(
             f"run.steps = 20\nrun.replications = 2\n{config_text}run.output_dir = {output_dir}\n"
         )
-        assert cli_main([mode, "--config", str(cfgfile)]) == 2
+        try:
+            assert cli_main([mode, "--config", str(cfgfile)]) == 2
+            unchanged = blocker.read_text() if blocker.is_file() else sorted(blocker.iterdir())
+        finally:
+            blocker.chmod(0o700)
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ")
         assert str(blocker) in err.splitlines()[0]
         assert "Traceback" not in err
-        assert blocker.read_text() == "not a directory\n"
+        assert unchanged == ("not a directory\n" if blocker_kind == "file" else [])
 
 
 # Runs the CLI in this interpreter, then prints its exit status and which of
@@ -1166,7 +1179,8 @@ _SMALL = "run.steps = 30\nrun.replications = 2\n"
 
 class TestImportBudget:
     """A run loads only the SciPy subpackages its mode evaluates: none to
-    simulate, and scipy.stats only for an anchored urn run's KS test.  Each
+    simulate, scipy.integrate only for the norm mean of a heavy-tailed kernel
+    at d >= 2, and scipy.stats only for an anchored urn run's KS test.  Each
     case starts a fresh interpreter, which inherits PYTHONPATH, so a
     subpackage imported at module level anywhere in the package fails every
     case."""
@@ -1186,14 +1200,16 @@ class TestImportBudget:
             (["urn"], _SMALL + "urn.window_sizes = 2, 5\n", ["scipy.special"]),
             (["posterior"], _SMALL + "data.path = obs.txt\n", ["scipy.special"]),
             (["contrast"], _SMALL + "kernel.family = half_normal\n", ["scipy.special"]),
-            (["diagnose"], _SMALL, ["scipy.special", "scipy.integrate"]),
-            (["cf-trace"], _SMALL, ["scipy.special", "scipy.integrate"]),
+            (["diagnose"], _SMALL, ["scipy.special"]),
+            (["cf-trace"], _SMALL, ["scipy.special"]),
+            (["cf-trace"], _SMALL + "kernel.family = laplace\nkernel.dimension = 2\n",
+             ["scipy.special", "scipy.integrate"]),
             (["urn"], _SMALL + "urn.window_sizes = 2\nurn.anchor = 5\n",
              ["scipy.special", "scipy.integrate", "scipy.stats"]),
         ],
         ids=[
             "import-only", "version", "simulate", "urn-windows", "posterior", "contrast",
-            "diagnose", "cf-trace", "urn-anchor",
+            "diagnose", "cf-trace", "cf-trace-laplace-d2", "urn-anchor",
         ],
     )
     def test_mode_loads_only_what_it_uses(self, tmp_path, argv, config_text, loaded):

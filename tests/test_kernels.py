@@ -243,26 +243,36 @@ class TestCharacteristicFunction:
 
     @settings(max_examples=30, deadline=None)
     @given(dof=st.floats(30.0, 1e6), u=st.floats(1e-6, 10.0))
-    def test_student_t_quadrature_is_scipy_stats_bit_for_bit(self, dof, u):
-        # The quadrature's integrand evaluates the density without
-        # scipy.stats; with stats.t.pdf in its place, quad must visit the
-        # same nodes and return the same float.  At dof >= 30 and u <= 10
-        # it reaches its tolerance; any warning must match as well.
-        def stats_quad():
-            val, _ = integrate.quad(
-                lambda x: 2.0 * stats.t.pdf(x, dof) * (np.cos(u * x) - 1.0),
-                0.0, np.inf, limit=400, epsabs=1e-12, epsrel=1e-12,
-            )
-            return float(val)
+    def test_student_t_quadrature_matches_scipy_stats(self, dof, u):
+        # The package's Gauss-Kronrod rule against QUADPACK's quad on
+        # scipy.stats' density, both asked for 1e-12: at dof >= 30 and
+        # u <= 10 both reach it.
+        want, _ = integrate.quad(
+            lambda x: 2.0 * stats.t.pdf(x, dof) * (np.cos(u * x) - 1.0),
+            0.0, np.inf, limit=400, epsabs=1e-12, epsrel=1e-12,
+        )
+        got = KernelSpec("student_t", dof=dof)._cf1_m1_student_t_quad(u)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
-        with warnings.catch_warnings(record=True) as got_warnings:
-            warnings.simplefilter("always")
-            got = KernelSpec("student_t", dof=dof)._cf1_m1_student_t_quad(u)
-        with warnings.catch_warnings(record=True) as want_warnings:
-            warnings.simplefilter("always")
-            want = stats_quad()
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+    @pytest.mark.parametrize("u", np.geomspace(0.028, 32.0, 9).tolist())
+    def test_student_t_quadrature_at_dof_1e4_against_mpmath(self, u):
+        # At dof 1e4 kve overflows over this whole range and the moment
+        # series falls short of 1e-11, so the quadrature is the deviation
+        # there; the normal scale mixture shares no code with it.
+        got = KernelSpec("student_t", dof=1e4).cf_scaled_minus_one(1.0, [u])[0]
+        assert got.imag == 0.0
+        assert got.real == pytest.approx(float(student_t_cf_mpmath(1e4, u) - 1), rel=0.0, abs=5e-12)
+
+    @pytest.mark.parametrize("dof", [3.0, 6.0, 6.5, 30.0, 1e4])
+    def test_student_t_below_1e_12(self, dof):
+        # Past dof 6 the exact moment series serves every z = sqrt(dof)|u| up
+        # to its reach, below 1e-12 too: -m2 u^2/2 where that is not 0.  At
+        # dof <= 6 no series is exact and the deviation there reads 0.
+        u = np.array([1e-13, 1e-14, -1e-20, 1e-200])
+        got = KernelSpec("student_t", dof=dof).cf_scaled_minus_one(1.0, u)
+        want = -0.5 * dof / (dof - 2.0) * u**2 if dof > 6 else np.zeros(u.size)
+        assert np.all(got.imag == 0.0)
+        np.testing.assert_allclose(got.real, want, rtol=4e-16, atol=0.0)
 
     @pytest.mark.parametrize("dof", [1.5, 30.0, 250.0, 500.0])
     def test_student_t_small_arguments_against_mpmath(self, dof):
@@ -311,8 +321,8 @@ class TestCharacteristicFunction:
     def test_student_t_where_kve_overflows_against_mpmath(self, dof, u):
         # From dof ~ 474 on, kve overflows at moderate z although its
         # small-z estimate reads it as representable; the deviation there
-        # comes from the moment series or quadrature, whose requested 1e-12
-        # QUADPACK misses by up to 2.1e-12 at dof 1e4.
+        # comes from the moment series or quadrature, which misses its
+        # requested 1e-12 by up to 2.1e-12 at dof 1e4.
         a, z = dof / 2, np.sqrt(dof) * u
         assert special.gammaln(a) + a * np.log(2.0 / z) < 690.0
         assert np.isinf(special.kve(a, z))
